@@ -25,7 +25,7 @@ labeled data objects, stack records from slot definitions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import elfio
 from .errors import (
@@ -377,7 +377,11 @@ def _parse_string(text, line):
                 raise AsmSyntaxError("dangling escape in string", line)
             esc = body[i]
             if esc == "x":
-                out.append(int(body[i + 1:i + 3], 16))
+                digits = body[i + 1:i + 3]
+                if not _HEX2.fullmatch(digits):
+                    raise AsmSyntaxError(
+                        f"\\x needs two hex digits, got {digits!r}", line)
+                out.append(int(digits, 16))
                 i += 2
             elif esc in _ESCAPES:
                 out.append(_ESCAPES[esc])
@@ -390,6 +394,7 @@ def _parse_string(text, line):
 
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34}
+_HEX2 = re.compile(r"[0-9A-Fa-f]{2}")
 
 
 def _parse_quad_expr(text, line):
@@ -541,17 +546,22 @@ def assemble(prog: AsmProgram, bases: dict[str, int] | None = None
 
 def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                    ) -> tuple[bytes, EllfMetadata]:
-    """Assemble to a plain ELF plus the layout-derived metadata."""
+    """Assemble to a plain ELF plus the layout-derived metadata.
+
+    ``bases`` places sections that declare no base; ``prog`` is not modified.
+    """
     bases = bases or {}
     labels: dict[int | str, int] = {}
     slots: dict[str, dict[str, int]] = {}
     slot_offsets: dict[str, set[int]] = {}
 
+    sections = []
     for section in prog.sections:
         if section.base is None:
             if section.name not in bases:
                 raise AsmSyntaxError(f"section {section.name} has no base address")
-            section.base = bases[section.name]
+            section = replace(section, base=bases[section.name])
+        sections.append(section)
         for item in section.items:
             if isinstance(item, SlotDef):
                 table = slots.setdefault(item.function, {})
@@ -566,20 +576,23 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     sizes: dict[str, int] = {}
     functions: list[_FunctionInfo] = []
     set_labels: list[SetLabel] = []
-    for section in prog.sections:
+    for section in sections:
         addr = section.base
         current_func = None
+        func_slots = {}
         for item in section.items:
             if isinstance(item, (Label, FuncBegin)):
                 labels[item.name] = addr
                 if isinstance(item, FuncBegin):
                     current_func = _FunctionInfo(item.name, addr)
                     functions.append(current_func)
+                    func_slots = slots.get(item.name, {})
             elif isinstance(item, FuncEnd):
                 if current_func is not None and current_func.last_instr is None:
                     raise AsmSyntaxError(
                         f"function {current_func.name} has no instructions", item.line)
                 current_func = None
+                func_slots = {}
             elif isinstance(item, SetLabel):
                 set_labels.append(item)
             elif isinstance(item, SlotDef):
@@ -595,7 +608,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                     raise AsmSyntaxError(
                         f"instructions not allowed in the zero-fill section "
                         f"{section.name}", item.line)
-                length = _instr_length(item, slots, current_func)
+                length = _instr_length(item, func_slots)
                 if current_func is not None:
                     current_func.last_instr = addr
                 addr += length
@@ -606,7 +619,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
             raise UndefinedLabel(f"label {item.base!r} is not defined", item.line)
         labels[item.name] = labels[item.base] + item.offset
 
-    spans = [(s.base, s.base + max(sizes[s.name], 1), s.name) for s in prog.sections]
+    spans = [(s.base, s.base + max(sizes[s.name], 1), s.name) for s in sections]
     for i, (start_a, end_a, name_a) in enumerate(spans):
         for start_b, end_b, name_b in spans[i + 1:]:
             if start_a < end_b and start_b < end_a:
@@ -618,13 +631,13 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     text_records: set[TextRecord] = set()
     instr_starts: set[int] = set()
     section_blobs: list[tuple[AsmSection, bytes]] = []
-    label_sites: dict[str, list[int]] = {}
 
-    for section in prog.sections:
+    for section in sections:
         blob = bytearray()
         addr = section.base
         run_start = None
         run_count = 0
+        func_slots = {}
 
         def close_run():
             nonlocal run_start, run_count
@@ -634,11 +647,12 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 run_count = 0
 
         for item in section.items:
-            if isinstance(item, (Label, FuncBegin)):
-                label_sites.setdefault(section.name, []).append(addr)
-            if isinstance(item, Instr):
-                encoded, recs = _encode_instr(item, addr, labels, slots, prog,
-                                              section)
+            if isinstance(item, FuncBegin):
+                func_slots = slots.get(item.name, {})
+            elif isinstance(item, FuncEnd):
+                func_slots = {}
+            elif isinstance(item, Instr):
+                encoded, recs = _encode_instr(item, addr, labels, func_slots)
                 if run_start is None:
                     run_start = addr
                 run_count += 1
@@ -660,21 +674,21 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         text_records.add(TextRecord(fn.entry, FUNCTION_START))
         text_records.add(TextRecord(fn.last_instr, FUNCTION_END))
     func_entries = {fn.entry for fn in functions}
-    for section in prog.sections:
+    for section in sections:
         if not section.execable:
             continue
-        for name, site in _labels_in_section(prog, section, labels).items():
+        for name, site in _labels_in_section(section, labels).items():
             if site in func_entries or site not in instr_starts:
                 continue
             text_records.add(TextRecord(site, BASIC_BLOCK))
 
     # Data records from labeled objects in data sections.
     data_records: list[DataRecord] = []
-    for section in prog.sections:
+    for section in sections:
         if section.execable:
             continue
         end = section.base + sizes[section.name]
-        sites = sorted(s for s in set(_labels_in_section(prog, section, labels).values())
+        sites = sorted(s for s in set(_labels_in_section(section, labels).values())
                        if section.base <= s < end)
         for i, site in enumerate(sites):
             limit = sites[i + 1] if i + 1 < len(sites) else end
@@ -683,9 +697,10 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
 
     # Stack records from slot definitions.
     stack_records = []
+    func_names = {fn.name for fn in functions}
     for func_name, offsets in sorted(slot_offsets.items(),
                                      key=lambda kv: labels.get(kv[0], 0)):
-        if func_name not in labels or func_name not in {f.name for f in functions}:
+        if func_name not in labels or func_name not in func_names:
             raise UndefinedLabel(f"slot defined for unknown function {func_name!r}")
         stack_records.append(StackRecord(labels[func_name], tuple(sorted(offsets))))
 
@@ -718,7 +733,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     return elf, meta
 
 
-def _labels_in_section(prog, section, labels):
+def _labels_in_section(section, labels):
     found = {}
     for item in section.items:
         if isinstance(item, (Label, FuncBegin)):
@@ -740,20 +755,21 @@ def _data_size(item: Data) -> int:
     return len(item.payload)  # asciz bytes
 
 
-def _resolve_mem(ast: _MemAst, slots, current_func, line):
+def _resolve_mem(ast: _MemAst, func_slots, line):
+    """``func_slots``: the enclosing function's slot table, empty outside one."""
     disp = 0
     for sign, term in ast.const_terms:
         if isinstance(term, int):
             disp += sign * term
+        elif term in func_slots:
+            disp += sign * func_slots[term]
         else:
-            if current_func is None or term not in slots.get(current_func.name, {}):
-                raise UndefinedLabel(
-                    f"{term!r} is not a slot of the enclosing function", line)
-            disp += sign * slots[current_func.name][term]
+            raise UndefinedLabel(
+                f"{term!r} is not a slot of the enclosing function", line)
     return MemRef(base=ast.base, index=ast.index, scale=ast.scale, disp=disp)
 
 
-def _instr_length(item: Instr, slots, current_func) -> int:
+def _instr_length(item: Instr, func_slots) -> int:
     ops = []
     for op in item.operands:
         if isinstance(op, LabelRef):
@@ -764,7 +780,7 @@ def _instr_length(item: Instr, slots, current_func) -> int:
         elif isinstance(op, LabelMem):
             ops.append(MemRef(rip_relative=True, disp=0))
         elif isinstance(op, _MemAst):
-            ops.append(_resolve_mem(op, slots, current_func, item.line))
+            ops.append(_resolve_mem(op, func_slots, item.line))
         else:
             ops.append(op)
     try:
@@ -773,8 +789,7 @@ def _instr_length(item: Instr, slots, current_func) -> int:
         raise AsmSyntaxError(str(exc), item.line) from exc
 
 
-def _encode_instr(item: Instr, addr, labels, slots, prog, section):
-    current = _enclosing_function(prog, section, item)
+def _encode_instr(item: Instr, addr, labels, func_slots):
     records = []
     ops = []
     rip_slots = []  # operand indexes whose RIP displacement still needs the target
@@ -792,7 +807,7 @@ def _encode_instr(item: Instr, addr, labels, slots, prog, section):
             rip_slots.append((i, target & U64))
             records.append(("op", i, target & U64))
         elif isinstance(op, _MemAst):
-            ops.append(_resolve_mem(op, slots, current, item.line))
+            ops.append(_resolve_mem(op, func_slots, item.line))
         else:
             ops.append(op)
     try:
@@ -814,18 +829,6 @@ def _encode_instr(item: Instr, addr, labels, slots, prog, section):
     except EllfError as exc:
         raise AsmSyntaxError(str(exc), item.line) from exc
     return encoded, [OperandPointer(addr, i, t) for kind, i, t in records]
-
-
-def _enclosing_function(prog, section, item):
-    current = None
-    for it in section.items:
-        if isinstance(it, FuncBegin):
-            current = _FunctionInfo(it.name, 0)
-        elif isinstance(it, FuncEnd):
-            current = None
-        if it is item:
-            return current
-    return current
 
 
 def _label_value(labels, name, line):

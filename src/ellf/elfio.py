@@ -60,10 +60,6 @@ class Section:
         return bool(self.sh_flags & SHF_EXECINSTR)
 
     @property
-    def write(self):
-        return bool(self.sh_flags & SHF_WRITE)
-
-    @property
     def kind(self):
         if self.sh_type == SHT_PROGBITS:
             return "progbits"

@@ -10,7 +10,9 @@ disjoint state, so they can run in any order with identical results.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .elfio import ElfImage, load_image
 from .errors import (
@@ -56,7 +58,6 @@ from .meta import (
 U64 = (1 << 64) - 1
 
 STRICT = "strict"
-LENIENT = "lenient"
 
 POINTER_WIDTH = 8
 
@@ -136,6 +137,12 @@ def _section_label(name: str) -> str:
 
 @dataclass
 class LabelMap:
+    """Address-derived names, written only by ``generate_labels``.
+
+    ``lookup`` answers from a sorted index per namespace that it builds on
+    first use, so the name tables must not change after ``generate_labels``
+    returns; ``used`` is outside the index and may grow.
+    """
     functions: dict[int, str] = field(default_factory=dict)
     blocks: dict[int, str] = field(default_factory=dict)
     bb_backed: set[int] = field(default_factory=set)
@@ -145,25 +152,29 @@ class LabelMap:
     data_floors: dict[int, str] = field(default_factory=dict)
     slots: dict[int, tuple[tuple[int, str], ...]] = field(default_factory=dict)
     used: set[str] = field(default_factory=set)
-
-    def _entries(self, namespace: str) -> list[tuple[int, str]]:
-        if namespace == "text":
-            merged = dict(self.text_floors)
-            merged.update(self.blocks)
-            merged.update(self.functions)
-        else:
-            merged = dict(self.data_floors)
-            merged.update(self.data_labels)
-        return sorted(merged.items())
+    _index: dict[str, tuple[list[int], list[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def lookup(self, addr: int, namespace: str) -> tuple[str, int] | None:
-        """Greatest entry at or below ``addr``, with the non-negative offset."""
-        best = None
-        for entry_addr, name in self._entries(namespace):
-            if entry_addr > addr:
-                break
-            best = (name, addr - entry_addr)
-        return best
+        """Greatest entry at or below ``addr``, with the non-negative offset.
+
+        At a shared address a function wins over a block over a text floor,
+        and a data label over a data floor.
+        """
+        index = self._index.get(namespace)
+        if index is None:
+            if namespace == "text":
+                merged = {**self.text_floors, **self.blocks, **self.functions}
+            else:
+                merged = {**self.data_floors, **self.data_labels}
+            ordered = sorted(merged.items())
+            index = self._index[namespace] = ([a for a, _ in ordered],
+                                              [name for _, name in ordered])
+        addrs, names = index
+        i = bisect_right(addrs, addr) - 1
+        if i < 0:
+            return None
+        return names[i], addr - addrs[i]
 
     def use(self, name: str) -> str:
         self.used.add(name)
@@ -227,11 +238,14 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
     for rec in meta.data:
         lm.data_labels[rec.addr] = f"D_{rec.addr:x}"
         lm.record_backed.add(rec.addr)
-    covered = [(r.addr, r.addr + r.size) for r in meta.data]
+    spans = sorted((r.addr, r.addr + r.size) for r in meta.data)
+    span_starts = [start for start, _ in spans]
+    reach = list(accumulate((end for _, end in spans), max))  # furthest end so far
     for addr in sorted(data_candidates):
         if addr in lm.data_labels:
             continue
-        if any(start <= addr < end for start, end in covered):
+        i = bisect_right(span_starts, addr)
+        if i and reach[i - 1] > addr:
             continue  # interior of a record: rendered as label + offset
         lm.data_labels[addr] = f"D_{addr:x}"
 
@@ -285,6 +299,7 @@ class _LiftState:
     mode: str
     labels: LabelMap
     instrs: dict[int, Instruction]
+    instr_addrs: list[int]  # sorted keys of instrs; the steps replace values only
     diagnostics: list[Diagnostic] = field(default_factory=list)
     earmarks: dict[int, tuple] = field(default_factory=dict)
     pcrel_targets: dict[int, int] = field(default_factory=dict)
@@ -378,7 +393,7 @@ def coarse_symbolize(state: _LiftState) -> None:
 
     # RIP-relative operands are position-derived pointers even without a
     # record; resolving them keeps sections movable when metadata is partial.
-    for addr in sorted(state.instrs):
+    for addr in state.instr_addrs:
         ins = state.instrs[addr]
         changed = False
         operands = list(ins.operands)
@@ -411,7 +426,8 @@ def _function_ranges(state) -> list[tuple[int, int]]:
 
 
 def _function_instrs(state, entry, end):
-    return [a for a in sorted(state.instrs) if entry <= a < end]
+    addrs = state.instr_addrs
+    return addrs[bisect_left(addrs, entry):bisect_left(addrs, end)]
 
 
 # --- step III: text symbolization ---
@@ -432,7 +448,7 @@ def text_symbolize(state: _LiftState) -> None:
         elif rec.addr in state.labels.blocks:
             state.block_marks[rec.addr] = state.labels.blocks[rec.addr]
 
-    for addr in sorted(state.instrs):
+    for addr in state.instr_addrs:
         ins = state.instrs[addr]
         changed = False
         operands = list(ins.operands)
@@ -548,6 +564,7 @@ def _apply_sp_effect(ins, sp_delta, rbp_delta):
 
 def data_symbolize(state: _LiftState) -> None:
     variables: list[Variable] = []
+    marks = sorted(state.earmarks)
     for sec in state.image.sections:
         if not sec.alloc or sec.exec or sec.size == 0:
             continue
@@ -566,21 +583,21 @@ def data_symbolize(state: _LiftState) -> None:
 
         nobits = sec.kind == "nobits"
         for start, end, label in spans:
-            payload = _build_payload(state, sec, start, end, nobits)
+            inside = marks[bisect_left(marks, start):bisect_left(marks, end)]
+            payload = _build_payload(state, sec, start, end, nobits, inside)
             variables.append(Variable(address=start, size=end - start,
                                       label=label, payload=payload))
     state.variables = variables
 
 
-def _build_payload(state, sec, start, end, nobits):
+def _build_payload(state, sec, start, end, nobits, marks):
+    """The variable's payload; ``marks`` are the sorted earmarks inside it."""
     if nobits:
-        for addr in state.earmarks:
-            if start <= addr < end:
-                state.warn("pointer", f"pointer record at 0x{addr:x} lies in the "
-                                      f"zero-initialized section {sec.name}", addr)
+        for addr in marks:
+            state.warn("pointer", f"pointer record at 0x{addr:x} lies in the "
+                                  f"zero-initialized section {sec.name}", addr)
         return (Zeroes(end - start),)
 
-    marks = sorted(a for a in state.earmarks if start <= a < end)
     parts = []
     pos = start
     for addr in marks:
@@ -643,35 +660,40 @@ def _pointer_part(state, addr):
 # --- control flow graphs ---
 
 def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
+    # A function reaches a jump table when it references the label that sits
+    # exactly at the table's subtrahend.
     tables: dict[int, list[int]] = {}
     for rec in state.meta.pointers:
         if isinstance(rec, DataDiff):
             tables.setdefault(rec.subtrahend, []).append(rec.minuend)
+    table_minuends: dict[str, list[int]] = {}
+    for sub_addr, minuends in tables.items():
+        found = state.labels.lookup(sub_addr, "data")
+        if found and found[1] == 0:
+            table_minuends.setdefault(found[0], []).extend(minuends)
 
-    block_addrs = {r.addr for r in state.meta.text if r.kind == BASIC_BLOCK}
+    block_addrs = sorted({r.addr for r in state.meta.text if r.kind == BASIC_BLOCK})
     fe_addrs = {r.addr for r in state.meta.text if r.kind == FUNCTION_END}
-    all_block_starts = set(state.labels.functions) | block_addrs
+    all_block_starts = set(state.labels.functions) | set(block_addrs)
 
     cfgs = []
     for entry, limit in _function_ranges(state):
         addrs = _function_instrs(state, entry, limit)
         if not addrs:
             continue
-        starts = sorted({entry} | {a for a in block_addrs if entry < a < limit})
-        referenced = _referenced_labels(state, addrs)
+        starts = [entry] + block_addrs[bisect_right(block_addrs, entry):
+                                       bisect_left(block_addrs, limit)]
         reachable_minuends: set[int] = set()
-        for sub_addr, minuends in tables.items():
-            found = state.labels.lookup(sub_addr, "data")
-            if found and found[1] == 0 and found[0] in referenced:
-                reachable_minuends.update(minuends)
+        for name in _referenced_labels(state, addrs):
+            reachable_minuends.update(table_minuends.get(name, ()))
 
         blocks = []
         for bi, bstart in enumerate(starts):
             bend_limit = starts[bi + 1] if bi + 1 < len(starts) else limit
-            members = [a for a in addrs if bstart <= a < bend_limit]
-            if not members:
-                continue
-            last = members[-1]
+            stop = bisect_left(addrs, bend_limit)
+            if stop == bisect_left(addrs, bstart):
+                continue  # no instruction in this block
+            last = addrs[stop - 1]
             ins = state.instrs[last]
             successors = _successors(state, ins, last, bi, starts, entry, limit,
                                      fe_addrs, reachable_minuends, all_block_starts)
@@ -770,7 +792,7 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT,
     instrs = lift_unsymbolized(byte_map, meta.instruction_regions)
     labels = generate_labels(meta, image)
     state = _LiftState(image=image, byte_map=byte_map, meta=meta, mode=mode,
-                       labels=labels, instrs=instrs)
+                       labels=labels, instrs=instrs, instr_addrs=sorted(instrs))
     state.diagnostics.extend(problems)
 
     coarse_symbolize(state)
@@ -818,7 +840,7 @@ def _finalize_annotations(state) -> None:
     minted_used = {addr: name for addr, name in state.labels.blocks.items()
                    if addr not in state.labels.bb_backed
                    and name in state.labels.used}
-    for addr in sorted(state.instrs):
+    for addr in state.instr_addrs:
         ins = state.instrs[addr]
         notes = []
         if addr in state.func_open:
@@ -836,15 +858,11 @@ def _finalize_annotations(state) -> None:
 
 # --- rendering ---
 
-def _render_int(value):
-    return str(value)
-
-
 def render_operand(op) -> str:
     if isinstance(op, Register):
         return op.name
     if isinstance(op, Immediate):
-        return _render_int(op.value)
+        return str(op.value)
     if isinstance(op, SymbolRef):
         if op.offset:
             return f"{op.label} + {op.offset}"
@@ -873,7 +891,7 @@ def render_operand(op) -> str:
         if op.index:
             parts.append(f"{op.index}*{op.scale}")
         if not parts:
-            return f"[{_render_int(op.disp)}]"
+            return f"[{op.disp}]"
         expr = " + ".join(parts)
         if op.disp:
             expr += f" + {op.disp}" if op.disp > 0 else f" - {-op.disp}"
@@ -887,6 +905,11 @@ def render_instruction(ins: Instruction) -> str:
     if not ins.operands:
         return ins.mnemonic
     return ins.mnemonic + " " + ", ".join(render_operand(op) for op in ins.operands)
+
+
+def _between(addrs, lo, hi):
+    """The entries of the sorted list ``addrs`` strictly between lo and hi."""
+    return addrs[bisect_right(addrs, lo):bisect_left(addrs, hi)]
 
 
 def _byte_lines(data: bytes, per_line: int = 8):
@@ -920,6 +943,7 @@ def emit_assembly(lp: LiftedProgram) -> str:
 
 
 def _emit_text(lines, lp, sec, text_extra):
+    extra_addrs = sorted(text_extra)
     stream: list[tuple[int, str, object]] = []
     for addr, ins in lp.instructions.items():
         if sec.vaddr <= addr < sec.vaddr + sec.size:
@@ -935,7 +959,7 @@ def _emit_text(lines, lp, sec, text_extra):
             lines.append("    " + render_instruction(payload))
             lines.extend(payload.post_annotations)
         else:
-            cuts = sorted(a for a in text_extra if addr < a < addr + len(payload))
+            cuts = _between(extra_addrs, addr, addr + len(payload))
             pos = addr
             for cut in cuts + [addr + len(payload)]:
                 if pos in text_extra:
@@ -945,6 +969,7 @@ def _emit_text(lines, lp, sec, text_extra):
 
 
 def _emit_data(lines, lp, sec, data_marks):
+    mark_addrs = sorted(data_marks)
     for var in lp.variables:
         if not (sec.vaddr <= var.address < sec.vaddr + sec.size):
             continue
@@ -953,7 +978,7 @@ def _emit_data(lines, lp, sec, data_marks):
         pos = var.address
         for part in var.payload:
             if isinstance(part, RawBytes):
-                cuts = sorted(a for a in data_marks if pos < a < pos + len(part.data))
+                cuts = _between(mark_addrs, pos, pos + len(part.data))
                 sub = pos
                 for cut in cuts + [pos + len(part.data)]:
                     if sub in data_marks:

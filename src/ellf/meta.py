@@ -121,10 +121,6 @@ class EllfMetadata:
     stack: tuple[StackRecord, ...] = ()
     data: tuple[DataRecord, ...] = ()
 
-    def is_empty(self):
-        return not (self.instruction_regions or self.pointers or self.text
-                    or self.stack or self.data)
-
 
 def _pointer_sort_key(rec: PointerRecord):
     kind = _POINTER_KIND[type(rec)]

@@ -5,6 +5,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ellf import elfio
 from ellf.asm import assemble, assemble_image, parse_assembly
@@ -95,6 +96,42 @@ def test_lookup_returns_floor_entry(table_demo):
     lm = generate_labels(EllfMetadata(), img)
     assert lm.lookup(0x4010, "text") == ("S_text", 0x10)
     assert lm.lookup(0x402C, "data") == ("S_rodata", 8)
+
+
+def _linear_lookup(lm, addr, namespace):
+    """Reference: merge the tables by precedence, then scan in address order."""
+    if namespace == "text":
+        merged = dict(lm.text_floors)
+        merged.update(lm.blocks)
+        merged.update(lm.functions)
+    else:
+        merged = dict(lm.data_floors)
+        merged.update(lm.data_labels)
+    best = None
+    for entry_addr, name in sorted(merged.items()):
+        if entry_addr > addr:
+            break
+        best = (name, addr - entry_addr)
+    return best
+
+
+def _names(prefix):
+    # A small address space makes shared addresses across tables common.
+    return st.sets(st.integers(0, 48)).map(
+        lambda addrs: {a: f"{prefix}{a:x}" for a in addrs})
+
+
+@given(functions=_names("F_"), blocks=_names(".Lb"), text_floors=_names("S_t"),
+       data_labels=_names("D_"), data_floors=_names("S_d"),
+       queries=st.lists(st.integers(0, 56), max_size=16))
+def test_lookup_matches_linear_scan(functions, blocks, text_floors, data_labels,
+                                    data_floors, queries):
+    lm = LabelMap(functions=functions, blocks=blocks, text_floors=text_floors,
+                  data_labels=data_labels, data_floors=data_floors)
+    for addr in [-1, *queries]:  # -1 lies below every entry
+        for namespace in ("text", "data"):
+            assert lm.lookup(addr, namespace) == _linear_lookup(lm, addr, namespace)
+    assert lm.lookup(-1, "text") is None and lm.lookup(-1, "data") is None
 
 
 def test_block_numbering_is_deterministic_across_functions():
