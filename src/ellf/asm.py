@@ -216,6 +216,9 @@ def parse_assembly(text: str) -> AsmProgram:
                 if not m:
                     raise AsmSyntaxError(f"malformed .section line: {line!r}", lineno)
                 base = _parse_int(m.group(2), lineno) if m.group(2) else None
+                if base is not None and not 0 <= base <= U64:
+                    raise AsmSyntaxError(f"section base {m.group(2)} is outside "
+                                         f"the 64-bit address space", lineno)
                 sections.append(AsmSection(m.group(1), base))
             elif word == ".func":
                 if in_func:

@@ -1,7 +1,8 @@
 """Minimal ELF64 little-endian container support.
 
 Covers exactly what the toolkit needs: parsing section headers and dynamic
-symbols into an ElfImage, building an address-indexed byte map, writing small
+symbols into an ElfImage, a read-only ImageView of the loadable bytes whose
+cost follows the number of sections rather than their size, writing small
 executables, and injecting or extracting the non-alloc `.ellf` section.
 Injection appends payload, a grown string table and a rebuilt section header
 table at the end of the file, so every original file offset, section body and
@@ -11,7 +12,10 @@ program header survives byte for byte.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DuplicateSection,
@@ -74,6 +78,42 @@ class ElfImage:
     sections: tuple[Section, ...]
     dynamic_symbols: dict[int, str] = field(default_factory=dict)
     raw_file: bytes = b""
+
+    @cached_property
+    def _alloc_index(self):
+        """(starts, sections, overlap) over the non-empty alloc sections.
+
+        ``sections`` is sorted by vaddr and ``starts`` holds their vaddrs;
+        ``overlap`` is the OverlapError for the first overlapping pair in
+        file order, or None.
+        """
+        alloc = [sec for sec in self.sections if sec.alloc and sec.size]
+        ordered = sorted(alloc, key=lambda sec: sec.vaddr)
+        overlap = None
+        if any(a.vaddr + a.size > b.vaddr for a, b in zip(ordered, ordered[1:])):
+            overlap = _first_overlap(alloc)
+        return [sec.vaddr for sec in ordered], ordered, overlap
+
+    def section_at(self, addr: int) -> Section | None:
+        """The first alloc section in file order that contains ``addr``."""
+        starts, ordered, overlap = self._alloc_index
+        if overlap is not None:  # several may contain addr: keep file order
+            return next((sec for sec in self.sections if sec.alloc
+                         and sec.vaddr <= addr < sec.vaddr + sec.size), None)
+        i = bisect_right(starts, addr) - 1
+        if i >= 0 and addr < ordered[i].vaddr + ordered[i].size:
+            return ordered[i]
+        return None
+
+
+def _first_overlap(alloc: list[Section]) -> OverlapError | None:
+    """The error for the first overlapping pair in file order."""
+    for j, sec in enumerate(alloc):
+        for prev in alloc[:j]:
+            if sec.vaddr < prev.vaddr + prev.size and prev.vaddr < sec.vaddr + sec.size:
+                return OverlapError(f"sections {prev.name} and {sec.name} overlap "
+                                    f"at 0x{max(prev.vaddr, sec.vaddr):x}")
+    return None
 
 
 def read_elf(data) -> ElfImage:
@@ -151,26 +191,103 @@ def _cstr(table: bytes, offset: int) -> str:
     return table[offset:end].decode("latin-1")
 
 
-def load_image(img: ElfImage) -> dict[int, int]:
-    """Byte map of all alloc sections; nobits sections contribute zeros."""
-    image: dict[int, int] = {}
-    placed: list[tuple[int, int, str]] = []
-    for sec in img.sections:
-        if not sec.alloc or sec.size == 0:
-            continue
-        for start, end, name in placed:
-            if sec.vaddr < end and start < sec.vaddr + sec.size:
-                raise OverlapError(f"sections {name} and {sec.name} overlap "
-                                   f"at 0x{max(start, sec.vaddr):x}")
-        placed.append((sec.vaddr, sec.vaddr + sec.size, sec.name))
-        if sec.kind == "nobits":
-            for i in range(sec.size):
-                image[sec.vaddr + i] = 0
-        else:
-            body = img.raw_file[sec.file_offset:sec.file_offset + sec.size]
-            for i, byte in enumerate(body):
-                image[sec.vaddr + i] = byte
-    return image
+class ImageView(Mapping):
+    """Read-only address -> byte view of an image's alloc sections.
+
+    Section bodies are memoryviews into the file, and nobits sections read
+    as zeros without storing any, so building a view costs one entry per
+    section. ``image[addr]`` bisects the sections (the last one hit is tried
+    first) and raises KeyError for an unmapped address, like the dict it
+    replaces; two views are equal when they map the same addresses to the
+    same bytes.
+    """
+
+    def __init__(self, img: ElfImage):
+        starts, ordered, overlap = img._alloc_index
+        if overlap is not None:
+            raise overlap
+        self._image = img
+        self._starts = starts
+        self._ends = []
+        self._bodies = []  # memoryview, or None for zeros
+        raw = memoryview(img.raw_file)
+        for sec in ordered:
+            if sec.kind == "nobits":
+                body = None
+                self._ends.append(sec.vaddr + sec.size)
+            else:
+                body = raw[sec.file_offset:sec.file_offset + sec.size]
+                self._ends.append(sec.vaddr + len(body))
+            self._bodies.append(body)
+        self._last = (0, 0, None)  # (start, end, body) of the last section hit
+
+    def _index(self, addr: int) -> int:
+        i = bisect_right(self._starts, addr) - 1
+        if i < 0 or addr >= self._ends[i]:
+            raise KeyError(addr)
+        return i
+
+    def __getitem__(self, addr: int) -> int:
+        start, end, body = self._last
+        if not start <= addr < end:
+            i = self._index(addr)
+            start, end, body = self._last = \
+                self._starts[i], self._ends[i], self._bodies[i]
+        return 0 if body is None else body[addr - start]
+
+    def __len__(self) -> int:
+        return sum(end - start for start, end in zip(self._starts, self._ends))
+
+    def __iter__(self):
+        for start, end in zip(self._starts, self._ends):
+            yield from range(start, end)
+
+    def read(self, start: int, end: int) -> bytes:
+        """The bytes at [start, end); KeyError names the first unmapped address."""
+        if start >= end:
+            return b""
+        i = self._index(start)
+        parts = []
+        pos = start
+        while True:
+            sec_start, sec_end, body = self._starts[i], self._ends[i], self._bodies[i]
+            if pos < sec_start:
+                raise KeyError(pos)
+            stop = min(sec_end, end)
+            parts.append(bytes(stop - pos) if body is None
+                         else body[pos - sec_start:stop - sec_start])
+            pos = stop
+            if pos == end:
+                return b"".join(parts)
+            i += 1
+            if i == len(self._starts):
+                raise KeyError(pos)
+
+    def section_at(self, addr: int) -> Section | None:
+        """The alloc section that contains ``addr``, or None."""
+        return self._image.section_at(addr)
+
+    def _runs(self) -> list[list[int]]:
+        """Maximal [start, end) runs of consecutive mapped addresses."""
+        runs: list[list[int]] = []
+        for start, end in zip(self._starts, self._ends):
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end])
+        return runs
+
+    def __eq__(self, other):
+        if not isinstance(other, ImageView):
+            return super().__eq__(other)
+        runs = self._runs()
+        return runs == other._runs() and all(
+            self.read(start, end) == other.read(start, end) for start, end in runs)
+
+
+def load_image(img: ElfImage) -> ImageView:
+    """The loadable bytes of all alloc sections; nobits sections read as zeros."""
+    return ImageView(img)
 
 
 def extract_section(img: ElfImage, name: str) -> bytes:
@@ -202,7 +319,6 @@ def inject_section(img: ElfImage, name: str, payload: bytes) -> bytes:
         old_headers = [(0,) * 10]
         strtab = bytearray(b"\0")
         shstrndx = 1  # .shstrtab goes right after the null entry
-        shentsize = _SHDR.size
         strtab_hdr_index = None
     else:
         old_headers = [list(_SHDR.unpack_from(data, shoff + i * shentsize))
@@ -241,9 +357,9 @@ def inject_section(img: ElfImage, name: str, payload: bytes) -> bytes:
     for hdr in headers:
         out += _SHDR.pack(*hdr)
 
+    # Every header was re-packed at the ELF64 size, whatever the input's stride.
     _EHDR.pack_into(out, 0, _ident, e_type, machine, version, entry, phoff,
-                    new_shoff, flags, ehsize, phentsize, phnum,
-                    _SHDR.size if shnum == 0 else shentsize,
+                    new_shoff, flags, ehsize, phentsize, phnum, _SHDR.size,
                     len(headers), shstrndx)
     return bytes(out)
 

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .elfio import ElfImage, load_image
+from .elfio import ElfImage, ImageView, load_image
 from .errors import (
     DanglingTextRecord,
     Diagnostic,
@@ -197,12 +197,6 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
     """
     lm = LabelMap()
 
-    def exec_section(addr):
-        for sec in image.sections:
-            if sec.alloc and sec.vaddr <= addr < sec.vaddr + sec.size:
-                return sec.exec
-        return None
-
     for rec in meta.text:
         if rec.kind == FUNCTION_START:
             lm.functions[rec.addr] = f"F_{rec.addr:x}"
@@ -218,11 +212,9 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
     data_candidates = set()
 
     def classify(addr):
-        kind = exec_section(addr)
-        if kind is True:
-            block_candidates.add(addr)
-        elif kind is False:
-            data_candidates.add(addr)
+        sec = image.section_at(addr)
+        if sec is not None:
+            (block_candidates if sec.exec else data_candidates).add(addr)
 
     for rec in meta.pointers:
         if isinstance(rec, OperandPointer) or isinstance(rec, DataPointer):
@@ -294,7 +286,7 @@ def lift_unsymbolized(image, regions) -> dict[int, Instruction]:
 @dataclass
 class _LiftState:
     image: ElfImage
-    byte_map: dict[int, int]
+    byte_map: ImageView
     meta: EllfMetadata
     mode: str
     labels: LabelMap
@@ -313,18 +305,11 @@ class _LiftState:
         self.diagnostics.append(Diagnostic(kind, message, addr, WARNING))
 
 
-def _target_namespace(state, addr):
-    for sec in state.image.sections:
-        if sec.alloc and sec.vaddr <= addr < sec.vaddr + sec.size:
-            return "text" if sec.exec else "data"
-    return None
-
-
 def _symbol_for(state, addr):
-    ns = _target_namespace(state, addr)
-    if ns is None:
+    sec = state.image.section_at(addr)
+    if sec is None:
         return None
-    found = state.labels.lookup(addr, ns)
+    found = state.labels.lookup(addr, "text" if sec.exec else "data")
     if found is None:
         return None
     name, offset = found
@@ -625,7 +610,7 @@ def _build_payload(state, sec, start, end, nobits, marks):
 
 
 def _raw(state, start, end):
-    return bytes(state.byte_map[a] for a in range(start, end))
+    return state.byte_map.read(start, end)
 
 
 def _pointer_part(state, addr):
@@ -817,21 +802,23 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT,
 
 def _collect_padding(state) -> tuple[tuple[int, bytes], ...]:
     """Executable-section bytes outside every decoded instruction."""
-    covered = set()
-    for addr, ins in state.instrs.items():
-        covered.update(range(addr, addr + ins.length))
+    addrs = state.instr_addrs  # decoded instructions are disjoint
     runs = []
     for sec in state.image.sections:
         if not (sec.alloc and sec.exec) or sec.size == 0:
             continue
-        run_start = None
-        for a in range(sec.vaddr, sec.vaddr + sec.size + 1):
-            inside = a < sec.vaddr + sec.size and a not in covered
-            if inside and run_start is None:
-                run_start = a
-            elif not inside and run_start is not None:
-                runs.append((run_start, _raw(state, run_start, a)))
-                run_start = None
+        end = sec.vaddr + sec.size
+        first = bisect_left(addrs, sec.vaddr)
+        pos = sec.vaddr
+        if first:  # an instruction may run on from the section before
+            prev = addrs[first - 1]
+            pos = max(pos, prev + state.instrs[prev].length)
+        for addr in addrs[first:bisect_left(addrs, end)]:
+            if addr > pos:
+                runs.append((pos, _raw(state, pos, addr)))
+            pos = max(pos, addr + state.instrs[addr].length)
+        if pos < end:
+            runs.append((pos, _raw(state, pos, end)))
     return tuple(runs)
 
 

@@ -35,6 +35,7 @@ from .errors import (
     NonCanonical,
     TruncatedTable,
     UnsupportedVersion,
+    VarintOverflow,
     WARNING,
 )
 
@@ -290,12 +291,17 @@ class _Reader:
         self.pos += 1
         return b
 
-    def uvarint(self, what, max_bits=64):
-        value, self.pos = varint.decode_unsigned(self.data, self.pos, max_bits)
-        return value
+    def uvarint(self, what):
+        return self._varint(varint.decode_unsigned, what)
 
     def svarint(self, what):
-        value, self.pos = varint.decode_signed(self.data, self.pos)
+        return self._varint(varint.decode_signed, what)
+
+    def _varint(self, decode, what):
+        try:
+            value, self.pos = decode(self.data, self.pos)
+        except (TruncatedTable, NonCanonical, VarintOverflow) as exc:
+            raise type(exc)(f"{what}: {exc}") from None
         return value
 
 
@@ -764,9 +770,10 @@ def build_facts_from_json(obj: dict) -> BuildFacts:
 def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagnostic]]:
     """Turn linker-time facts into oracle metadata.
 
-    ``image`` maps virtual addresses to bytes; instruction counts, operand
-    positions and function-end addresses all need the decoder, so the loadable
-    image is a required input.
+    ``image`` is the loadable image from ``elfio.load_image`` (any mapping from
+    virtual address to byte will do); instruction counts, operand positions
+    and function-end addresses all need the decoder, so it is a required
+    input.
     """
     from .isa import decode_one  # local import keeps the codec importable standalone
 
@@ -928,14 +935,8 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
 
     diags: list[Diagnostic] = []
 
-    def section_of(addr):
-        for sec in image.sections:
-            if sec.alloc and sec.vaddr <= addr < sec.vaddr + sec.size:
-                return sec
-        return None
-
     def check_in_exec(addr, what):
-        sec = section_of(addr)
+        sec = image.section_at(addr)
         if sec is None or not sec.exec:
             diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside an "
                                              f"executable section", addr))
@@ -943,7 +944,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
         return True
 
     def check_in_any(addr, what):
-        if section_of(addr) is None:
+        if image.section_at(addr) is None:
             diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside any "
                                              f"section", addr))
 
@@ -991,7 +992,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                 srec.function_entry))
 
     for drec in meta.data:
-        sec = section_of(drec.addr)
+        sec = image.section_at(drec.addr)
         if sec is None or sec.exec:
             diags.append(Diagnostic("range", f"data record at 0x{drec.addr:x} is not "
                                              f"inside a data section", drec.addr))

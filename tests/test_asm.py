@@ -59,3 +59,11 @@ def test_hazard_fails_strict_lift():
     meta = decode_metadata(elfio.extract_section(img, ".ellf"))
     with pytest.raises(PointerStraddle):
         lift(img, meta, mode="strict")
+
+
+@pytest.mark.parametrize("base", ["-1", "-0x1000", hex(1 << 64)])
+def test_section_base_outside_the_address_space_is_a_syntax_error(base):
+    src = f".section .data base=0x2000\n    .byte 1\n.section .text base={base}\n"
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_assembly(src)
+    assert info.value.line == 3

@@ -170,3 +170,25 @@ def test_fuzz_read_elf_structured_errors_only():
             elfio.read_elf(data)
         except EllfError:
             pass
+
+
+def _with_header_stride(elf, stride):
+    """``elf`` with its section header table re-laid at ``stride`` bytes an entry."""
+    shoff, = struct.unpack_from("<Q", elf, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", elf, 0x3A)
+    entries = [elf[shoff + i * shentsize:shoff + (i + 1) * shentsize]
+               for i in range(shnum)]
+    out = bytearray(elf[:shoff])
+    for entry in entries:
+        out += entry + b"\0" * (stride - len(entry))
+    struct.pack_into("<H", out, 0x3A, stride)
+    return bytes(out)
+
+
+def test_inject_into_a_file_with_a_wider_header_stride():
+    raw, _ = assemble_image(parse_assembly(open_text_demo()))
+    img = elfio.read_elf(_with_header_stride(raw, 72))
+    assert img.sections == elfio.read_elf(raw).sections
+    injected = elfio.read_elf(elfio.inject_section(img, ".ellf", b"payload"))
+    assert elfio.extract_section(injected, ".ellf") == b"payload"
+    assert elfio.load_image(injected) == elfio.load_image(img)

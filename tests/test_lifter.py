@@ -451,3 +451,16 @@ def test_coverage_partition_over_corpus():
             if sec.alloc:
                 expected.update(range(sec.vaddr, sec.vaddr + sec.size))
         assert set(claimed) == expected, name
+
+
+def test_padding_after_an_instruction_that_runs_across_a_section_boundary():
+    exec_flags = elfio.SHF_ALLOC | elfio.SHF_EXECINSTR
+    elf = elfio.build_elf([  # push rbp; mov rbp, rsp (split); ret; then padding
+        elfio.NewSection(".text", 0x1000, b"\x55\x48", sh_flags=exec_flags),
+        elfio.NewSection(".text2", 0x1002, b"\x89\xe5\xc3\xcc\xcc",
+                         sh_flags=exec_flags),
+    ])
+    meta = EllfMetadata(instruction_regions=(InstructionRegion(0x1000, 3),))
+    lp = lift(elfio.read_elf(elf), meta, mode="lenient")
+    assert [ins.mnemonic for ins in lp.instructions.values()] == ["push", "mov", "ret"]
+    assert lp.padding == ((0x1005, b"\xcc\xcc"),)

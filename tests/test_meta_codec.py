@@ -2,6 +2,7 @@
 round-trip and canonicality properties, and structured-error fuzzing."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,3 +228,35 @@ def test_fuzz_decode_never_crashes():
             decode_metadata(data)
         except EllfError:
             pass  # structured failure is the contract
+
+
+def test_truncated_payload_errors_name_the_field():
+    meta = EllfMetadata(
+        instruction_regions=SPARSE_DEMO_META.instruction_regions,
+        pointers=SPARSE_DEMO_META.pointers + (DataPointer(0x4034, 0x4000),),
+        text=SPARSE_DEMO_META.text,
+        stack=(StackRecord(0x4000, (8, 16)),),
+        data=SPARSE_DEMO_META.data,
+    )
+    payload = encode_metadata(meta)
+    named = set()
+    for length in range(4, len(payload)):
+        with pytest.raises(TruncatedTable) as info:
+            decode_metadata(payload[:length])
+        message = str(info.value)
+        varint = re.fullmatch(r"(.+): varint runs past end of input at offset (\d+)",
+                              message)
+        if varint:
+            named.add(varint.group(1))
+            assert int(varint.group(2)) <= length
+        else:
+            named.add(re.fullmatch(r"unexpected end of input reading (.+)",
+                                   message).group(1))
+    assert named == {
+        "version", "table 1 id", "region count", "region start",
+        "region instruction count", "table 2 id", "pointer count", "pointer key",
+        "pointer kind", "operand index", "pointer target", "diff minuend",
+        "diff subtrahend", "table 3 id", "text record count", "text record address",
+        "text record kind", "table 4 id", "stack record count",
+        "stack function entry", "stack offset count", "stack offset", "table 5 id",
+        "data record count", "data record address", "data record size"}
