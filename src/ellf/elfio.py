@@ -212,12 +212,9 @@ class ImageView(Mapping):
         self._bodies = []  # memoryview, or None for zeros
         raw = memoryview(img.raw_file)
         for sec in ordered:
-            if sec.kind == "nobits":
-                body = None
-                self._ends.append(sec.vaddr + sec.size)
-            else:
-                body = raw[sec.file_offset:sec.file_offset + sec.size]
-                self._ends.append(sec.vaddr + len(body))
+            body = (None if sec.kind == "nobits"
+                    else raw[sec.file_offset:sec.file_offset + sec.size])
+            self._ends.append(sec.vaddr + (sec.size if body is None else len(body)))
             self._bodies.append(body)
         self._last = (0, 0, None)  # (start, end, body) of the last section hit
 
