@@ -13,6 +13,14 @@ The dialect (one statement per line, ``#`` comments):
     .byte/.long/.quad/.zero/.asciz data; .quad accepts LABEL, LABEL+N and
                                    LABEL - LABEL difference expressions
 
+A ``#`` starts a comment unless it lies inside a double-quoted string, where
+it is text. The ``.asciz`` escapes are ``\\n \\t \\r \\0 \\\\ \\" \\xHH`` (exactly
+two hex digits); any other character stands for itself and must be at most
+U+00FF, since ``.asciz`` holds bytes up to 0xFF. Arguments are separated by
+commas. A memory operand's terms are separated by ``+`` and ``-`` and none may
+be empty: a sign may lead the operand, but two signs in a row or a trailing
+sign is an error.
+
 Assembling lays sections out at their declared bases, encodes through the
 canonical instruction encoder, resolves labels, and produces both an ELF
 image (with the encoded metadata injected as `.ellf`) and the ground-truth
@@ -71,6 +79,9 @@ _BRANCH_MNEMONICS = frozenset(("jmp", "call") + JCC_MNEMONICS)
 _IDENT = r"[A-Za-z_.$][A-Za-z0-9_.$]*"
 _LABEL_RE = re.compile(rf"^({_IDENT})\s*:\s*(.*)$")
 _SECTION_RE = re.compile(rf"^\.section\s+({_IDENT})(?:\s+base\s*=\s*(\S+))?$")
+# A line's code: everything before the first '#' outside a double-quoted
+# string; inside a string a backslash escapes the next character.
+_CODE_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"?)*')
 
 
 # --- program representation ---
@@ -196,10 +207,10 @@ def parse_assembly(text: str) -> AsmProgram:
         defined.add(name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _CODE_RE.match(raw).group().strip()
         while line:
             m = _LABEL_RE.match(line)
-            if m and not _is_directive_word(m.group(1)):
+            if m and m.group(1) not in _DIRECTIVES:
                 define(m.group(1), lineno)
                 current_section(lineno).items.append(Label(m.group(1), lineno))
                 line = m.group(2).strip()
@@ -272,50 +283,12 @@ def parse_assembly(text: str) -> AsmProgram:
     return AsmProgram(sections)
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 _DIRECTIVES = {".section", ".func", ".endfunc", ".slot", ".set",
                ".byte", ".long", ".quad", ".zero", ".asciz"}
 
 
-def _is_directive_word(word):
-    return word in _DIRECTIVES
-
-
 def _split_args(text: str) -> list[str]:
-    if not text.strip():
-        return []
-    parts = []
-    depth = 0
-    in_str = False
-    cur = []
-    for ch in text:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0 and not in_str:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
-    return parts
+    return [part.strip() for part in text.split(",")] if text.strip() else []
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -369,34 +342,29 @@ def _parse_string(text, line):
     text = text.strip()
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':
         raise AsmSyntaxError(f".asciz needs a quoted string, got {text!r}", line)
-    body = text[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            if i >= len(body):
-                raise AsmSyntaxError("dangling escape in string", line)
-            esc = body[i]
-            if esc == "x":
-                digits = body[i + 1:i + 3]
-                if not _HEX2.fullmatch(digits):
-                    raise AsmSyntaxError(
-                        f"\\x needs two hex digits, got {digits!r}", line)
-                out.append(int(digits, 16))
-                i += 2
-            elif esc in _ESCAPES:
-                out.append(_ESCAPES[esc])
-            else:
-                raise AsmSyntaxError(f"unknown escape \\{esc}", line)
-        else:
-            out.append(ord(ch))
-        i += 1
-    return bytes(out)
+
+    def unescape(m):
+        esc = m.group(1)
+        if esc in _ESCAPES:
+            return _ESCAPES[esc]
+        if not esc:
+            raise AsmSyntaxError("dangling escape in string", line)
+        if esc[0] != "x":
+            raise AsmSyntaxError(f"unknown escape \\{esc}", line)
+        if not _HEX2.fullmatch(esc[1:]):
+            raise AsmSyntaxError(f"\\x needs two hex digits, got {esc[1:]!r}", line)
+        return chr(int(esc[1:], 16))
+
+    body = _ESCAPE_RE.sub(unescape, text[1:-1])
+    try:
+        return body.encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise AsmSyntaxError(f"{body[exc.start]!r} is not a byte: .asciz holds "
+                             f"characters up to \\xff", line) from None
 
 
-_ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, '"': 34}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
+_ESCAPE_RE = re.compile(r"\\(x.{0,2}|.|$)")
 _HEX2 = re.compile(r"[0-9A-Fa-f]{2}")
 
 
@@ -495,17 +463,20 @@ def _parse_mem(body, line):
 
 
 def _split_terms(body, line):
-    """Split 'rbp + rcx*4 - 8 + s32' into signed terms."""
+    """Split 'rbp + rcx*4 - 8 + s32' into signed terms; ``body`` is stripped."""
+    if not body:
+        raise AsmSyntaxError("empty memory operand", line)
+    pieces = _SIGN_RE.split(body)
+    if pieces[0]:
+        pieces.insert(0, "+")
+    else:
+        del pieces[0]  # a leading sign
     terms = []
-    sign = 1
-    token = []
-
-    def flush():
-        if not token:
-            return
-        text = "".join(token).strip()
+    for sign, text in zip(pieces[0::2], pieces[1::2]):
+        sign = 1 if sign == "+" else -1
+        text = text.strip()
         if not text:
-            raise AsmSyntaxError(f"empty term in memory operand", line)
+            raise AsmSyntaxError("empty term in memory operand", line)
         try:
             terms.append((sign, int(text, 0)))
         except ValueError:
@@ -513,21 +484,10 @@ def _split_terms(body, line):
                 terms.append((sign, text.lower()))
             else:
                 terms.append((sign, text))  # slot constant or label
-        token.clear()
-
-    for ch in body:
-        if ch in "+-":
-            if token and "".join(token).strip():
-                flush()
-            else:
-                token.clear()
-            sign = 1 if ch == "+" else -1
-        else:
-            token.append(ch)
-    flush()
-    if not terms:
-        raise AsmSyntaxError("empty memory operand", line)
     return terms
+
+
+_SIGN_RE = re.compile(r"([+-])")
 
 
 # --- assembly ---

@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import elfio
-from .asm import assemble, parse_assembly, roundtrip_check
-from .errors import EllfError
+from .asm import U64, assemble, parse_assembly, roundtrip_check
+from .errors import AsmSyntaxError, EllfError
 from .lifter import emit_assembly, lift
 from .meta import (
     decode_metadata,
@@ -42,6 +42,16 @@ def _write_file(path, data):
             fh.write(data)
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _read_source(path):
+    data = _read_file(path)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise AsmSyntaxError(f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                             f"at offset {exc.start}",
+                             data.count(b"\n", 0, exc.start) + 1) from None
 
 
 class _IoFailure(Exception):
@@ -96,7 +106,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_asm(args) -> int:
-    source = _read_file(args.input).decode()
+    source = _read_source(args.input)
     bases = {}
     if args.base_text is not None:
         bases[".text"] = args.base_text
@@ -111,7 +121,7 @@ def cmd_asm(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    source = _read_file(args.input).decode()
+    source = _read_source(args.input)
     report = roundtrip_check(source)
     for line in report.lines():
         print(line)
@@ -133,7 +143,11 @@ def cmd_stats(args) -> int:
 
 
 def _hex_int(text):
-    return int(text, 0)
+    value = int(text, 0)
+    if not 0 <= value <= U64:
+        raise argparse.ArgumentTypeError(
+            f"{text} is outside the 64-bit address space")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

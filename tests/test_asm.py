@@ -1,12 +1,22 @@
 """Assembler contracts and the round-trip oracle over the bundled corpus."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ellf import elfio
-from ellf.asm import assemble, assemble_image, parse_assembly, roundtrip_check
+from ellf.asm import (
+    assemble,
+    assemble_image,
+    parse_assembly,
+    roundtrip_check,
+    _CODE_RE,
+    _split_args,
+    _split_terms,
+)
 from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import AsmSyntaxError, PointerStraddle, UndefinedLabel
-from ellf.lifter import lift
+from ellf.isa import _REG_INFO
+from ellf.lifter import emit_assembly, lift
 from ellf.meta import decode_metadata
 
 
@@ -23,6 +33,15 @@ def test_bases_do_not_leak_into_the_parsed_program():
 def test_bad_hex_escape_is_a_syntax_error(literal):
     src = f".section .data base=0x2000\n    .asciz {literal}\n"
     with pytest.raises(AsmSyntaxError) as info:
+        parse_assembly(src)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("literal, message", [(r'"abc\"', "dangling escape"),
+                                              (r'"\q"', r"unknown escape \\q")])
+def test_dangling_or_unknown_escape_is_a_syntax_error(literal, message):
+    src = f".section .data base=0x2000\n    .asciz {literal}\n"
+    with pytest.raises(AsmSyntaxError, match=message) as info:
         parse_assembly(src)
     assert info.value.line == 2
 
@@ -67,3 +86,207 @@ def test_section_base_outside_the_address_space_is_a_syntax_error(base):
     with pytest.raises(AsmSyntaxError) as info:
         parse_assembly(src)
     assert info.value.line == 3
+
+
+def test_escaped_backslash_before_the_closing_quote():
+    prog = parse_assembly('.section .data base=0x2000\n    .asciz "a\\\\"  # note\n')
+    assert prog.sections[0].items[0].payload == b"a\\\0"
+
+
+def test_character_above_0xff_in_asciz_is_a_syntax_error():
+    src = '.section .data base=0x2000\n    .asciz "caf\u00e9"\n    .asciz "\u20ac"\n'
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_assembly(src)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("operand", ["[rbx - -8]", "[rbx + +8]", "[rbx - + 8]",
+                                     "[rbx +]", "[rbx - ]", "[- -8]", "[-]"])
+def test_adjacent_or_trailing_sign_in_memory_operand_is_a_syntax_error(operand):
+    src = f".section .text base=0x1000\n    ret\n    mov rax, {operand}\n"
+    with pytest.raises(AsmSyntaxError, match="empty term in memory operand") as info:
+        parse_assembly(src)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("operand, terms", [("[-8]", [(-1, 8)]),
+                                            ("[+rbx]", [(1, "rbx")]),
+                                            ("[ - 8 + RBX ]", [(-1, 8), (1, "rbx")])])
+def test_leading_sign_in_memory_operand(operand, terms):
+    parse_assembly(f".section .text base=0x1000\n    mov rax, {operand}\n")
+    assert _split_terms(operand[1:-1].strip(), 1) == terms
+
+
+def test_empty_memory_operand_is_a_syntax_error():
+    with pytest.raises(AsmSyntaxError, match="empty memory operand"):
+        parse_assembly(".section .text base=0x1000\n    mov rax, []\n")
+
+
+# --- the lexer against the per-character scanners it replaced ---
+# The three reference functions are the parser's code before it was written
+# with regular expressions; on well-formed statements the two must agree.
+
+def reference_strip_comment(line):
+    out = []
+    in_str = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
+            in_str = not in_str
+        if ch == "#" and not in_str:
+            break
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def reference_split_args(text):
+    if not text.strip():
+        return []
+    parts = []
+    depth = 0
+    in_str = False
+    cur = []
+    for ch in text:
+        if ch == '"':
+            in_str = not in_str
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0 and not in_str:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur).strip())
+    return parts
+
+
+def reference_split_terms(body):
+    terms = []
+    sign = 1
+    token = []
+
+    def flush():
+        if not token:
+            return
+        text = "".join(token).strip()
+        if not text:
+            raise AsmSyntaxError("empty term in memory operand")
+        try:
+            terms.append((sign, int(text, 0)))
+        except ValueError:
+            if text.lower() in _REG_INFO or "*" in text:
+                terms.append((sign, text.lower()))
+            else:
+                terms.append((sign, text))  # slot constant or label
+        token.clear()
+
+    for ch in body:
+        if ch in "+-":
+            if token and "".join(token).strip():
+                flush()
+            else:
+                token.clear()
+            sign = 1 if ch == "+" else -1
+        else:
+            token.append(ch)
+    flush()
+    if not terms:
+        raise AsmSyntaxError("empty memory operand")
+    return terms
+
+
+REGISTERS = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp", "r8", "r15",
+             "eax", "r9d")
+ESCAPES = {"\\n": b"\n", "\\t": b"\t", "\\r": b"\r", "\\0": b"\0", "\\\\": b"\\",
+           '\\"': b'"'}
+
+spaces = st.sampled_from(["", " ", "  ", "\t"])
+# Every character a string may hold as itself: no backslash or quote, at most U+00FF.
+plain_chars = st.characters(max_codepoint=0xFF, exclude_characters='\\"',
+                            exclude_categories=("Cc",)) | st.sampled_from("#,[]+-*")
+string_pieces = st.lists(
+    st.one_of(plain_chars.map(lambda ch: (ch, ch.encode("latin-1"))),
+              st.sampled_from(sorted(ESCAPES.items())),
+              st.integers(0, 0xFF).flatmap(lambda b: st.sampled_from(
+                  [(f"\\x{b:02x}", bytes([b])), (f"\\x{b:02X}", bytes([b]))]))),
+    max_size=12)
+comments = st.text(st.sampled_from('ab #"\\,[];'), max_size=10).map(lambda t: "#" + t)
+identifiers = st.from_regex(r"[A-Za-z_.$][A-Za-z0-9_.$]{0,6}", fullmatch=True)
+ints = st.integers(0, 1 << 40).flatmap(lambda n: st.sampled_from([str(n), hex(n)]))
+scaled = st.tuples(st.sampled_from(REGISTERS), spaces, st.sampled_from("1248")).map(
+    lambda t: f"{t[0]}{t[1]}*{t[1]}{t[2]}")
+terms = st.one_of(st.sampled_from(REGISTERS + ("RBP", "R8")), scaled, ints, identifiers)
+
+
+@st.composite
+def memory_bodies(draw):
+    """A memory operand's body: signed terms, the first maybe without a sign."""
+    parts = [draw(st.sampled_from(["", "-", "+"])) + draw(spaces) + draw(terms)]
+    for term in draw(st.lists(terms, max_size=4)):
+        parts.append(draw(spaces) + draw(st.sampled_from("+-")) + draw(spaces) + term)
+    return "".join(parts)
+
+
+operands = st.one_of(st.sampled_from(REGISTERS), ints, identifiers,
+                     st.tuples(identifiers, st.sampled_from(["+", " - "]), ints).map("".join),
+                     memory_bodies().map(lambda body: f"[{body}]"))
+
+
+@st.composite
+def asciz_lines(draw):
+    pieces = draw(string_pieces)
+    # Fixed here: the parent kept the comment after an escaped backslash
+    # that ends the string (test_escaped_backslash_before_the_closing_quote).
+    assume(not pieces or pieces[-1][0] != "\\\\")
+    text = "".join(piece for piece, _ in pieces)
+    payload = b"".join(data for _, data in pieces)
+    line = f'{draw(spaces)}.asciz{draw(spaces)} "{text}"{draw(spaces)}'
+    return line + draw(st.just("") | comments), payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(asciz_lines())
+def test_asciz_lines_lex_as_the_reference_does(case):
+    line, payload = case
+    assert _CODE_RE.match(line).group() == reference_strip_comment(line)
+    prog = parse_assembly(".section .data base=0x2000\n" + line + "\n")
+    assert prog.sections[0].items[0].payload == payload + b"\0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["mov", "lea", "add", ".byte", ".quad", ".slot"]),
+       st.lists(operands, min_size=0, max_size=4), spaces,
+       st.just("") | comments)
+def test_statements_lex_as_the_reference_does(word, args, space, comment):
+    operand_text = ("," + space).join(args)
+    line = f"    {word} {operand_text}{space}{comment}"
+    code = _CODE_RE.match(line).group()
+    assert code == reference_strip_comment(line)
+    rest = code.strip()[len(word):]
+    assert _split_args(rest) == reference_split_args(rest)
+    for arg in _split_args(rest):
+        if arg.startswith("["):
+            body = arg[1:-1].strip()
+            assert _split_terms(body, 1) == reference_split_terms(body)
+
+
+def lifted_text(source):
+    elf, meta = assemble(parse_assembly(source))
+    return emit_assembly(lift(elfio.read_elf(elf), meta, mode="strict"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(asciz_lines(), min_size=1, max_size=4))
+def test_lifted_text_parses_back_to_the_program_it_came_from(strings):
+    source = (".section .text base=0x1000\n.func f\n    lea rax, [s0]\n    ret\n"
+              ".endfunc\n.section .data base=0x2000\n")
+    source += "".join(f"s{i}:\n{line}\n" for i, (line, _) in enumerate(strings))
+    prog = parse_assembly(lifted_text(source))
+    assert parse_assembly(lifted_text(lifted_text(source))) == prog
+    image = elfio.load_image(elfio.read_elf(assemble(prog)[0]))
+    payload = b"".join(data + b"\0" for _, data in strings)
+    assert image.read(0x2000, 0x2000 + len(payload)) == payload

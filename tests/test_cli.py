@@ -68,3 +68,27 @@ def test_corrupted_ellf_fails_cleanly(tmp_path, capsys, assembled):
                      ("extract", broken), ("stats", broken)):
             codes.add(run(capsys, *argv)[0])
     assert cli.EXIT_DOMAIN in codes
+
+
+@pytest.mark.parametrize("command", ["asm", "roundtrip"])
+def test_source_that_is_not_utf8_fails_cleanly(tmp_path, capsys, command):
+    source = tmp_path / "prog.s"
+    source.write_bytes(b".section .text base=0x1000\n.func f\n    ret \xff\n.endfunc\n")
+    argv = [command, source] + (["-o", tmp_path / "prog.elf"] if command == "asm" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == cli.EXIT_DOMAIN
+    assert err.startswith("error: AsmSyntaxError: line 3: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("option", ["--base-text", "--base-data"])
+@pytest.mark.parametrize("value", ["-1", "-0x1000", hex(1 << 64)])
+def test_base_outside_the_address_space_is_a_usage_error(tmp_path, capsys, option, value):
+    source = tmp_path / "prog.s"
+    source.write_text(".section .text\n.func f\n    ret\n.endfunc\n.section .data\n"
+                      "    .byte 1\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["asm", str(source), f"{option}={value}", "-o", str(tmp_path / "x.elf")])
+    assert info.value.code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert f"argument {option}: {value} is outside the 64-bit address space" in err
+    assert not (tmp_path / "x.elf").exists()
