@@ -234,8 +234,7 @@ def parse_assembly(text: str) -> AsmProgram:
             elif word == ".func":
                 if in_func:
                     raise AsmSyntaxError("nested .func", lineno)
-                if not re.fullmatch(_IDENT, rest):
-                    raise AsmSyntaxError(f"malformed .func name: {rest!r}", lineno)
+                _check_ident(rest, ".func name", lineno)
                 define(rest, lineno)
                 current_section(lineno).items.append(FuncBegin(rest, lineno))
                 in_func = True
@@ -250,6 +249,8 @@ def parse_assembly(text: str) -> AsmProgram:
                 parts = _split_args(rest)
                 if len(parts) != 3:
                     raise AsmSyntaxError(".slot takes FUNC, NAME, OFFSET", lineno)
+                _check_ident(parts[0], ".slot function", lineno)
+                _check_ident(parts[1], ".slot name", lineno)
                 offset = _parse_int(parts[2], lineno)
                 if offset <= 0:
                     raise AsmSyntaxError(f"slot offset must be positive: {offset}", lineno)
@@ -259,6 +260,7 @@ def parse_assembly(text: str) -> AsmProgram:
                 parts = _split_args(rest)
                 if len(parts) != 2:
                     raise AsmSyntaxError(".set takes NAME, LABEL[+N]", lineno)
+                _check_ident(parts[0], ".set name", lineno)
                 base, offset = _parse_label_expr(parts[1], lineno)
                 define(parts[0], lineno)
                 current_section(lineno).items.append(
@@ -285,6 +287,11 @@ def parse_assembly(text: str) -> AsmProgram:
 
 _DIRECTIVES = {".section", ".func", ".endfunc", ".slot", ".set",
                ".byte", ".long", ".quad", ".zero", ".asciz"}
+
+
+def _check_ident(text: str, what: str, line: int) -> None:
+    if not re.fullmatch(_IDENT, text):
+        raise AsmSyntaxError(f"malformed {what}: {text!r}", line)
 
 
 def _split_args(text: str) -> list[str]:

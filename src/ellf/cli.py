@@ -62,7 +62,7 @@ def cmd_inject(args) -> int:
     meta_text = _read_file(args.meta)
     try:
         meta_json = json.loads(meta_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         print(f"error: {args.meta} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     meta = metadata_from_json(meta_json)

@@ -1,9 +1,9 @@
 """Minimal ELF64 little-endian container support.
 
-Covers exactly what the toolkit needs: parsing section headers and dynamic
-symbols into an ElfImage, a read-only ImageView of the loadable bytes whose
-cost follows the number of sections rather than their size, writing small
-executables, and injecting or extracting the non-alloc `.ellf` section.
+Covers exactly what the toolkit needs: parsing section headers into an
+ElfImage, a read-only ImageView of the loadable bytes whose cost follows the
+number of sections rather than their size, writing small executables, and
+injecting or extracting the non-alloc `.ellf` section.
 Injection appends payload, a grown string table and a rebuilt section header
 table at the end of the file, so every original file offset, section body and
 program header survives byte for byte.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -34,7 +34,6 @@ SHT_PROGBITS = 1
 SHT_SYMTAB = 2
 SHT_STRTAB = 3
 SHT_NOBITS = 8
-SHT_DYNSYM = 11
 SHT_ELLF = 0x6FFF4C46  # OS-specific range; standard tools skip it
 
 SHF_WRITE = 0x1
@@ -43,7 +42,6 @@ SHF_EXECINSTR = 0x4
 
 _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")
 _SHDR = struct.Struct("<IIQQQQIIQQ")
-_SYM = struct.Struct("<IBBHQQ")
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class Section:
 class ElfImage:
     entry_point: int
     sections: tuple[Section, ...]
-    dynamic_symbols: dict[int, str] = field(default_factory=dict)
     raw_file: bytes = b""
 
     @cached_property
@@ -161,25 +158,7 @@ def read_elf(data) -> ElfImage:
                                     vaddr=sh_addr, file_offset=sh_offset,
                                     size=sh_size, sh_type=sh_type, sh_flags=sh_flags))
 
-    dynamic_symbols: dict[int, str] = {}
-    for i, hdr in enumerate(raw_headers):
-        sh_type, sh_link = hdr[1], hdr[6]
-        if sh_type != SHT_DYNSYM:
-            continue
-        if sh_link >= len(raw_headers):
-            raise MalformedHeader("dynamic symbol table has a bad string table link")
-        stroff, strsize = raw_headers[sh_link][4], raw_headers[sh_link][5]
-        if stroff + strsize > len(data):
-            raise MalformedHeader("dynamic string table runs past end of file")
-        dynstr = data[stroff:stroff + strsize]
-        off, size = hdr[4], hdr[5]
-        for pos in range(off, off + size - _SYM.size + 1, _SYM.size):
-            name_off, _info, _other, _shndx, value, _sz = _SYM.unpack_from(data, pos)
-            if name_off and value:
-                dynamic_symbols[value] = _cstr(dynstr, name_off)
-
-    return ElfImage(entry_point=entry, sections=tuple(sections),
-                    dynamic_symbols=dynamic_symbols, raw_file=data)
+    return ElfImage(entry_point=entry, sections=tuple(sections), raw_file=data)
 
 
 def _cstr(table: bytes, offset: int) -> str:
@@ -371,11 +350,6 @@ class NewSection:
     sh_type: int = SHT_PROGBITS
     sh_flags: int = SHF_ALLOC
     size: int | None = None  # defaults to len(data); nobits sections set it
-    sh_link: int = 0
-    sh_entsize: int = 0
-
-    def body_size(self):
-        return 0 if self.sh_type == SHT_NOBITS else len(self.data)
 
     def mem_size(self):
         return self.size if self.size is not None else len(self.data)
@@ -413,8 +387,7 @@ def build_elf(sections: list[NewSection], entry_point: int = 0) -> bytes:
     out += _SHDR.pack(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     for sec, name_off, body_off in zip(sections, name_offsets, body_offsets):
         out += _SHDR.pack(name_off, sec.sh_type, sec.sh_flags, sec.vaddr,
-                          body_off, sec.mem_size(), sec.sh_link, 0, 1,
-                          sec.sh_entsize)
+                          body_off, sec.mem_size(), 0, 0, 1, 0)
     out += _SHDR.pack(shstr_name_off, SHT_STRTAB, 0, 0, strtab_off, len(strtab),
                       0, 0, 1, 0)
 

@@ -763,11 +763,8 @@ class LiftedProgram:
     diagnostics: tuple[Diagnostic, ...]
 
 
-def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT,
-         step_order: tuple[str, str, str] = ("text", "stack", "data")) -> LiftedProgram:
-    """Run the full pipeline; the three fine-grained steps commute."""
-    if sorted(step_order) != ["data", "stack", "text"]:
-        raise ValueError(f"bad step order {step_order!r}")
+def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgram:
+    """Run the full pipeline."""
     problems = validate_metadata(meta, image)
     if problems and mode == STRICT:
         raise LiftError("metadata fails validation: "
@@ -781,9 +778,9 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT,
     state.diagnostics.extend(problems)
 
     coarse_symbolize(state)
-    steps = {"text": text_symbolize, "stack": stack_symbolize, "data": data_symbolize}
-    for name in step_order:
-        steps[name](state)
+    text_symbolize(state)
+    stack_symbolize(state)
+    data_symbolize(state)
     cfgs = build_cfg(state)
 
     padding = _collect_padding(state)

@@ -4,27 +4,39 @@ The binary layout (little-endian where fixed width):
 
   bytes 0-3   magic "ELLF"
   byte  4     version, always 1
-  then five tables in order, ids 1..5:
-      1 byte table id, uvarint entry count, entries
+  then five tables in order, ids 1..5, each:
+      1 byte table id, uvarint record count, then per record a uvarint key
+      delta from the previous record's key (from 0 for the first) and a body
 
-  instructions (1): uvarint start delta (first entry absolute), uvarint count
-  pointers     (2): uvarint key delta (first absolute), 1 byte kind,
-                    kind 0 = operand: uvarint operand index, svarint target-key
-                    kind 1 = data pointer: svarint target-key
-                    kind 2 = data diff: svarint minuend-key, svarint subtrahend-key
-  text         (3): uvarint addr delta (first absolute), 1 byte kind
-                    (0 = basic block, 1 = function start, 2 = function end)
-  stack        (4): uvarint entry delta (first absolute), uvarint offset count,
-                    offsets as uvarints, first absolute then ascending deltas
-  data         (5): uvarint addr delta (first absolute), uvarint size
+  table             key              body
+  instructions (1)  region start     uvarint instruction count
+  pointers     (2)  pointer key      1 byte kind,
+                                     kind 0 = operand: uvarint operand index,
+                                                       svarint target - key
+                                     kind 1 = data pointer: svarint target - key
+                                     kind 2 = data diff: svarint minuend - key,
+                                                         svarint subtrahend - key
+  text         (3)  address          1 byte kind (0 = basic block,
+                                     1 = function start, 2 = function end)
+  stack        (4)  function entry   uvarint offset count, then the offsets as
+                                     uvarint deltas from the previous (from 0)
+  data         (5)  address          uvarint size
 
-Decoding accepts exactly the canonical image of encoding: minimal varints,
-sorted duplicate-free tables, no trailing bytes. encode(decode(b)) == b.
+`check_invariants` is the single rule for canonical metadata: sorted
+duplicate-free tables, positive counts and sizes, non-overlapping data, and
+every address and every varint-held field within 64 bits. The encoder refuses
+metadata that breaks it. The decoder only parses structure (magic, version,
+table ids, record kinds, minimal varints, no trailing bytes) and then applies
+the same rule, so it accepts exactly the canonical image of encoding:
+encode(decode(b)) == b, and decode(encode(m)) == m whenever encode succeeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import varint
 from .errors import (
@@ -139,14 +151,18 @@ def _check_u64(value, what):
 
 
 def check_invariants(meta: EllfMetadata) -> None:
-    """Raise InvariantViolation unless every table is sorted and well formed."""
+    """Raise InvariantViolation unless ``meta`` is canonical `.ellf` metadata.
+
+    This is the one definition of canonical: the encoder, the decoder, the
+    JSON reader, ``from_build_facts`` and the assembler all apply it.
+    """
     if meta.version != VERSION:
         raise InvariantViolation(f"unsupported metadata version {meta.version}")
 
     prev = None
     for region in meta.instruction_regions:
         _check_u64(region.start, "region start")
-        if region.count < 1:
+        if not 1 <= region.count <= U64:
             raise InvariantViolation(f"region at 0x{region.start:x} has count {region.count}")
         if prev is not None and region.start <= prev:
             raise InvariantViolation(f"instruction regions unsorted at 0x{region.start:x}")
@@ -156,8 +172,9 @@ def check_invariants(meta: EllfMetadata) -> None:
     for rec in meta.pointers:
         _check_u64(rec.key, "pointer key")
         if isinstance(rec, OperandPointer):
-            if rec.operand_index < 0:
-                raise InvariantViolation("negative operand index")
+            if not 0 <= rec.operand_index <= U64:
+                raise InvariantViolation(f"operand index {rec.operand_index} at "
+                                         f"0x{rec.key:x} does not fit in 64 bits")
             _check_u64(rec.target, "pointer target")
         elif isinstance(rec, DataPointer):
             _check_u64(rec.target, "pointer target")
@@ -192,11 +209,14 @@ def check_invariants(meta: EllfMetadata) -> None:
                 raise InvariantViolation(
                     f"stack offsets of 0x{srec.function_entry:x} not strictly increasing")
             last = off
+        if last > U64:
+            raise InvariantViolation(
+                f"stack offset {last} of 0x{srec.function_entry:x} does not fit in 64 bits")
 
     prev_end = None
     for drec in meta.data:
         _check_u64(drec.addr, "data record address")
-        if drec.size < 1:
+        if not 1 <= drec.size <= U64:
             raise InvariantViolation(f"data record at 0x{drec.addr:x} has size {drec.size}")
         _check_u64(drec.addr + drec.size - 1, "data record end")
         if prev_end is not None and drec.addr < prev_end:
@@ -205,77 +225,122 @@ def check_invariants(meta: EllfMetadata) -> None:
 
 
 # --- binary codec ---
+#
+# Each table is written and read by one loop over its records (_write_table,
+# _read_table); a table contributes only how to find a record's key and how
+# to write and read the rest of the record.
+
+def _write_region(out, region):
+    out += varint.encode_unsigned(region.count)
+
+
+def _read_region(rd, start):
+    return InstructionRegion(start, rd.uvarint("region instruction count"))
+
+
+def _write_pointer(out, rec):
+    out.append(_POINTER_KIND[type(rec)])
+    if isinstance(rec, OperandPointer):
+        out += varint.encode_unsigned(rec.operand_index)
+        out += varint.encode_signed(rec.target - rec.key)
+    elif isinstance(rec, DataPointer):
+        out += varint.encode_signed(rec.target - rec.key)
+    else:
+        out += varint.encode_signed(rec.minuend - rec.key)
+        out += varint.encode_signed(rec.subtrahend - rec.key)
+
+
+def _read_pointer(rd, key):
+    kind = rd.u8("pointer kind")
+    if kind == 0:
+        index = rd.uvarint("operand index")
+        return OperandPointer(key, index, key + rd.svarint("pointer target"))
+    if kind == 1:
+        return DataPointer(key, key + rd.svarint("pointer target"))
+    if kind == 2:
+        minuend = key + rd.svarint("diff minuend")
+        return DataDiff(key, minuend, key + rd.svarint("diff subtrahend"))
+    raise NonCanonical(f"unknown pointer record kind {kind}")
+
+
+def _write_text(out, trec):
+    out.append(_TEXT_KIND_WIRE[trec.kind])
+
+
+def _read_text(rd, addr):
+    kind = rd.u8("text record kind")
+    if kind not in _TEXT_KIND_NAME:
+        raise NonCanonical(f"unknown text record kind {kind}")
+    return TextRecord(addr, _TEXT_KIND_NAME[kind])
+
+
+def _write_stack(out, srec):
+    out += varint.encode_unsigned(len(srec.offsets))
+    last = 0
+    for off in srec.offsets:
+        out += varint.encode_unsigned(off - last)
+        last = off
+
+
+def _read_stack(rd, entry):
+    offsets = []
+    off = 0
+    for _ in range(rd.uvarint("stack offset count")):
+        off += rd.uvarint("stack offset")
+        offsets.append(off)
+    return StackRecord(entry, tuple(offsets))
+
+
+def _write_data(out, drec):
+    out += varint.encode_unsigned(drec.size)
+
+
+def _read_data(rd, addr):
+    return DataRecord(addr, rd.uvarint("data record size"))
+
+
+class _Table(NamedTuple):
+    table_id: int
+    name: str        # the table's name in encoded_table_sizes
+    field: str       # the EllfMetadata attribute holding its records
+    count_what: str  # field names for codec errors
+    key_what: str
+    key: Callable
+    write: Callable
+    read: Callable
+
+
+_TABLES = (
+    _Table(1, "instructions", "instruction_regions", "region count", "region start",
+           attrgetter("start"), _write_region, _read_region),
+    _Table(2, "pointers", "pointers", "pointer count", "pointer key",
+           attrgetter("key"), _write_pointer, _read_pointer),
+    _Table(3, "text", "text", "text record count", "text record address",
+           attrgetter("addr"), _write_text, _read_text),
+    _Table(4, "stack", "stack", "stack record count", "stack function entry",
+           attrgetter("function_entry"), _write_stack, _read_stack),
+    _Table(5, "data", "data", "data record count", "data record address",
+           attrgetter("addr"), _write_data, _read_data),
+)
+
+
+def _write_table(out, table, records):
+    out.append(table.table_id)
+    out += varint.encode_unsigned(len(records))
+    prev = 0
+    for rec in records:
+        key = table.key(rec)
+        out += varint.encode_unsigned(key - prev)
+        table.write(out, rec)
+        prev = key
+
 
 def encode_metadata(meta: EllfMetadata) -> bytes:
     check_invariants(meta)
     out = bytearray(MAGIC)
     out.append(VERSION)
-
-    out.append(1)
-    out += varint.encode_unsigned(len(meta.instruction_regions))
-    prev = 0
-    first = True
-    for region in meta.instruction_regions:
-        out += varint.encode_unsigned(region.start if first else region.start - prev)
-        out += varint.encode_unsigned(region.count)
-        prev = region.start
-        first = False
-
-    out.append(2)
-    out += varint.encode_unsigned(len(meta.pointers))
-    prev = 0
-    first = True
-    for rec in meta.pointers:
-        out += varint.encode_unsigned(rec.key if first else rec.key - prev)
-        out.append(_POINTER_KIND[type(rec)])
-        if isinstance(rec, OperandPointer):
-            out += varint.encode_unsigned(rec.operand_index)
-            out += varint.encode_signed(rec.target - rec.key)
-        elif isinstance(rec, DataPointer):
-            out += varint.encode_signed(rec.target - rec.key)
-        else:
-            out += varint.encode_signed(rec.minuend - rec.key)
-            out += varint.encode_signed(rec.subtrahend - rec.key)
-        prev = rec.key
-        first = False
-
-    out.append(3)
-    out += varint.encode_unsigned(len(meta.text))
-    prev = 0
-    first = True
-    for trec in meta.text:
-        out += varint.encode_unsigned(trec.addr if first else trec.addr - prev)
-        out.append(_TEXT_KIND_WIRE[trec.kind])
-        prev = trec.addr
-        first = False
-
-    out.append(4)
-    out += varint.encode_unsigned(len(meta.stack))
-    prev = 0
-    first = True
-    for srec in meta.stack:
-        out += varint.encode_unsigned(srec.function_entry if first else
-                                      srec.function_entry - prev)
-        out += varint.encode_unsigned(len(srec.offsets))
-        last = 0
-        off_first = True
-        for off in srec.offsets:
-            out += varint.encode_unsigned(off if off_first else off - last)
-            last = off
-            off_first = False
-        prev = srec.function_entry
-        first = False
-
-    out.append(5)
-    out += varint.encode_unsigned(len(meta.data))
-    prev = 0
-    first = True
-    for drec in meta.data:
-        out += varint.encode_unsigned(drec.addr if first else drec.addr - prev)
-        out += varint.encode_unsigned(drec.size)
-        prev = drec.addr
-        first = False
-
+    for table in _TABLES:
+        _write_table(out, table, getattr(meta, table.field))
     return bytes(out)
 
 
@@ -305,182 +370,58 @@ class _Reader:
         return value
 
 
-def _rebase(key, delta, what):
-    value = key + delta
-    if not 0 <= value <= U64:
-        raise NonCanonical(f"{what} 0x{key:x}{delta:+x} outside the address space")
-    return value
+def _read_table(rd, table):
+    got = rd.u8(f"table {table.table_id} id")
+    if got != table.table_id:
+        raise NonCanonical(f"expected table id {table.table_id}, found {got}")
+    records = []
+    key = 0
+    for _ in range(rd.uvarint(table.count_what)):
+        key += rd.uvarint(table.key_what)
+        records.append(table.read(rd, key))
+    return tuple(records)
 
 
 def decode_metadata(data) -> EllfMetadata:
+    """Parse a `.ellf` payload, then hold it to ``check_invariants``.
+
+    A payload that parses but is not canonical raises NonCanonical with the
+    message of the InvariantViolation it breaks.
+    """
     rd = _Reader(bytes(data))
-    if len(rd.data) < 4 or rd.data[:4] != MAGIC:
+    if rd.data[:4] != MAGIC:
         raise BadMagic("input does not start with the ELLF magic")
     rd.pos = 4
     version = rd.u8("version")
     if version != VERSION:
         raise UnsupportedVersion(f"version {version} is not supported")
-
-    regions = []
-    _expect_table_id(rd, 1)
-    count = rd.uvarint("region count")
-    addr = 0
-    for i in range(count):
-        delta = rd.uvarint("region start")
-        if i == 0:
-            addr = delta
-        else:
-            if delta == 0:
-                raise NonCanonical("instruction regions not strictly ascending")
-            addr = _rebase(addr, delta, "region start")
-        n = rd.uvarint("region instruction count")
-        if n < 1:
-            raise NonCanonical(f"region at 0x{addr:x} has zero instructions")
-        regions.append(InstructionRegion(addr, n))
-
-    pointers = []
-    _expect_table_id(rd, 2)
-    count = rd.uvarint("pointer count")
-    key = 0
-    prev_sort = None
-    for i in range(count):
-        delta = rd.uvarint("pointer key")
-        key = delta if i == 0 else _rebase(key, delta, "pointer key")
-        kind = rd.u8("pointer kind")
-        if kind == 0:
-            idx = rd.uvarint("operand index")
-            target = _rebase(key, rd.svarint("pointer target"), "pointer target")
-            rec = OperandPointer(key, idx, target)
-        elif kind == 1:
-            target = _rebase(key, rd.svarint("pointer target"), "pointer target")
-            rec = DataPointer(key, target)
-        elif kind == 2:
-            minuend = _rebase(key, rd.svarint("diff minuend"), "diff minuend")
-            subtrahend = _rebase(key, rd.svarint("diff subtrahend"), "diff subtrahend")
-            rec = DataDiff(key, minuend, subtrahend)
-        else:
-            raise NonCanonical(f"unknown pointer record kind {kind}")
-        sort = _pointer_sort_key(rec)
-        if prev_sort is not None and sort <= prev_sort:
-            raise NonCanonical(f"pointer records unsorted or duplicated at 0x{key:x}")
-        prev_sort = sort
-        pointers.append(rec)
-
-    text = []
-    _expect_table_id(rd, 3)
-    count = rd.uvarint("text record count")
-    addr = 0
-    prev_sort = None
-    for i in range(count):
-        delta = rd.uvarint("text record address")
-        addr = delta if i == 0 else _rebase(addr, delta, "text record address")
-        kind = rd.u8("text record kind")
-        if kind not in _TEXT_KIND_NAME:
-            raise NonCanonical(f"unknown text record kind {kind}")
-        rec = TextRecord(addr, _TEXT_KIND_NAME[kind])
-        sort = _text_sort_key(rec)
-        if prev_sort is not None and sort <= prev_sort:
-            raise NonCanonical(f"text records unsorted or duplicated at 0x{addr:x}")
-        prev_sort = sort
-        text.append(rec)
-
-    stack = []
-    _expect_table_id(rd, 4)
-    count = rd.uvarint("stack record count")
-    entry = 0
-    for i in range(count):
-        delta = rd.uvarint("stack function entry")
-        if i == 0:
-            entry = delta
-        else:
-            if delta == 0:
-                raise NonCanonical("stack records not strictly ascending")
-            entry = _rebase(entry, delta, "stack function entry")
-        noffsets = rd.uvarint("stack offset count")
-        offsets = []
-        off = 0
-        for j in range(noffsets):
-            d = rd.uvarint("stack offset")
-            if d == 0:
-                raise NonCanonical(f"stack offsets of 0x{entry:x} not strictly ascending")
-            off = off + d if j else d
-            if off > U64:
-                raise NonCanonical(f"stack offset of 0x{entry:x} overflows")
-            offsets.append(off)
-        stack.append(StackRecord(entry, tuple(offsets)))
-
-    data_records = []
-    _expect_table_id(rd, 5)
-    count = rd.uvarint("data record count")
-    addr = 0
-    prev_end = None
-    for i in range(count):
-        delta = rd.uvarint("data record address")
-        addr = delta if i == 0 else _rebase(addr, delta, "data record address")
-        size = rd.uvarint("data record size")
-        if size < 1:
-            raise NonCanonical(f"data record at 0x{addr:x} has zero size")
-        if addr + size - 1 > U64:
-            raise NonCanonical(f"data record at 0x{addr:x} overflows the address space")
-        if prev_end is not None and addr < prev_end:
-            raise NonCanonical(f"data records overlap at 0x{addr:x}")
-        prev_end = addr + size
-        data_records.append(DataRecord(addr, size))
-
+    tables = {table.field: _read_table(rd, table) for table in _TABLES}
     if rd.pos != len(rd.data):
         raise NonCanonical(f"{len(rd.data) - rd.pos} trailing bytes after the data table")
-
-    return EllfMetadata(
-        version=VERSION,
-        instruction_regions=tuple(regions),
-        pointers=tuple(pointers),
-        text=tuple(text),
-        stack=tuple(stack),
-        data=tuple(data_records),
-    )
-
-
-def _expect_table_id(rd, table_id):
-    got = rd.u8(f"table {table_id} id")
-    if got != table_id:
-        raise NonCanonical(f"expected table id {table_id}, found {got}")
+    meta = EllfMetadata(version=version, **tables)
+    try:
+        check_invariants(meta)
+    except InvariantViolation as exc:
+        raise NonCanonical(str(exc)) from None
+    return meta
 
 
 def encoded_table_sizes(meta: EllfMetadata) -> dict[str, tuple[int, int]]:
-    """Per-table (record count, encoded byte size incl. header) from the wire form."""
-    counts = {
-        "instructions": len(meta.instruction_regions),
-        "pointers": len(meta.pointers),
-        "text": len(meta.text),
-        "stack": len(meta.stack),
-        "data": len(meta.data),
-    }
-    table_bytes = {}
-    for name, only in [
-        ("instructions", EllfMetadata(instruction_regions=meta.instruction_regions)),
-        ("pointers", EllfMetadata(pointers=meta.pointers)),
-        ("text", EllfMetadata(text=meta.text)),
-        ("stack", EllfMetadata(stack=meta.stack)),
-        ("data", EllfMetadata(data=meta.data)),
-    ]:
-        # `only` differs from the empty encoding by this table's entries plus
-        # any extra count-varint bytes; adding back the 2-byte empty header
-        # gives the table's full encoded size.
-        diff = len(encode_metadata(only)) - len(encode_metadata(EllfMetadata()))
-        table_bytes[name] = (counts[name], diff + 2)
-    return table_bytes
+    """Per-table (record count, encoded byte size incl. id and count) from the wire form."""
+    check_invariants(meta)
+    sizes = {}
+    for table in _TABLES:
+        records = getattr(meta, table.field)
+        out = bytearray()
+        _write_table(out, table, records)
+        sizes[table.name] = (len(records), len(out))
+    return sizes
 
 
 # --- JSON interchange ---
 
 def _hex(value):
     return f"0x{value:x}"
-
-
-def _unhex(value, what):
-    if not isinstance(value, str) or not value.startswith("0x"):
-        raise InvariantViolation(f"{what} must be a hex string, got {value!r}")
-    return int(value, 16)
 
 
 def metadata_to_json(meta: EllfMetadata) -> dict:
@@ -508,202 +449,163 @@ def metadata_to_json(meta: EllfMetadata) -> dict:
     }
 
 
+# Reading JSON records: a field reader raises InvariantViolation naming the
+# field, and a missing field surfaces as KeyError; metadata_from_json adds the
+# table and the record index to either.
+
+def _json_int(value, field):
+    # JSON has one number type: 2 and 2.0 are integers; 2.5, "2" and true are not.
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise InvariantViolation(f"{field} must be an integer, got {value!r}")
+
+
+def _json_addr(value, field):
+    if type(value) is str and _hex_match(value):
+        return int(value, 16)
+    raise InvariantViolation(f"{field} must be a hex string, got {value!r}")
+
+
+def _region_from_json(rec):
+    return InstructionRegion(_json_addr(rec["start"], "start"),
+                             _json_int(rec["count"], "count"))
+
+
+def _pointer_from_json(rec):
+    kind = rec["kind"]
+    if kind == "operand":
+        return OperandPointer(_json_addr(rec["instr_addr"], "instr_addr"),
+                              _json_int(rec["operand_index"], "operand_index"),
+                              _json_addr(rec["target"], "target"))
+    if kind == "data":
+        return DataPointer(_json_addr(rec["addr"], "addr"),
+                           _json_addr(rec["target"], "target"))
+    if kind == "diff":
+        return DataDiff(_json_addr(rec["addr"], "addr"),
+                        _json_addr(rec["minuend"], "minuend"),
+                        _json_addr(rec["subtrahend"], "subtrahend"))
+    raise InvariantViolation(f"kind: unknown pointer kind {kind!r}")
+
+
+def _text_from_json(rec):
+    addr, kind = _json_addr(rec["addr"], "addr"), rec["kind"]
+    if type(kind) is not str or kind not in _TEXT_KIND_WIRE:
+        raise InvariantViolation(f"kind: unknown text record kind {kind!r}")
+    return TextRecord(addr, kind)
+
+
+def _stack_from_json(rec):
+    entry, offsets = _json_addr(rec["function_entry"], "function_entry"), rec["offsets"]
+    if not isinstance(offsets, list):
+        raise InvariantViolation(f"offsets must be a list, got {type(offsets).__name__}")
+    return StackRecord(entry, tuple(_json_int(off, f"offsets[{i}]")
+                                    for i, off in enumerate(offsets)))
+
+
+def _data_from_json(rec):
+    return DataRecord(_json_addr(rec["addr"], "addr"), _json_int(rec["size"], "size"))
+
+
+# JSON table name (also the EllfMetadata field) -> record reader
+_JSON_TABLES = {
+    "instruction_regions": _region_from_json,
+    "pointers": _pointer_from_json,
+    "text": _text_from_json,
+    "stack": _stack_from_json,
+    "data": _data_from_json,
+}
+
+
 def metadata_from_json(obj: dict) -> EllfMetadata:
-    pointers = []
-    for p in obj.get("pointers", ()):
-        kind = p.get("kind")
-        if kind == "operand":
-            pointers.append(OperandPointer(_unhex(p["instr_addr"], "instr_addr"),
-                                           int(p["operand_index"]),
-                                           _unhex(p["target"], "target")))
-        elif kind == "data":
-            pointers.append(DataPointer(_unhex(p["addr"], "addr"),
-                                        _unhex(p["target"], "target")))
-        elif kind == "diff":
-            pointers.append(DataDiff(_unhex(p["addr"], "addr"),
-                                     _unhex(p["minuend"], "minuend"),
-                                     _unhex(p["subtrahend"], "subtrahend")))
-        else:
-            raise InvariantViolation(f"unknown pointer kind {kind!r}")
-    meta = EllfMetadata(
-        version=int(obj.get("version", VERSION)),
-        instruction_regions=tuple(
-            InstructionRegion(_unhex(r["start"], "start"), int(r["count"]))
-            for r in obj.get("instruction_regions", ())),
-        pointers=tuple(pointers),
-        text=tuple(TextRecord(_unhex(r["addr"], "addr"), r["kind"])
-                   for r in obj.get("text", ())),
-        stack=tuple(StackRecord(_unhex(r["function_entry"], "function_entry"),
-                                tuple(int(o) for o in r["offsets"]))
-                    for r in obj.get("stack", ())),
-        data=tuple(DataRecord(_unhex(r["addr"], "addr"), int(r["size"]))
-                   for r in obj.get("data", ())),
-    )
+    """Read the JSON interchange form (see METADATA_SCHEMA) into metadata.
+
+    Anything that is not a schema-valid document meeting check_invariants
+    raises InvariantViolation. A malformed record is named by table, record
+    index and field, as in "stack[2].offsets[0] must be an integer, got '8'".
+    """
+    if not isinstance(obj, dict):
+        raise InvariantViolation(f"metadata JSON must be an object, got {type(obj).__name__}")
+    version = _json_int(obj.get("version", VERSION), "version")
+    tables = {}
+    for name, read in _JSON_TABLES.items():
+        records = obj.get(name, [])
+        if not isinstance(records, list):
+            raise InvariantViolation(f"{name} must be a list, got {type(records).__name__}")
+        tables[name] = table = []
+        for rec in records:
+            if not isinstance(rec, dict):
+                raise InvariantViolation(f"{name}[{len(table)}] must be an object, "
+                                         f"got {type(rec).__name__}")
+            try:
+                table.append(read(rec))
+            except KeyError as exc:
+                raise InvariantViolation(f"{name}[{len(table)}].{exc.args[0]} is missing") \
+                    from None
+            except InvariantViolation as exc:
+                raise InvariantViolation(f"{name}[{len(table)}].{exc}") from None
+    meta = EllfMetadata(version=version, **{name: tuple(table)
+                                            for name, table in tables.items()})
     check_invariants(meta)
     return meta
 
 
+def _record(required, optional=None):
+    """Schema of a JSON object with exactly these properties, all but ``optional`` required."""
+    schema = {"type": "object", "additionalProperties": False,
+              "properties": {**required, **(optional or {})}}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+def _array(items):
+    return {"type": "array", "items": items}
+
+
 _HEX_ADDR = {"type": "string", "pattern": "^0x[0-9a-fA-F]+$"}
+_hex_match = re.compile(_HEX_ADDR["pattern"]).match  # ^-anchored: as JSON Schema's search
+_POSITIVE = {"type": "integer", "minimum": 1}
+_COUNT = {**_POSITIVE, "maximum": U64}  # held in a uvarint
 
 METADATA_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "instruction_regions", "pointers", "text", "stack", "data"],
-    "additionalProperties": False,
-    "properties": {
+    **_record({
         "version": {"type": "integer", "const": 1},
-        "instruction_regions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["start", "count"],
-                "additionalProperties": False,
-                "properties": {"start": _HEX_ADDR, "count": {"type": "integer", "minimum": 1}},
-            },
-        },
-        "pointers": {
-            "type": "array",
-            "items": {
-                "oneOf": [
-                    {
-                        "type": "object",
-                        "required": ["kind", "instr_addr", "operand_index", "target"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "kind": {"const": "operand"},
-                            "instr_addr": _HEX_ADDR,
-                            "operand_index": {"type": "integer", "minimum": 0},
-                            "target": _HEX_ADDR,
-                        },
-                    },
-                    {
-                        "type": "object",
-                        "required": ["kind", "addr", "target"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "kind": {"const": "data"},
-                            "addr": _HEX_ADDR,
-                            "target": _HEX_ADDR,
-                        },
-                    },
-                    {
-                        "type": "object",
-                        "required": ["kind", "addr", "minuend", "subtrahend"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "kind": {"const": "diff"},
-                            "addr": _HEX_ADDR,
-                            "minuend": _HEX_ADDR,
-                            "subtrahend": _HEX_ADDR,
-                        },
-                    },
-                ],
-            },
-        },
-        "text": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["addr", "kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "addr": _HEX_ADDR,
-                    "kind": {"enum": [BASIC_BLOCK, FUNCTION_START, FUNCTION_END]},
-                },
-            },
-        },
-        "stack": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["function_entry", "offsets"],
-                "additionalProperties": False,
-                "properties": {
-                    "function_entry": _HEX_ADDR,
-                    "offsets": {"type": "array",
-                                "items": {"type": "integer", "minimum": 1}},
-                },
-            },
-        },
-        "data": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["addr", "size"],
-                "additionalProperties": False,
-                "properties": {"addr": _HEX_ADDR, "size": {"type": "integer", "minimum": 1}},
-            },
-        },
-    },
+        "instruction_regions": _array(_record({"start": _HEX_ADDR, "count": _COUNT})),
+        "pointers": _array({"oneOf": [
+            _record({"kind": {"const": "operand"}, "instr_addr": _HEX_ADDR,
+                     "operand_index": {"type": "integer", "minimum": 0, "maximum": U64},
+                     "target": _HEX_ADDR}),
+            _record({"kind": {"const": "data"}, "addr": _HEX_ADDR, "target": _HEX_ADDR}),
+            _record({"kind": {"const": "diff"}, "addr": _HEX_ADDR, "minuend": _HEX_ADDR,
+                     "subtrahend": _HEX_ADDR}),
+        ]}),
+        "text": _array(_record({
+            "addr": _HEX_ADDR,
+            "kind": {"enum": [BASIC_BLOCK, FUNCTION_START, FUNCTION_END]}})),
+        "stack": _array(_record({"function_entry": _HEX_ADDR, "offsets": _array(_COUNT)})),
+        "data": _array(_record({"addr": _HEX_ADDR, "size": _COUNT})),
+    }),
 }
 
 BUILD_FACTS_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "basic_blocks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["function_addr", "block_offsets", "block_sizes"],
-                "additionalProperties": False,
-                "properties": {
-                    "function_addr": _HEX_ADDR,
-                    "block_offsets": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    "block_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                },
-            },
-        },
-        "relocations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["addr", "kind", "target_addr"],
-                "additionalProperties": False,
-                "properties": {
-                    "addr": _HEX_ADDR,
-                    "kind": {"enum": ["abs64", "pc32", "diff32"]},
-                    "target_addr": _HEX_ADDR,
-                    "subtrahend_addr": _HEX_ADDR,
-                },
-            },
-        },
-        "variables": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["addr", "size"],
-                "additionalProperties": False,
-                "properties": {"addr": _HEX_ADDR, "size": {"type": "integer", "minimum": 1}},
-            },
-        },
-        "locals": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["function_addr", "offsets"],
-                "additionalProperties": False,
-                "properties": {
-                    "function_addr": _HEX_ADDR,
-                    "offsets": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                },
-            },
-        },
-        "jump_tables": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["table_addr", "entry_count", "entry_size"],
-                "additionalProperties": False,
-                "properties": {
-                    "table_addr": _HEX_ADDR,
-                    "entry_count": {"type": "integer", "minimum": 1},
-                    "entry_size": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-    },
+    **_record({}, {
+        "basic_blocks": _array(_record({
+            "function_addr": _HEX_ADDR,
+            "block_offsets": _array({"type": "integer", "minimum": 0}),
+            "block_sizes": _array(_POSITIVE)})),
+        "relocations": _array(_record({
+            "addr": _HEX_ADDR,
+            "kind": {"enum": ["abs64", "pc32", "diff32"]},
+            "target_addr": _HEX_ADDR}, {"subtrahend_addr": _HEX_ADDR})),
+        "variables": _array(_record({"addr": _HEX_ADDR, "size": _POSITIVE})),
+        "locals": _array(_record({"function_addr": _HEX_ADDR, "offsets": _array(_POSITIVE)})),
+        "jump_tables": _array(_record({"table_addr": _HEX_ADDR, "entry_count": _POSITIVE,
+                                       "entry_size": _POSITIVE})),
+    }),
 }
 
 
@@ -743,25 +645,25 @@ class BuildFacts:
 def build_facts_from_json(obj: dict) -> BuildFacts:
     return BuildFacts(
         basic_blocks=tuple(
-            BlockFacts(_unhex(b["function_addr"], "function_addr"),
+            BlockFacts(_json_addr(b["function_addr"], "function_addr"),
                        tuple(int(o) for o in b["block_offsets"]),
                        tuple(int(s) for s in b["block_sizes"]))
             for b in obj.get("basic_blocks", ())),
         relocations=tuple(
-            RelocationFact(_unhex(r["addr"], "addr"), r["kind"],
-                           _unhex(r["target_addr"], "target_addr"),
-                           _unhex(r["subtrahend_addr"], "subtrahend_addr")
+            RelocationFact(_json_addr(r["addr"], "addr"), r["kind"],
+                           _json_addr(r["target_addr"], "target_addr"),
+                           _json_addr(r["subtrahend_addr"], "subtrahend_addr")
                            if "subtrahend_addr" in r else None)
             for r in obj.get("relocations", ())),
         variables=tuple(
-            DataRecord(_unhex(v["addr"], "addr"), int(v["size"]))
+            DataRecord(_json_addr(v["addr"], "addr"), int(v["size"]))
             for v in obj.get("variables", ())),
         locals=tuple(
-            StackRecord(_unhex(l["function_addr"], "function_addr"),
+            StackRecord(_json_addr(l["function_addr"], "function_addr"),
                         tuple(int(o) for o in l["offsets"]))
             for l in obj.get("locals", ())),
         jump_tables=tuple(
-            JumpTableFact(_unhex(t["table_addr"], "table_addr"),
+            JumpTableFact(_json_addr(t["table_addr"], "table_addr"),
                           int(t["entry_count"]), int(t["entry_size"]))
             for t in obj.get("jump_tables", ())),
     )

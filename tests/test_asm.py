@@ -122,6 +122,21 @@ def test_empty_memory_operand_is_a_syntax_error():
         parse_assembly(".section .text base=0x1000\n    mov rax, []\n")
 
 
+@pytest.mark.parametrize("statement, message", [
+    (".slot f, a b, 8", "malformed .slot name: 'a b'"),
+    (".slot f, 9x, 8", "malformed .slot name: '9x'"),
+    (".slot f g, s8, 8", "malformed .slot function: 'f g'"),
+    (".set x y, f", "malformed .set name: 'x y'"),
+    ('.set "a", f', "malformed .set name: '\"a\"'"),
+])
+def test_slot_and_set_names_must_be_identifiers(statement, message):
+    src = f".section .text base=0x1000\n.func f\n    ret\n{statement}\n.endfunc\n"
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_assembly(src)
+    assert info.value.line == 4
+    assert str(info.value) == f"line 4: {message}"
+
+
 # --- the lexer against the per-character scanners it replaced ---
 # The three reference functions are the parser's code before it was written
 # with regular expressions; on well-formed statements the two must agree.

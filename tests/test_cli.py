@@ -1,5 +1,6 @@
 """The `ellf` command line, driven through ``cli.main`` on real files."""
 
+import json
 import random
 
 import pytest
@@ -92,3 +93,63 @@ def test_base_outside_the_address_space_is_a_usage_error(tmp_path, capsys, optio
     err = capsys.readouterr().err
     assert f"argument {option}: {value} is outside the 64-bit address space" in err
     assert not (tmp_path / "x.elf").exists()
+
+
+def _meta_document():
+    return {"version": 1,
+            "instruction_regions": [{"start": "0x1000", "count": 2}],
+            "pointers": [{"kind": "data", "addr": "0x2000", "target": "0x1000"}],
+            "text": [{"addr": "0x1000", "kind": "function_start"}],
+            "stack": [{"function_entry": "0x1000", "offsets": [8]}],
+            "data": [{"addr": "0x2000", "size": 8}]}
+
+
+def _edit(path, value=None):
+    """A mutation that sets the field at ``path``, or deletes it if ``value`` is None."""
+    def mutate(doc):
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_edit(("instruction_regions", 0, "count")), "instruction_regions[0].count is missing"),
+    (_edit(("instruction_regions", 0, "count"), "x"),
+     "instruction_regions[0].count must be an integer, got 'x'"),
+    (_edit(("instruction_regions", 0, "count"), 2.9),
+     "instruction_regions[0].count must be an integer, got 2.9"),
+    (_edit(("version",), "one"), "version must be an integer, got 'one'"),
+    (_edit(("data", 0, "addr"), "0xzz"), "data[0].addr must be a hex string, got '0xzz'"),
+    (_edit(("pointers", 0, "kind"), ["data"]),
+     "pointers[0].kind: unknown pointer kind ['data']"),
+    (_edit(("text",), 5), "text must be a list, got int"),
+    (_edit(("text", 0), "0x1000"), "text[0] must be an object, got str"),
+    (_edit(("stack", 0, "offsets"), 8), "stack[0].offsets must be a list, got int"),
+    (_edit(("stack", 0, "offsets"), ["8"]), "stack[0].offsets[0] must be an integer, got '8'"),
+    (lambda doc: [doc], "metadata JSON must be an object, got list"),
+])
+def test_malformed_metadata_json_fails_cleanly(tmp_path, capsys, assembled, mutate,
+                                               message):
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps(mutate(_meta_document())))
+    code, _, err = run(capsys, "inject", assembled, "--meta", meta,
+                       "-o", tmp_path / "out.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err == f"error: InvariantViolation: {message}\n"
+    assert not (tmp_path / "out.elf").exists()
+
+
+def test_metadata_json_that_is_not_utf8_fails_cleanly(tmp_path, capsys, assembled):
+    meta = tmp_path / "meta.json"
+    meta.write_bytes(b'{"version": 1, "text": "\xff"}')
+    code, _, err = run(capsys, "inject", assembled, "--meta", meta,
+                       "-o", tmp_path / "out.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err.startswith(f"error: {meta} is not valid JSON: ")
+    assert not (tmp_path / "out.elf").exists()

@@ -136,25 +136,6 @@ def test_header_bookkeeping_after_inject():
         {s.name for s in before.sections} | {".ellf"}
 
 
-def test_dynamic_symbols_parsed():
-    # hand-built .dynsym/.dynstr pair
-    dynstr = b"\x00go\x00stop\x00"
-    sym = struct.Struct("<IBBHQQ")
-    dynsym = (sym.pack(0, 0, 0, 0, 0, 0)
-              + sym.pack(1, 0x12, 0, 1, 0x4000, 0)
-              + sym.pack(4, 0x12, 0, 1, 0x5000, 0))
-    elf = elfio.build_elf([
-        elfio.NewSection(".text", 0x4000, b"\xc3" * 16,
-                         sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR),
-        elfio.NewSection(".dynsym", 0, dynsym, sh_type=elfio.SHT_DYNSYM,
-                         sh_flags=0, sh_link=3, sh_entsize=sym.size),
-        elfio.NewSection(".dynstr", 0, dynstr, sh_type=elfio.SHT_STRTAB,
-                         sh_flags=0),
-    ])
-    img = elfio.read_elf(elf)
-    assert img.dynamic_symbols == {0x4000: "go", 0x5000: "stop"}
-
-
 def test_fuzz_read_elf_structured_errors_only():
     rng = random.Random(0x51C7)
     valid, _ = assemble_image(parse_assembly(open_text_demo()))

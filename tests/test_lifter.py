@@ -1,7 +1,6 @@
 """Pipeline behavior: decoding regions, labels, the three symbolization
 passes, CFG recovery, and deterministic emission."""
 
-import itertools
 from dataclasses import replace
 
 import pytest
@@ -414,15 +413,6 @@ def test_padding_bytes_emitted_explicitly():
     lp = lift(elfio.read_elf(elf), meta, mode="strict")
     text = emit_assembly(lp)
     assert "    .byte 0x2a" in text
-
-
-def test_step_order_commutes(table_demo):
-    _, meta, img = table_demo
-    texts = set()
-    for order in itertools.permutations(("text", "stack", "data")):
-        texts.add(emit_assembly(lift(img, meta, mode="strict",
-                                     step_order=order)))
-    assert len(texts) == 1
 
 
 def test_coverage_partition_over_corpus():

@@ -1,5 +1,6 @@
-"""Binary codec: frozen byte vectors, an independent reference encoder,
-round-trip and canonicality properties, and structured-error fuzzing."""
+"""Binary codec: frozen byte vectors, an independent reference encoder, a
+reference decoder for differential fuzzing, round-trip and canonicality
+properties, and structured-error fuzzing."""
 
 import random
 import re
@@ -14,6 +15,7 @@ from ellf.errors import (
     NonCanonical,
     TruncatedTable,
     UnsupportedVersion,
+    VarintOverflow,
 )
 from ellf.meta import (
     BASIC_BLOCK,
@@ -27,12 +29,15 @@ from ellf.meta import (
     OperandPointer,
     StackRecord,
     TextRecord,
+    _Reader,
+    _pointer_sort_key,
+    _text_sort_key,
     decode_metadata,
     encode_metadata,
 )
 
 from conftest import SPARSE_DEMO_META
-from helpers_gen import random_metadata
+from helpers_gen import U64, random_metadata
 
 
 # --- reference encoder: a deliberately naive, straight-line rewrite of the
@@ -95,6 +100,140 @@ def ref_encode(meta):
         out += ref_uv(d.addr if i == 0 else d.addr - prev) + ref_uv(d.size)
         prev = d.addr
     return out
+
+
+# --- reference decoder: an earlier decoder that checked canonical form inline,
+# --- record by record, instead of parsing first and then applying
+# --- check_invariants. The current decoder must accept exactly what it
+# --- accepts and decode it to the same metadata.
+
+def _ref_rebase(key, delta, what):
+    value = key + delta
+    if not 0 <= value <= U64:
+        raise NonCanonical(f"{what} 0x{key:x}{delta:+x} outside the address space")
+    return value
+
+
+def _ref_table_id(rd, table_id):
+    got = rd.u8(f"table {table_id} id")
+    if got != table_id:
+        raise NonCanonical(f"expected table id {table_id}, found {got}")
+
+
+def ref_decode(data):
+    rd = _Reader(bytes(data))
+    if len(rd.data) < 4 or rd.data[:4] != b"ELLF":
+        raise BadMagic("input does not start with the ELLF magic")
+    rd.pos = 4
+    version = rd.u8("version")
+    if version != 1:
+        raise UnsupportedVersion(f"version {version} is not supported")
+
+    regions = []
+    _ref_table_id(rd, 1)
+    addr = 0
+    for i in range(rd.uvarint("region count")):
+        delta = rd.uvarint("region start")
+        if i == 0:
+            addr = delta
+        else:
+            if delta == 0:
+                raise NonCanonical("instruction regions not strictly ascending")
+            addr = _ref_rebase(addr, delta, "region start")
+        n = rd.uvarint("region instruction count")
+        if n < 1:
+            raise NonCanonical(f"region at 0x{addr:x} has zero instructions")
+        regions.append(InstructionRegion(addr, n))
+
+    pointers = []
+    _ref_table_id(rd, 2)
+    key = 0
+    prev_sort = None
+    for i in range(rd.uvarint("pointer count")):
+        delta = rd.uvarint("pointer key")
+        key = delta if i == 0 else _ref_rebase(key, delta, "pointer key")
+        kind = rd.u8("pointer kind")
+        if kind == 0:
+            idx = rd.uvarint("operand index")
+            target = _ref_rebase(key, rd.svarint("pointer target"), "pointer target")
+            rec = OperandPointer(key, idx, target)
+        elif kind == 1:
+            target = _ref_rebase(key, rd.svarint("pointer target"), "pointer target")
+            rec = DataPointer(key, target)
+        elif kind == 2:
+            minuend = _ref_rebase(key, rd.svarint("diff minuend"), "diff minuend")
+            subtrahend = _ref_rebase(key, rd.svarint("diff subtrahend"), "diff subtrahend")
+            rec = DataDiff(key, minuend, subtrahend)
+        else:
+            raise NonCanonical(f"unknown pointer record kind {kind}")
+        sort = _pointer_sort_key(rec)
+        if prev_sort is not None and sort <= prev_sort:
+            raise NonCanonical(f"pointer records unsorted or duplicated at 0x{key:x}")
+        prev_sort = sort
+        pointers.append(rec)
+
+    text = []
+    _ref_table_id(rd, 3)
+    addr = 0
+    prev_sort = None
+    kind_names = {0: BASIC_BLOCK, 1: FUNCTION_START, 2: FUNCTION_END}
+    for i in range(rd.uvarint("text record count")):
+        delta = rd.uvarint("text record address")
+        addr = delta if i == 0 else _ref_rebase(addr, delta, "text record address")
+        kind = rd.u8("text record kind")
+        if kind not in kind_names:
+            raise NonCanonical(f"unknown text record kind {kind}")
+        rec = TextRecord(addr, kind_names[kind])
+        sort = _text_sort_key(rec)
+        if prev_sort is not None and sort <= prev_sort:
+            raise NonCanonical(f"text records unsorted or duplicated at 0x{addr:x}")
+        prev_sort = sort
+        text.append(rec)
+
+    stack = []
+    _ref_table_id(rd, 4)
+    entry = 0
+    for i in range(rd.uvarint("stack record count")):
+        delta = rd.uvarint("stack function entry")
+        if i == 0:
+            entry = delta
+        else:
+            if delta == 0:
+                raise NonCanonical("stack records not strictly ascending")
+            entry = _ref_rebase(entry, delta, "stack function entry")
+        offsets = []
+        off = 0
+        for j in range(rd.uvarint("stack offset count")):
+            d = rd.uvarint("stack offset")
+            if d == 0:
+                raise NonCanonical(f"stack offsets of 0x{entry:x} not strictly ascending")
+            off = off + d if j else d
+            if off > U64:
+                raise NonCanonical(f"stack offset of 0x{entry:x} overflows")
+            offsets.append(off)
+        stack.append(StackRecord(entry, tuple(offsets)))
+
+    data_records = []
+    _ref_table_id(rd, 5)
+    addr = 0
+    prev_end = None
+    for i in range(rd.uvarint("data record count")):
+        delta = rd.uvarint("data record address")
+        addr = delta if i == 0 else _ref_rebase(addr, delta, "data record address")
+        size = rd.uvarint("data record size")
+        if size < 1:
+            raise NonCanonical(f"data record at 0x{addr:x} has zero size")
+        if addr + size - 1 > U64:
+            raise NonCanonical(f"data record at 0x{addr:x} overflows the address space")
+        if prev_end is not None and addr < prev_end:
+            raise NonCanonical(f"data records overlap at 0x{addr:x}")
+        prev_end = addr + size
+        data_records.append(DataRecord(addr, size))
+
+    if rd.pos != len(rd.data):
+        raise NonCanonical(f"{len(rd.data) - rd.pos} trailing bytes after the data table")
+    return EllfMetadata(instruction_regions=tuple(regions), pointers=tuple(pointers),
+                        text=tuple(text), stack=tuple(stack), data=tuple(data_records))
 
 
 def test_empty_metadata_exact_bytes():
@@ -260,3 +399,106 @@ def test_truncated_payload_errors_name_the_field():
         "text record kind", "table 4 id", "stack record count",
         "stack function entry", "stack offset count", "stack offset", "table 5 id",
         "data record count", "data record address", "data record size"}
+
+
+@pytest.mark.parametrize("meta", [
+    EllfMetadata(instruction_regions=(InstructionRegion(0, 1 << 64),)),
+    EllfMetadata(pointers=(OperandPointer(0, 1 << 64, 0),)),
+    EllfMetadata(stack=(StackRecord(0, (1 << 64,)),)),
+    # each delta fits in 64 bits, their sum does not
+    EllfMetadata(stack=(StackRecord(0, (1 << 63, (1 << 64) + (1 << 62))),)),
+    EllfMetadata(data=(DataRecord(0, 1 << 64),)),
+], ids=["region count", "operand index", "stack offset", "stack offset sum", "data size"])
+def test_fields_past_64_bits_rejected_on_encode(meta):
+    with pytest.raises(InvariantViolation):
+        encode_metadata(meta)
+
+
+# Field values near 0, around 2**64 and anywhere up to 2**65.
+_WIDE = st.one_of(st.integers(0, 64), st.integers(U64 - 64, U64 + 64),
+                  st.integers(0, 1 << 65))
+
+
+@st.composite
+def wide_metadata(draw):
+    """Sorted tables whose fields reach up to 2**65, so encoding may refuse them."""
+    def keys():
+        return sorted(draw(st.sets(_WIDE, max_size=2)))
+
+    def pointer(key):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return OperandPointer(key, draw(_WIDE), draw(_WIDE))
+        if kind == 1:
+            return DataPointer(key, draw(_WIDE))
+        return DataDiff(key, draw(_WIDE), draw(_WIDE))
+
+    data = []
+    end = 0
+    for _ in range(draw(st.integers(0, 2))):
+        data.append(DataRecord(end + draw(_WIDE), draw(_WIDE)))
+        end = data[-1].addr + data[-1].size
+    return EllfMetadata(
+        instruction_regions=tuple(InstructionRegion(key, draw(_WIDE)) for key in keys()),
+        pointers=tuple(pointer(key) for key in keys()),
+        text=tuple(TextRecord(key, draw(st.sampled_from(
+            [BASIC_BLOCK, FUNCTION_START, FUNCTION_END]))) for key in keys()),
+        stack=tuple(StackRecord(key, tuple(sorted(draw(st.sets(_WIDE, max_size=2)))))
+                    for key in keys()),
+        data=tuple(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_metadata())
+def test_whatever_encodes_decodes_to_itself(meta):
+    try:
+        encoded = encode_metadata(meta)
+    except InvariantViolation:
+        return
+    assert decode_metadata(encoded) == meta
+
+
+def _differential_payloads(rng, count):
+    """Random tails after the header, and valid encodings with bytes flipped,
+    deleted or inserted."""
+    valid = [encode_metadata(SPARSE_DEMO_META)]
+    valid += [encode_metadata(random_metadata(random.Random(seed))) for seed in range(40)]
+    for i in range(count):
+        if i % 4 == 0:
+            yield b"ELLF\x01" + rng.randbytes(rng.randint(0, 48))
+            continue
+        blob = bytearray(rng.choice(valid))
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(5, len(blob) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 and pos < len(blob):
+                blob[pos] = rng.randrange(256)
+            elif edit == 1 and pos < len(blob):
+                del blob[pos]
+            else:
+                blob.insert(pos, rng.randrange(256))
+        yield bytes(blob)
+
+
+def _outcome(decode, payload):
+    try:
+        return decode(payload)
+    except EllfError as exc:
+        return exc
+
+
+def test_decoder_matches_the_reference_decoder():
+    """Parse-then-check accepts exactly what the inline-checking reference
+    accepts, to equal metadata. Rejections keep their class, except that a
+    payload the reference stops at as NonCanonical may instead fail to parse
+    further on (TruncatedTable, VarintOverflow), before the check runs."""
+    accepted = 0
+    for payload in _differential_payloads(random.Random(0xD1FF), 20_000):
+        expected, got = _outcome(ref_decode, payload), _outcome(decode_metadata, payload)
+        if isinstance(expected, EllfMetadata):
+            assert got == expected, payload.hex()
+            accepted += 1
+        elif type(got) is not type(expected):
+            assert type(expected) is NonCanonical, payload.hex()
+            assert type(got) in (TruncatedTable, VarintOverflow), payload.hex()
+    assert accepted >= 1_000  # not only rejections are compared

@@ -59,3 +59,21 @@ def test_json_rejects_invariant_violations():
 def test_build_facts_schema_is_valid_schema():
     jsonschema.Draft202012Validator.check_schema(METADATA_SCHEMA)
     jsonschema.Draft202012Validator.check_schema(BUILD_FACTS_SCHEMA)
+
+
+def test_json_integral_floats_load_as_the_schema_allows():
+    obj = metadata_to_json(SPARSE_DEMO_META)
+    obj["instruction_regions"][0]["count"] = 10.0
+    obj["data"][0]["size"] = 8.0
+    jsonschema.validate(obj, METADATA_SCHEMA)
+    assert metadata_from_json(obj) == SPARSE_DEMO_META
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "10", 0, 1 << 64])
+def test_json_counts_the_schema_rejects_do_not_load(count):
+    obj = metadata_to_json(SPARSE_DEMO_META)
+    obj["instruction_regions"][0]["count"] = count
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(obj, METADATA_SCHEMA)
+    with pytest.raises(InvariantViolation):
+        metadata_from_json(obj)
