@@ -1,4 +1,4 @@
-"""Two-pass assembler for the emitted dialect, and the round-trip oracle.
+"""One-walk assembler for the emitted dialect, and the round-trip oracle.
 
 The dialect (one statement per line, ``#`` comments):
 
@@ -21,13 +21,26 @@ commas. A memory operand's terms are separated by ``+`` and ``-`` and none may
 be empty: a sign may lead the operand, but two signs in a row or a trailing
 sign is an error.
 
-Assembling lays sections out at their declared bases, encodes through the
-canonical instruction encoder, resolves labels, and produces both an ELF
-image (with the encoded metadata injected as `.ellf`) and the ground-truth
-metadata record derived from the same layout: instruction regions from
-consecutive instruction runs, text records from functions and labels, pointer
-records from every label-valued operand and data cell, data records from
-labeled data objects, stack records from slot definitions.
+Assembling walks the items once, laying each out at the next address of its
+section and encoding it through the canonical instruction encoder. An item
+that names a label is encoded at layout with a placeholder in a field whose
+width does not depend on the label's value:
+
+    jmp/call/jcc LABEL             rel32
+    mov r64, LABEL                 imm64 (movabs)
+    any other LABEL immediate      imm32; a value outside it is an error
+    [LABEL]                        RIP-relative disp32
+    .quad LABEL, .quad A - B       one 8-byte cell each
+
+Once every label is placed, only those items are encoded again, in place. A
+final encoding whose length differs from the laid-out one is an
+AsmSyntaxError naming the line, so layout and bytes cannot disagree.
+
+The result is an ELF image (with the encoded metadata injected as `.ellf`)
+and the ground-truth metadata derived from the same layout: instruction
+regions from consecutive instruction runs, text records from functions and
+labels, pointer records from every label-valued operand and data cell, data
+records from labeled data objects, stack records from slot definitions.
 """
 
 from __future__ import annotations
@@ -521,7 +534,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     ``bases`` places sections that declare no base; ``prog`` is not modified.
     """
     bases = bases or {}
-    labels: dict[int | str, int] = {}
+    labels: dict[str, int] = {}
     slots: dict[str, dict[str, int]] = {}
     slot_offsets: dict[str, set[int]] = {}
 
@@ -542,16 +555,27 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 table[item.name] = item.offset
                 slot_offsets.setdefault(item.function, set()).add(item.offset)
 
-    # Pass 1: layout.
-    sizes: dict[str, int] = {}
+    # The walk: lay out and encode each item once. Label operands and label
+    # cells hold placeholders of their final width until the fixups below.
+    laid_out = []  # (section, bytes, size, names of the labels it defines)
     functions: list[_FunctionInfo] = []
     set_labels: list[SetLabel] = []
+    fixups = []  # (item, addr, length, enclosing slot table, section bytes, offset)
+    runs: list[list[int]] = []  # [start, count] of consecutive instructions
+    instr_starts: set[int] = set()
     for section in sections:
+        blob = bytearray()
+        names = []
         addr = section.base
         current_func = None
         func_slots = {}
+        run = None
         for item in section.items:
-            if isinstance(item, (Label, FuncBegin)):
+            if isinstance(item, (Label, FuncBegin, SetLabel)):
+                names.append(item.name)
+                if isinstance(item, SetLabel):
+                    set_labels.append(item)
+                    continue
                 labels[item.name] = addr
                 if isinstance(item, FuncBegin):
                     current_func = _FunctionInfo(item.name, addr)
@@ -563,107 +587,81 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                         f"function {current_func.name} has no instructions", item.line)
                 current_func = None
                 func_slots = {}
-            elif isinstance(item, SetLabel):
-                set_labels.append(item)
-            elif isinstance(item, SlotDef):
-                pass
             elif isinstance(item, Data):
-                if section.nobits and item.directive != "zero":
-                    raise AsmSyntaxError(
-                        f".{item.directive} not allowed in the zero-fill section "
-                        f"{section.name}", item.line)
-                addr += _data_size(item)
+                if section.nobits:
+                    if item.directive != "zero":
+                        raise AsmSyntaxError(
+                            f".{item.directive} not allowed in the zero-fill section "
+                            f"{section.name}", item.line)
+                    addr += item.payload
+                    continue
+                run = None
+                encoded, _ = _encode_data(item, addr)
+                if item.directive == "quad" and _uses_labels(item.payload):
+                    fixups.append((item, addr, len(encoded), None, blob,
+                                   addr - section.base))
+                blob += encoded
+                addr += len(encoded)
             elif isinstance(item, Instr):
                 if section.nobits:
                     raise AsmSyntaxError(
                         f"instructions not allowed in the zero-fill section "
                         f"{section.name}", item.line)
-                length = _instr_length(item, func_slots)
+                encoded, _ = _encode_instr(item, addr, func_slots)
+                if _uses_labels(item.operands):
+                    fixups.append((item, addr, len(encoded), func_slots, blob,
+                                   addr - section.base))
+                if run is None:
+                    run = [addr, 0]
+                    runs.append(run)
+                run[1] += 1
+                instr_starts.add(addr)
                 if current_func is not None:
                     current_func.last_instr = addr
-                addr += length
-        sizes[section.name] = addr - section.base
+                blob += encoded
+                addr += len(encoded)
+        laid_out.append((section, blob, addr - section.base, names))
 
     for item in sorted(set_labels, key=lambda s: s.line):
         if item.base not in labels:
             raise UndefinedLabel(f"label {item.base!r} is not defined", item.line)
         labels[item.name] = labels[item.base] + item.offset
 
-    spans = [(s.base, s.base + max(sizes[s.name], 1), s.name) for s in sections]
+    spans = [(s.base, s.base + max(size, 1), s.name) for s, _, size, _ in laid_out]
     for i, (start_a, end_a, name_a) in enumerate(spans):
         for start_b, end_b, name_b in spans[i + 1:]:
             if start_a < end_b and start_b < end_a:
                 raise SectionOverlap(f"sections {name_a} and {name_b} overlap")
 
-    # Pass 2: encode and collect metadata.
-    regions: list[InstructionRegion] = []
+    # Fixups: re-encode each label-dependent item in place, at its laid-out length.
     pointers: list = []
-    text_records: set[TextRecord] = set()
-    instr_starts: set[int] = set()
-    section_blobs: list[tuple[AsmSection, bytes]] = []
-
-    for section in sections:
-        blob = bytearray()
-        addr = section.base
-        run_start = None
-        run_count = 0
-        func_slots = {}
-
-        def close_run():
-            nonlocal run_start, run_count
-            if run_start is not None:
-                regions.append(InstructionRegion(run_start, run_count))
-                run_start = None
-                run_count = 0
-
-        for item in section.items:
-            if isinstance(item, FuncBegin):
-                func_slots = slots.get(item.name, {})
-            elif isinstance(item, FuncEnd):
-                func_slots = {}
-            elif isinstance(item, Instr):
-                encoded, recs = _encode_instr(item, addr, labels, func_slots)
-                if run_start is None:
-                    run_start = addr
-                run_count += 1
-                instr_starts.add(addr)
-                pointers.extend(recs)
-                blob += encoded
-                addr += len(encoded)
-            elif isinstance(item, Data):
-                close_run()
-                encoded, recs = _encode_data(item, addr, labels, section)
-                pointers.extend(recs)
-                blob += encoded
-                addr += _data_size(item)
-        close_run()
-        section_blobs.append((section, bytes(blob)))
+    for item, addr, length, func_slots, blob, offset in fixups:
+        if isinstance(item, Instr):
+            encoded, records = _encode_instr(item, addr, func_slots, labels, length)
+        else:
+            encoded, records = _encode_data(item, addr, labels)
+        if len(encoded) != length:
+            raise AsmSyntaxError(f"encodes to {len(encoded)} bytes once its labels "
+                                 f"are known, but was laid out in {length}", item.line)
+        blob[offset:offset + length] = encoded
+        pointers.extend(records)
 
     # Text records: function starts/ends plus labels on instruction starts.
-    for fn in functions:
-        text_records.add(TextRecord(fn.entry, FUNCTION_START))
-        text_records.add(TextRecord(fn.last_instr, FUNCTION_END))
+    # Data records: from labeled objects in data sections.
+    text_records = {TextRecord(fn.entry, FUNCTION_START) for fn in functions}
+    text_records.update(TextRecord(fn.last_instr, FUNCTION_END) for fn in functions)
     func_entries = {fn.entry for fn in functions}
-    for section in sections:
-        if not section.execable:
-            continue
-        for name, site in _labels_in_section(section, labels).items():
-            if site in func_entries or site not in instr_starts:
-                continue
-            text_records.add(TextRecord(site, BASIC_BLOCK))
-
-    # Data records from labeled objects in data sections.
     data_records: list[DataRecord] = []
-    for section in sections:
+    for section, _, size, names in laid_out:
+        sites = {labels[name] for name in names}
         if section.execable:
+            text_records.update(TextRecord(site, BASIC_BLOCK) for site in sites
+                                if site in instr_starts and site not in func_entries)
             continue
-        end = section.base + sizes[section.name]
-        sites = sorted(s for s in set(_labels_in_section(section, labels).values())
-                       if section.base <= s < end)
-        for i, site in enumerate(sites):
-            limit = sites[i + 1] if i + 1 < len(sites) else end
-            if limit > site:
-                data_records.append(DataRecord(site, limit - site))
+        end = section.base + size
+        sites = sorted(s for s in sites if section.base <= s < end)
+        data_records.extend(DataRecord(site, limit - site)
+                            for site, limit in zip(sites, sites[1:] + [end]))
 
     # Stack records from slot definitions.
     stack_records = []
@@ -675,7 +673,8 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         stack_records.append(StackRecord(labels[func_name], tuple(sorted(offsets))))
 
     meta = EllfMetadata(
-        instruction_regions=tuple(sorted(regions, key=lambda r: r.start)),
+        instruction_regions=tuple(InstructionRegion(start, count)
+                                  for start, count in sorted(runs)),
         pointers=tuple(sorted(pointers, key=_pointer_sort_key)),
         text=tuple(sorted(text_records, key=_text_sort_key)),
         stack=tuple(stack_records),
@@ -684,10 +683,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     check_invariants(meta)
 
     new_sections = []
-    first_exec_base = None
-    for section, blob in section_blobs:
-        if section.execable and first_exec_base is None:
-            first_exec_base = section.base
+    for section, blob, size, _ in laid_out:
         flags = elfio.SHF_ALLOC
         if section.execable:
             flags |= elfio.SHF_EXECINSTR
@@ -695,34 +691,14 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
             flags |= elfio.SHF_WRITE
         sh_type = elfio.SHT_NOBITS if section.nobits else elfio.SHT_PROGBITS
         new_sections.append(elfio.NewSection(
-            name=section.name, vaddr=section.base,
-            data=b"" if section.nobits else blob,
-            sh_type=sh_type, sh_flags=flags,
-            size=sizes[section.name]))
-    elf = elfio.build_elf(new_sections, entry_point=first_exec_base or 0)
-    return elf, meta
+            name=section.name, vaddr=section.base, data=bytes(blob),
+            sh_type=sh_type, sh_flags=flags, size=size))
+    entry = next((section.base for section in sections if section.execable), 0)
+    return elfio.build_elf(new_sections, entry_point=entry), meta
 
 
-def _labels_in_section(section, labels):
-    found = {}
-    for item in section.items:
-        if isinstance(item, (Label, FuncBegin)):
-            found[item.name] = labels[item.name]
-        elif isinstance(item, SetLabel):
-            found[item.name] = labels[item.name]
-    return found
-
-
-def _data_size(item: Data) -> int:
-    if item.directive == "byte":
-        return len(item.payload)
-    if item.directive == "long":
-        return 4 * len(item.payload)
-    if item.directive == "quad":
-        return 8 * len(item.payload)
-    if item.directive == "zero":
-        return item.payload
-    return len(item.payload)  # asciz bytes
+def _uses_labels(parts) -> bool:
+    return any(isinstance(p, (LabelRef, LabelMem, QuadRef, QuadDiff)) for p in parts)
 
 
 def _resolve_mem(ast: _MemAst, func_slots, line):
@@ -739,66 +715,51 @@ def _resolve_mem(ast: _MemAst, func_slots, line):
     return MemRef(base=ast.base, index=ast.index, scale=ast.scale, disp=disp)
 
 
-def _instr_length(item: Instr, func_slots) -> int:
-    ops = []
-    for op in item.operands:
-        if isinstance(op, LabelRef):
-            if item.mnemonic in _BRANCH_MNEMONICS:
-                from .isa import _PCREL_LENGTH
-                return _PCREL_LENGTH[item.mnemonic]
-            ops.append(Immediate(0, width=64))  # label immediates use movabs
-        elif isinstance(op, LabelMem):
-            ops.append(MemRef(rip_relative=True, disp=0))
-        elif isinstance(op, _MemAst):
-            ops.append(_resolve_mem(op, func_slots, item.line))
-        else:
-            ops.append(op)
-    try:
-        return len(encode_one(item.mnemonic, ops, 0))
-    except EllfError as exc:
-        raise AsmSyntaxError(str(exc), item.line) from exc
+def _encode_instr(item: Instr, addr, func_slots, labels=None, length=0):
+    """Bytes and operand-pointer records of ``item`` at ``addr``.
 
-
-def _encode_instr(item: Instr, addr, labels, func_slots):
+    Without ``labels`` (layout), every label operand is a placeholder in a
+    field of its final width, so the bytes already have their final length.
+    With them, ``length`` is that laid-out length, from whose end a
+    RIP-relative displacement counts.
+    """
     records = []
     ops = []
-    rip_slots = []  # operand indexes whose RIP displacement still needs the target
     for i, op in enumerate(item.operands):
-        if isinstance(op, LabelRef):
-            target = _label_value(labels, op.name, item.line) + op.offset
-            if item.mnemonic in _BRANCH_MNEMONICS:
-                ops.append(PcRel(target & U64))
-            else:
-                ops.append(Immediate(target & U64, width=64))
-                records.append(("op", i, target & U64))
-        elif isinstance(op, LabelMem):
-            target = _label_value(labels, op.name, item.line) + op.offset
-            ops.append(MemRef(rip_relative=True, disp=0))
-            rip_slots.append((i, target & U64))
-            records.append(("op", i, target & U64))
-        elif isinstance(op, _MemAst):
-            ops.append(_resolve_mem(op, func_slots, item.line))
-        else:
-            ops.append(op)
-    try:
-        encoded = encode_one(item.mnemonic, ops, addr)
-        if rip_slots:
-            length = len(encoded)
-            for i, target in rip_slots:
-                rel = target - (addr + length)
+        if isinstance(op, (LabelRef, LabelMem)):
+            target = 0
+            if labels is not None:
+                target = (_label_value(labels, op.name, item.line) + op.offset) & U64
+            if isinstance(op, LabelMem):
+                rel = 0 if labels is None else target - (addr + length)
                 if not -(1 << 31) <= rel < (1 << 31):
                     raise RangeOverflow(
                         f"RIP-relative target 0x{target:x} out of range", item.line)
-                ops[i] = MemRef(rip_relative=True, disp=rel)
-            encoded = encode_one(item.mnemonic, ops, addr)
-            assert len(encoded) == length
-    except AsmSyntaxError:
-        raise
-    except RangeOverflow:
-        raise
+                ops.append(MemRef(rip_relative=True, disp=rel))
+                records.append(OperandPointer(addr, i, target))
+            elif item.mnemonic in _BRANCH_MNEMONICS:
+                ops.append(PcRel(addr if labels is None else target))
+            else:
+                ops.append(Immediate(target, width=_label_imm_width(item)))
+                records.append(OperandPointer(addr, i, target))
+        elif isinstance(op, _MemAst):
+            ops.append(_resolve_mem(op, func_slots, item.line))
+        else:
+            ops.append(op)
+    try:
+        return encode_one(item.mnemonic, ops, addr), records
+    except RangeOverflow as exc:
+        raise RangeOverflow(str(exc), item.line) from exc
     except EllfError as exc:
         raise AsmSyntaxError(str(exc), item.line) from exc
-    return encoded, [OperandPointer(addr, i, t) for kind, i, t in records]
+
+
+def _label_imm_width(item: Instr) -> int:
+    """Field width of a label immediate, fixed whatever the label's value."""
+    dst = item.operands[0]
+    if item.mnemonic == "mov" and isinstance(dst, Register) and dst.size == 64:
+        return 64  # movabs
+    return 32
 
 
 def _label_value(labels, name, line):
@@ -807,36 +768,35 @@ def _label_value(labels, name, line):
     return labels[name]
 
 
-def _encode_data(item: Data, addr, labels, section):
-    records = []
+def _encode_data(item: Data, addr, labels=None):
+    """Bytes and pointer records of a data item; label cells are zero without ``labels``."""
     if item.directive == "byte":
-        return bytes(item.payload), records
+        return bytes(item.payload), []
     if item.directive == "long":
-        out = bytearray()
-        for v in item.payload:
-            out += v.to_bytes(4, "little")
-        return bytes(out), records
+        return b"".join(v.to_bytes(4, "little") for v in item.payload), []
     if item.directive == "zero":
-        return bytes(item.payload), records
+        return bytes(item.payload), []
     if item.directive == "asciz":
-        return item.payload, records
+        return item.payload, []
     out = bytearray()
-    cell = addr
-    for expr in item.payload:
+    records = []
+    for i, expr in enumerate(item.payload):
+        cell = addr + 8 * i
         if isinstance(expr, QuadInt):
-            out += (expr.value & U64).to_bytes(8, "little")
+            value = expr.value & U64
+        elif labels is None:
+            value = 0
         elif isinstance(expr, QuadRef):
-            target = (_label_value(labels, expr.name, item.line) + expr.offset) & U64
-            out += target.to_bytes(8, "little")
-            records.append(DataPointer(cell, target))
+            value = (_label_value(labels, expr.name, item.line) + expr.offset) & U64
+            records.append(DataPointer(cell, value))
         else:
             minuend = (_label_value(labels, expr.minuend, item.line)
                        + expr.minuend_offset) & U64
             subtrahend = (_label_value(labels, expr.subtrahend, item.line)
                           + expr.subtrahend_offset) & U64
-            out += ((minuend - subtrahend) & U64).to_bytes(8, "little")
+            value = (minuend - subtrahend) & U64
             records.append(DataDiff(cell, minuend, subtrahend))
-        cell += 8
+        out += value.to_bytes(8, "little")
     return bytes(out), records
 
 

@@ -1,6 +1,6 @@
 """Exception hierarchy and diagnostics shared by all ellf modules."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class EllfError(Exception):
@@ -173,6 +173,8 @@ class Diagnostic:
     message: str
     addr: int | None = None
     severity: str = ERROR
+    # The metadata record at fault, if the finding is about one record.
+    record: object = field(default=None, compare=False, repr=False)
 
     def __str__(self):
         loc = f" at 0x{self.addr:x}" if self.addr is not None else ""

@@ -19,8 +19,11 @@ Memory operands cover [base], [base+disp], [base+index*scale+disp],
 [index*scale+disp], [disp] and RIP-relative. Exactly one encoding is emitted
 per form (register-to-register uses the MR opcode, immediates take the
 shortest field that holds the value, REX only when required), so encoding
-decoded corpus bytes reproduces them exactly. Byte patterns outside the
-subset are decoding errors, never best-effort guesses.
+decoded corpus bytes reproduces them exactly. An ``Immediate.width`` of 64 on
+a 64-bit mov, or of 32 on add/or/and/sub/xor/cmp, fixes the field at that
+width instead; the assembler relies on this to give a label immediate the
+same length whatever the label's value. Byte patterns outside the subset are
+decoding errors, never best-effort guesses.
 """
 
 from __future__ import annotations
@@ -616,7 +619,7 @@ def encode_one(mnemonic: str, operands, address: int = 0) -> bytes:
         if isinstance(src, Immediate):
             if not isinstance(dst, Register):
                 raise UnsupportedForm(f"{m} with an immediate needs a register")
-            if _imm_signed(src.value, 8):
+            if _imm_signed(src.value, 8) and src.width != 32:
                 return (_rm_encode(b"\x83", ext, dst, dst.size)
                         + struct.pack("<b", src.value))
             if _imm_signed(src.value, 32):

@@ -29,7 +29,6 @@ from .errors import (
     WARNING,
 )
 from .isa import (
-    CALL,
     CONDITIONAL_JUMP,
     HALT,
     INDIRECT_JUMP,
@@ -58,6 +57,7 @@ from .meta import (
 U64 = (1 << 64) - 1
 
 STRICT = "strict"
+LENIENT = "lenient"
 
 POINTER_WIDTH = 8
 
@@ -293,6 +293,7 @@ class _LiftState:
     instrs: dict[int, Instruction]
     instr_addrs: list[int]  # sorted keys of instrs; the steps replace values only
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    reported: set = field(default_factory=set)  # records validation found at fault
     earmarks: dict[int, tuple] = field(default_factory=dict)
     pcrel_targets: dict[int, int] = field(default_factory=dict)
     func_open: dict[int, str] = field(default_factory=dict)    # addr -> function label
@@ -303,6 +304,12 @@ class _LiftState:
 
     def warn(self, kind, message, addr=None):
         self.diagnostics.append(Diagnostic(kind, message, addr, WARNING))
+
+    def fault(self, error_class, kind, message, addr):
+        """Raise ``error_class`` in a strict lift; warn in a lenient one."""
+        if self.mode == STRICT:
+            raise error_class(message)
+        self.warn(kind, message, addr)
 
 
 def _symbol_for(state, addr):
@@ -330,11 +337,10 @@ def coarse_symbolize(state: _LiftState) -> None:
             continue
         ins = state.instrs.get(rec.instr_addr)
         if ins is None:
-            msg = (f"operand pointer at 0x{rec.instr_addr:x} does not name a "
-                   f"decoded instruction")
-            if state.mode == STRICT:
-                raise NotAPointerPosition(msg)
-            state.warn("alignment", msg, rec.instr_addr)
+            if rec not in state.reported:
+                msg = (f"operand pointer at 0x{rec.instr_addr:x} does not name a "
+                       f"decoded instruction")
+                state.fault(NotAPointerPosition, "alignment", msg, rec.instr_addr)
             continue
         if rec.operand_index >= len(ins.operands):
             raise OperandIndexOutOfRange(
@@ -343,17 +349,16 @@ def coarse_symbolize(state: _LiftState) -> None:
         op = ins.operands[rec.operand_index]
         sym = _symbol_for(state, rec.target)
         if sym is None:
-            state.warn("range", f"pointer target 0x{rec.target:x} resolves to no "
-                                f"label", rec.instr_addr)
+            if rec not in state.reported:
+                state.warn("range", f"pointer target 0x{rec.target:x} resolves to no "
+                                    f"label", rec.instr_addr)
             continue
         if isinstance(op, Immediate):
             if (op.value & U64) != rec.target:
                 msg = (f"instruction at 0x{rec.instr_addr:x}: stored immediate "
                        f"0x{op.value & U64:x} disagrees with recorded target "
                        f"0x{rec.target:x}")
-                if state.mode == STRICT:
-                    raise MetadataMismatch(msg)
-                state.warn("pointer", msg, rec.instr_addr)
+                state.fault(MetadataMismatch, "pointer", msg, rec.instr_addr)
             new_op = sym
         elif isinstance(op, MemRef) and op.rip_relative:
             computed = (ins.address + ins.length + op.disp) & U64
@@ -361,16 +366,12 @@ def coarse_symbolize(state: _LiftState) -> None:
                 msg = (f"instruction at 0x{rec.instr_addr:x}: RIP-relative target "
                        f"0x{computed:x} disagrees with recorded target "
                        f"0x{rec.target:x}")
-                if state.mode == STRICT:
-                    raise MetadataMismatch(msg)
-                state.warn("pointer", msg, rec.instr_addr)
+                state.fault(MetadataMismatch, "pointer", msg, rec.instr_addr)
             new_op = replace(op, label=sym.label, label_offset=sym.offset)
         else:
             msg = (f"operand {rec.operand_index} of the instruction at "
                    f"0x{rec.instr_addr:x} has no immediate or displacement field")
-            if state.mode == STRICT:
-                raise NotAPointerPosition(msg)
-            state.warn("pointer", msg, rec.instr_addr)
+            state.fault(NotAPointerPosition, "pointer", msg, rec.instr_addr)
             continue
         operands = list(ins.operands)
         operands[rec.operand_index] = new_op
@@ -420,11 +421,10 @@ def _function_instrs(state, entry, end):
 def text_symbolize(state: _LiftState) -> None:
     for rec in state.meta.text:
         if rec.addr not in state.instrs:
-            msg = (f"text record at 0x{rec.addr:x} ({rec.kind}) is not a decoded "
-                   f"instruction start")
-            if state.mode == STRICT:
-                raise DanglingTextRecord(msg)
-            state.warn("range", msg, rec.addr)
+            if rec not in state.reported:
+                msg = (f"text record at 0x{rec.addr:x} ({rec.kind}) is not a decoded "
+                       f"instruction start")
+                state.fault(DanglingTextRecord, "range", msg, rec.addr)
             continue
         if rec.kind == FUNCTION_START:
             state.func_open[rec.addr] = state.labels.functions[rec.addr]
@@ -589,16 +589,12 @@ def _build_payload(state, sec, start, end, nobits, marks):
         if addr < pos:
             msg = (f"pointer payload at 0x{addr:x} overlaps the pointer payload "
                    f"ending at 0x{pos:x}")
-            if state.mode == STRICT:
-                raise PointerStraddle(msg)
-            state.warn("straddle", msg, addr)
+            state.fault(PointerStraddle, "straddle", msg, addr)
             continue
         if addr + POINTER_WIDTH > end:
             msg = (f"pointer payload at 0x{addr:x} crosses the data object "
                    f"boundary at 0x{end:x}")
-            if state.mode == STRICT:
-                raise PointerStraddle(msg)
-            state.warn("straddle", msg, addr)
+            state.fault(PointerStraddle, "straddle", msg, addr)
             continue
         if addr > pos:
             parts.append(RawBytes(_raw(state, pos, addr)))
@@ -621,9 +617,7 @@ def _pointer_part(state, addr):
         if stored != target:
             msg = (f"data cell at 0x{addr:x} stores 0x{stored:x} but the record "
                    f"names 0x{target:x}")
-            if state.mode == STRICT:
-                raise MetadataMismatch(msg)
-            state.warn("pointer", msg, addr)
+            state.fault(MetadataMismatch, "pointer", msg, addr)
         sym = _symbol_for(state, target)
         if sym is None:
             return RawBytes(_raw(state, addr, addr + POINTER_WIDTH))
@@ -632,9 +626,7 @@ def _pointer_part(state, addr):
     if stored != (minuend - subtrahend) & U64:
         msg = (f"data cell at 0x{addr:x} stores 0x{stored:x} but the recorded "
                f"difference is 0x{(minuend - subtrahend) & U64:x}")
-        if state.mode == STRICT:
-            raise MetadataMismatch(msg)
-        state.warn("pointer", msg, addr)
+        state.fault(MetadataMismatch, "pointer", msg, addr)
     msym = _symbol_for(state, minuend)
     ssym = _symbol_for(state, subtrahend)
     if msym is None or ssym is None:
@@ -744,9 +736,7 @@ def _jump_targets(state, target, entry, limit, starts, all_block_starts):
     if target in all_block_starts:
         return []  # a tail jump into another function leaves this one
     msg = f"branch target 0x{target:x} is not a block start in any function"
-    if state.mode == STRICT:
-        raise TargetOutsideFunction(msg)
-    state.warn("cfg", msg, target)
+    state.fault(TargetOutsideFunction, "cfg", msg, target)
     return []
 
 
@@ -764,7 +754,13 @@ class LiftedProgram:
 
 
 def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgram:
-    """Run the full pipeline."""
+    """Run the full pipeline.
+
+    In ``"strict"`` mode a fault in the metadata raises. In ``"lenient"`` mode
+    a fault the lift can step over becomes one diagnostic instead.
+    """
+    if mode not in (STRICT, LENIENT):
+        raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
     problems = validate_metadata(meta, image)
     if problems and mode == STRICT:
         raise LiftError("metadata fails validation: "
@@ -774,8 +770,9 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
     instrs = lift_unsymbolized(byte_map, meta.instruction_regions)
     labels = generate_labels(meta, image)
     state = _LiftState(image=image, byte_map=byte_map, meta=meta, mode=mode,
-                       labels=labels, instrs=instrs, instr_addrs=sorted(instrs))
-    state.diagnostics.extend(problems)
+                       labels=labels, instrs=instrs, instr_addrs=sorted(instrs),
+                       diagnostics=list(problems),
+                       reported={p.record for p in problems})
 
     coarse_symbolize(state)
     text_symbolize(state)

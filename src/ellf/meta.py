@@ -496,12 +496,15 @@ def _text_from_json(rec):
     return TextRecord(addr, kind)
 
 
+def _json_ints(value, field):
+    if not isinstance(value, list):
+        raise InvariantViolation(f"{field} must be a list, got {type(value).__name__}")
+    return tuple(_json_int(v, f"{field}[{i}]") for i, v in enumerate(value))
+
+
 def _stack_from_json(rec):
-    entry, offsets = _json_addr(rec["function_entry"], "function_entry"), rec["offsets"]
-    if not isinstance(offsets, list):
-        raise InvariantViolation(f"offsets must be a list, got {type(offsets).__name__}")
-    return StackRecord(entry, tuple(_json_int(off, f"offsets[{i}]")
-                                    for i, off in enumerate(offsets)))
+    return StackRecord(_json_addr(rec["function_entry"], "function_entry"),
+                       _json_ints(rec["offsets"], "offsets"))
 
 
 def _data_from_json(rec):
@@ -518,22 +521,20 @@ _JSON_TABLES = {
 }
 
 
-def metadata_from_json(obj: dict) -> EllfMetadata:
-    """Read the JSON interchange form (see METADATA_SCHEMA) into metadata.
+def _json_tables(obj, readers, what) -> dict[str, tuple]:
+    """Each table of the JSON object ``obj``, read record by record.
 
-    Anything that is not a schema-valid document meeting check_invariants
-    raises InvariantViolation. A malformed record is named by table, record
-    index and field, as in "stack[2].offsets[0] must be an integer, got '8'".
+    ``readers`` maps a table name to its record reader; a missing table is
+    empty. Errors name the table, the record index and the field.
     """
     if not isinstance(obj, dict):
-        raise InvariantViolation(f"metadata JSON must be an object, got {type(obj).__name__}")
-    version = _json_int(obj.get("version", VERSION), "version")
+        raise InvariantViolation(f"{what} must be an object, got {type(obj).__name__}")
     tables = {}
-    for name, read in _JSON_TABLES.items():
+    for name, read in readers.items():
         records = obj.get(name, [])
         if not isinstance(records, list):
             raise InvariantViolation(f"{name} must be a list, got {type(records).__name__}")
-        tables[name] = table = []
+        table = []
         for rec in records:
             if not isinstance(rec, dict):
                 raise InvariantViolation(f"{name}[{len(table)}] must be an object, "
@@ -545,8 +546,20 @@ def metadata_from_json(obj: dict) -> EllfMetadata:
                     from None
             except InvariantViolation as exc:
                 raise InvariantViolation(f"{name}[{len(table)}].{exc}") from None
-    meta = EllfMetadata(version=version, **{name: tuple(table)
-                                            for name, table in tables.items()})
+        tables[name] = tuple(table)
+    return tables
+
+
+def metadata_from_json(obj: dict) -> EllfMetadata:
+    """Read the JSON interchange form (see METADATA_SCHEMA) into metadata.
+
+    Anything that is not a schema-valid document meeting check_invariants
+    raises InvariantViolation. A malformed record is named by table, record
+    index and field, as in "stack[2].offsets[0] must be an integer, got '8'".
+    """
+    tables = _json_tables(obj, _JSON_TABLES, "metadata JSON")
+    meta = EllfMetadata(version=_json_int(obj.get("version", VERSION), "version"),
+                        **tables)
     check_invariants(meta)
     return meta
 
@@ -642,31 +655,49 @@ class BuildFacts:
     jump_tables: tuple[JumpTableFact, ...] = ()
 
 
+def _blocks_from_json(rec):
+    return BlockFacts(_json_addr(rec["function_addr"], "function_addr"),
+                      _json_ints(rec["block_offsets"], "block_offsets"),
+                      _json_ints(rec["block_sizes"], "block_sizes"))
+
+
+def _relocation_from_json(rec):
+    kind = rec["kind"]
+    if kind not in ("abs64", "pc32", "diff32"):
+        raise InvariantViolation(f"kind: unknown relocation kind {kind!r}")
+    subtrahend = (_json_addr(rec["subtrahend_addr"], "subtrahend_addr")
+                  if "subtrahend_addr" in rec else None)
+    return RelocationFact(_json_addr(rec["addr"], "addr"), kind,
+                          _json_addr(rec["target_addr"], "target_addr"), subtrahend)
+
+
+def _locals_from_json(rec):
+    return StackRecord(_json_addr(rec["function_addr"], "function_addr"),
+                       _json_ints(rec["offsets"], "offsets"))
+
+
+def _jump_table_from_json(rec):
+    return JumpTableFact(_json_addr(rec["table_addr"], "table_addr"),
+                         _json_int(rec["entry_count"], "entry_count"),
+                         _json_int(rec["entry_size"], "entry_size"))
+
+
+# JSON table name (also the BuildFacts field) -> record reader
+_FACTS_TABLES = {
+    "basic_blocks": _blocks_from_json,
+    "relocations": _relocation_from_json,
+    "variables": _data_from_json,
+    "locals": _locals_from_json,
+    "jump_tables": _jump_table_from_json,
+}
+
+
 def build_facts_from_json(obj: dict) -> BuildFacts:
-    return BuildFacts(
-        basic_blocks=tuple(
-            BlockFacts(_json_addr(b["function_addr"], "function_addr"),
-                       tuple(int(o) for o in b["block_offsets"]),
-                       tuple(int(s) for s in b["block_sizes"]))
-            for b in obj.get("basic_blocks", ())),
-        relocations=tuple(
-            RelocationFact(_json_addr(r["addr"], "addr"), r["kind"],
-                           _json_addr(r["target_addr"], "target_addr"),
-                           _json_addr(r["subtrahend_addr"], "subtrahend_addr")
-                           if "subtrahend_addr" in r else None)
-            for r in obj.get("relocations", ())),
-        variables=tuple(
-            DataRecord(_json_addr(v["addr"], "addr"), int(v["size"]))
-            for v in obj.get("variables", ())),
-        locals=tuple(
-            StackRecord(_json_addr(l["function_addr"], "function_addr"),
-                        tuple(int(o) for o in l["offsets"]))
-            for l in obj.get("locals", ())),
-        jump_tables=tuple(
-            JumpTableFact(_json_addr(t["table_addr"], "table_addr"),
-                          int(t["entry_count"]), int(t["entry_size"]))
-            for t in obj.get("jump_tables", ())),
-    )
+    """Read build facts (see BUILD_FACTS_SCHEMA) with metadata_from_json's readers.
+
+    A malformed document raises InvariantViolation naming table[index].field.
+    """
+    return BuildFacts(**_json_tables(obj, _FACTS_TABLES, "build facts JSON"))
 
 
 def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagnostic]]:
@@ -831,29 +862,30 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
     Returns an empty list iff region starts and text records sit in executable
     sections, pointer targets and diff operands sit in some section, data
     records stay inside one data section, stack entries name function starts,
-    and operand pointers land on decoded instruction starts.
+    and operand pointers land on decoded instruction starts. Each diagnostic
+    carries the record it is about as ``record``.
     """
     from .isa import decode_one
 
     diags: list[Diagnostic] = []
 
-    def check_in_exec(addr, what):
+    def check_in_exec(addr, what, rec):
         sec = image.section_at(addr)
         if sec is None or not sec.exec:
             diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside an "
-                                             f"executable section", addr))
+                                             f"executable section", addr, record=rec))
             return False
         return True
 
-    def check_in_any(addr, what):
+    def check_in_any(addr, what, rec):
         if image.section_at(addr) is None:
             diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside any "
-                                             f"section", addr))
+                                             f"section", addr, record=rec))
 
     byte_map = None
     instr_starts = set()
     for region in meta.instruction_regions:
-        if not check_in_exec(region.start, "instruction region start"):
+        if not check_in_exec(region.start, "instruction region start", region):
             continue
         if byte_map is None:
             from .elfio import load_image
@@ -866,24 +898,25 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                 addr += ins.length
         except Exception as exc:  # undecodable region: report, skip alignment checks
             diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
-                                             f"does not decode: {exc}", region.start))
+                                             f"does not decode: {exc}", region.start,
+                                  record=region))
 
     for rec in meta.pointers:
         if isinstance(rec, OperandPointer):
-            check_in_any(rec.target, "pointer target")
+            check_in_any(rec.target, "pointer target", rec)
             if meta.instruction_regions and rec.instr_addr not in instr_starts:
                 diags.append(Diagnostic(
                     "alignment",
                     f"operand pointer address 0x{rec.instr_addr:x} is not an "
-                    f"instruction start", rec.instr_addr))
+                    f"instruction start", rec.instr_addr, record=rec))
         elif isinstance(rec, DataPointer):
-            check_in_any(rec.target, "pointer target")
+            check_in_any(rec.target, "pointer target", rec)
         else:
-            check_in_any(rec.minuend, "diff minuend")
-            check_in_any(rec.subtrahend, "diff subtrahend")
+            check_in_any(rec.minuend, "diff minuend", rec)
+            check_in_any(rec.subtrahend, "diff subtrahend", rec)
 
     for trec in meta.text:
-        check_in_exec(trec.addr, "text record address")
+        check_in_exec(trec.addr, "text record address", trec)
 
     starts = {t.addr for t in meta.text if t.kind == FUNCTION_START}
     for srec in meta.stack:
@@ -891,15 +924,17 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
             diags.append(Diagnostic(
                 "function-start",
                 f"stack record entry 0x{srec.function_entry:x} is not a function start",
-                srec.function_entry))
+                srec.function_entry, record=srec))
 
     for drec in meta.data:
         sec = image.section_at(drec.addr)
         if sec is None or sec.exec:
             diags.append(Diagnostic("range", f"data record at 0x{drec.addr:x} is not "
-                                             f"inside a data section", drec.addr))
+                                             f"inside a data section", drec.addr,
+                                    record=drec))
         elif drec.addr + drec.size > sec.vaddr + sec.size:
             diags.append(Diagnostic("range", f"data record at 0x{drec.addr:x} extends "
-                                             f"past the end of {sec.name}", drec.addr))
+                                             f"past the end of {sec.name}", drec.addr,
+                                    record=drec))
 
     return diags

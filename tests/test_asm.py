@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ellf import elfio
+from ellf import asm, elfio
 from ellf.asm import (
+    Instr,
+    LabelMem,
+    LabelRef,
     assemble,
     assemble_image,
     parse_assembly,
@@ -14,8 +17,8 @@ from ellf.asm import (
     _split_terms,
 )
 from ellf.corpus import corpus_programs, hazard_program
-from ellf.errors import AsmSyntaxError, PointerStraddle, UndefinedLabel
-from ellf.isa import _REG_INFO
+from ellf.errors import AsmSyntaxError, PointerStraddle, RangeOverflow, UndefinedLabel
+from ellf.isa import PcRel, _REG_INFO
 from ellf.lifter import emit_assembly, lift
 from ellf.meta import decode_metadata
 
@@ -78,6 +81,74 @@ def test_hazard_fails_strict_lift():
     meta = decode_metadata(elfio.extract_section(img, ".ellf"))
     with pytest.raises(PointerStraddle):
         lift(img, meta, mode="strict")
+
+
+# A label immediate's field does not depend on the label's value: imm32 here.
+LABEL_IMMEDIATES = """\
+.section .text base={base}
+.func f
+    add rax, g
+    cmp rcx, g
+    ret
+.endfunc
+.func g
+    ret
+.endfunc
+"""
+
+
+@pytest.mark.parametrize("base", ["0x0", "0x401000"])
+def test_label_immediates_on_group1_forms_round_trip(base):
+    src = LABEL_IMMEDIATES.format(base=base)
+    report = roundtrip_check(src)
+    assert report.ok, report.lines()
+    elf, meta = assemble(parse_assembly(src))
+    text = next(sec for sec in elfio.read_elf(elf).sections if sec.name == ".text")
+    assert text.size == 7 + 7 + 1 + 1
+    assert meta.instruction_regions[0].count == 4
+
+
+def test_label_immediate_beyond_imm32_is_a_syntax_error_naming_the_line():
+    with pytest.raises(AsmSyntaxError) as info:
+        assemble(parse_assembly(LABEL_IMMEDIATES.format(base="0x80000000")))
+    assert info.value.line == 3
+
+
+def test_branch_out_of_rel32_range_names_the_line():
+    src = (".section .text base=0x1000\n.func f\n    jmp g\n.endfunc\n"
+           ".section .text2 base=0x100001000\n.func g\n    ret\n.endfunc\n")
+    with pytest.raises(RangeOverflow, match="out of rel32 range") as info:
+        assemble(parse_assembly(src))
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("name", sorted(corpus_programs()))
+def test_each_instruction_is_encoded_once_plus_once_per_label_reference(
+        monkeypatch, name):
+    prog = parse_assembly(corpus_programs()[name])
+    instrs = [item for sec in prog.sections for item in sec.items
+              if isinstance(item, Instr)]
+    labeled = [ins for ins in instrs
+               if any(isinstance(op, (LabelRef, LabelMem)) for op in ins.operands)]
+    calls = []
+    real = asm.encode_one
+    monkeypatch.setattr(asm, "encode_one", lambda *args: calls.append(args) or real(*args))
+    assemble_image(prog)
+    assert len(calls) == len(instrs) + len(labeled)
+
+
+def test_a_length_change_after_layout_is_a_syntax_error_naming_the_line(monkeypatch):
+    real = asm.encode_one
+
+    def drifting(mnemonic, ops, address=0):  # one byte longer once a branch resolves
+        grown = any(isinstance(op, PcRel) and op.target != address for op in ops)
+        return real(mnemonic, ops, address) + b"\x90" * grown
+
+    monkeypatch.setattr(asm, "encode_one", drifting)
+    src = ".section .text base=0x1000\n.func f\n    jmp .L\n.L:\n    ret\n.endfunc\n"
+    with pytest.raises(AsmSyntaxError, match="laid out in 5") as info:
+        assemble_image(parse_assembly(src))
+    assert info.value.line == 3
 
 
 @pytest.mark.parametrize("base", ["-1", "-0x1000", hex(1 << 64)])

@@ -1,10 +1,12 @@
 """Turning linker-time facts into oracle metadata."""
 
+import re
+
 import pytest
 
 from ellf import elfio
 from ellf.asm import assemble_image, parse_assembly
-from ellf.errors import InconsistentFacts
+from ellf.errors import InconsistentFacts, InvariantViolation
 from ellf.isa import decode_one
 from ellf.meta import (
     BASIC_BLOCK,
@@ -229,3 +231,23 @@ def test_build_facts_json_loader():
     assert facts.basic_blocks[0].function_addr == 0x4000
     assert facts.relocations[0].subtrahend_addr is None
     assert facts.jump_tables[0].entry_size == 8
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"variables": [{"addr": "0x10"}]}, "variables[0].size is missing"),
+    ({"locals": [{"function_addr": "0x10", "offsets": 8}]},
+     "locals[0].offsets must be a list, got int"),
+    ([], "build facts JSON must be an object, got list"),
+    ({"variables": [{"addr": "0x10", "size": 2.9}]},
+     "variables[0].size must be an integer, got 2.9"),
+    ({"basic_blocks": [{"function_addr": "0x10", "block_offsets": [0, "4"],
+                        "block_sizes": [4, 4]}]},
+     "basic_blocks[0].block_offsets[1] must be an integer, got '4'"),
+    ({"relocations": [{"addr": "0x10", "kind": "rel8", "target_addr": "0x20"}]},
+     "relocations[0].kind: unknown relocation kind 'rel8'"),
+    ({"jump_tables": "none"}, "jump_tables must be a list, got str"),
+], ids=["missing_field", "offsets_not_a_list", "top_level_list", "fractional_size",
+        "string_in_an_integer_list", "unknown_relocation_kind", "table_not_a_list"])
+def test_malformed_build_facts_name_the_table_record_and_field(obj, message):
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        build_facts_from_json(obj)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellf import elfio
-from ellf.asm import assemble, assemble_image, parse_assembly
+from ellf.asm import assemble, parse_assembly
 from ellf.corpus import corpus_programs
 from ellf.errors import (
     DanglingTextRecord,
+    LiftError,
     MetadataMismatch,
     PointerStraddle,
     RegionDecodeError,
@@ -20,7 +21,6 @@ from ellf.isa import Immediate, MemRef, Register
 from ellf.lifter import (
     DiffPayload,
     LabelMap,
-    PointerPayload,
     RawBytes,
     SlotMemRef,
     Zeroes,
@@ -36,10 +36,9 @@ from ellf.meta import (
     InstructionRegion,
     OperandPointer,
     TextRecord,
-    decode_metadata,
 )
 
-from conftest import SPARSE_DEMO_META, TABLE_DEMO
+from conftest import SPARSE_DEMO_META
 
 
 def demo_image(table_demo):
@@ -230,6 +229,30 @@ def test_strict_metadata_mismatch(table_demo):
     lea = lp.instructions[0x4004]
     assert lea.operands[1].label == "D_4024"
     assert lea.operands[1].label_offset == 4
+
+
+@pytest.mark.parametrize("meta", [
+    replace(SPARSE_DEMO_META, pointers=(OperandPointer(0x4005, 1, 0x4024),)
+            + SPARSE_DEMO_META.pointers[1:]),
+    replace(SPARSE_DEMO_META, pointers=(OperandPointer(0x4004, 1, 0x9999),)
+            + SPARSE_DEMO_META.pointers[1:]),
+    replace(SPARSE_DEMO_META, text=SPARSE_DEMO_META.text
+            + (TextRecord(0x4030, BASIC_BLOCK),)),
+], ids=["operand_pointer_off_an_instruction", "target_outside_sections",
+        "text_record_outside_text"])
+def test_lenient_lift_reports_a_validation_fault_once(table_demo, meta):
+    _, _, img = table_demo
+    assert len(lift(img, meta, mode="lenient").diagnostics) == 1
+    with pytest.raises(LiftError) as info:
+        lift(img, meta, mode="strict")
+    assert type(info.value) is LiftError
+
+
+@pytest.mark.parametrize("mode", ["Strict", "", None])
+def test_unknown_lift_mode_is_rejected(table_demo, mode):
+    _, meta, img = table_demo
+    with pytest.raises(ValueError, match="mode must be"):
+        lift(img, meta, mode=mode)
 
 
 # --- stack symbolization ---
