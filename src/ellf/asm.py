@@ -17,9 +17,11 @@ A ``#`` starts a comment unless it lies inside a double-quoted string, where
 it is text. The ``.asciz`` escapes are ``\\n \\t \\r \\0 \\\\ \\" \\xHH`` (exactly
 two hex digits); any other character stands for itself and must be at most
 U+00FF, since ``.asciz`` holds bytes up to 0xFF. Arguments are separated by
-commas. A memory operand's terms are separated by ``+`` and ``-`` and none may
-be empty: a sign may lead the operand, but two signs in a row or a trailing
-sign is an error.
+commas. A ``.byte`` value is a Python integer literal in 0..255: decimal or
+with a ``0x``/``0o``/``0b`` base prefix, optionally signed, with underscores
+allowed between digits (``0x_ff``, ``1_0``). A memory operand's terms are
+separated by ``+`` and ``-`` and none may be empty: a sign may lead the
+operand, but two signs in a row or a trailing sign is an error.
 
 Assembling walks the items once, laying each out at the next address of its
 section and encoding it through the canonical instruction encoder. An item
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from . import elfio
 from .errors import (
@@ -220,8 +223,9 @@ def parse_assembly(text: str) -> AsmProgram:
         defined.add(name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _CODE_RE.match(raw).group().strip()
-        while line:
+        # _CODE_RE cuts only at a '#', and a label needs a ':'.
+        line = (_CODE_RE.match(raw).group() if "#" in raw else raw).strip()
+        while ":" in line:
             m = _LABEL_RE.match(line)
             if m and m.group(1) not in _DIRECTIVES:
                 define(m.group(1), lineno)
@@ -342,11 +346,16 @@ def _parse_data(directive, rest, line):
     if not args:
         raise AsmSyntaxError(f".{directive} needs at least one value", line)
     if directive == "byte":
+        # One pass over the line. int() strips less than str.strip() (it
+        # rejects U+001F), so it relies on _split_args having stripped.
+        try:
+            return Data("byte", bytes(map(int, args, repeat(0))), line)
+        except ValueError:
+            pass
+        # Name the first fault as a value-by-value parse does.
         values = [_parse_int(a, line) for a in args]
-        for v in values:
-            if not 0 <= v <= 0xFF:
-                raise AsmSyntaxError(f"byte value {v} out of range", line)
-        return Data("byte", values, line)
+        bad = next(v for v in values if not 0 <= v <= 0xFF)
+        raise AsmSyntaxError(f"byte value {bad} out of range", line)
     if directive == "long":
         values = [_parse_int(a, line) for a in args]
         for v in values:
@@ -570,6 +579,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         current_func = None
         func_slots = {}
         run = None
+        nobits = section.nobits
         for item in section.items:
             if isinstance(item, (Label, FuncBegin, SetLabel)):
                 names.append(item.name)
@@ -588,7 +598,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 current_func = None
                 func_slots = {}
             elif isinstance(item, Data):
-                if section.nobits:
+                if nobits:
                     if item.directive != "zero":
                         raise AsmSyntaxError(
                             f".{item.directive} not allowed in the zero-fill section "
@@ -603,7 +613,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 blob += encoded
                 addr += len(encoded)
             elif isinstance(item, Instr):
-                if section.nobits:
+                if nobits:
                     raise AsmSyntaxError(
                         f"instructions not allowed in the zero-fill section "
                         f"{section.name}", item.line)
@@ -770,14 +780,12 @@ def _label_value(labels, name, line):
 
 def _encode_data(item: Data, addr, labels=None):
     """Bytes and pointer records of a data item; label cells are zero without ``labels``."""
-    if item.directive == "byte":
-        return bytes(item.payload), []
+    if item.directive in ("byte", "asciz"):
+        return item.payload, []
     if item.directive == "long":
         return b"".join(v.to_bytes(4, "little") for v in item.payload), []
     if item.directive == "zero":
         return bytes(item.payload), []
-    if item.directive == "asciz":
-        return item.payload, []
     out = bytearray()
     records = []
     for i, expr in enumerate(item.payload):

@@ -347,6 +347,8 @@ def coarse_symbolize(state: _LiftState) -> None:
                 f"operand index {rec.operand_index} out of range for the "
                 f"instruction at 0x{rec.instr_addr:x}")
         op = ins.operands[rec.operand_index]
+        if isinstance(op, Immediate) and op.width == 8:
+            continue  # validation reports it; a label would not fit the field
         sym = _symbol_for(state, rec.target)
         if sym is None:
             if rec not in state.reported:
@@ -893,10 +895,11 @@ def _between(addrs, lo, hi):
     return addrs[bisect_right(addrs, lo):bisect_left(addrs, hi)]
 
 
-def _byte_lines(data: bytes, per_line: int = 8):
-    for i in range(0, len(data), per_line):
-        chunk = data[i:i + per_line]
-        yield "    .byte " + ", ".join(f"0x{b:02x}" for b in chunk)
+def _byte_lines(data: bytes):
+    """``.byte`` lines for ``data``: 8 values a line (fewer on the last), each
+    ``0xHH`` in lower-case hex, separated by ``", "``; no line for no bytes."""
+    for i in range(0, len(data), 8):
+        yield "    .byte 0x" + data[i:i + 8].hex(" ").replace(" ", ", 0x")
 
 
 def emit_assembly(lp: LiftedProgram) -> str:

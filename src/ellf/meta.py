@@ -862,10 +862,11 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
     Returns an empty list iff region starts and text records sit in executable
     sections, pointer targets and diff operands sit in some section, data
     records stay inside one data section, stack entries name function starts,
-    and operand pointers land on decoded instruction starts. Each diagnostic
+    and operand pointers land on decoded instruction starts and name no 8-bit
+    immediate (too narrow for the label a lift puts there). Each diagnostic
     carries the record it is about as ``record``.
     """
-    from .isa import decode_one
+    from .isa import Immediate, decode_one
 
     diags: list[Diagnostic] = []
 
@@ -883,7 +884,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                                              f"section", addr, record=rec))
 
     byte_map = None
-    instr_starts = set()
+    decoded = {}  # instruction start -> instruction
     for region in meta.instruction_regions:
         if not check_in_exec(region.start, "instruction region start", region):
             continue
@@ -894,7 +895,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
         try:
             for _ in range(region.count):
                 ins = decode_one(byte_map, addr)
-                instr_starts.add(addr)
+                decoded[addr] = ins
                 addr += ins.length
         except Exception as exc:  # undecodable region: report, skip alignment checks
             diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
@@ -904,11 +905,21 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
     for rec in meta.pointers:
         if isinstance(rec, OperandPointer):
             check_in_any(rec.target, "pointer target", rec)
-            if meta.instruction_regions and rec.instr_addr not in instr_starts:
-                diags.append(Diagnostic(
-                    "alignment",
-                    f"operand pointer address 0x{rec.instr_addr:x} is not an "
-                    f"instruction start", rec.instr_addr, record=rec))
+            ins = decoded.get(rec.instr_addr)
+            if ins is None:
+                if meta.instruction_regions:
+                    diags.append(Diagnostic(
+                        "alignment",
+                        f"operand pointer address 0x{rec.instr_addr:x} is not an "
+                        f"instruction start", rec.instr_addr, record=rec))
+            elif rec.operand_index < len(ins.operands):
+                op = ins.operands[rec.operand_index]
+                if isinstance(op, Immediate) and op.width == 8:
+                    diags.append(Diagnostic(
+                        "pointer",
+                        f"operand {rec.operand_index} of the instruction at "
+                        f"0x{rec.instr_addr:x} is an 8-bit immediate, too narrow "
+                        f"for a pointer", rec.instr_addr, record=rec))
         elif isinstance(rec, DataPointer):
             check_in_any(rec.target, "pointer target", rec)
         else:

@@ -376,3 +376,77 @@ def test_lifted_text_parses_back_to_the_program_it_came_from(strings):
     image = elfio.load_image(elfio.read_elf(assemble(prog)[0]))
     payload = b"".join(data + b"\0" for _, data in strings)
     assert image.read(0x2000, 0x2000 + len(payload)) == payload
+
+
+# --- .byte lines against the value-by-value parser they replaced ---
+
+def reference_byte_payload(rest, line):
+    """The parser's ``.byte`` path before it converted a whole line at once."""
+    args = [part.strip() for part in rest.split(",")] if rest.strip() else []
+    if not args:
+        raise AsmSyntaxError(".byte needs at least one value", line)
+    values = []
+    for arg in args:
+        try:
+            values.append(int(arg.strip(), 0))
+        except (ValueError, TypeError):
+            raise AsmSyntaxError(f"expected a number, got {arg!r}", line) from None
+    for v in values:
+        if not 0 <= v <= 0xFF:
+            raise AsmSyntaxError(f"byte value {v} out of range", line)
+    return bytes(values)
+
+
+BASE_FORMATS = {"": "d", "0x": "x", "0X": "X", "0o": "o", "0O": "o", "0b": "b"}
+
+
+@st.composite
+def byte_numbers(draw, values, mangle):
+    """An integer literal with a base prefix, maybe signed, maybe with
+    underscores: valid ones only, or, with ``mangle``, anywhere."""
+    value = draw(values)
+    prefix = draw(st.sampled_from(sorted(BASE_FORMATS)))
+    digits = format(abs(value), BASE_FORMATS[prefix])
+    if mangle and draw(st.booleans()):
+        cut = draw(st.integers(0, len(digits)))
+        digits = digits[:cut] + draw(st.sampled_from(["_", "__"])) + digits[cut:]
+    elif len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"] + ["-"] * mangle))
+    return sign + prefix + digits
+
+
+byte_padding = st.text(st.sampled_from(" \t\x1f"), max_size=2)
+clean_bytes = st.tuples(byte_padding, byte_numbers(st.integers(0, 0xFF), False),
+                        byte_padding).map("".join)
+byte_items = st.one_of(
+    clean_bytes, clean_bytes,
+    byte_numbers(st.integers(-300, -1) | st.integers(0x100, 1 << 80), False),
+    byte_numbers(st.integers(-300, 600), True),
+    st.just(""),
+    st.text(st.sampled_from("0123456789abfxoXO_+-. zq"), max_size=6),
+    st.tuples(st.sampled_from(["", "0x", "-"]), st.integers(4000, 5000)).map(
+        lambda t: t[0] + "7" * t[1]),  # past int()'s decimal digit limit
+).flatmap(lambda item: byte_padding.map(lambda pad: pad + item))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(clean_bytes, max_size=10) | st.lists(byte_items, max_size=10))
+def test_byte_lines_parse_as_the_reference_does(items):
+    rest = ",".join(items)
+
+    def outcome(parse):
+        try:
+            return parse()
+        # ValueError: an out-of-range value too long for int's str() limit
+        except (AsmSyntaxError, ValueError) as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+    assert (outcome(lambda: asm._parse_data("byte", rest, 3).payload)
+            == outcome(lambda: reference_byte_payload(rest, 3)))
+
+
+def test_byte_values_may_carry_any_whitespace_that_strip_removes():
+    prog = parse_assembly(".section .data base=0x2000\n    .byte \x1f1,\x1f0x_ff ,2\n")
+    assert prog.sections[0].items[0].payload == b"\x01\xff\x02"

@@ -1,4 +1,5 @@
-"""Frozen outputs: the assembled ELF and the lifted text of every bundled program.
+"""Frozen outputs: the assembled ELF and the lifted text of every bundled
+program, and of a byte-heavy program written here.
 
 Each digest pair is the SHA-256 of ``assemble()``'s ELF bytes and of the
 emitted text of a strict lift (a lenient lift for the straddle hazard, which
@@ -9,6 +10,7 @@ hash order.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -92,10 +94,40 @@ FROZEN = {
     "TABLE_DEMO": (
         "cbb425c03874e222e887d7e5676a11e11d03f467b29c9834258fe7d0a6dd6c59",
         "7094b3bd8cc72c392695fd92c35bd94495aa6d9b018a37136f87ab413b5eadd9"),
+    "byte_heavy": (
+        "8764a496cde2a3260886e99e9a71c8d2c7d5a5e9b821009b2beff44cc3089a9f",
+        "2783fed57e92bf895bb8841be515f426eea889e81c24289b0caeb222513e999a"),
 }
 
+
+
+def byte_heavy_program(seed=7, objects=64):
+    """About 4 KiB of ``.byte`` data in labeled objects, ``.quad`` cells between.
+
+    Values are written in every base the dialect accepts, some with
+    underscores, a few to eight a line; the corpus holds almost no raw bytes.
+    """
+    rng = random.Random(seed)
+    formats = ("{}", "0x{:02x}", "0X{:X}", "0o{:o}", "0b{:b}", "{:_}", "0x_{:x}")
+    lines = [".section .text base=0x1000", ".func main", "    lea rax, [obj_0]",
+             "    ret", ".endfunc", ".section .data base=0x3000"]
+    for i in range(objects):
+        lines.append(f"obj_{i}:")
+        values = [rng.randrange(256) for _ in range(rng.randint(1, 128))]
+        while values:
+            count = rng.randint(1, 8)
+            lines.append("    .byte " + ", ".join(
+                rng.choice(formats).format(v) for v in values[:count]))
+            values = values[count:]
+        if rng.random() < 0.25:
+            lines.append(f"    .quad obj_{rng.randrange(objects)} - obj_{i}")
+        else:
+            lines.append(f"    .quad obj_{rng.randrange(objects)}")
+    return "\n".join(lines) + "\n"
+
+
 PROGRAMS = {**corpus_programs(), "hazard_pointer_straddle": hazard_program(),
-            "TABLE_DEMO": TABLE_DEMO}
+            "TABLE_DEMO": TABLE_DEMO, "byte_heavy": byte_heavy_program()}
 
 
 def test_every_bundled_program_is_frozen():

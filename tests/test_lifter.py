@@ -24,6 +24,7 @@ from ellf.lifter import (
     RawBytes,
     SlotMemRef,
     Zeroes,
+    _byte_lines,
     emit_assembly,
     generate_labels,
     lift,
@@ -477,3 +478,21 @@ def test_padding_after_an_instruction_that_runs_across_a_section_boundary():
     lp = lift(elfio.read_elf(elf), meta, mode="lenient")
     assert [ins.mnemonic for ins in lp.instructions.values()] == ["push", "mov", "ret"]
     assert lp.padding == ((0x1005, b"\xcc\xcc"),)
+
+
+def reference_byte_lines(data, per_line=8):
+    """The renderer before it formatted a line with ``bytes.hex``."""
+    for i in range(0, len(data), per_line):
+        chunk = data[i:i + per_line]
+        yield "    .byte " + ", ".join(f"0x{b:02x}" for b in chunk)
+
+
+@given(st.binary(max_size=40))
+def test_byte_lines_render_as_the_reference_does(data):
+    assert list(_byte_lines(data)) == list(reference_byte_lines(data))
+
+
+def test_every_single_byte_renders_as_the_reference_does():
+    for value in range(256):
+        data = bytes([value])
+        assert list(_byte_lines(data)) == list(reference_byte_lines(data))

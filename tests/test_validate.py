@@ -1,8 +1,26 @@
 """Cross-checking metadata against the sections and bytes of a binary."""
 
+import json
 from dataclasses import replace
 
-from ellf.meta import DataRecord, EllfMetadata, OperandPointer, StackRecord, validate_metadata
+import pytest
+
+from ellf import cli, elfio
+from ellf.asm import assemble_image, parse_assembly
+from ellf.errors import LiftError
+from ellf.lifter import emit_assembly, lift
+from ellf.meta import (
+    FUNCTION_END,
+    FUNCTION_START,
+    DataRecord,
+    EllfMetadata,
+    InstructionRegion,
+    OperandPointer,
+    StackRecord,
+    TextRecord,
+    metadata_to_json,
+    validate_metadata,
+)
 
 from conftest import SPARSE_DEMO_META
 
@@ -65,3 +83,37 @@ def test_pointer_target_outside_sections(table_demo):
                    + SPARSE_DEMO_META.pointers[1:])
     diags = validate_metadata(meta, img)
     assert any(d.kind == "range" for d in diags)
+
+
+def test_operand_pointer_on_an_8_bit_immediate(tmp_path, capsys):
+    """``add rax, 0x10`` as imm8: a label there would reassemble as imm32."""
+    elf = elfio.build_elf([elfio.NewSection(
+        ".text", 0x10, bytes.fromhex("4883c010c3"),  # add rax, 0x10; ret
+        sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR)])
+    img = elfio.read_elf(elf)
+    pointer = OperandPointer(0x10, 1, 0x10)
+    meta = EllfMetadata(instruction_regions=(InstructionRegion(0x10, 2),),
+                        pointers=(pointer,),
+                        text=(TextRecord(0x10, FUNCTION_START),
+                              TextRecord(0x14, FUNCTION_END)))
+    diags = validate_metadata(meta, img)
+    assert [(d.kind, d.addr, d.record) for d in diags] == [("pointer", 0x10, pointer)]
+
+    with pytest.raises(LiftError, match="8-bit immediate"):
+        lift(img, meta, mode="strict")
+    lifted = lift(img, meta, mode="lenient")
+    assert lifted.diagnostics == tuple(diags)
+    text = emit_assembly(lifted)
+    assert "    add rax, 16\n" in text
+    raw, _ = assemble_image(parse_assembly(text))
+    assert elfio.load_image(elfio.read_elf(raw)).read(0x10, 0x15) == elfio.load_image(
+        img).read(0x10, 0x15)
+
+    elf_path, meta_path = tmp_path / "in.elf", tmp_path / "meta.json"
+    elf_path.write_bytes(elf)
+    meta_path.write_text(json.dumps(metadata_to_json(meta)))
+    code = cli.main(["inject", str(elf_path), "--meta", str(meta_path),
+                     "-o", str(tmp_path / "out.elf")])
+    assert code == cli.EXIT_DOMAIN
+    assert "8-bit immediate" in capsys.readouterr().err
+    assert not (tmp_path / "out.elf").exists()
