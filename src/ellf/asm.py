@@ -60,6 +60,7 @@ from .errors import (
     UndefinedLabel,
     UnknownDirective,
     EllfError,
+    quoted,
 )
 from .isa import (
     Immediate,
@@ -270,7 +271,8 @@ def parse_assembly(text: str) -> AsmProgram:
                 _check_ident(parts[1], ".slot name", lineno)
                 offset = _parse_int(parts[2], lineno)
                 if offset <= 0:
-                    raise AsmSyntaxError(f"slot offset must be positive: {offset}", lineno)
+                    raise AsmSyntaxError(
+                        f"slot offset must be positive: {quoted(offset)}", lineno)
                 current_section(lineno).items.append(
                     SlotDef(parts[0], parts[1], offset, lineno))
             elif word == ".set":
@@ -338,7 +340,9 @@ def _parse_data(directive, rest, line):
     if directive == "zero":
         n = _parse_int(rest, line)
         if n <= 0:
-            raise AsmSyntaxError(f".zero needs a positive size, got {n}", line)
+            raise AsmSyntaxError(f".zero needs a positive size, got {quoted(n)}", line)
+        if n > U64:
+            raise AsmSyntaxError(f".zero size {quoted(n)} does not fit in 64 bits", line)
         return Data("zero", n, line)
     if directive == "asciz":
         return Data("asciz", _parse_string(rest, line) + b"\0", line)
@@ -355,15 +359,18 @@ def _parse_data(directive, rest, line):
         # Name the first fault as a value-by-value parse does.
         values = [_parse_int(a, line) for a in args]
         bad = next(v for v in values if not 0 <= v <= 0xFF)
-        raise AsmSyntaxError(f"byte value {bad} out of range", line)
+        raise AsmSyntaxError(f"byte value {quoted(bad)} out of range", line)
     if directive == "long":
         values = [_parse_int(a, line) for a in args]
         for v in values:
             if not -(1 << 31) <= v < (1 << 32):
-                raise AsmSyntaxError(f"long value {v} out of range", line)
+                raise AsmSyntaxError(f"long value {quoted(v)} out of range", line)
         return Data("long", [v & 0xFFFFFFFF for v in values], line)
     # .quad: integers, label references, or label differences
     exprs = [_parse_quad_expr(a, line) for a in args]
+    for e in exprs:
+        if isinstance(e, QuadInt) and not -(1 << 63) <= e.value < (1 << 64):
+            raise AsmSyntaxError(f"quad value {quoted(e.value)} out of range", line)
     return Data("quad", exprs, line)
 
 

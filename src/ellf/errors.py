@@ -7,6 +7,15 @@ class EllfError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def quoted(value, conv=str) -> str:
+    """``conv(value)`` for a message; past Python's 4300-digit limit on
+    writing an int in decimal, the int in hex or the object's type name."""
+    try:
+        return conv(value)
+    except ValueError:
+        return hex(value) if isinstance(value, int) else type(value).__name__
+
+
 # --- metadata codec ---
 
 class InvariantViolation(EllfError):

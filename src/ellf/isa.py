@@ -31,7 +31,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .errors import RangeOverflow, TruncatedInstruction, UnknownOpcode, UnsupportedForm
+from .errors import (RangeOverflow, TruncatedInstruction, UnknownOpcode, UnsupportedForm,
+                     quoted)
 
 U64 = (1 << 64) - 1
 
@@ -108,8 +109,6 @@ class Instruction:
     mnemonic: str
     operands: tuple
     fields: tuple[OperandField, ...] = ()
-    annotations: tuple[str, ...] = ()
-    post_annotations: tuple[str, ...] = ()
 
 
 # --- instruction classification ---
@@ -414,12 +413,12 @@ def _ss(scale):
     try:
         return {1: 0, 2: 1, 4: 2, 8: 3}[scale]
     except KeyError:
-        raise UnsupportedForm(f"invalid scale {scale}") from None
+        raise UnsupportedForm(f"invalid scale {quoted(scale)}") from None
 
 
 def _check_disp32(disp):
     if not -(1 << 31) <= disp < (1 << 31):
-        raise UnsupportedForm(f"displacement {disp} does not fit in 32 bits")
+        raise UnsupportedForm(f"displacement {quoted(disp)} does not fit in 32 bits")
 
 
 def _mem_bytes(reg_field: int, mem: MemRef) -> tuple[int, int, int, bytes]:
@@ -610,7 +609,8 @@ def encode_one(mnemonic: str, operands, address: int = 0) -> bytes:
         if not isinstance(dst, Register):
             raise UnsupportedForm("test with an immediate needs a register")
         if not _imm_signed(src.value, 32):
-            raise UnsupportedForm(f"test immediate {src.value} does not fit 32 bits")
+            raise UnsupportedForm(
+                f"test immediate {quoted(src.value)} does not fit 32 bits")
         return _rm_encode(b"\xF7", 0, dst, dst.size) + struct.pack("<i", src.value)
 
     if m in _ARITH_OPS:
@@ -625,7 +625,8 @@ def encode_one(mnemonic: str, operands, address: int = 0) -> bytes:
             if _imm_signed(src.value, 32):
                 return (_rm_encode(b"\x81", ext, dst, dst.size)
                         + struct.pack("<i", src.value))
-            raise UnsupportedForm(f"{m} immediate {src.value} does not fit 32 bits")
+            raise UnsupportedForm(
+                f"{m} immediate {quoted(src.value)} does not fit 32 bits")
         if isinstance(src, Register) and isinstance(dst, (Register, MemRef)):
             size = src.size if isinstance(dst, MemRef) else _same_size(dst, src)
             return _rm_encode(bytes([mr]), src.num, dst, size)
@@ -644,14 +645,15 @@ def _encode_mov(ops):
         value = src.value
         if dst.size == 32:
             if not -(1 << 31) <= value < (1 << 32):
-                raise UnsupportedForm(f"mov immediate {value} does not fit 32 bits")
+                raise UnsupportedForm(
+                    f"mov immediate {quoted(value)} does not fit 32 bits")
             value &= 0xFFFFFFFF
             return (_rex(b=dst.num >> 3) + bytes([0xB8 | (dst.num & 7)])
                     + struct.pack("<I", value))
         if _imm_signed(value, 32) and src.width != 64:
             return _rm_encode(b"\xC7", 0, dst, 64) + struct.pack("<i", value)
         if not -(1 << 63) <= value <= U64:
-            raise UnsupportedForm(f"mov immediate {value} does not fit 64 bits")
+            raise UnsupportedForm(f"mov immediate {quoted(value)} does not fit 64 bits")
         return (_rex(1, 0, 0, dst.num >> 3) + bytes([0xB8 | (dst.num & 7)])
                 + struct.pack("<Q", value & U64))
     if isinstance(src, Register) and isinstance(dst, (Register, MemRef)):
@@ -667,7 +669,7 @@ def _expect(mnemonic, ops, count, *kinds):
         raise UnsupportedForm(f"{mnemonic} takes {count} operand(s), got {len(ops)}")
     for op, kind in zip(ops, kinds):
         if not isinstance(op, kind):
-            raise UnsupportedForm(f"bad operand for {mnemonic}: {op!r}")
+            raise UnsupportedForm(f"bad operand for {mnemonic}: {quoted(op, repr)}")
     return ops
 
 

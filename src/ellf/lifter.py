@@ -1,11 +1,13 @@
 """Metadata-driven lifting: decode, symbolize, recover CFGs, emit assembly.
 
 The pipeline decodes exactly the instruction regions, replaces pointer
-operands and pointer-holding data cells with labels, attaches function and
-block structure, rewrites stack-frame accesses through named slot constants,
-partitions data sections into variables, and renders deterministic text that
-the bundled assembler accepts back. The text, stack and data passes write to
-disjoint state, so they can run in any order with identical results.
+operands and pointer-holding data cells with labels, rewrites stack-frame
+accesses through named slot constants, partitions data sections into
+variables, and renders deterministic text that the bundled assembler accepts
+back. Function and block structure stays in the ``LabelMap``; only
+``emit_assembly`` decides where its label lines go. The text, stack and data
+passes write to disjoint state, so they can run in any order with identical
+results.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .elfio import ElfImage, ImageView, load_image
 from .errors import (
     DanglingTextRecord,
     Diagnostic,
+    IsaError,
     LiftError,
     MetadataMismatch,
     NotAPointerPosition,
@@ -146,6 +149,7 @@ class LabelMap:
     functions: dict[int, str] = field(default_factory=dict)
     blocks: dict[int, str] = field(default_factory=dict)
     bb_backed: set[int] = field(default_factory=set)
+    function_ends: set[int] = field(default_factory=set)
     data_labels: dict[int, str] = field(default_factory=dict)
     record_backed: set[int] = field(default_factory=set)
     text_floors: dict[int, str] = field(default_factory=dict)
@@ -208,6 +212,7 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
             lm.bb_backed.add(rec.addr)
         elif rec.kind == FUNCTION_END:
             block_candidates.add(rec.addr)
+            lm.function_ends.add(rec.addr)
 
     data_candidates = set()
 
@@ -269,9 +274,7 @@ def lift_unsymbolized(image, regions) -> dict[int, Instruction]:
         for _ in range(region.count):
             try:
                 ins = decode_one(image, addr)
-            except LiftError:
-                raise
-            except Exception as exc:
+            except IsaError as exc:
                 raise RegionDecodeError(
                     f"region at 0x{region.start:x}: {exc}") from exc
             instrs[addr] = ins
@@ -296,10 +299,6 @@ class _LiftState:
     reported: set = field(default_factory=set)  # records validation found at fault
     earmarks: dict[int, tuple] = field(default_factory=dict)
     pcrel_targets: dict[int, int] = field(default_factory=dict)
-    func_open: dict[int, str] = field(default_factory=dict)    # addr -> function label
-    func_close: set[int] = field(default_factory=set)
-    block_marks: dict[int, str] = field(default_factory=dict)  # addr -> label line
-    slot_lines: dict[int, tuple[str, ...]] = field(default_factory=dict)
     variables: list[Variable] = field(default_factory=list)
 
     def warn(self, kind, message, addr=None):
@@ -403,8 +402,7 @@ def coarse_symbolize(state: _LiftState) -> None:
 
 def _function_ranges(state) -> list[tuple[int, int]]:
     """(entry, end_exclusive) per function, bounded by the next function."""
-    starts = sorted(a for a in
-                    (r.addr for r in state.meta.text if r.kind == FUNCTION_START))
+    starts = sorted(state.labels.functions)
     ranges = []
     limit = 1 << 64
     for i, entry in enumerate(starts):
@@ -422,18 +420,10 @@ def _function_instrs(state, entry, end):
 
 def text_symbolize(state: _LiftState) -> None:
     for rec in state.meta.text:
-        if rec.addr not in state.instrs:
-            if rec not in state.reported:
-                msg = (f"text record at 0x{rec.addr:x} ({rec.kind}) is not a decoded "
-                       f"instruction start")
-                state.fault(DanglingTextRecord, "range", msg, rec.addr)
-            continue
-        if rec.kind == FUNCTION_START:
-            state.func_open[rec.addr] = state.labels.functions[rec.addr]
-        elif rec.kind == FUNCTION_END:
-            state.func_close.add(rec.addr)
-        elif rec.addr in state.labels.blocks:
-            state.block_marks[rec.addr] = state.labels.blocks[rec.addr]
+        if rec.addr not in state.instrs and rec not in state.reported:
+            msg = (f"text record at 0x{rec.addr:x} ({rec.kind}) is not a decoded "
+                   f"instruction start")
+            state.fault(DanglingTextRecord, "range", msg, rec.addr)
 
     for addr in state.instr_addrs:
         ins = state.instrs[addr]
@@ -456,28 +446,23 @@ def text_symbolize(state: _LiftState) -> None:
 # --- step IV: stack symbolization ---
 
 def stack_symbolize(state: _LiftState) -> None:
-    slot_table = {rec.function_entry: rec.offsets for rec in state.meta.stack}
     for entry, end in _function_ranges(state):
-        offsets = slot_table.get(entry)
-        if not offsets:
+        names = dict(state.labels.slots.get(entry, ()))
+        if not names:
             continue
-        names = dict(state.labels.slots[entry])
-        func_label = state.labels.functions.get(entry, f"F_{entry:x}")
-        state.slot_lines[entry] = tuple(
-            f".slot {func_label}, s{off}, {off}" for off in offsets)
-
         sp_delta: int | None = 0
         rbp_delta: int | None = None
         for addr in _function_instrs(state, entry, end):
             ins = state.instrs[addr]
-            rewritten = _rewrite_stack_operands(state, ins, offsets, names,
-                                                sp_delta, rbp_delta)
+            rewritten = _rewrite_stack_operands(state, ins, names, sp_delta,
+                                                rbp_delta)
             if rewritten is not None:
                 state.instrs[addr] = rewritten
             sp_delta, rbp_delta = _apply_sp_effect(ins, sp_delta, rbp_delta)
 
 
-def _rewrite_stack_operands(state, ins, offsets, names, sp_delta, rbp_delta):
+def _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta):
+    """``names`` maps each of the function's slot offsets to its slot name."""
     operands = list(ins.operands)
     changed = False
     for i, op in enumerate(operands):
@@ -496,7 +481,7 @@ def _rewrite_stack_operands(state, ins, offsets, names, sp_delta, rbp_delta):
         depth = -(anchor + op.disp)
         if depth <= 0:
             continue  # at or above the entry stack pointer: not a local slot
-        slot = min((off for off in offsets if off >= depth), default=None)
+        slot = min((off for off in names if off >= depth), default=None)
         if slot is None:
             state.warn("stack", f"stack access at 0x{ins.address:x} (depth {depth}) "
                                 f"is outside every frame slot", ins.address)
@@ -651,9 +636,9 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
         if found and found[1] == 0:
             table_minuends.setdefault(found[0], []).extend(minuends)
 
-    block_addrs = sorted({r.addr for r in state.meta.text if r.kind == BASIC_BLOCK})
-    fe_addrs = {r.addr for r in state.meta.text if r.kind == FUNCTION_END}
-    all_block_starts = set(state.labels.functions) | set(block_addrs)
+    block_addrs = sorted(state.labels.bb_backed)
+    fe_addrs = state.labels.function_ends
+    all_block_starts = set(state.labels.functions) | state.labels.bb_backed
 
     cfgs = []
     for entry, limit in _function_ranges(state):
@@ -782,13 +767,10 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
     data_symbolize(state)
     cfgs = build_cfg(state)
 
-    padding = _collect_padding(state)
-    _finalize_annotations(state)
-
     return LiftedProgram(
         sections=tuple(sec for sec in image.sections if sec.alloc),
         instructions=dict(sorted(state.instrs.items())),
-        padding=padding,
+        padding=_collect_padding(state),
         variables=tuple(state.variables),
         labels=state.labels,
         cfgs=cfgs,
@@ -816,27 +798,6 @@ def _collect_padding(state) -> tuple[tuple[int, bytes], ...]:
         if pos < end:
             runs.append((pos, _raw(state, pos, end)))
     return tuple(runs)
-
-
-def _finalize_annotations(state) -> None:
-    """Compose per-step marks into instruction annotations in a fixed order."""
-    minted_used = {addr: name for addr, name in state.labels.blocks.items()
-                   if addr not in state.labels.bb_backed
-                   and name in state.labels.used}
-    for addr in state.instr_addrs:
-        ins = state.instrs[addr]
-        notes = []
-        if addr in state.func_open:
-            notes.append(f".func {state.func_open[addr]}")
-            notes.extend(state.slot_lines.get(addr, ()))
-        if addr in state.block_marks:
-            notes.append(f"{state.block_marks[addr]}:")
-        elif addr in minted_used and addr not in state.func_open:
-            notes.append(f"{minted_used[addr]}:")
-        post = (".endfunc",) if addr in state.func_close else ()
-        if notes or post:
-            state.instrs[addr] = replace(ins, annotations=tuple(notes),
-                                         post_annotations=post)
 
 
 # --- rendering ---
@@ -890,11 +851,6 @@ def render_instruction(ins: Instruction) -> str:
     return ins.mnemonic + " " + ", ".join(render_operand(op) for op in ins.operands)
 
 
-def _between(addrs, lo, hi):
-    """The entries of the sorted list ``addrs`` strictly between lo and hi."""
-    return addrs[bisect_right(addrs, lo):bisect_left(addrs, hi)]
-
-
 def _byte_lines(data: bytes):
     """``.byte`` lines for ``data``: 8 values a line (fewer on the last), each
     ``0xHH`` in lower-case hex, separated by ``", "``; no line for no bytes."""
@@ -903,90 +859,111 @@ def _byte_lines(data: bytes):
 
 
 def emit_assembly(lp: LiftedProgram) -> str:
+    """Render ``lp`` as text the bundled assembler accepts.
+
+    This is the one place that decides where label lines go. A section is its
+    ``.section`` line, then its items in address order: instructions and
+    padding runs in code, variable parts in data. ``_label_lines`` maps
+    addresses to label lines; an address's lines print once, before the first
+    item there (right after ``.section`` for the section base), and raw bytes
+    are cut at every mapped address inside them. An address inside an
+    instruction, a ``.zero`` run or a pointer cell gets no lines. The map
+    holds:
+
+    - a used section floor at the section base;
+    - ``.func NAME`` and its ``.slot`` lines at a decoded function entry;
+    - a block label at a decoded ``BASIC_BLOCK`` record, or wherever used;
+    - a variable's label at the variable's start;
+    - an unrecorded data label wherever used.
+
+    At a shared address the order is floor, ``.func``/``.slot``, then block or
+    data label. ``.endfunc`` follows the instruction at a decoded
+    ``FUNCTION_END`` record. Decoded means emitted as an instruction in code.
+    """
+    sections = [(sec, _items(lp, sec)) for sec in lp.sections]
+    code = {addr for sec, items in sections if sec.exec
+            for addr, item in items if isinstance(item, Instruction)}
+    marks = _label_lines(lp, code)
+    cuts = sorted(marks)
     lines: list[str] = []
-    floor_used = {}
-    for addr, name in {**lp.labels.text_floors, **lp.labels.data_floors}.items():
-        if name in lp.labels.used:
-            floor_used[addr] = name
-
-    data_marks = {addr: name for addr, name in lp.labels.data_labels.items()
-                  if addr not in lp.labels.record_backed
-                  and name in lp.labels.used}
-    text_extra = {addr: name for addr, name in lp.labels.blocks.items()
-                  if addr not in lp.labels.bb_backed and name in lp.labels.used}
-
-    for sec in lp.sections:
+    for sec, items in sections:
         lines.append(f".section {sec.name} base=0x{sec.vaddr:x}")
-        if sec.vaddr in floor_used:
-            lines.append(f"{floor_used[sec.vaddr]}:")
-        if sec.exec:
-            _emit_text(lines, lp, sec, text_extra)
-        else:
-            _emit_data(lines, lp, sec, data_marks)
+        lines.extend(marks.pop(sec.vaddr, ()))
+        for addr, item in items:
+            if addr in marks:
+                lines.extend(marks.pop(addr))
+            if isinstance(item, Instruction):
+                lines.append("    " + render_instruction(item))
+                if addr in lp.labels.function_ends:
+                    lines.append(".endfunc")
+            elif isinstance(item, bytes):
+                pos = addr
+                for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, addr + len(item))]:
+                    lines.extend(_byte_lines(item[pos - addr:cut - addr]))
+                    lines.extend(marks.pop(cut, ()))
+                    pos = cut
+                lines.extend(_byte_lines(item[pos - addr:]))
+            else:
+                lines.append(_part_line(item))
     return "\n".join(lines) + "\n"
 
 
-def _emit_text(lines, lp, sec, text_extra):
-    extra_addrs = sorted(text_extra)
-    stream: list[tuple[int, str, object]] = []
-    for addr, ins in lp.instructions.items():
-        if sec.vaddr <= addr < sec.vaddr + sec.size:
-            stream.append((addr, "ins", ins))
-    for addr, blob in lp.padding:
-        if sec.vaddr <= addr < sec.vaddr + sec.size:
-            stream.append((addr, "pad", blob))
-    stream.sort(key=lambda item: item[0])
-
-    for addr, kind, payload in stream:
-        if kind == "ins":
-            lines.extend(payload.annotations)
-            lines.append("    " + render_instruction(payload))
-            lines.extend(payload.post_annotations)
-        else:
-            cuts = _between(extra_addrs, addr, addr + len(payload))
-            pos = addr
-            for cut in cuts + [addr + len(payload)]:
-                if pos in text_extra:
-                    lines.append(f"{text_extra[pos]}:")
-                lines.extend(_byte_lines(payload[pos - addr:cut - addr]))
-                pos = cut
-
-
-def _emit_data(lines, lp, sec, data_marks):
-    mark_addrs = sorted(data_marks)
+def _items(lp, sec):
+    """(address, item) in address order: instructions and padding runs in
+    code, variable parts in data; raw bytes are ``bytes``."""
+    lo, hi = sec.vaddr, sec.vaddr + sec.size
+    if sec.exec:
+        items = [(addr, ins) for addr, ins in lp.instructions.items() if lo <= addr < hi]
+        items += [(addr, blob) for addr, blob in lp.padding if lo <= addr < hi]
+        items.sort(key=lambda item: item[0])
+        return items
+    items = []
     for var in lp.variables:
-        if not (sec.vaddr <= var.address < sec.vaddr + sec.size):
-            continue
+        if lo <= var.address < hi:
+            addr = var.address
+            for part in var.payload:
+                if isinstance(part, RawBytes):
+                    items.append((addr, part.data))
+                    addr += len(part.data)
+                else:
+                    items.append((addr, part))
+                    addr += part.size if isinstance(part, Zeroes) else POINTER_WIDTH
+    return items
+
+
+def _label_lines(lp, code) -> dict[int, list[str]]:
+    """Address -> its label lines in order; ``code``: the emitted instructions."""
+    lm = lp.labels
+    marks: dict[int, list[str]] = {}
+    for addr, name in {**lm.text_floors, **lm.data_floors}.items():
+        if name in lm.used:
+            marks.setdefault(addr, []).append(f"{name}:")
+    for addr, name in lm.functions.items():
+        if addr in code:
+            marks.setdefault(addr, []).extend(
+                [f".func {name}"] + [f".slot {name}, {slot}, {off}"
+                                     for off, slot in lm.slots.get(addr, ())])
+    for addr, name in lm.blocks.items():
+        if name in lm.used or (addr in lm.bb_backed and addr in code):
+            marks.setdefault(addr, []).append(f"{name}:")
+    for var in lp.variables:
         if var.label:
-            lines.append(f"{var.label}:")
-        pos = var.address
-        for part in var.payload:
-            if isinstance(part, RawBytes):
-                cuts = _between(mark_addrs, pos, pos + len(part.data))
-                sub = pos
-                for cut in cuts + [pos + len(part.data)]:
-                    if sub in data_marks:
-                        lines.append(f"{data_marks[sub]}:")
-                    lines.extend(_byte_lines(part.data[sub - pos:cut - pos]))
-                    sub = cut
-                pos += len(part.data)
-            elif isinstance(part, PointerPayload):
-                if pos in data_marks:
-                    lines.append(f"{data_marks[pos]}:")
-                ref = part.label + (f" + {part.offset}" if part.offset else "")
-                lines.append(f"    .quad {ref}")
-                pos += POINTER_WIDTH
-            elif isinstance(part, DiffPayload):
-                if pos in data_marks:
-                    lines.append(f"{data_marks[pos]}:")
-                a = part.minuend_label + (f" + {part.minuend_offset}"
-                                          if part.minuend_offset else "")
-                b = part.subtrahend_label + (f" + {part.subtrahend_offset}"
-                                             if part.subtrahend_offset else "")
-                lines.append(f"    .quad {a} - {b}")
-                pos += POINTER_WIDTH
-            else:  # Zeroes
-                if pos in data_marks:
-                    lines.append(f"{data_marks[pos]}:")
-                lines.append(f"    .zero {part.size}")
-                pos += part.size
+            marks.setdefault(var.address, []).append(f"{var.label}:")
+    for addr, name in lm.data_labels.items():
+        if addr not in lm.record_backed and name in lm.used:
+            marks.setdefault(addr, []).append(f"{name}:")
+    return marks
+
+
+def _part_line(part) -> str:
+    """The line for a variable part other than raw bytes."""
+    if isinstance(part, Zeroes):
+        return f"    .zero {part.size}"
+    if isinstance(part, PointerPayload):
+        return f"    .quad {_ref(part.label, part.offset)}"
+    return (f"    .quad {_ref(part.minuend_label, part.minuend_offset)} - "
+            f"{_ref(part.subtrahend_label, part.subtrahend_offset)}")
+
+
+def _ref(label, offset):
+    return label + (f" + {offset}" if offset else "")

@@ -34,6 +34,7 @@ encode(decode(b)) == b, and decode(encode(m)) == m whenever encode succeeds.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -44,11 +45,13 @@ from .errors import (
     Diagnostic,
     InconsistentFacts,
     InvariantViolation,
+    IsaError,
     NonCanonical,
     TruncatedTable,
     UnsupportedVersion,
     VarintOverflow,
     WARNING,
+    quoted,
 )
 
 MAGIC = b"ELLF"
@@ -211,7 +214,8 @@ def check_invariants(meta: EllfMetadata) -> None:
             last = off
         if last > U64:
             raise InvariantViolation(
-                f"stack offset {last} of 0x{srec.function_entry:x} does not fit in 64 bits")
+                f"stack offset {quoted(last)} of 0x{srec.function_entry:x} does not "
+                f"fit in 64 bits")
 
     prev_end = None
     for drec in meta.data:
@@ -730,49 +734,46 @@ def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagn
         else:
             runs.append([start, end])
 
-    # Decode each run to count instructions and learn instruction starts.
+    # Decode each run to count instructions; the runs are sorted and disjoint,
+    # so ``decoded`` is in address order and covers exactly the runs.
     regions = []
-    instr_starts = set()
-    instr_extent = {}  # start -> length
+    decoded = []
     for start, end in runs:
         addr = start
-        count = 0
+        first = len(decoded)
         while addr < end:
-            ins = decode_one(image, addr)
-            instr_starts.add(addr)
-            instr_extent[addr] = ins.length
-            addr += ins.length
-            count += 1
+            decoded.append(decode_one(image, addr))
+            addr += decoded[-1].length
         if addr != end:
             raise InconsistentFacts(
                 f"instructions decoded from 0x{start:x} overrun the block end 0x{end:x}")
-        regions.append(InstructionRegion(start, count))
-
-    def region_of(addr):
-        for start, end in runs:
-            if start <= addr < end:
-                return start, end
-        return None
+        regions.append(InstructionRegion(start, len(decoded) - first))
+    starts = [ins.address for ins in decoded]
 
     # Text records: first block of a function starts it, the last instruction
-    # of its last block ends it.
+    # of its last block ends it. Every block starts an instruction.
     text = set()
     for blocks in facts.basic_blocks:
         if not blocks.block_offsets:
             continue
         order = sorted(zip(blocks.block_offsets, blocks.block_sizes))
-        entry = blocks.function_addr + order[0][0]
-        text.add(TextRecord(entry, FUNCTION_START))
-        for off, _ in order[1:]:
-            text.add(TextRecord(blocks.function_addr + off, BASIC_BLOCK))
-        last_off, last_size = order[-1]
-        last_end = blocks.function_addr + last_off + last_size
-        last_instr = max(a for a in instr_starts
-                         if blocks.function_addr + last_off <= a < last_end)
-        text.add(TextRecord(last_instr, FUNCTION_END))
+        for k, (off, size) in enumerate(order):
+            addr = blocks.function_addr + off
+            i = bisect_left(starts, addr)
+            if i == len(starts) or starts[i] != addr:
+                raise InconsistentFacts(
+                    f"function 0x{blocks.function_addr:x}: the block at 0x{addr:x} "
+                    f"is not at an instruction start")
+            text.add(TextRecord(addr, BASIC_BLOCK if k else FUNCTION_START))
+        # The loop left addr, size and i at the last block.
+        last = bisect_left(starts, addr + size) - 1
+        if last < i:
+            raise InconsistentFacts(
+                f"function 0x{blocks.function_addr:x}: the block at 0x{addr:x} "
+                f"holds no instruction")
+        text.add(TextRecord(starts[last], FUNCTION_END))
 
     # Pointer records from relocations.
-    tables = {t.table_addr: t for t in facts.jump_tables}
     pointers = []
     for reloc in facts.relocations:
         if reloc.kind == "diff32":
@@ -794,28 +795,24 @@ def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagn
                     f"is not inside any declared jump table")
             pointers.append(DataDiff(reloc.addr, reloc.target_addr, sub))
             continue
-        inside = region_of(reloc.addr)
-        if inside is None:
+        i = bisect_right(starts, reloc.addr) - 1
+        if i < 0 or reloc.addr >= starts[i] + decoded[i].length:
             if reloc.kind == "pc32":
                 raise InconsistentFacts(
                     f"pc-relative relocation at 0x{reloc.addr:x} falls outside every "
                     f"instruction region; 4-byte pointer cells are not representable")
             pointers.append(DataPointer(reloc.addr, reloc.target_addr))
             continue
-        # Inside a region: locate the containing instruction and the operand
+        # Inside a region: find the operand of the containing instruction
         # whose immediate or displacement field sits exactly at the reloc.
-        instr_addr = max(a for a in instr_starts if a <= reloc.addr)
-        ins = decode_one(image, instr_addr)
-        operand_index = None
-        for fld in ins.fields:
-            if instr_addr + fld.offset == reloc.addr:
-                operand_index = fld.operand
-                break
+        ins = decoded[i]
+        operand_index = next((fld.operand for fld in ins.fields
+                              if ins.address + fld.offset == reloc.addr), None)
         if operand_index is None:
             raise InconsistentFacts(
                 f"relocation at 0x{reloc.addr:x} is inside an instruction region but "
                 f"not at an operand immediate/displacement position")
-        pointers.append(OperandPointer(instr_addr, operand_index, reloc.target_addr))
+        pointers.append(OperandPointer(ins.address, operand_index, reloc.target_addr))
 
     # Data records with the drop-later overlap rule.
     data_records = []
@@ -897,7 +894,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                 ins = decode_one(byte_map, addr)
                 decoded[addr] = ins
                 addr += ins.length
-        except Exception as exc:  # undecodable region: report, skip alignment checks
+        except IsaError as exc:  # undecodable region: report, skip alignment checks
             diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
                                              f"does not decode: {exc}", region.start,
                                   record=region))

@@ -216,6 +216,31 @@ def test_overlapping_blocks_rejected(facts_demo_image):
         from_build_facts(facts, image)
 
 
+MOV_RET = {0x100 + i: b for i, b in enumerate(bytes.fromhex("b82a000000c3"))}
+
+
+@pytest.mark.parametrize("offsets, sizes", [
+    ((0, 2), (2, 3)),        # the last block starts inside mov eax, 42
+    ((0, 2, 5), (2, 3, 1)),  # an earlier block does
+])
+def test_a_block_inside_an_instruction_is_rejected(offsets, sizes):
+    facts = BuildFacts(basic_blocks=(BlockFacts(0x100, offsets, sizes),))
+    with pytest.raises(InconsistentFacts,
+                       match="block at 0x102 is not at an instruction start"):
+        from_build_facts(facts, MOV_RET)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ((BlockFacts(0x100, (0, 5), (5, 0)),), "block at 0x105 is not at an instruction start"),
+    # 0x105 starts the ret that the second function decodes
+    ((BlockFacts(0x100, (0, 5), (5, 0)), BlockFacts(0x105, (0,), (1,))),
+     "block at 0x105 holds no instruction"),
+])
+def test_an_empty_last_block_is_rejected(blocks, message):
+    with pytest.raises(InconsistentFacts, match=message):
+        from_build_facts(BuildFacts(basic_blocks=blocks), MOV_RET)
+
+
 def test_build_facts_json_loader():
     obj = {
         "basic_blocks": [{"function_addr": "0x4000", "block_offsets": [0],

@@ -153,3 +153,74 @@ def test_metadata_json_that_is_not_utf8_fails_cleanly(tmp_path, capsys, assemble
     assert code == cli.EXIT_DOMAIN
     assert err.startswith(f"error: {meta} is not valid JSON: ")
     assert not (tmp_path / "out.elf").exists()
+
+
+HUGE = "0x" + "7" * 4000  # an int Python will not write in decimal (over 4300 digits)
+TEXT = ".section .text base=0x1000\n.func f\n    {}\n    ret\n.endfunc\n"
+DATA = ".section .data base=0x2000\n    {}\n"
+BIG = "18446744073709551616"  # 2**64
+SYNTAX = "AsmSyntaxError: "
+
+
+@pytest.mark.parametrize("source, error", [
+    pytest.param(DATA.format(".byte " + HUGE), f"{SYNTAX}line 2: byte value {HUGE} out of range",
+                 id="byte"),
+    pytest.param(DATA.format(".byte -" + HUGE), f"{SYNTAX}line 2: byte value -{HUGE} out of range",
+                 id="byte-negative"),
+    pytest.param(DATA.format(".long " + HUGE), f"{SYNTAX}line 2: long value {HUGE} out of range",
+                 id="long"),
+    pytest.param(DATA.format(".quad " + HUGE), f"{SYNTAX}line 2: quad value {HUGE} out of range",
+                 id="quad"),
+    pytest.param(DATA.format(".zero " + HUGE),
+                 f"{SYNTAX}line 2: .zero size {HUGE} does not fit in 64 bits", id="zero"),
+    pytest.param(DATA.format(".zero -" + HUGE),
+                 f"{SYNTAX}line 2: .zero needs a positive size, got -{HUGE}", id="zero-negative"),
+    pytest.param(TEXT.format("mov rax, " + HUGE),
+                 f"{SYNTAX}line 3: mov immediate {HUGE} does not fit 64 bits", id="mov-64"),
+    pytest.param(TEXT.format("mov eax, " + HUGE),
+                 f"{SYNTAX}line 3: mov immediate {HUGE} does not fit 32 bits", id="mov-32"),
+    pytest.param(TEXT.format("add rax, " + HUGE),
+                 f"{SYNTAX}line 3: add immediate {HUGE} does not fit 32 bits", id="add"),
+    pytest.param(TEXT.format("test rax, " + HUGE),
+                 f"{SYNTAX}line 3: test immediate {HUGE} does not fit 32 bits", id="test"),
+    pytest.param(TEXT.format("push " + HUGE), f"{SYNTAX}line 3: bad operand for push: Immediate",
+                 id="push"),
+    pytest.param(TEXT.format(f"mov rax, [rbx + {HUGE}]"),
+                 f"{SYNTAX}line 3: displacement {HUGE} does not fit in 32 bits", id="displacement"),
+    pytest.param(TEXT.format(f"mov rax, [{HUGE}]"),
+                 f"{SYNTAX}line 3: displacement {HUGE} does not fit in 32 bits", id="absolute"),
+    pytest.param(TEXT.format(f"mov rax, [rbx + rcx*{HUGE}]"),
+                 f"{SYNTAX}line 3: invalid scale {HUGE}", id="scale"),
+    pytest.param(TEXT.format(f".slot f, s, -{HUGE}"),
+                 f"{SYNTAX}line 3: slot offset must be positive: -{HUGE}", id="slot-negative"),
+    pytest.param(TEXT.format(f".slot f, s, {HUGE}"),
+                 f"InvariantViolation: stack offset {HUGE} of 0x1000 does not fit in 64 bits",
+                 id="slot"),
+    # Values Python can write keep their decimal messages.
+    pytest.param(DATA.format(".byte " + "9" * 4300),
+                 f"{SYNTAX}line 2: byte value {'9' * 4300} out of range", id="byte-4300-digits"),
+    pytest.param(DATA.format(".quad 0x10000000000000000"),
+                 f"{SYNTAX}line 2: quad value {BIG} out of range", id="quad-2**64"),
+    pytest.param(DATA.format(".quad -0x8000000000000001"),
+                 f"{SYNTAX}line 2: quad value -9223372036854775809 out of range", id="quad-below"),
+    pytest.param(DATA.format(".zero 0x10000000000000000"),
+                 f"{SYNTAX}line 2: .zero size {BIG} does not fit in 64 bits", id="zero-2**64"),
+    pytest.param(TEXT.format("mov rax, 0x10000000000000000"),
+                 f"{SYNTAX}line 3: mov immediate {BIG} does not fit 64 bits", id="mov-2**64"),
+])
+def test_an_integer_literal_of_any_size_fails_cleanly(tmp_path, capsys, source, error):
+    path = tmp_path / "prog.s"
+    path.write_text(source)
+    code, _, err = run(capsys, "asm", path, "-o", tmp_path / "prog.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err == f"error: {error}\n"
+    assert not (tmp_path / "prog.elf").exists()
+
+
+def test_quad_values_at_the_ends_of_the_range_assemble(tmp_path, capsys):
+    path = tmp_path / "prog.s"
+    path.write_text(DATA.format(".quad -0x8000000000000000, 0xffffffffffffffff"))
+    code, _, _ = run(capsys, "asm", path, "-o", tmp_path / "prog.elf")
+    assert code == cli.EXIT_OK
+    image = elfio.load_image(elfio.read_elf((tmp_path / "prog.elf").read_bytes()))
+    assert image.read(0x2000, 0x2010) == bytes(7) + b"\x80" + b"\xff" * 8

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellf.errors import RangeOverflow, TruncatedInstruction, UnknownOpcode, UnsupportedForm
+from ellf.errors import (IsaError, RangeOverflow, TruncatedInstruction, UnknownOpcode,
+                         UnsupportedForm)
 from ellf.isa import (
     CALL,
     CONDITIONAL_JUMP,
@@ -204,3 +206,15 @@ def test_decode_encode_identity_random_forms():
         assert ins.operands == tuple(operands), (mnemonic, operands, encoded.hex())
         assert ins.length == len(encoded)
         assert encode_one(ins.mnemonic, ins.operands, address) == encoded
+
+
+@settings(max_examples=2000)
+@given(st.binary(min_size=1, max_size=16), st.integers(0, (1 << 64) - 17))
+def test_decode_one_returns_an_instruction_or_raises_an_isa_error(data, base):
+    image, addr = image_at(data, base)
+    try:
+        ins = decode_one(image, addr)
+    except IsaError:
+        return
+    assert isinstance(ins, Instruction) and ins.address == addr
+    assert 1 <= ins.length <= len(data)

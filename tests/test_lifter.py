@@ -29,6 +29,7 @@ from ellf.lifter import (
     generate_labels,
     lift,
     lift_unsymbolized,
+    render_instruction,
 )
 from ellf.meta import (
     BASIC_BLOCK,
@@ -184,10 +185,13 @@ def test_diff_payload_rendering(sparse_lift):
 
 
 def test_function_annotations(sparse_lift):
-    entry = sparse_lift.instructions[0x4000]
-    assert entry.annotations == (".func F_4000",)
-    last = sparse_lift.instructions[0x4023]
-    assert last.post_annotations == (".endfunc",)
+    lines = emit_assembly(sparse_lift).splitlines()
+    entry = render_instruction(sparse_lift.instructions[0x4000])
+    last = render_instruction(sparse_lift.instructions[0x4023])
+    assert lines[:3] == [".section .text base=0x4000", ".func F_4000", "    " + entry]
+    i = lines.index("    " + last)
+    assert lines[i - 1:i + 2] == [".Lb3:", "    " + last, ".endfunc"]
+    assert lines.count(".func F_4000") == lines.count(".endfunc") == 1
 
 
 def test_direct_jump_rewritten_to_minted_label(sparse_lift):
@@ -437,6 +441,20 @@ def test_padding_bytes_emitted_explicitly():
     lp = lift(elfio.read_elf(elf), meta, mode="strict")
     text = emit_assembly(lp)
     assert "    .byte 0x2a" in text
+
+
+def test_lenient_lift_defines_a_recorded_block_label_used_in_padding():
+    src = (".section .text base=0x1000\n.func main\n    jmp inpad\n    ret\n"
+           "inpad:\n    .byte 0xc3\n.endfunc\n")
+    elf, meta = assemble(parse_assembly(src))
+    img = elfio.read_elf(elf)
+    meta = replace(meta, text=meta.text + (TextRecord(0x1006, BASIC_BLOCK),))
+    lp = lift(img, meta, mode="lenient")
+    assert lp.padding == ((0x1006, b"\xc3"),)
+    text = emit_assembly(lp)
+    assert text.endswith("    jmp .Lb2\n    ret\n.endfunc\n.Lb2:\n    .byte 0xc3\n")
+    elf2, _ = assemble(parse_assembly(text))
+    assert elfio.load_image(elfio.read_elf(elf2)) == elfio.load_image(img)
 
 
 def test_coverage_partition_over_corpus():
