@@ -1,5 +1,6 @@
 """Frozen outputs: the assembled ELF and the lifted text of every bundled
-program, and of a byte-heavy program written here.
+program, and of a byte-heavy program written here, plus the outcomes of the
+instruction decoder and encoder on seeded random inputs.
 
 Each digest pair is the SHA-256 of ``assemble()``'s ELF bytes and of the
 emitted text of a strict lift (a lenient lift for the straddle hazard, which
@@ -18,6 +19,8 @@ import pytest
 from ellf import elfio
 from ellf.asm import assemble, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
+from ellf.isa import (REG32, REG64, SUBSET_MNEMONICS, Immediate, MemRef, PcRel, Register,
+                      SymbolRef, decode_one, encode_one)
 from ellf.lifter import emit_assembly, lift
 
 from conftest import TABLE_DEMO
@@ -150,3 +153,118 @@ def test_lenient_lift_emits_the_strict_text(name):
     img = elfio.read_elf(elf)
     assert (emit_assembly(lift(img, meta, mode="lenient"))
             == emit_assembly(lift(img, meta, mode="strict")))
+
+
+# --- the instruction decoder and encoder ---
+
+U64 = (1 << 64) - 1
+
+# First bytes the decoder gives a meaning to, and the second bytes after 0F.
+DECODE_OPCODES = (0x90, 0xC3, 0xC9, 0xF4, 0xE8, 0xE9, 0xEB, 0x0F, 0xFF, 0x01, 0x09, 0x21,
+                  0x29, 0x31, 0x39, 0x85, 0x89, 0x03, 0x0B, 0x23, 0x2B, 0x33, 0x3B, 0x8B,
+                  0x81, 0x83, 0xF7, 0xC7, 0x8D, 0x63, *range(0x50, 0x60), *range(0xB8, 0xC0))
+SECOND_OPCODES = (0x05, 0xAF, *range(0x80, 0x90))
+
+ISA_FROZEN = {
+    "decode": "d57745d9529934a3ede0b4dad9248b64f34716773fceb2a3fc988e095100bb9b",
+    "encode": "d3dc09f8123a46e0c56326770c364ba35c0cd2710b654825fb55f5a662f7defc",
+}
+
+
+def outcome(call, *args):
+    """The ``repr`` of what ``call`` returns, or its exception's class and message."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # noqa: BLE001 - every outcome is frozen, errors included
+        return f"{type(exc).__name__}: {exc}"
+
+
+def random_address(rng):
+    return rng.choice((0x1000, 0x401000, U64 - 7, rng.randrange(1 << 64)))
+
+
+def decode_inputs(seed=9, count=20_000):
+    """``(image, address)`` pairs: 1-16 random bytes, half of them behind a REX
+    byte, a third opening with an opcode byte the decoder knows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        head = []
+        if rng.random() < 0.5:
+            head.append(rng.randrange(0x40, 0x50))
+        if rng.random() < 1 / 3:
+            head.append(rng.choice(DECODE_OPCODES))
+            if head[-1] == 0x0F and rng.random() < 0.5:
+                head.append(rng.choice(SECOND_OPCODES))
+        data = bytes(head) + rng.randbytes(rng.randint(0, 16))
+        data = data[:rng.randint(1, 16)]
+        address = random_address(rng)
+        yield {address + i: b for i, b in enumerate(data)}, address
+
+
+def random_int(rng):
+    bits = rng.choice((4, 4, 7, 8, 8, 15, 31, 32, 32, 33, 63, 64, 65, 80))
+    value = rng.randrange(1 << bits)
+    if rng.random() < 0.3:
+        value = (1 << bits) - 1 - rng.randrange(4)
+    return -value if rng.random() < 0.4 else value
+
+
+def random_operand(rng, address):
+    kind = rng.choices(range(6), (8, 3, 5, 3, 1, 1))[0]
+    if kind == 0:
+        return Register(rng.choice(REG64 + REG32))
+    if kind == 1:
+        return Immediate(random_int(rng), rng.choice((0, 0, 8, 32, 64)))
+    if kind == 2:
+        rip = rng.random() < 0.2
+        base = None
+        if not rip or rng.random() < 0.1:
+            base = rng.choice((None, "eax", "r9d") + REG64 * 4)
+        index = None if rng.random() < 0.6 else rng.choice(("ecx",) + REG64)
+        disp = rng.choice((0, rng.randint(-129, 128), rng.randint(-(1 << 31), 1 << 31),
+                           random_int(rng)))
+        return MemRef(base=base, index=index, scale=rng.choice((1, 2, 4, 8) * 3 + (3,)),
+                      disp=disp, rip_relative=rip)
+    if kind == 3:
+        if rng.random() < 0.7:
+            return PcRel((address + rng.randint(-200, 200)) & U64)
+        return PcRel(rng.randrange(1 << 64))
+    if kind == 4:
+        return SymbolRef("L", rng.randint(-4, 4))
+    return rng.choice((5, "rax", None))
+
+
+def encode_inputs(seed=11, count=20_000):
+    """``(mnemonic, operands, address)`` calls: every subset mnemonic and an
+    unknown one, with 0-3 operands of every kind, some past their fields."""
+    rng = random.Random(seed)
+    jcc = sorted(m for m in SUBSET_MNEMONICS if m.startswith("j") and m != "jmp")
+    mnemonics = sorted(SUBSET_MNEMONICS.difference(jcc)) + ["movabs", "jcc"]
+    for _ in range(count):
+        mnemonic = rng.choice(mnemonics)
+        if mnemonic == "jcc":
+            mnemonic = rng.choice(jcc)
+        if rng.random() < 0.8:  # mostly the mnemonic's own operand count
+            arity = (0 if mnemonic in ("ret", "leave", "nop", "hlt", "syscall")
+                     else 1 if mnemonic in ("push", "pop", "inc", "dec", "jmp", "call")
+                     or mnemonic.startswith("j") else 2)
+        else:
+            arity = rng.randint(0, 3)
+        address = random_address(rng)
+        operands = tuple(random_operand(rng, address) for _ in range(arity))
+        yield mnemonic, operands, address
+
+
+def outcomes_digest(call, inputs):
+    digest = hashlib.sha256()
+    for args in inputs:
+        digest.update(outcome(call, *args).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_decoder_outcomes_match_the_frozen_digest():
+    assert outcomes_digest(decode_one, decode_inputs()) == ISA_FROZEN["decode"]
+
+
+def test_encoder_outcomes_match_the_frozen_digest():
+    assert outcomes_digest(encode_one, encode_inputs()) == ISA_FROZEN["encode"]
