@@ -24,11 +24,18 @@ a 64-bit mov, or of 32 on add/or/and/sub/xor/cmp, fixes the field at that
 width instead; the assembler relies on this to give a label immediate the
 same length whatever the label's value. Byte patterns outside the subset are
 decoding errors, never best-effort guesses.
+
+Both directions read one set of opcode tables: ``_NO_OPERANDS``,
+``_PCREL_OPCODES`` (rel32 branches), ``_ARITH_OPS`` (group-1 arithmetic),
+``_MR_OPCODES`` and ``_RM_OPCODES`` (register/ModRM forms),
+``_EXT_OPCODES`` (forms whose ModRM reg field extends the opcode, with their
+immediate widths) and ``_PLUS_R`` (register in the opcode byte). The encoder
+looks a form up by mnemonic; the decoder looks it up by opcode bytes in maps
+inverted from the same tables, so changing a form's bytes is one table edit.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .errors import (RangeOverflow, TruncatedInstruction, UnknownOpcode, UnsupportedForm,
@@ -151,6 +158,50 @@ def instruction_class(ins: Instruction) -> InstrClass:
     return InstrClass(FALLTHROUGH)
 
 
+# --- opcode tables ---
+#
+# Every fact about a form's bytes is written once, in the tables below.
+# encode_one looks them up by mnemonic; decode_one looks up the inverted maps
+# that follow them by opcode bytes.
+
+_NO_OPERANDS = {"nop": b"\x90", "ret": b"\xC3", "leave": b"\xC9", "hlt": b"\xF4",
+                "syscall": b"\x0F\x05"}
+
+# rel32 forms: the field follows the opcode, so a form is len(opcode) + 4 bytes.
+_PCREL_OPCODES = {"call": b"\xE8", "jmp": b"\xE9",
+                  **{m: bytes([0x0F, 0x80 + cc]) for cc, m in enumerate(JCC_MNEMONICS)}}
+
+# Group-1 arithmetic: mnemonic -> (MR opcode, RM opcode, /ext under 0x81 and 0x83).
+_ARITH_OPS = {"add": (0x01, 0x03, 0), "or": (0x09, 0x0B, 1), "and": (0x21, 0x23, 4),
+              "sub": (0x29, 0x2B, 5), "xor": (0x31, 0x33, 6), "cmp": (0x39, 0x3B, 7)}
+
+# ModRM forms with a register operand: "r/m, r" (MR) and "r, r/m" (RM).
+_MR_OPCODES = {"test": b"\x85", "mov": b"\x89",
+               **{m: bytes([mr]) for m, (mr, _, _) in _ARITH_OPS.items()}}
+_RM_OPCODES = {"mov": b"\x8B", "lea": b"\x8D", "movsxd": b"\x63", "imul": b"\x0F\xAF",
+               **{m: bytes([rm]) for m, (_, rm, _) in _ARITH_OPS.items()}}
+
+# ModRM forms whose reg field extends the opcode:
+# (mnemonic, immediate field bytes, 0 for none) -> (opcode, /ext).
+_EXT_OPCODES = {("inc", 0): (b"\xFF", 0), ("dec", 0): (b"\xFF", 1),
+                ("call", 0): (b"\xFF", 2), ("jmp", 0): (b"\xFF", 4),
+                ("test", 4): (b"\xF7", 0), ("mov", 4): (b"\xC7", 0),
+                **{(m, 1): (b"\x83", ext) for m, (_, _, ext) in _ARITH_OPS.items()},
+                **{(m, 4): (b"\x81", ext) for m, (_, _, ext) in _ARITH_OPS.items()}}
+
+# Forms that hold their register in the opcode's low three bits.
+_PLUS_R = {"push": 0x50, "pop": 0x58, "mov": 0xB8}
+
+_NO_OPERAND_CODES = {code: m for m, code in _NO_OPERANDS.items()}
+_PCREL_CODES = {b"\xEB": ("jmp", 1),  # rel8 jmp: decoded, never emitted
+                **{code: (m, 4) for m, code in _PCREL_OPCODES.items()}}
+_MR_CODES = {code: m for m, code in _MR_OPCODES.items()}
+_RM_CODES = {code: m for m, code in _RM_OPCODES.items()}
+_EXT_CODES = {key: form for form, key in _EXT_OPCODES.items()}
+_EXT_GROUPS = frozenset(code for code, _ in _EXT_CODES)
+_PLUS_R_CODES = {base + num: m for m, base in _PLUS_R.items() for num in range(8)}
+
+
 # --- decoding ---
 
 class _Reader:
@@ -168,35 +219,25 @@ class _Reader:
         self.pos += 1
         return byte
 
-    def s8(self):
-        v = self.u8()
-        return v - 256 if v >= 128 else v
-
-    def s32(self):
-        raw = bytes(self.u8() for _ in range(4))
-        return struct.unpack("<i", raw)[0]
-
-    def u32(self):
-        raw = bytes(self.u8() for _ in range(4))
-        return struct.unpack("<I", raw)[0]
-
-    def u64(self):
-        raw = bytes(self.u8() for _ in range(8))
-        return struct.unpack("<Q", raw)[0]
+    def field(self, width, signed=True):
+        """The next ``width`` bytes as a little-endian integer."""
+        return int.from_bytes(bytes(self.u8() for _ in range(width)), "little",
+                              signed=signed)
 
 
 def _regname(num, size):
     return REG64[num] if size == 64 else REG32[num]
 
 
-def _read_modrm(rd: _Reader, rex: int, rm_size: int):
-    """Returns (reg_field, rm_operand, disp_field_span or None)."""
+def _read_modrm(rd: _Reader, rex: int, rm_size: int, operand: int):
+    """Returns (reg_field, rm_operand, fields), where ``fields`` holds the
+    displacement's field, as operand number ``operand``, if there is one."""
     m = rd.u8()
     mod, reg, rm = m >> 6, (m >> 3) & 7, m & 7
     reg |= ((rex >> 2) & 1) << 3  # REX.R
     if mod == 3:
         num = rm | ((rex & 1) << 3)  # REX.B
-        return reg, Register(_regname(num, rm_size)), None
+        return reg, Register(_regname(num, rm_size)), ()
 
     base = index = None
     scale = 1
@@ -220,22 +261,26 @@ def _read_modrm(rd: _Reader, rex: int, rm_size: int):
         base = REG64[rm | ((rex & 1) << 3)]
 
     disp = 0
-    span = None
-    if mod == 1:
-        span = (rd.pos, 1)
-        disp = rd.s8()
-    elif mod == 2 or force_disp32:
-        span = (rd.pos, 4)
-        disp = rd.s32()
+    fields = ()
+    width = 1 if mod == 1 else 4 if mod == 2 or force_disp32 else 0
+    if width:
+        fields = (OperandField(operand, rd.pos, width, "disp"),)
+        disp = rd.field(width)
     return reg, MemRef(base=base, index=index, scale=scale, disp=disp,
-                       rip_relative=rip), span
+                       rip_relative=rip), fields
 
 
-_ARITH_MR = {0x01: "add", 0x09: "or", 0x21: "and", 0x29: "sub",
-             0x31: "xor", 0x39: "cmp", 0x85: "test", 0x89: "mov"}
-_ARITH_RM = {0x03: "add", 0x0B: "or", 0x23: "and", 0x2B: "sub",
-             0x33: "xor", 0x3B: "cmp", 0x8B: "mov"}
-_GROUP1 = {0: "add", 1: "or", 4: "and", 5: "sub", 6: "xor", 7: "cmp"}
+def _rel(rd: _Reader, width: int):
+    """The PC-relative operand that ends the instruction, and its field."""
+    field = OperandField(0, rd.pos, width, "rel")
+    rel = rd.field(width)
+    return (PcRel((rd.addr + rd.pos + rel) & U64),), (field,)
+
+
+def _imm(rd: _Reader, dst: Register, width: int, signed=True):
+    """``dst`` and the immediate that ends the instruction, and its field."""
+    field = OperandField(1, rd.pos, width, "imm")
+    return (dst, Immediate(rd.field(width, signed), 8 * width)), (field,)
 
 
 def decode_one(image, addr: int) -> Instruction:
@@ -257,156 +302,68 @@ def decode_one(image, addr: int) -> Instruction:
         return UnknownOpcode(f"byte pattern at 0x{addr:x} is outside the "
                              f"instruction subset (opcode 0x{op:02x})")
 
-    # no-operand opcodes; a REX prefix on them is outside the subset
-    if op in (0x90, 0xC3, 0xC9, 0xF4):
-        if rex:
-            raise unknown()
-        return done({0x90: "nop", 0xC3: "ret", 0xC9: "leave", 0xF4: "hlt"}[op], ())
+    code = bytes([op, rd.u8()]) if op == 0x0F else bytes([op])
 
-    if 0x50 <= op <= 0x57 or 0x58 <= op <= 0x5F:
-        if rex & 0x0E:  # only REX.B is meaningful here
+    if code in _NO_OPERAND_CODES or code in _PCREL_CODES:
+        if rex:  # a REX prefix on these is outside the subset
             raise unknown()
+        if code in _NO_OPERAND_CODES:
+            return done(_NO_OPERAND_CODES[code], ())
+        mnemonic, width = _PCREL_CODES[code]
+        return done(mnemonic, *_rel(rd, width))
+
+    if op in _PLUS_R_CODES:
+        mnemonic = _PLUS_R_CODES[op]
         num = (op & 7) | ((rex & 1) << 3)
-        mnemonic = "push" if op <= 0x57 else "pop"
+        if mnemonic == "mov":  # imm64 (movabs) with REX.W, else imm32
+            return done(mnemonic, *_imm(rd, Register(_regname(num, size)), 8 if w else 4,
+                                        signed=False))
+        if rex & 0x0E:  # only REX.B is meaningful on push and pop
+            raise unknown()
         return done(mnemonic, (Register(REG64[num]),))
 
-    if op in (0xE8, 0xE9):
-        if rex:
+    if code in _EXT_GROUPS:
+        reg, rm_op, fields = _read_modrm(rd, rex, size, 0)
+        if (code, reg) not in _EXT_CODES:
             raise unknown()
-        span = (rd.pos, 4)
-        rel = rd.s32()
-        target = (addr + rd.pos + rel) & U64
-        return done("call" if op == 0xE8 else "jmp", (PcRel(target),),
-                    [OperandField(0, span[0], 4, "rel")])
-
-    if op == 0xEB:
-        if rex:
-            raise unknown()
-        span = (rd.pos, 1)
-        rel = rd.s8()
-        target = (addr + rd.pos + rel) & U64
-        return done("jmp", (PcRel(target),), [OperandField(0, span[0], 1, "rel")])
-
-    if op == 0x0F:
-        op2 = rd.u8()
-        if op2 == 0x05:
-            if rex:
-                raise unknown()
-            return done("syscall", ())
-        if 0x80 <= op2 <= 0x8F:
-            if rex:
-                raise unknown()
-            span = (rd.pos, 4)
-            rel = rd.s32()
-            target = (addr + rd.pos + rel) & U64
-            return done(JCC_MNEMONICS[op2 - 0x80], (PcRel(target),),
-                        [OperandField(0, span[0], 4, "rel")])
-        if op2 == 0xAF:
-            reg, rm_op, span = _read_modrm(rd, rex, size)
-            fields = _disp_fields(span, operand=1)
-            return done("imul", (Register(_regname(reg, size)), rm_op), fields)
-        raise unknown()
-
-    if op == 0xFF:
-        reg, rm_op, span = _read_modrm(rd, rex, size)
-        if reg in (0, 1):  # inc/dec, register forms only
+        mnemonic, width = _EXT_CODES[code, reg]
+        if width or mnemonic in ("inc", "dec"):  # register forms only
             if not isinstance(rm_op, Register):
                 raise unknown()
-            return done("inc" if reg == 0 else "dec", (rm_op,))
-        if reg in (2, 4):  # call/jmp indirect, always 64-bit
-            if w:
-                raise unknown()
-            if isinstance(rm_op, Register):
-                rm_op = Register(REG64[rm_op.num])
-            fields = _disp_fields(span, operand=0)
-            return done("call" if reg == 2 else "jmp", (rm_op,), fields)
-        raise unknown()
-
-    if op in _ARITH_MR:
-        reg, rm_op, span = _read_modrm(rd, rex, size)
-        fields = _disp_fields(span, operand=0)
-        return done(_ARITH_MR[op], (rm_op, Register(_regname(reg, size))), fields)
-
-    if op in _ARITH_RM:
-        reg, rm_op, span = _read_modrm(rd, rex, size)
+            if width:
+                return done(mnemonic, *_imm(rd, rm_op, width))
+            return done(mnemonic, (rm_op,))
+        if w:  # call/jmp indirect, always 64-bit
+            raise unknown()
         if isinstance(rm_op, Register):
-            raise unknown()  # register-to-register canonically uses the MR opcode
-        fields = _disp_fields(span, operand=1)
-        return done(_ARITH_RM[op], (Register(_regname(reg, size)), rm_op), fields)
+            rm_op = Register(REG64[rm_op.num])
+        return done(mnemonic, (rm_op,), fields)
 
-    if op in (0x81, 0x83):
-        reg, rm_op, span = _read_modrm(rd, rex, size)
-        if reg not in _GROUP1 or not isinstance(rm_op, Register):
+    if code in _MR_CODES:
+        reg, rm_op, fields = _read_modrm(rd, rex, size, 0)
+        return done(_MR_CODES[code], (rm_op, Register(_regname(reg, size))), fields)
+
+    if code in _RM_CODES:
+        mnemonic = _RM_CODES[code]
+        if mnemonic == "movsxd" and not w:
             raise unknown()
-        if op == 0x83:
-            f = OperandField(1, rd.pos, 1, "imm")
-            imm = Immediate(rd.s8(), 8)
-        else:
-            f = OperandField(1, rd.pos, 4, "imm")
-            imm = Immediate(rd.s32(), 32)
-        return done(_GROUP1[reg], (rm_op, imm), [f])
-
-    if op == 0xF7:
-        reg, rm_op, span = _read_modrm(rd, rex, size)
-        if reg != 0 or not isinstance(rm_op, Register):
-            raise unknown()
-        f = OperandField(1, rd.pos, 4, "imm")
-        imm = Immediate(rd.s32(), 32)
-        return done("test", (rm_op, imm), [f])
-
-    if op == 0xC7:
-        reg, rm_op, span = _read_modrm(rd, rex, size)
-        if reg != 0 or not isinstance(rm_op, Register):
-            raise unknown()
-        f = OperandField(1, rd.pos, 4, "imm")
-        imm = Immediate(rd.s32(), 32)
-        return done("mov", (rm_op, imm), [f])
-
-    if 0xB8 <= op <= 0xBF:
-        num = (op & 7) | ((rex & 1) << 3)
-        if w:  # movabs
-            f = OperandField(1, rd.pos, 8, "imm")
-            imm = Immediate(rd.u64(), 64)
-            return done("mov", (Register(REG64[num]), imm), [f])
-        f = OperandField(1, rd.pos, 4, "imm")
-        imm = Immediate(rd.u32(), 32)
-        return done("mov", (Register(REG32[num]), imm), [f])
-
-    if op == 0x8D:
-        reg, rm_op, span = _read_modrm(rd, rex, size)
-        if not isinstance(rm_op, MemRef):
-            raise unknown()
-        fields = _disp_fields(span, operand=1)
-        return done("lea", (Register(_regname(reg, size)), rm_op), fields)
-
-    if op == 0x63:
-        if not w:
-            raise unknown()
-        reg, rm_op, span = _read_modrm(rd, rex, 32)
-        fields = _disp_fields(span, operand=1)
-        return done("movsxd", (Register(REG64[reg]), rm_op), fields)
+        reg, rm_op, fields = _read_modrm(rd, rex, 32 if mnemonic == "movsxd" else size, 1)
+        if isinstance(rm_op, Register) and mnemonic not in ("imul", "movsxd"):
+            raise unknown()  # lea needs memory; register-to-register uses the MR opcode
+        return done(mnemonic, (Register(_regname(reg, size)), rm_op), fields)
 
     raise unknown()
 
 
-def _disp_fields(span, operand):
-    if span is None:
-        return ()
-    return (OperandField(operand, span[0], span[1], "disp"),)
-
-
 # --- encoding ---
-
-_ARITH_OPS = {"add": (0x01, 0x03, 0), "or": (0x09, 0x0B, 1), "and": (0x21, 0x23, 4),
-              "sub": (0x29, 0x2B, 5), "xor": (0x31, 0x33, 6), "cmp": (0x39, 0x3B, 7)}
-
-_PCREL_LENGTH = {"jmp": 5, "call": 5}
-_PCREL_LENGTH.update({m: 6 for m in JCC_MNEMONICS})
-
 
 def _rex(w=0, r=0, x=0, b=0):
     bits = (w << 3) | (r << 2) | (x << 1) | b
     return bytes([0x40 | bits]) if bits else b""
+
+
+def _le(value, width, signed=True):
+    return value.to_bytes(width, "little", signed=signed)
 
 
 def _ss(scale):
@@ -432,7 +389,7 @@ def _mem_bytes(reg_field: int, mem: MemRef) -> tuple[int, int, int, bytes]:
         if mem.base is not None or mem.index is not None:
             raise UnsupportedForm("RIP-relative reference cannot have base or index")
         body.append(((reg_field & 7) << 3) | 0x05)
-        body += struct.pack("<i", mem.disp)
+        body += _le(mem.disp, 4)
         return r_bit, 0, 0, bytes(body)
 
     if mem.index == "rsp":
@@ -451,7 +408,7 @@ def _mem_bytes(reg_field: int, mem: MemRef) -> tuple[int, int, int, bytes]:
             idx = _REG_INFO[mem.index][0]
             x_bit = idx >> 3
             body.append((_ss(mem.scale) << 6) | ((idx & 7) << 3) | 0x05)
-        body += struct.pack("<i", mem.disp)
+        body += _le(mem.disp, 4)
         return r_bit, x_bit, 0, bytes(body)
 
     base_num = _REG_INFO[mem.base][0]
@@ -473,27 +430,31 @@ def _mem_bytes(reg_field: int, mem: MemRef) -> tuple[int, int, int, bytes]:
             idx = _REG_INFO[mem.index][0]
             x_bit = idx >> 3
             body.append((_ss(mem.scale) << 6) | ((idx & 7) << 3) | (base_num & 7))
-    if mod == 1:
-        body += struct.pack("<b", mem.disp)
-    elif mod == 2:
-        body += struct.pack("<i", mem.disp)
+    if mod:
+        body += _le(mem.disp, 1 if mod == 1 else 4)
     return r_bit, x_bit, b_bit, bytes(body)
-
-
-def _reg_rm_bytes(reg_field: int, rm: Register) -> tuple[int, int, int, bytes]:
-    num = rm.num
-    modrm = 0xC0 | ((reg_field & 7) << 3) | (num & 7)
-    return reg_field >> 3, 0, num >> 3, bytes([modrm])
 
 
 def _rm_encode(opcode: bytes, reg_field: int, rm_op, opsize: int) -> bytes:
     if isinstance(rm_op, Register):
-        r, x, b, body = _reg_rm_bytes(reg_field, rm_op)
+        num = rm_op.num
+        r, x, b = reg_field >> 3, 0, num >> 3
+        body = bytes([0xC0 | ((reg_field & 7) << 3) | (num & 7)])
     elif isinstance(rm_op, MemRef):
         r, x, b, body = _mem_bytes(reg_field, rm_op)
     else:
-        raise UnsupportedForm(f"operand {rm_op!r} cannot be a ModRM target")
+        raise UnsupportedForm(f"operand {quoted(rm_op, repr)} cannot be a ModRM target")
     return _rex(1 if opsize == 64 else 0, r, x, b) + opcode + body
+
+
+def _ext_encode(m, rm_op, opsize, width=0, value=0):
+    """An opcode-extension form, with a ``width``-byte immediate if ``width``."""
+    opcode, ext = _EXT_OPCODES[m, width]
+    return _rm_encode(opcode, ext, rm_op, opsize) + _le(value, width)
+
+
+def _plus_r_encode(m, reg: Register, w=0):
+    return _rex(w, 0, 0, reg.num >> 3) + bytes([_PLUS_R[m] | (reg.num & 7)])
 
 
 def _same_size(*regs):
@@ -516,58 +477,44 @@ def encode_one(mnemonic: str, operands, address: int = 0) -> bytes:
     ops = tuple(operands)
     m = mnemonic
 
-    if m in ("ret", "leave", "nop", "hlt", "syscall"):
+    if m in _NO_OPERANDS:
         if ops:
             raise UnsupportedForm(f"{m} takes no operands")
-        return {"ret": b"\xC3", "leave": b"\xC9", "nop": b"\x90",
-                "hlt": b"\xF4", "syscall": b"\x0f\x05"}[m]
+        return _NO_OPERANDS[m]
 
     if m in ("push", "pop"):
         (reg,) = _expect(m, ops, 1, Register)
         if reg.size != 64:
             raise UnsupportedForm(f"{m} takes a 64-bit register")
-        base = 0x50 if m == "push" else 0x58
-        return _rex(b=reg.num >> 3) + bytes([base | (reg.num & 7)])
+        return _plus_r_encode(m, reg)
 
     if m in ("inc", "dec"):
         (reg,) = _expect(m, ops, 1, Register)
-        ext = 0 if m == "inc" else 1
-        return _rm_encode(b"\xFF", ext, reg, reg.size)
+        return _ext_encode(m, reg, reg.size)
 
-    if m == "jmp" or m == "call" or m in JCC_MNEMONICS:
+    if m in _PCREL_OPCODES:  # jmp, call and every jcc
         if len(ops) != 1:
             raise UnsupportedForm(f"{m} takes one operand")
         op = ops[0]
         if isinstance(op, PcRel):
-            length = _PCREL_LENGTH[m] if m in _PCREL_LENGTH else None
-            if length is None:
-                raise UnsupportedForm(f"{m} has no PC-relative form")
+            opcode = _PCREL_OPCODES[m]
+            length = len(opcode) + 4
             rel = _wrap_s64(op.target - (address + length))
             if not _imm_signed(rel, 32):
                 raise RangeOverflow(f"relative target 0x{op.target:x} out of rel32 "
                                     f"range from 0x{address:x}")
-            if m == "jmp":
-                return b"\xE9" + struct.pack("<i", rel)
-            if m == "call":
-                return b"\xE8" + struct.pack("<i", rel)
-            cc = JCC_MNEMONICS.index(m)
-            return bytes([0x0F, 0x80 + cc]) + struct.pack("<i", rel)
+            return opcode + _le(rel, 4)
         if m in JCC_MNEMONICS:
             raise UnsupportedForm(f"{m} only takes a relative target")
-        if isinstance(op, Register):
-            if op.size != 64:
-                raise UnsupportedForm(f"indirect {m} needs a 64-bit register")
-            ext = 2 if m == "call" else 4
-            return _rm_encode(b"\xFF", ext, op, 32)  # no REX.W in long mode
-        if isinstance(op, MemRef):
-            ext = 2 if m == "call" else 4
-            return _rm_encode(b"\xFF", ext, op, 32)
-        raise UnsupportedForm(f"bad operand for {m}: {op!r}")
+        if isinstance(op, Register) and op.size != 64:
+            raise UnsupportedForm(f"indirect {m} needs a 64-bit register")
+        if not isinstance(op, (Register, MemRef)):
+            raise UnsupportedForm(f"bad operand for {m}: {quoted(op, repr)}")
+        return _ext_encode(m, op, 32)  # no REX.W in long mode
 
     if m == "lea":
         dst, src = _expect(m, ops, 2, Register, MemRef)
-        r, x, b, body = _mem_bytes(dst.num, src)
-        return _rex(1 if dst.size == 64 else 0, r, x, b) + b"\x8D" + body
+        return _rm_encode(_RM_OPCODES[m], dst.num, src, dst.size)
 
     if m == "movsxd":
         if len(ops) != 2 or not isinstance(ops[0], Register):
@@ -575,93 +522,55 @@ def encode_one(mnemonic: str, operands, address: int = 0) -> bytes:
         dst, src = ops
         if dst.size != 64:
             raise UnsupportedForm("movsxd destination must be 64-bit")
-        if isinstance(src, Register):
-            if src.size != 32:
-                raise UnsupportedForm("movsxd source register must be 32-bit")
-            r, x, b, body = _reg_rm_bytes(dst.num, src)
-        elif isinstance(src, MemRef):
-            r, x, b, body = _mem_bytes(dst.num, src)
-        else:
-            raise UnsupportedForm(f"bad movsxd source {src!r}")
-        return _rex(1, r, x, b) + b"\x63" + body
+        if isinstance(src, Register) and src.size != 32:
+            raise UnsupportedForm("movsxd source register must be 32-bit")
+        if not isinstance(src, (Register, MemRef)):
+            raise UnsupportedForm(f"bad movsxd source {quoted(src, repr)}")
+        return _rm_encode(_RM_OPCODES[m], dst.num, src, 64)
 
     if m == "imul":
         dst, src = _expect(m, ops, 2, Register, (Register, MemRef))
-        if isinstance(src, Register):
-            size = _same_size(dst, src)
-            r, x, b, body = _reg_rm_bytes(dst.num, src)
-        else:
-            size = dst.size
-            r, x, b, body = _mem_bytes(dst.num, src)
-        return _rex(1 if size == 64 else 0, r, x, b) + b"\x0F\xAF" + body
+        size = _same_size(dst, src) if isinstance(src, Register) else dst.size
+        return _rm_encode(_RM_OPCODES[m], dst.num, src, size)
 
-    if m == "mov":
-        return _encode_mov(ops)
-
-    if m == "test":
-        dst, src = _expect(m, ops, 2, (Register, MemRef), (Register, Immediate))
-        if isinstance(src, Register):
-            if isinstance(dst, Register):
-                size = _same_size(dst, src)
-            else:
-                size = src.size
-            return _rm_encode(b"\x85", src.num, dst, size)
-        if not isinstance(dst, Register):
-            raise UnsupportedForm("test with an immediate needs a register")
-        if not _imm_signed(src.value, 32):
-            raise UnsupportedForm(
-                f"test immediate {quoted(src.value)} does not fit 32 bits")
-        return _rm_encode(b"\xF7", 0, dst, dst.size) + struct.pack("<i", src.value)
-
-    if m in _ARITH_OPS:
-        mr, rm, ext = _ARITH_OPS[m]
-        dst, src = _expect(m, ops, 2, (Register, MemRef), (Register, MemRef, Immediate))
+    if m in _MR_OPCODES:  # mov, test and the group-1 arithmetic
+        src_kinds = (Register, MemRef, Immediate) if m in _RM_OPCODES else (Register, Immediate)
+        dst, src = _expect(m, ops, 2, (Register, MemRef), src_kinds)
         if isinstance(src, Immediate):
-            if not isinstance(dst, Register):
-                raise UnsupportedForm(f"{m} with an immediate needs a register")
-            if _imm_signed(src.value, 8) and src.width != 32:
-                return (_rm_encode(b"\x83", ext, dst, dst.size)
-                        + struct.pack("<b", src.value))
-            if _imm_signed(src.value, 32):
-                return (_rm_encode(b"\x81", ext, dst, dst.size)
-                        + struct.pack("<i", src.value))
-            raise UnsupportedForm(
-                f"{m} immediate {quoted(src.value)} does not fit 32 bits")
-        if isinstance(src, Register) and isinstance(dst, (Register, MemRef)):
+            return _encode_mov_imm(dst, src) if m == "mov" else _encode_imm(m, dst, src)
+        if isinstance(src, Register):
             size = src.size if isinstance(dst, MemRef) else _same_size(dst, src)
-            return _rm_encode(bytes([mr]), src.num, dst, size)
-        if isinstance(dst, Register) and isinstance(src, MemRef):
-            return _rm_encode(bytes([rm]), dst.num, src, dst.size)
+            return _rm_encode(_MR_OPCODES[m], src.num, dst, size)
+        if isinstance(dst, Register):
+            return _rm_encode(_RM_OPCODES[m], dst.num, src, dst.size)
         raise UnsupportedForm(f"unsupported {m} operand combination")
 
     raise UnsupportedForm(f"mnemonic {m!r} is not in the subset")
 
 
-def _encode_mov(ops):
-    dst, src = _expect("mov", ops, 2, (Register, MemRef), (Register, MemRef, Immediate))
-    if isinstance(src, Immediate):
-        if not isinstance(dst, Register):
-            raise UnsupportedForm("mov with an immediate needs a register destination")
-        value = src.value
-        if dst.size == 32:
-            if not -(1 << 31) <= value < (1 << 32):
-                raise UnsupportedForm(
-                    f"mov immediate {quoted(value)} does not fit 32 bits")
-            value &= 0xFFFFFFFF
-            return (_rex(b=dst.num >> 3) + bytes([0xB8 | (dst.num & 7)])
-                    + struct.pack("<I", value))
-        if _imm_signed(value, 32) and src.width != 64:
-            return _rm_encode(b"\xC7", 0, dst, 64) + struct.pack("<i", value)
-        if not -(1 << 63) <= value <= U64:
-            raise UnsupportedForm(f"mov immediate {quoted(value)} does not fit 64 bits")
-        return (_rex(1, 0, 0, dst.num >> 3) + bytes([0xB8 | (dst.num & 7)])
-                + struct.pack("<Q", value & U64))
-    if isinstance(src, Register) and isinstance(dst, (Register, MemRef)):
-        size = src.size if isinstance(dst, MemRef) else _same_size(dst, src)
-        return _rm_encode(b"\x89", src.num, dst, size)
-    if isinstance(dst, Register) and isinstance(src, MemRef):
-        return _rm_encode(b"\x8B", dst.num, src, dst.size)
-    raise UnsupportedForm("unsupported mov operand combination")
+def _encode_imm(m, dst, imm: Immediate):
+    if not isinstance(dst, Register):
+        raise UnsupportedForm(f"{m} with an immediate needs a register")
+    if (m, 1) in _EXT_OPCODES and _imm_signed(imm.value, 8) and imm.width != 32:
+        return _ext_encode(m, dst, dst.size, 1, imm.value)
+    if _imm_signed(imm.value, 32):
+        return _ext_encode(m, dst, dst.size, 4, imm.value)
+    raise UnsupportedForm(f"{m} immediate {quoted(imm.value)} does not fit 32 bits")
+
+
+def _encode_mov_imm(dst, imm: Immediate):
+    if not isinstance(dst, Register):
+        raise UnsupportedForm("mov with an immediate needs a register destination")
+    value = imm.value
+    if dst.size == 32:
+        if not -(1 << 31) <= value < (1 << 32):
+            raise UnsupportedForm(f"mov immediate {quoted(value)} does not fit 32 bits")
+        return _plus_r_encode("mov", dst) + _le(value & 0xFFFFFFFF, 4, signed=False)
+    if _imm_signed(value, 32) and imm.width != 64:
+        return _ext_encode("mov", dst, 64, 4, value)
+    if not -(1 << 63) <= value <= U64:
+        raise UnsupportedForm(f"mov immediate {quoted(value)} does not fit 64 bits")
+    return _plus_r_encode("mov", dst, 1) + _le(value & U64, 8, signed=False)
 
 
 def _expect(mnemonic, ops, count, *kinds):
