@@ -150,6 +150,11 @@ class Instr:
     line: int
 
 
+def section_kind(name: str) -> tuple[bool, bool]:
+    """(executable, zero-fill): what the dialect makes of a section name."""
+    return name.startswith(".text"), name.startswith(".bss")
+
+
 @dataclass
 class AsmSection:
     name: str
@@ -158,11 +163,11 @@ class AsmSection:
 
     @property
     def execable(self):
-        return self.name.startswith(".text")
+        return section_kind(self.name)[0]
 
     @property
     def nobits(self):
-        return self.name.startswith(".bss")
+        return section_kind(self.name)[1]
 
     @property
     def writable(self):
@@ -611,14 +616,14 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                             f".{item.directive} not allowed in the zero-fill section "
                             f"{section.name}", item.line)
                     addr += item.payload
-                    continue
-                run = None
-                encoded, _ = _encode_data(item, addr)
-                if item.directive == "quad" and _uses_labels(item.payload):
-                    fixups.append((item, addr, len(encoded), None, blob,
-                                   addr - section.base))
-                blob += encoded
-                addr += len(encoded)
+                else:
+                    run = None
+                    encoded, _ = _encode_data(item, addr)
+                    if item.directive == "quad" and _uses_labels(item.payload):
+                        fixups.append((item, addr, len(encoded), None, blob,
+                                       addr - section.base))
+                    blob += encoded
+                    addr += len(encoded)
             elif isinstance(item, Instr):
                 if nobits:
                     raise AsmSyntaxError(
@@ -637,6 +642,9 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                     current_func.last_instr = addr
                 blob += encoded
                 addr += len(encoded)
+            if addr > 1 << 64:
+                raise AsmSyntaxError(f"section {section.name} runs past the end of the "
+                                     f"64-bit address space", item.line)
         laid_out.append((section, blob, addr - section.base, names))
 
     for item in sorted(set_labels, key=lambda s: s.line):
@@ -792,7 +800,11 @@ def _encode_data(item: Data, addr, labels=None):
     if item.directive == "long":
         return b"".join(v.to_bytes(4, "little") for v in item.payload), []
     if item.directive == "zero":
-        return bytes(item.payload), []
+        try:
+            return bytes(item.payload), []
+        except (OverflowError, MemoryError):
+            raise AsmSyntaxError(f".zero size {item.payload:#x} is too large to hold in "
+                                 f"memory", item.line) from None
     out = bytearray()
     records = []
     for i, expr in enumerate(item.payload):

@@ -158,11 +158,7 @@ def instruction_class(ins: Instruction) -> InstrClass:
     return InstrClass(FALLTHROUGH)
 
 
-# --- opcode tables ---
-#
-# Every fact about a form's bytes is written once, in the tables below.
-# encode_one looks them up by mnemonic; decode_one looks up the inverted maps
-# that follow them by opcode bytes.
+# --- opcode tables (encode_one reads them by mnemonic) ---
 
 _NO_OPERANDS = {"nop": b"\x90", "ret": b"\xC3", "leave": b"\xC9", "hlt": b"\xF4",
                 "syscall": b"\x0F\x05"}
@@ -192,6 +188,7 @@ _EXT_OPCODES = {("inc", 0): (b"\xFF", 0), ("dec", 0): (b"\xFF", 1),
 # Forms that hold their register in the opcode's low three bits.
 _PLUS_R = {"push": 0x50, "pop": 0x58, "mov": 0xB8}
 
+# The same tables inverted, for decode_one to read by opcode bytes.
 _NO_OPERAND_CODES = {code: m for m, code in _NO_OPERANDS.items()}
 _PCREL_CODES = {b"\xEB": ("jmp", 1),  # rel8 jmp: decoded, never emitted
                 **{code: (m, 4) for m, code in _PCREL_OPCODES.items()}}

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
+from .asm import section_kind
 from .elfio import ElfImage, ImageView, load_image
 from .errors import (
     DanglingTextRecord,
@@ -761,6 +762,7 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
                        diagnostics=list(problems),
                        reported={p.record for p in problems})
 
+    _check_section_names(state)
     coarse_symbolize(state)
     text_symbolize(state)
     stack_symbolize(state)
@@ -776,6 +778,24 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
         cfgs=cfgs,
         diagnostics=tuple(state.diagnostics),
     )
+
+
+def _check_section_names(state: _LiftState) -> None:
+    """Fault each section that the emitted ``.section NAME`` line would not
+    rebuild: one that is executable or zero-fill where the assembly dialect
+    gives a section of that name the other. A section whose write flag alone
+    differs from what its name gives (as ``.eh_frame``'s may) is let through,
+    since the reassembled bytes are the same."""
+    for sec in state.image.sections:
+        actual = (sec.exec, sec.kind == "nobits")
+        if sec.alloc and actual != section_kind(sec.name):
+            message = (f"section {sec.name} is {_kind_name(*actual)} but the assembly "
+                       f"dialect reads its name as {_kind_name(*section_kind(sec.name))}")
+            state.fault(LiftError, "section", message, sec.vaddr)
+
+
+def _kind_name(execable, nobits):
+    return ("zero-fill " if nobits else "") + ("code" if execable else "data")
 
 
 def _collect_padding(state) -> tuple[tuple[int, bytes], ...]:
@@ -866,18 +886,18 @@ def emit_assembly(lp: LiftedProgram) -> str:
     padding runs in code, variable parts in data. ``_label_lines`` maps
     addresses to label lines; an address's lines print once, before the first
     item there (right after ``.section`` for the section base), and raw bytes
-    are cut at every mapped address inside them. An address inside an
-    instruction, a ``.zero`` run or a pointer cell gets no lines. The map
-    holds:
+    and ``.zero`` runs are cut at every mapped address inside them. An address
+    inside an instruction or a pointer cell gets no lines. The map holds:
 
     - a used section floor at the section base;
     - ``.func NAME`` and its ``.slot`` lines at a decoded function entry;
+    - a used function's ``NAME:`` line anywhere else;
     - a block label at a decoded ``BASIC_BLOCK`` record, or wherever used;
     - a variable's label at the variable's start;
     - an unrecorded data label wherever used.
 
-    At a shared address the order is floor, ``.func``/``.slot``, then block or
-    data label. ``.endfunc`` follows the instruction at a decoded
+    At a shared address the order is floor, function, then block or data
+    label. ``.endfunc`` follows the instruction at a decoded
     ``FUNCTION_END`` record. Decoded means emitted as an instruction in code.
     """
     sections = [(sec, _items(lp, sec)) for sec in lp.sections]
@@ -896,16 +916,24 @@ def emit_assembly(lp: LiftedProgram) -> str:
                 lines.append("    " + render_instruction(item))
                 if addr in lp.labels.function_ends:
                     lines.append(".endfunc")
-            elif isinstance(item, bytes):
+            elif isinstance(item, (bytes, Zeroes)):
+                end = addr + (item.size if isinstance(item, Zeroes) else len(item))
                 pos = addr
-                for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, addr + len(item))]:
-                    lines.extend(_byte_lines(item[pos - addr:cut - addr]))
+                for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, end)]:
+                    lines.extend(_fill_lines(item, pos - addr, cut - addr))
                     lines.extend(marks.pop(cut, ()))
                     pos = cut
-                lines.extend(_byte_lines(item[pos - addr:]))
+                lines.extend(_fill_lines(item, pos - addr, end - addr))
             else:
                 lines.append(_part_line(item))
     return "\n".join(lines) + "\n"
+
+
+def _fill_lines(item, lo, hi):
+    """The lines for offsets ``lo`` to ``hi`` of raw bytes or a ``.zero`` run."""
+    if isinstance(item, Zeroes):
+        return [f"    .zero {hi - lo}"]
+    return _byte_lines(item[lo:hi])
 
 
 def _items(lp, sec):
@@ -943,6 +971,8 @@ def _label_lines(lp, code) -> dict[int, list[str]]:
             marks.setdefault(addr, []).extend(
                 [f".func {name}"] + [f".slot {name}, {slot}, {off}"
                                      for off, slot in lm.slots.get(addr, ())])
+        elif name in lm.used:
+            marks.setdefault(addr, []).append(f"{name}:")
     for addr, name in lm.blocks.items():
         if name in lm.used or (addr in lm.bb_backed and addr in code):
             marks.setdefault(addr, []).append(f"{name}:")
@@ -956,9 +986,7 @@ def _label_lines(lp, code) -> dict[int, list[str]]:
 
 
 def _part_line(part) -> str:
-    """The line for a variable part other than raw bytes."""
-    if isinstance(part, Zeroes):
-        return f"    .zero {part.size}"
+    """The line for a pointer or difference cell."""
     if isinstance(part, PointerPayload):
         return f"    .quad {_ref(part.label, part.offset)}"
     return (f"    .quad {_ref(part.minuend_label, part.minuend_offset)} - "

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from ellf import cli, elfio
+from ellf.asm import assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs
+from ellf.meta import decode_metadata, metadata_to_json
 
 
 def run(capsys, *argv):
@@ -36,6 +38,35 @@ def test_asm_lift_roundtrip(tmp_path, capsys, assembled):
     assert out.splitlines() == ["byte identity:      PASS",
                                 "metadata fixpoint:  PASS",
                                 "text fixpoint:      PASS"]
+
+
+def test_inject_writes_the_elf_that_assemble_builds(tmp_path, capsys):
+    prog = parse_assembly(corpus_programs()["06_dispatch3"])
+    plain, meta = assemble_image(prog)
+    (tmp_path / "plain.elf").write_bytes(plain)
+    (tmp_path / "meta.json").write_text(json.dumps(metadata_to_json(meta)))
+    code, out, _ = run(capsys, "inject", tmp_path / "plain.elf", "--meta",
+                       tmp_path / "meta.json", "-o", tmp_path / "out.elf")
+    assert code == cli.EXIT_OK and out.startswith("injected .ellf: ")
+    assert (tmp_path / "out.elf").read_bytes() == assemble(prog)[0]
+
+
+def test_extract_json_prints_the_metadata_document(capsys, assembled):
+    code, out, _ = run(capsys, "extract", assembled, "--json")
+    assert code == cli.EXIT_OK
+    ellf = elfio.extract_section(elfio.read_elf(assembled.read_bytes()), ".ellf")
+    assert json.loads(out) == metadata_to_json(decode_metadata(ellf))
+
+
+def test_base_options_place_sections_that_declare_no_base(tmp_path, capsys):
+    source = tmp_path / "prog.s"
+    source.write_text(".section .text\n.func f\n    ret\n.endfunc\n.section .data\n"
+                      "    .byte 1\n")
+    code, _, _ = run(capsys, "asm", source, "--base-text", "0x5000", "--base-data=0x7000",
+                     "-o", tmp_path / "prog.elf")
+    assert code == cli.EXIT_OK
+    image = elfio.load_image(elfio.read_elf((tmp_path / "prog.elf").read_bytes()))
+    assert (image[0x5000], image[0x7000]) == (0xC3, 1)
 
 
 def test_missing_input_is_an_io_failure(tmp_path, capsys):
@@ -185,6 +216,12 @@ SYNTAX = "AsmSyntaxError: "
                  f"{SYNTAX}line 3: test immediate {HUGE} does not fit 32 bits", id="test"),
     pytest.param(TEXT.format("push " + HUGE), f"{SYNTAX}line 3: bad operand for push: Immediate",
                  id="push"),
+    pytest.param(TEXT.format("jmp " + HUGE), f"{SYNTAX}line 3: bad operand for jmp: Immediate",
+                 id="jmp"),
+    pytest.param(TEXT.format("call " + HUGE), f"{SYNTAX}line 3: bad operand for call: Immediate",
+                 id="call"),
+    pytest.param(TEXT.format("movsxd rax, " + HUGE),
+                 f"{SYNTAX}line 3: bad movsxd source Immediate", id="movsxd"),
     pytest.param(TEXT.format(f"mov rax, [rbx + {HUGE}]"),
                  f"{SYNTAX}line 3: displacement {HUGE} does not fit in 32 bits", id="displacement"),
     pytest.param(TEXT.format(f"mov rax, [{HUGE}]"),
@@ -224,3 +261,33 @@ def test_quad_values_at_the_ends_of_the_range_assemble(tmp_path, capsys):
     assert code == cli.EXIT_OK
     image = elfio.load_image(elfio.read_elf((tmp_path / "prog.elf").read_bytes()))
     assert image.read(0x2000, 0x2010) == bytes(7) + b"\x80" + b"\xff" * 8
+
+
+BSS = ".section .bss base=0x2000\n    {}\n"
+
+
+@pytest.mark.parametrize("source, error", [
+    pytest.param(DATA.format(".zero 0x8000000000000000"),
+                 f"{SYNTAX}line 2: .zero size 0x8000000000000000 is too large to hold in memory",
+                 id="progbits-zero"),
+    pytest.param(BSS.format(".zero 0xfffffffffffff000"),
+                 f"{SYNTAX}line 2: section .bss runs past the end of the 64-bit address space",
+                 id="nobits-zero"),
+    pytest.param(".section .data base=0xfffffffffffffff0\n    .quad 1, 2, 3\n",
+                 f"{SYNTAX}line 2: section .data runs past the end of the 64-bit address space",
+                 id="quad"),
+])
+def test_a_section_that_cannot_be_built_fails_cleanly(tmp_path, capsys, source, error):
+    path = tmp_path / "prog.s"
+    path.write_text(source)
+    code, _, err = run(capsys, "asm", path, "-o", tmp_path / "prog.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err == f"error: {error}\n"
+    assert not (tmp_path / "prog.elf").exists()
+
+
+def test_a_section_may_end_at_the_top_of_the_address_space(tmp_path, capsys):
+    path = tmp_path / "prog.s"
+    path.write_text(BSS.format(".zero 0xffffffffffffe000"))
+    code, _, _ = run(capsys, "asm", path, "-o", tmp_path / "prog.elf")
+    assert code == cli.EXIT_OK

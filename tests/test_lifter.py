@@ -33,6 +33,8 @@ from ellf.lifter import (
 )
 from ellf.meta import (
     BASIC_BLOCK,
+    FUNCTION_END,
+    FUNCTION_START,
     DataRecord,
     EllfMetadata,
     InstructionRegion,
@@ -455,6 +457,62 @@ def test_lenient_lift_defines_a_recorded_block_label_used_in_padding():
     assert text.endswith("    jmp .Lb2\n    ret\n.endfunc\n.Lb2:\n    .byte 0xc3\n")
     elf2, _ = assemble(parse_assembly(text))
     assert elfio.load_image(elfio.read_elf(elf2)) == elfio.load_image(img)
+
+
+def _reassembles_to_the_same_alloc_bytes(text, img):
+    elf, _ = assemble(parse_assembly(text))
+    return elfio.load_image(elfio.read_elf(elf)) == elfio.load_image(img)
+
+
+def test_a_data_label_inside_a_zero_run_is_defined():
+    src = (".section .text base=0x1000\n.func main\n    lea rcx, [mid]\n    ret\n.endfunc\n"
+           ".section .bss base=0x3000\nfirst:\n    .zero 16\nmid:\n    .zero 16\n")
+    elf, meta = assemble(parse_assembly(src))
+    img = elfio.read_elf(elf)
+    text = emit_assembly(lift(img, replace(meta, data=()), mode="strict"))
+    assert "    lea rcx, [D_3010]\n" in text
+    assert text.endswith(".section .bss base=0x3000\n    .zero 16\nD_3010:\n    .zero 16\n")
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
+
+
+def test_a_used_function_label_outside_decoded_code_is_defined():
+    elf, meta = assemble(parse_assembly(corpus_programs()["07_dispatch8"]))
+    img = elfio.read_elf(elf)
+    text_records = sorted(meta.text + (TextRecord(0x402034, FUNCTION_START),),
+                          key=lambda rec: rec.addr)
+    meta = replace(meta, instruction_regions=(), text=tuple(text_records))
+    text = emit_assembly(lift(img, meta, mode="lenient"))
+    assert "    .quad F_402034 - D_402200\n" in text
+    assert "\nF_402034:\n" in text and ".func" not in text
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
+
+
+def _one_section_elf(name, flags):
+    elf = elfio.build_elf([elfio.NewSection(name, 0x1000, b"\x90\xc3", sh_flags=flags)])
+    meta = EllfMetadata(instruction_regions=(InstructionRegion(0x1000, 2),),
+                        text=(TextRecord(0x1000, FUNCTION_START),
+                              TextRecord(0x1001, FUNCTION_END)))
+    return elfio.read_elf(elf), meta
+
+
+def test_a_code_section_whose_name_reads_as_data_is_a_fault():
+    img, meta = _one_section_elf(".init", elfio.SHF_ALLOC | elfio.SHF_EXECINSTR)
+    message = "section .init is code but the assembly dialect reads its name as data"
+    with pytest.raises(LiftError, match=message):
+        lift(img, meta, mode="strict")
+    lp = lift(img, meta, mode="lenient")
+    assert [(d.kind, d.message, d.addr) for d in lp.diagnostics] == [
+        ("section", message, 0x1000)]
+
+
+def test_a_section_whose_write_flag_alone_differs_from_its_name_lifts():
+    # Read-only .eh_frame reads as writable data; the reassembled bytes are the same.
+    elf = elfio.build_elf([elfio.NewSection(".eh_frame", 0x2000, b"\x14\x00\x00\x00",
+                                            sh_flags=elfio.SHF_ALLOC)])
+    img = elfio.read_elf(elf)
+    lp = lift(img, EllfMetadata(), mode="strict")
+    assert lp.diagnostics == ()
+    assert _reassembles_to_the_same_alloc_bytes(emit_assembly(lp), img)
 
 
 def test_coverage_partition_over_corpus():
