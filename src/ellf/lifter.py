@@ -25,7 +25,6 @@ from .errors import (
     LiftError,
     MetadataMismatch,
     NotAPointerPosition,
-    OperandIndexOutOfRange,
     PointerStraddle,
     RegionDecodeError,
     RegionOverlap,
@@ -343,9 +342,7 @@ def coarse_symbolize(state: _LiftState) -> None:
                 state.fault(NotAPointerPosition, "alignment", msg, rec.instr_addr)
             continue
         if rec.operand_index >= len(ins.operands):
-            raise OperandIndexOutOfRange(
-                f"operand index {rec.operand_index} out of range for the "
-                f"instruction at 0x{rec.instr_addr:x}")
+            continue  # validation reports it
         op = ins.operands[rec.operand_index]
         if isinstance(op, Immediate) and op.width == 8:
             continue  # validation reports it; a label would not fit the field

@@ -857,11 +857,12 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
     """Cross-check metadata against the sections of an ElfImage.
 
     Returns an empty list iff region starts and text records sit in executable
-    sections, pointer targets and diff operands sit in some section, data
-    records stay inside one data section, stack entries name function starts,
-    and operand pointers land on decoded instruction starts and name no 8-bit
-    immediate (too narrow for the label a lift puts there). Each diagnostic
-    carries the record it is about as ``record``.
+    sections, no region begins inside the decoded extent of the one before,
+    pointer targets and diff operands sit in some section, data records stay
+    inside one data section, stack entries name function starts, and operand
+    pointers land on decoded instruction starts and name an operand that
+    exists and is no 8-bit immediate (too narrow for the label a lift puts
+    there). Each diagnostic carries the record it is about as ``record``.
     """
     from .isa import Immediate, decode_one
 
@@ -882,9 +883,15 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
 
     byte_map = None
     decoded = {}  # instruction start -> instruction
+    extent = None  # (start, end) of the region decoded last
     for region in meta.instruction_regions:
         if not check_in_exec(region.start, "instruction region start", region):
             continue
+        if extent is not None and region.start < extent[1]:
+            diags.append(Diagnostic("overlap", f"region at 0x{region.start:x} begins "
+                                               f"inside the decoded extent of the "
+                                               f"region at 0x{extent[0]:x}",
+                                    region.start, record=region))
         if byte_map is None:
             from .elfio import load_image
             byte_map = load_image(image)
@@ -898,6 +905,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
             diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
                                              f"does not decode: {exc}", region.start,
                                   record=region))
+        extent = (region.start, addr)
 
     for rec in meta.pointers:
         if isinstance(rec, OperandPointer):
@@ -909,7 +917,12 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                         "alignment",
                         f"operand pointer address 0x{rec.instr_addr:x} is not an "
                         f"instruction start", rec.instr_addr, record=rec))
-            elif rec.operand_index < len(ins.operands):
+            elif rec.operand_index >= len(ins.operands):
+                diags.append(Diagnostic(
+                    "pointer",
+                    f"operand index {rec.operand_index} out of range for the "
+                    f"instruction at 0x{rec.instr_addr:x}", rec.instr_addr, record=rec))
+            else:
                 op = ins.operands[rec.operand_index]
                 if isinstance(op, Immediate) and op.width == 8:
                     diags.append(Diagnostic(

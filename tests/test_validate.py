@@ -7,7 +7,8 @@ import pytest
 
 from ellf import cli, elfio
 from ellf.asm import assemble_image, parse_assembly
-from ellf.errors import LiftError
+from ellf.corpus import corpus_programs
+from ellf.errors import LiftError, RegionOverlap
 from ellf.lifter import emit_assembly, lift
 from ellf.meta import (
     FUNCTION_END,
@@ -117,3 +118,71 @@ def test_operand_pointer_on_an_8_bit_immediate(tmp_path, capsys):
     assert code == cli.EXIT_DOMAIN
     assert "8-bit immediate" in capsys.readouterr().err
     assert not (tmp_path / "out.elf").exists()
+
+
+# ``mov rax, helper`` at 0x408000 is 10 bytes long and has two operands.
+BAD_POINTER = OperandPointer(0x408000, 5, 0x40800D)
+BAD_REGION = InstructionRegion(0x408001, 1)
+
+
+def _operand_index_out_of_range(meta):
+    return replace(meta, pointers=(BAD_POINTER,) + meta.pointers[1:])
+
+
+def _overlapping_regions(meta):
+    return replace(meta, instruction_regions=meta.instruction_regions + (BAD_REGION,))
+
+
+REFUSED = {
+    "operand_index_out_of_range": (
+        _operand_index_out_of_range, BAD_POINTER, "pointer",
+        "operand index 5 out of range for the instruction at 0x408000"),
+    "overlapping_regions": (
+        _overlapping_regions, BAD_REGION, "overlap",
+        "region at 0x408001 begins inside the decoded extent of the region at 0x408000"),
+}
+
+
+def _function_pointer_program():
+    elf, meta = assemble_image(parse_assembly(corpus_programs()["13_function_pointer"]))
+    return elf, elfio.read_elf(elf), meta
+
+
+@pytest.mark.parametrize("fault", sorted(REFUSED))
+def test_metadata_that_every_lift_refuses_fails_validation(fault):
+    mutate, record, kind, message = REFUSED[fault]
+    _, img, meta = _function_pointer_program()
+    meta = mutate(meta)
+    assert [(d.kind, d.message, d.record) for d in validate_metadata(meta, img)] == [
+        (kind, message, record)]
+    with pytest.raises(LiftError, match=f"metadata fails validation: .*{message}") as info:
+        lift(img, meta, mode="strict")
+    assert type(info.value) is LiftError
+
+
+@pytest.mark.parametrize("fault", sorted(REFUSED))
+def test_inject_refuses_metadata_that_every_lift_refuses(tmp_path, capsys, fault):
+    mutate, _, _, message = REFUSED[fault]
+    elf, _, meta = _function_pointer_program()
+    elf_path, meta_path = tmp_path / "in.elf", tmp_path / "meta.json"
+    elf_path.write_bytes(elf)
+    meta_path.write_text(json.dumps(metadata_to_json(mutate(meta))))
+    code = cli.main(["inject", str(elf_path), "--meta", str(meta_path),
+                     "-o", str(tmp_path / "out.elf")])
+    assert code == cli.EXIT_DOMAIN
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.elf").exists()
+
+
+def test_a_lenient_lift_warns_once_and_skips_an_out_of_range_operand_index():
+    _, img, meta = _function_pointer_program()
+    meta = _operand_index_out_of_range(meta)
+    lifted = lift(img, meta, mode="lenient")
+    assert lifted.diagnostics == tuple(validate_metadata(meta, img))
+    assert "    mov rax, 4227085\n" in emit_assembly(lifted)
+
+
+def test_overlapping_regions_still_stop_a_lenient_lift():
+    _, img, meta = _function_pointer_program()
+    with pytest.raises(RegionOverlap):
+        lift(img, _overlapping_regions(meta), mode="lenient")
