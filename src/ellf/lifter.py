@@ -896,6 +896,9 @@ def emit_assembly(lp: LiftedProgram) -> str:
     At a shared address the order is floor, function, then block or data
     label. ``.endfunc`` follows the instruction at a decoded
     ``FUNCTION_END`` record. Decoded means emitted as an instruction in code.
+    Every ``.func`` is closed exactly once: ``.endfunc`` prints only while a
+    function is open, a ``.func`` line first closes the function still open,
+    and a function still open at the end of its section is closed there.
     """
     sections = [(sec, _items(lp, sec)) for sec in lp.sections]
     code = {addr for sec, items in sections if sec.exec
@@ -903,26 +906,40 @@ def emit_assembly(lp: LiftedProgram) -> str:
     marks = _label_lines(lp, code)
     cuts = sorted(marks)
     lines: list[str] = []
+    in_func = False
+
+    def put(label_lines):
+        nonlocal in_func
+        for line in label_lines:
+            if line.startswith(".func "):
+                if in_func:
+                    lines.append(".endfunc")
+                in_func = True
+            lines.append(line)
+
     for sec, items in sections:
         lines.append(f".section {sec.name} base=0x{sec.vaddr:x}")
-        lines.extend(marks.pop(sec.vaddr, ()))
+        put(marks.pop(sec.vaddr, ()))
         for addr, item in items:
-            if addr in marks:
-                lines.extend(marks.pop(addr))
+            put(marks.pop(addr, ()))
             if isinstance(item, Instruction):
                 lines.append("    " + render_instruction(item))
-                if addr in lp.labels.function_ends:
+                if in_func and addr in lp.labels.function_ends:
                     lines.append(".endfunc")
+                    in_func = False
             elif isinstance(item, (bytes, Zeroes)):
                 end = addr + (item.size if isinstance(item, Zeroes) else len(item))
                 pos = addr
                 for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, end)]:
                     lines.extend(_fill_lines(item, pos - addr, cut - addr))
-                    lines.extend(marks.pop(cut, ()))
+                    put(marks.pop(cut, ()))
                     pos = cut
                 lines.extend(_fill_lines(item, pos - addr, end - addr))
             else:
                 lines.append(_part_line(item))
+        if in_func:
+            lines.append(".endfunc")
+            in_func = False
     return "\n".join(lines) + "\n"
 
 

@@ -464,6 +464,23 @@ def _reassembles_to_the_same_alloc_bytes(text, img):
     return elfio.load_image(elfio.read_elf(elf)) == elfio.load_image(img)
 
 
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("name, dropped", [
+    ("01_single_ret", TextRecord(0x401000, FUNCTION_END)),
+    ("01_single_ret", TextRecord(0x401000, FUNCTION_START)),
+    ("05_two_functions", TextRecord(0x401009, FUNCTION_END)),
+], ids=["function_end_dropped", "function_start_dropped", "first_function_end_dropped"])
+def test_unpaired_function_records_lift_to_text_that_reassembles(name, dropped, mode):
+    elf, meta = assemble(parse_assembly(corpus_programs()[name]))
+    img = elfio.read_elf(elf)
+    meta = replace(meta, text=tuple(rec for rec in meta.text if rec != dropped))
+    text = emit_assembly(lift(img, meta, mode=mode))
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
+    _, meta2 = assemble(parse_assembly(text))
+    (changed,) = set(meta2.text) ^ set(meta.text)
+    assert changed.kind == FUNCTION_END and replace(meta2, text=meta.text) == meta
+
+
 def test_a_data_label_inside_a_zero_run_is_defined():
     src = (".section .text base=0x1000\n.func main\n    lea rcx, [mid]\n    ret\n.endfunc\n"
            ".section .bss base=0x3000\nfirst:\n    .zero 16\nmid:\n    .zero 16\n")
