@@ -235,15 +235,20 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
     for rec in meta.data:
         lm.data_labels[rec.addr] = f"D_{rec.addr:x}"
         lm.record_backed.add(rec.addr)
-    spans = sorted((r.addr, r.addr + r.size) for r in meta.data)
-    span_starts = [start for start, _ in spans]
-    reach = list(accumulate((end for _, end in spans), max))  # furthest end so far
+    # Interiors, each from one past its start: a label there could not be
+    # placed, so an address inside is rendered as label + offset.
+    interiors = [(r.addr + 1, r.addr + r.size) for r in meta.data]
+    interiors += [(r.addr + 1, r.addr + POINTER_WIDTH) for r in meta.pointers
+                  if not isinstance(r, OperandPointer)]
+    interiors.sort()
+    interior_starts = [start for start, _ in interiors]
+    reach = list(accumulate((end for _, end in interiors), max))  # furthest end so far
     for addr in sorted(data_candidates):
         if addr in lm.data_labels:
             continue
-        i = bisect_right(span_starts, addr)
+        i = bisect_right(interior_starts, addr)
         if i and reach[i - 1] > addr:
-            continue  # interior of a record: rendered as label + offset
+            continue  # inside a data record or a pointer cell
         lm.data_labels[addr] = f"D_{addr:x}"
 
     for sec in image.sections:

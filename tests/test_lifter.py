@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ellf import elfio
 from ellf.asm import assemble, parse_assembly
-from ellf.corpus import corpus_programs
+from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import (
     DanglingTextRecord,
     LiftError,
@@ -489,6 +489,14 @@ def test_a_data_label_inside_a_zero_run_is_defined():
     text = emit_assembly(lift(img, replace(meta, data=()), mode="strict"))
     assert "    lea rcx, [D_3010]\n" in text
     assert text.endswith(".section .bss base=0x3000\n    .zero 16\nD_3010:\n    .zero 16\n")
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
+
+
+def test_a_reference_inside_a_pointer_cell_renders_as_the_cell_label_plus_offset():
+    elf, meta = assemble(parse_assembly(hazard_program()))
+    img = elfio.read_elf(elf)
+    text = emit_assembly(lift(img, replace(meta, data=()), mode="strict"))
+    assert "    .quad D_402010 + 4\nD_402010:\n    .quad F_401000\n" in text
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
