@@ -85,6 +85,7 @@ from .meta import (
     StackRecord,
     TextRecord,
     check_invariants,
+    decode_metadata,
     encode_metadata,
     _pointer_sort_key,
     _text_sort_key,
@@ -855,7 +856,12 @@ class RoundtripReport:
 
 
 def roundtrip_check(source_text: str) -> RoundtripReport:
-    """Assemble, lift, re-emit, re-assemble; compare bytes, metadata, text."""
+    """Assemble, lift, re-emit, re-assemble; compare bytes, metadata, text.
+
+    Each lift reads its metadata back from the ELF's ``.ellf`` section, so the
+    check covers encode, inject, extract and decode. The metadata fixpoint
+    holds only if, on both sides, that equals what the assembler produced.
+    """
     from .lifter import emit_assembly, lift
 
     report = RoundtripReport()
@@ -863,13 +869,15 @@ def roundtrip_check(source_text: str) -> RoundtripReport:
         prog = parse_assembly(source_text)
         elf1, meta1 = assemble(prog)
         img1 = elfio.read_elf(elf1)
-        text1 = emit_assembly(lift(img1, meta1, mode="strict"))
+        stored1 = decode_metadata(elfio.extract_section(img1, ".ellf"))
+        text1 = emit_assembly(lift(img1, stored1, mode="strict"))
         elf2, meta2 = assemble(parse_assembly(text1))
         img2 = elfio.read_elf(elf2)
+        stored2 = decode_metadata(elfio.extract_section(img2, ".ellf"))
 
         report.bytes_identical = elfio.load_image(img1) == elfio.load_image(img2)
-        report.metadata_fixpoint = meta1 == meta2
-        text2 = emit_assembly(lift(img2, meta2, mode="strict"))
+        report.metadata_fixpoint = meta1 == stored1 == meta2 == stored2
+        text2 = emit_assembly(lift(img2, stored2, mode="strict"))
         report.text_fixpoint = text1 == text2
     except EllfError as exc:
         report.error = f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,7 @@
 """Assembler contracts and the round-trip oracle over the bundled corpus."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -73,6 +75,15 @@ def test_slot_constant_after_endfunc_is_undefined():
 def test_corpus_round_trip(name):
     report = roundtrip_check(corpus_programs()[name])
     assert report.ok, report.lines()
+
+
+def test_round_trip_lifts_the_metadata_stored_in_the_elf(monkeypatch):
+    src = corpus_programs()["12_data_pointers"]
+    assert roundtrip_check(src).ok
+    encode = asm.encode_metadata
+    monkeypatch.setattr(asm, "encode_metadata", lambda meta: encode(replace(meta, data=())))
+    report = roundtrip_check(src)
+    assert not report.ok and not report.metadata_fixpoint
 
 
 def test_hazard_fails_strict_lift():
