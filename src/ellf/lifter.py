@@ -6,8 +6,9 @@ accesses through named slot constants, partitions data sections into
 variables, and renders deterministic text that the bundled assembler accepts
 back. Function and block structure stays in the ``LabelMap``; only
 ``emit_assembly`` decides where its label lines go. The text, stack and data
-passes write to disjoint state, so they can run in any order with identical
-results.
+passes write to disjoint state, so any order of them gives the same text,
+CFGs, variables and diagnostics. The order decides only the order of the
+diagnostics and which fault a strict lift raises first.
 """
 
 from __future__ import annotations

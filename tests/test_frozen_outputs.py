@@ -1,6 +1,7 @@
 """Frozen outputs: the assembled ELF and the lifted text of every bundled
-program, and of a byte-heavy program written here, plus the outcomes of the
-instruction decoder and encoder on seeded random inputs.
+program, and of a byte-heavy program written here, the outcomes of lifting
+damaged metadata, plus the outcomes of the instruction decoder and encoder
+on seeded random inputs.
 
 Each digest pair is the SHA-256 of ``assemble()``'s ELF bytes and of the
 emitted text of a strict lift (a lenient lift for the straddle hazard, which
@@ -13,15 +14,20 @@ or dict hash order.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from ellf import elfio
 from ellf.asm import assemble, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
+from ellf.errors import InvariantViolation
 from ellf.isa import (REG32, REG64, SUBSET_MNEMONICS, Immediate, MemRef, PcRel, Register,
                       SymbolRef, decode_one, encode_one)
-from ellf.lifter import emit_assembly, lift
+from ellf.lifter import emit_assembly, lift, lift_unsymbolized
+from ellf.meta import (BASIC_BLOCK, FUNCTION_END, FUNCTION_START, InstructionRegion,
+                       OperandPointer, TextRecord, _pointer_sort_key, _text_sort_key,
+                       check_invariants)
 
 from conftest import TABLE_DEMO
 
@@ -153,6 +159,140 @@ def test_lenient_lift_emits_the_strict_text(name):
     img = elfio.read_elf(elf)
     assert (emit_assembly(lift(img, meta, mode="lenient"))
             == emit_assembly(lift(img, meta, mode="strict")))
+
+
+# --- lifting damaged metadata ---
+
+# One digest per program over the strict and lenient lift of each variant of
+# its metadata that ``metadata_variants`` yields.
+LIFT_FROZEN = {
+    "01_single_ret": "2edf87233f06ae65bc749293ba4b4c12d2b8bb27366319e1816d7ce0f9a630bb",
+    "02_straight_line": "b81149996f02eb2760d9be5abbb273d30eccf3df23a7a751aca4aea09468bdd7",
+    "03_conditional": "ecb0c264734ef085b5957514cc9c67fd990cc8bfc272e5266e4a0c4c8061a56d",
+    "04_loop": "9a785565d7b568c60cd72f2d8b3e1af3b97428802d511d1873d80e84c85c0bbe",
+    "05_two_functions": "45aeb174db33145677353105793824d00770876c4d76403600f5003f3e20ab78",
+    "06_dispatch3": "2ea6de490224283ac8c6f71cdfe6991a5e73ea836eeaac692ed4574eb93da9f9",
+    "07_dispatch8": "a8c3ba615c88eba494d550f961e20706a8857f125989934acf2ca441038bc69d",
+    "08_strings": "a19bef2853eabebd515275822feaaa8325bbe1b7a9f6d9045ff697b516ff92a7",
+    "09_bss_buffer": "7dea86a0d757efde9464b40bedf12719e38255dd402873ff715ee84a19f66176",
+    "10_frame_slots": "ce16eeaf1c69bd7af43fbd01e59ffb6dfd9af22279370ea985f43a592ba07cba",
+    "11_calls_chain": "715ea1ca034e7aa2fe92c649954810e024e85c4ba64f8c46a58094fb577d16dd",
+    "12_data_pointers": "28ae2b6d3b2ac809192f73921827bd091aa0a1119b6fd4b5261d6afff1bcdd12",
+    "13_function_pointer": "c70cf22307814bfbf6d4104a68842a1825693f74227cb2ada152c7efb8bdf00f",
+    "14_inline_bytes": "4a4f2d42e1f427c536b4e64385b13aa073204d24d16fe8ae386aad30e254effb",
+    "15_loops_nested": "98636f93b039a38854fa841fd96b8a3dd0e28779fa884ac6d0eb8c15e5e3a763",
+    "16_arith_mix": "51bb4f182e1679cd7c43e46dd3a90b39df65407883df082a270c6a71ca84330a",
+    "17_memory_forms": "a5ce088b58aebe72bada1ba5b8013a7435396ac5a4ba0e95f6287d6934e0e6e6",
+    "18_rsp_frame": "71c4690543663f31aab85bdcbe36cba7aeb328ebaebab65760676d89fbb03c1c",
+    "19_syscall_exit": "66c83a6af0c75bfd6b99533488e9be33f72ba9b79dae9711153b70e8528ea6b3",
+    "20_suffix_string": "d60fce6d0c43b166b2eaa12fb62fdc6bb658c3f7540dfd444f5578f6c9c9a803",
+    "21_mixed_sections": "4c02fbcf76806183b100a5cb2c48e5ff7211cba0426b1023a8451ea1e95820bd",
+    "22_cond_chain": "da0b1f1bf5a36ab5660b002e7062caeecb02d9142b1e4f666f51f8a22a5a464f",
+    "TABLE_DEMO": "3dad61e13b63d0e86e67af2f19d0927a51984e1fcbe90730ef40caa6ce1a4d52",
+    "hazard_pointer_straddle": "b5491013e4c8e64c09ecd76e58160edb6fd0a0fd7f037abac30f8a16c94bd01a",
+}
+
+TABLES = ("instruction_regions", "pointers", "text", "stack", "data")
+SORT_KEYS = {"instruction_regions": lambda rec: rec.start, "pointers": _pointer_sort_key,
+             "text": _text_sort_key, "stack": lambda rec: rec.function_entry,
+             "data": lambda rec: rec.addr}
+
+
+def _edit(meta, table, removed=None, added=None):
+    """``meta`` with ``removed`` taken out of ``table`` and ``added`` put in."""
+    records = [rec for rec in getattr(meta, table) if rec != removed]
+    records += [added] if added is not None else []
+    return replace(meta, **{table: tuple(sorted(records, key=SORT_KEYS[table]))})
+
+
+def _damage(meta, rng, instrs, data_sections):
+    """``meta`` with one record added or shifted, of a kind a lift must meet in
+    metadata it did not write; ``instrs`` are the decoded instructions."""
+    ins = rng.choice(instrs)
+    kind = rng.randrange(7)
+    if kind == 0:  # an operand pointer off an instruction start
+        return _edit(meta, "pointers", added=OperandPointer(
+            ins.address + rng.randint(1, 3), rng.randint(0, 1), ins.address))
+    if kind == 1:  # an operand pointer on an 8-bit immediate
+        narrow = [(i.address, k) for i in instrs for k, op in enumerate(i.operands)
+                  if isinstance(op, Immediate) and op.width == 8]
+        if narrow:
+            return _edit(meta, "pointers", added=OperandPointer(*rng.choice(narrow),
+                                                                ins.address))
+    if kind == 2:  # an operand pointer whose target is in no section
+        return _edit(meta, "pointers", added=OperandPointer(
+            ins.address, rng.randint(0, 1), rng.choice((0x10, U64))))
+    if kind == 3 and ins.length > 1:  # a text record inside an instruction
+        return _edit(meta, "text", added=TextRecord(
+            ins.address + rng.randrange(1, ins.length),
+            rng.choice((BASIC_BLOCK, FUNCTION_START, FUNCTION_END))))
+    if kind == 4 and data_sections:  # a region that starts in data
+        sec = rng.choice(data_sections)
+        return _edit(meta, "instruction_regions", added=InstructionRegion(
+            sec.vaddr + rng.randrange(sec.size), rng.randint(1, 3)))
+    if kind == 5 and meta.data:  # a data record moved
+        rec = rng.choice(meta.data)
+        return _edit(meta, "data", removed=rec,
+                     added=replace(rec, addr=rec.addr + rng.choice((-4, -1, 1, 4))))
+    if kind == 6 and meta.pointers:  # a pointer record moved
+        rec = rng.choice(meta.pointers)
+        field = "instr_addr" if isinstance(rec, OperandPointer) else "addr"
+        return _edit(meta, "pointers", removed=rec, added=replace(
+            rec, **{field: getattr(rec, field) + rng.choice((-4, -1, 1, 4))}))
+    return meta
+
+
+def metadata_variants(img, meta, seed, count=20):
+    """The full metadata, each table dropped, ``count`` seeded subsets of the
+    tables and ``count`` seeded variants with one or two records added or
+    shifted; only those that pass ``check_invariants``, a lift's contract."""
+    rng = random.Random(seed)
+    variants = [meta] + [replace(meta, **{table: ()}) for table in TABLES]
+    for _ in range(count):
+        variants.append(replace(meta, **{table: tuple(
+            rec for rec in getattr(meta, table) if rng.random() < 0.6) for table in TABLES}))
+    instrs = list(lift_unsymbolized(elfio.load_image(img), meta.instruction_regions).values())
+    data_sections = [sec for sec in img.sections if sec.alloc and not sec.exec and sec.size]
+    for _ in range(count):
+        damaged = meta
+        for _ in range(rng.randint(1, 2)):
+            damaged = _damage(damaged, rng, instrs, data_sections)
+        variants.append(damaged)
+    for variant in variants:
+        try:
+            check_invariants(variant)
+        except InvariantViolation:
+            continue
+        yield variant
+
+
+def lift_summary(img, meta, mode):
+    """What a lift returns: the text, the diagnostics, the CFGs, the padding,
+    the used labels and each variable's address, size and label."""
+    lp = lift(img, meta, mode=mode)
+    return (emit_assembly(lp),
+            [(d.kind, d.message, d.addr, d.severity) for d in lp.diagnostics],
+            lp.cfgs, lp.padding, sorted(lp.labels.used),
+            [(var.address, var.size, var.label) for var in lp.variables])
+
+
+def lift_outcomes_digest(name):
+    elf, meta = assemble(parse_assembly(PROGRAMS[name]))
+    img = elfio.read_elf(elf)
+    digest = hashlib.sha256()
+    for variant in metadata_variants(img, meta, seed=name):
+        for mode in ("strict", "lenient"):
+            digest.update(outcome(lift_summary, img, variant, mode).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_every_program_but_the_byte_heavy_one_has_frozen_lift_outcomes():
+    assert sorted(LIFT_FROZEN) == sorted(set(PROGRAMS) - {"byte_heavy"})
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_FROZEN))
+def test_lift_outcomes_on_damaged_metadata_match_the_frozen_digest(name):
+    assert lift_outcomes_digest(name) == LIFT_FROZEN[name]
 
 
 # --- the instruction decoder and encoder ---

@@ -1,12 +1,14 @@
 """Pipeline behavior: decoding regions, labels, the three symbolization
 passes, CFG recovery, and deterministic emission."""
 
+from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ellf import elfio
+from ellf import elfio, lifter
 from ellf.asm import assemble, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import (
@@ -43,6 +45,7 @@ from ellf.meta import (
 )
 
 from conftest import SPARSE_DEMO_META
+from test_frozen_outputs import PROGRAMS, metadata_variants
 
 
 def demo_image(table_demo):
@@ -260,6 +263,35 @@ def test_unknown_lift_mode_is_rejected(table_demo, mode):
     _, meta, img = table_demo
     with pytest.raises(ValueError, match="mode must be"):
         lift(img, meta, mode=mode)
+
+
+# The passes that write disjoint state, in the order lift() runs them.
+PASSES = ("text_symbolize", "stack_symbolize", "data_symbolize")
+PASS_FUNCTIONS = {name: getattr(lifter, name) for name in PASSES}
+
+
+def _lenient_lift(img, meta):
+    """What the pass order may not change, or the error the lift raised."""
+    try:
+        lp = lift(img, meta, mode="lenient")
+    except LiftError as exc:
+        return type(exc).__name__, str(exc)
+    return emit_assembly(lp), lp.cfgs, lp.variables, Counter(lp.diagnostics)
+
+
+@pytest.mark.parametrize("name", sorted(set(PROGRAMS) - {"byte_heavy"}))
+def test_text_stack_and_data_passes_give_the_same_lift_in_any_order(monkeypatch, name):
+    """lift() itself runs the passes: each order is bound to their names in
+    turn. The order of the diagnostics may differ, their multiset may not."""
+    elf, meta = assemble(parse_assembly(PROGRAMS[name]))
+    img = elfio.read_elf(elf)
+    for variant in metadata_variants(img, meta, seed=name):
+        lifts = []
+        for order in permutations(PASSES):
+            for slot, step in zip(PASSES, order):
+                monkeypatch.setattr(lifter, slot, PASS_FUNCTIONS[step])
+            lifts.append(_lenient_lift(img, variant))
+        assert lifts == [lifts[0]] * len(lifts), variant
 
 
 # --- stack symbolization ---
