@@ -92,12 +92,6 @@ class RawBytes:
 
 
 @dataclass(frozen=True)
-class PointerPayload:
-    label: str
-    offset: int
-
-
-@dataclass(frozen=True)
 class DiffPayload:
     minuend_label: str
     minuend_offset: int
@@ -299,13 +293,19 @@ class _LiftState:
     meta: EllfMetadata
     mode: str
     labels: LabelMap
-    instrs: dict[int, Instruction]
-    instr_addrs: list[int]  # sorted keys of instrs; the steps replace values only
+    decoded: dict[int, Instruction]  # as decoded; no step writes it
+    instrs: dict[int, Instruction]  # as symbolized so far, through set_operand
+    instr_addrs: list[int]  # sorted keys of both
     diagnostics: list[Diagnostic] = field(default_factory=list)
     reported: set = field(default_factory=set)  # records validation found at fault
-    earmarks: dict[int, tuple] = field(default_factory=dict)
-    pcrel_targets: dict[int, int] = field(default_factory=dict)
+    earmarks: dict[int, DataPointer | DataDiff] = field(default_factory=dict)  # by cell
     variables: list[Variable] = field(default_factory=list)
+
+    def set_operand(self, addr, index, op):
+        """Write operand ``index`` of the instruction at ``addr``."""
+        ins = self.instrs[addr]
+        operands = ins.operands[:index] + (op,) + ins.operands[index + 1:]
+        self.instrs[addr] = replace(ins, operands=operands)
 
     def warn(self, kind, message, addr=None):
         self.diagnostics.append(Diagnostic(kind, message, addr, WARNING))
@@ -329,35 +329,28 @@ def _symbol_for(state, addr):
     return SymbolRef(name, offset)
 
 
+def _rip_target(ins, op):
+    return (ins.address + ins.length + op.disp) & U64
+
+
 # --- step II: coarse symbolization ---
 
 def coarse_symbolize(state: _LiftState) -> None:
     """Replace recorded pointer operands with labels, earmark data pointers."""
     for rec in state.meta.pointers:
-        if isinstance(rec, DataPointer):
-            state.earmarks[rec.addr] = ("ptr", rec.target)
+        if not isinstance(rec, OperandPointer):
+            state.earmarks[rec.addr] = rec
             continue
-        if isinstance(rec, DataDiff):
-            state.earmarks[rec.addr] = ("diff", rec.minuend, rec.subtrahend)
-            continue
+        if rec in state.reported:
+            continue  # a strict lift stopped at validation; a lenient one warned
         ins = state.instrs.get(rec.instr_addr)
         if ins is None:
-            if rec not in state.reported:
-                msg = (f"operand pointer at 0x{rec.instr_addr:x} does not name a "
-                       f"decoded instruction")
-                state.fault(NotAPointerPosition, "alignment", msg, rec.instr_addr)
+            msg = (f"operand pointer at 0x{rec.instr_addr:x} does not name a "
+                   f"decoded instruction")
+            state.fault(NotAPointerPosition, "alignment", msg, rec.instr_addr)
             continue
-        if rec.operand_index >= len(ins.operands):
-            continue  # validation reports it
         op = ins.operands[rec.operand_index]
-        if isinstance(op, Immediate) and op.width == 8:
-            continue  # validation reports it; a label would not fit the field
-        sym = _symbol_for(state, rec.target)
-        if sym is None:
-            if rec not in state.reported:
-                state.warn("range", f"pointer target 0x{rec.target:x} resolves to no "
-                                    f"label", rec.instr_addr)
-            continue
+        sym = _symbol_for(state, rec.target)  # validated: the target is in a section
         if isinstance(op, Immediate):
             if (op.value & U64) != rec.target:
                 msg = (f"instruction at 0x{rec.instr_addr:x}: stored immediate "
@@ -366,7 +359,7 @@ def coarse_symbolize(state: _LiftState) -> None:
                 state.fault(MetadataMismatch, "pointer", msg, rec.instr_addr)
             new_op = sym
         elif isinstance(op, MemRef) and op.rip_relative:
-            computed = (ins.address + ins.length + op.disp) & U64
+            computed = _rip_target(ins, op)
             if computed != rec.target:
                 msg = (f"instruction at 0x{rec.instr_addr:x}: RIP-relative target "
                        f"0x{computed:x} disagrees with recorded target "
@@ -378,28 +371,23 @@ def coarse_symbolize(state: _LiftState) -> None:
                    f"0x{rec.instr_addr:x} has no immediate or displacement field")
             state.fault(NotAPointerPosition, "pointer", msg, rec.instr_addr)
             continue
-        operands = list(ins.operands)
-        operands[rec.operand_index] = new_op
-        state.instrs[rec.instr_addr] = replace(ins, operands=tuple(operands))
+        state.set_operand(rec.instr_addr, rec.operand_index, new_op)
 
     # RIP-relative operands are position-derived pointers even without a
     # record; resolving them keeps sections movable when metadata is partial.
+    # An operand a record labeled above keeps that label.
     for addr in state.instr_addrs:
         ins = state.instrs[addr]
-        changed = False
-        operands = list(ins.operands)
-        for i, op in enumerate(operands):
+        for i, op in enumerate(ins.operands):
             if isinstance(op, MemRef) and op.rip_relative and op.label is None:
-                target = (ins.address + ins.length + op.disp) & U64
+                target = _rip_target(ins, op)
                 sym = _symbol_for(state, target)
                 if sym is None:
                     state.warn("range", f"RIP-relative target 0x{target:x} resolves "
                                         f"to no label", addr)
                     continue
-                operands[i] = replace(op, label=sym.label, label_offset=sym.offset)
-                changed = True
-        if changed:
-            state.instrs[addr] = replace(ins, operands=tuple(operands))
+                state.set_operand(addr, i, replace(op, label=sym.label,
+                                                   label_offset=sym.offset))
 
 
 # --- function extents (shared by the fine-grained steps) ---
@@ -430,21 +418,14 @@ def text_symbolize(state: _LiftState) -> None:
             state.fault(DanglingTextRecord, "range", msg, rec.addr)
 
     for addr in state.instr_addrs:
-        ins = state.instrs[addr]
-        changed = False
-        operands = list(ins.operands)
-        for i, op in enumerate(operands):
+        for i, op in enumerate(state.decoded[addr].operands):
             if isinstance(op, PcRel):
-                state.pcrel_targets[addr] = op.target
                 sym = _symbol_for(state, op.target)
                 if sym is None:
                     state.warn("range", f"branch target 0x{op.target:x} resolves to "
                                         f"no label", addr)
                     continue
-                operands[i] = sym
-                changed = True
-        if changed:
-            state.instrs[addr] = replace(ins, operands=tuple(operands))
+                state.set_operand(addr, i, sym)
 
 
 # --- step IV: stack symbolization ---
@@ -457,20 +438,17 @@ def stack_symbolize(state: _LiftState) -> None:
         sp_delta: int | None = 0
         rbp_delta: int | None = None
         for addr in _function_instrs(state, entry, end):
-            ins = state.instrs[addr]
-            rewritten = _rewrite_stack_operands(state, ins, names, sp_delta,
-                                                rbp_delta)
-            if rewritten is not None:
-                state.instrs[addr] = rewritten
-            sp_delta, rbp_delta = _apply_sp_effect(ins, sp_delta, rbp_delta)
+            _rewrite_stack_operands(state, state.decoded[addr], names, sp_delta,
+                                    rbp_delta)
+            # As symbolized: a pointer record on ``sub rsp, imm`` untracks the frame.
+            sp_delta, rbp_delta = _apply_sp_effect(state.instrs[addr], sp_delta,
+                                                   rbp_delta)
 
 
 def _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta):
     """``names`` maps each of the function's slot offsets to its slot name."""
-    operands = list(ins.operands)
-    changed = False
-    for i, op in enumerate(operands):
-        if not isinstance(op, MemRef) or op.rip_relative or op.label:
+    for i, op in enumerate(ins.operands):
+        if not isinstance(op, MemRef) or op.rip_relative:
             continue
         if op.base == "rbp":
             anchor = rbp_delta
@@ -490,12 +468,13 @@ def _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta):
             state.warn("stack", f"stack access at 0x{ins.address:x} (depth {depth}) "
                                 f"is outside every frame slot", ins.address)
             continue
-        operands[i] = SlotMemRef(base=op.base, slot_name=names[slot],
-                                 slot_offset=slot, bias=-anchor,
-                                 interior=slot - depth,
-                                 index=op.index, scale=op.scale)
-        changed = True
-    return replace(ins, operands=tuple(operands)) if changed else None
+        state.set_operand(ins.address, i, SlotMemRef(
+            base=op.base, slot_name=names[slot], slot_offset=slot, bias=-anchor,
+            interior=slot - depth, index=op.index, scale=op.scale))
+
+
+# Mnemonics that write their first operand: on rbp or rsp, that anchor is lost.
+_WRITES_FIRST = ("add", "sub", "inc", "dec", "lea", "movsxd", "imul", "xor", "and", "or")
 
 
 def _apply_sp_effect(ins, sp_delta, rbp_delta):
@@ -524,11 +503,9 @@ def _apply_sp_effect(ins, sp_delta, rbp_delta):
             step = ops[1].value if m == "add" else -ops[1].value
             return sp_delta + step, rbp_delta
         return None, rbp_delta
-    if m in ("add", "sub", "inc", "dec", "lea", "movsxd", "imul", "xor",
-             "and", "or") and ops and is_reg(ops[0], "rbp"):
+    if m in _WRITES_FIRST and ops and is_reg(ops[0], "rbp"):
         return sp_delta, None
-    if m in ("add", "sub", "inc", "dec", "lea", "movsxd", "imul", "xor",
-             "and", "or") and ops and is_reg(ops[0], "rsp"):
+    if m in _WRITES_FIRST and ops and is_reg(ops[0], "rsp"):
         return None, rbp_delta
     if m == "leave":
         new_sp = None if rbp_delta is None else rbp_delta + 8
@@ -588,40 +565,35 @@ def _build_payload(state, sec, start, end, nobits, marks):
             state.fault(PointerStraddle, "straddle", msg, addr)
             continue
         if addr > pos:
-            parts.append(RawBytes(_raw(state, pos, addr)))
-        parts.append(_pointer_part(state, addr))
+            parts.append(RawBytes(state.byte_map.read(pos, addr)))
+        parts.append(_pointer_part(state, state.earmarks[addr]))
         pos = addr + POINTER_WIDTH
     if pos < end:
-        parts.append(RawBytes(_raw(state, pos, end)))
+        parts.append(RawBytes(state.byte_map.read(pos, end)))
     return tuple(parts)
 
 
-def _raw(state, start, end):
-    return state.byte_map.read(start, end)
-
-
-def _pointer_part(state, addr):
-    mark = state.earmarks[addr]
-    stored = int.from_bytes(_raw(state, addr, addr + POINTER_WIDTH), "little")
-    if mark[0] == "ptr":
-        target = mark[1]
-        if stored != target:
-            msg = (f"data cell at 0x{addr:x} stores 0x{stored:x} but the record "
-                   f"names 0x{target:x}")
-            state.fault(MetadataMismatch, "pointer", msg, addr)
-        sym = _symbol_for(state, target)
-        if sym is None:
-            return RawBytes(_raw(state, addr, addr + POINTER_WIDTH))
-        return PointerPayload(sym.label, sym.offset)
-    _, minuend, subtrahend = mark
-    if stored != (minuend - subtrahend) & U64:
-        msg = (f"data cell at 0x{addr:x} stores 0x{stored:x} but the recorded "
-               f"difference is 0x{(minuend - subtrahend) & U64:x}")
-        state.fault(MetadataMismatch, "pointer", msg, addr)
-    msym = _symbol_for(state, minuend)
-    ssym = _symbol_for(state, subtrahend)
+def _pointer_part(state, rec):
+    """A ``SymbolRef`` or ``DiffPayload`` for the cell ``rec`` records, or
+    its raw bytes when a label is missing."""
+    cell = state.byte_map.read(rec.addr, rec.addr + POINTER_WIDTH)
+    stored = int.from_bytes(cell, "little")
+    if isinstance(rec, DataPointer):
+        if stored != rec.target:
+            msg = (f"data cell at 0x{rec.addr:x} stores 0x{stored:x} but the record "
+                   f"names 0x{rec.target:x}")
+            state.fault(MetadataMismatch, "pointer", msg, rec.addr)
+        sym = _symbol_for(state, rec.target)
+        return RawBytes(cell) if sym is None else sym
+    difference = (rec.minuend - rec.subtrahend) & U64
+    if stored != difference:
+        msg = (f"data cell at 0x{rec.addr:x} stores 0x{stored:x} but the recorded "
+               f"difference is 0x{difference:x}")
+        state.fault(MetadataMismatch, "pointer", msg, rec.addr)
+    msym = _symbol_for(state, rec.minuend)
+    ssym = _symbol_for(state, rec.subtrahend)
     if msym is None or ssym is None:
-        return RawBytes(_raw(state, addr, addr + POINTER_WIDTH))
+        return RawBytes(cell)
     return DiffPayload(msym.label, msym.offset, ssym.label, ssym.offset)
 
 
@@ -641,9 +613,6 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
             table_minuends.setdefault(found[0], []).extend(minuends)
 
     block_addrs = sorted(state.labels.bb_backed)
-    fe_addrs = state.labels.function_ends
-    all_block_starts = set(state.labels.functions) | state.labels.bb_backed
-
     cfgs = []
     for entry, limit in _function_ranges(state):
         addrs = _function_instrs(state, entry, limit)
@@ -662,9 +631,8 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
             if stop == bisect_left(addrs, bstart):
                 continue  # no instruction in this block
             last = addrs[stop - 1]
-            ins = state.instrs[last]
-            successors = _successors(state, ins, last, bi, starts, entry, limit,
-                                     fe_addrs, reachable_minuends, all_block_starts)
+            successors = _successors(state, state.decoded[last], starts,
+                                     reachable_minuends)
             blocks.append(CfgBlock(start=bstart, end=last,
                                    successors=tuple(sorted(successors))))
         cfgs.append(Cfg(function_entry=entry, blocks=tuple(blocks)))
@@ -682,36 +650,30 @@ def _referenced_labels(state, addrs) -> set[str]:
     return names
 
 
-def _successors(state, ins, last, bi, starts, entry, limit, fe_addrs,
-                reachable_minuends, all_block_starts):
-    if last in fe_addrs:
+def _successors(state, ins, starts, reachable_minuends):
+    """The successors of the block that decoded ``ins`` ends, among the
+    function's sorted block ``starts``."""
+    if ins.address in state.labels.function_ends:
         return []
-    # Direct branches were rewritten to SymbolRefs during text symbolization;
-    # the original PC-relative targets were captured before the rewrite.
-    target = state.pcrel_targets.get(last)
     klass = instruction_class(ins)
-    kind = klass.kind
-    if target is None and klass.target is not None:
-        target = klass.target
-    if kind == INDIRECT_JUMP and target is not None:
-        kind = JUMP
-    next_start = starts[bi + 1] if bi + 1 < len(starts) else None
+    i = bisect_right(starts, ins.address)
+    next_start = starts[i] if i < len(starts) else None
 
-    if kind == JUMP:
-        return _jump_targets(state, target, entry, limit, starts, all_block_starts)
-    if kind == CONDITIONAL_JUMP:
-        succ = _jump_targets(state, target, entry, limit, starts, all_block_starts)
+    if klass.kind == JUMP:
+        return _jump_targets(state, klass.target, starts)
+    if klass.kind == CONDITIONAL_JUMP:
+        succ = _jump_targets(state, klass.target, starts)
         if next_start is not None:
             succ = sorted(set(succ) | {next_start})
         return succ
-    if kind == INDIRECT_JUMP:
+    if klass.kind == INDIRECT_JUMP:
         inside = [m for m in reachable_minuends if m in starts]
         if inside:
             return inside
-        state.warn("cfg", f"indirect jump at 0x{last:x} has no reachable jump "
-                          f"table; assuming all blocks", last)
+        state.warn("cfg", f"indirect jump at 0x{ins.address:x} has no reachable jump "
+                          f"table; assuming all blocks", ins.address)
         return list(starts)
-    if kind in (RETURN, HALT):
+    if klass.kind in (RETURN, HALT):
         return []
     # calls and plain fallthrough continue at the next block
     if next_start is not None:
@@ -719,12 +681,10 @@ def _successors(state, ins, last, bi, starts, entry, limit, fe_addrs,
     return []
 
 
-def _jump_targets(state, target, entry, limit, starts, all_block_starts):
-    if target is None:
-        return []
-    if entry <= target < limit and target in starts:
+def _jump_targets(state, target, starts):
+    if target in starts:
         return [target]
-    if target in all_block_starts:
+    if target in state.labels.functions or target in state.labels.bb_backed:
         return []  # a tail jump into another function leaves this one
     msg = f"branch target 0x{target:x} is not a block start in any function"
     state.fault(TargetOutsideFunction, "cfg", msg, target)
@@ -758,11 +718,11 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
                         + "; ".join(str(p) for p in problems))
 
     byte_map = load_image(image)
-    instrs = lift_unsymbolized(byte_map, meta.instruction_regions)
+    decoded = lift_unsymbolized(byte_map, meta.instruction_regions)
     labels = generate_labels(meta, image)
     state = _LiftState(image=image, byte_map=byte_map, meta=meta, mode=mode,
-                       labels=labels, instrs=instrs, instr_addrs=sorted(instrs),
-                       diagnostics=list(problems),
+                       labels=labels, decoded=decoded, instrs=dict(decoded),
+                       instr_addrs=sorted(decoded), diagnostics=list(problems),
                        reported={p.record for p in problems})
 
     _check_section_names(state)
@@ -816,10 +776,10 @@ def _collect_padding(state) -> tuple[tuple[int, bytes], ...]:
             pos = max(pos, prev + state.instrs[prev].length)
         for addr in addrs[first:bisect_left(addrs, end)]:
             if addr > pos:
-                runs.append((pos, _raw(state, pos, addr)))
+                runs.append((pos, state.byte_map.read(pos, addr)))
             pos = max(pos, addr + state.instrs[addr].length)
         if pos < end:
-            runs.append((pos, _raw(state, pos, end)))
+            runs.append((pos, state.byte_map.read(pos, end)))
     return tuple(runs)
 
 
@@ -831,9 +791,7 @@ def render_operand(op) -> str:
     if isinstance(op, Immediate):
         return str(op.value)
     if isinstance(op, SymbolRef):
-        if op.offset:
-            return f"{op.label} + {op.offset}"
-        return op.label
+        return _ref(op.label, op.offset)
     if isinstance(op, SlotMemRef):
         parts = [op.base]
         if op.index:
@@ -1007,7 +965,7 @@ def _label_lines(lp, code) -> dict[int, list[str]]:
 
 def _part_line(part) -> str:
     """The line for a pointer or difference cell."""
-    if isinstance(part, PointerPayload):
+    if isinstance(part, SymbolRef):
         return f"    .quad {_ref(part.label, part.offset)}"
     return (f"    .quad {_ref(part.minuend_label, part.minuend_offset)} - "
             f"{_ref(part.subtrahend_label, part.subtrahend_offset)}")
