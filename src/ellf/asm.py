@@ -73,22 +73,14 @@ from .isa import (
     encode_one,
 )
 from .meta import (
-    BASIC_BLOCK,
     DataDiff,
     DataPointer,
     DataRecord,
     EllfMetadata,
-    FUNCTION_END,
-    FUNCTION_START,
-    InstructionRegion,
     OperandPointer,
-    StackRecord,
-    TextRecord,
-    check_invariants,
     decode_metadata,
     encode_metadata,
-    _pointer_sort_key,
-    _text_sort_key,
+    metadata_from_layout,
 )
 
 U64 = (1 << 64) - 1
@@ -558,7 +550,6 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     bases = bases or {}
     labels: dict[str, int] = {}
     slots: dict[str, dict[str, int]] = {}
-    slot_offsets: dict[str, set[int]] = {}
 
     sections = []
     for section in prog.sections:
@@ -575,7 +566,6 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                         f"slot {item.name!r} redefined with a different offset",
                         item.line)
                 table[item.name] = item.offset
-                slot_offsets.setdefault(item.function, set()).add(item.offset)
 
     # The walk: lay out and encode each item once. Label operands and label
     # cells hold placeholders of their final width until the fixups below.
@@ -672,41 +662,26 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         blob[offset:offset + length] = encoded
         pointers.extend(records)
 
-    # Text records: function starts/ends plus labels on instruction starts.
-    # Data records: from labeled objects in data sections.
-    text_records = {TextRecord(fn.entry, FUNCTION_START) for fn in functions}
-    text_records.update(TextRecord(fn.last_instr, FUNCTION_END) for fn in functions)
-    func_entries = {fn.entry for fn in functions}
-    data_records: list[DataRecord] = []
+    # Block starts are labels on instructions; the variables of a data
+    # section run from each of its labels to the next.
+    blocks, variables = [], []
     for section, _, size, names in laid_out:
         sites = {labels[name] for name in names}
         if section.execable:
-            text_records.update(TextRecord(site, BASIC_BLOCK) for site in sites
-                                if site in instr_starts and site not in func_entries)
+            blocks.extend(sites & instr_starts)
             continue
         end = section.base + size
         sites = sorted(s for s in sites if section.base <= s < end)
-        data_records.extend(DataRecord(site, limit - site)
-                            for site, limit in zip(sites, sites[1:] + [end]))
+        variables.extend(DataRecord(site, limit - site)
+                         for site, limit in zip(sites, sites[1:] + [end]))
 
-    # Stack records from slot definitions.
-    stack_records = []
     func_names = {fn.name for fn in functions}
-    for func_name, offsets in sorted(slot_offsets.items(),
-                                     key=lambda kv: labels.get(kv[0], 0)):
-        if func_name not in labels or func_name not in func_names:
+    for func_name in slots:
+        if func_name not in func_names:
             raise UndefinedLabel(f"slot defined for unknown function {func_name!r}")
-        stack_records.append(StackRecord(labels[func_name], tuple(sorted(offsets))))
-
-    meta = EllfMetadata(
-        instruction_regions=tuple(InstructionRegion(start, count)
-                                  for start, count in sorted(runs)),
-        pointers=tuple(sorted(pointers, key=_pointer_sort_key)),
-        text=tuple(sorted(text_records, key=_text_sort_key)),
-        stack=tuple(stack_records),
-        data=tuple(sorted(data_records, key=lambda r: r.addr)),
-    )
-    check_invariants(meta)
+    meta, _ = metadata_from_layout(  # disjoint variables: no diagnostics
+        runs, [(fn.entry, fn.last_instr) for fn in functions], blocks, pointers,
+        variables, [(labels[name], table.values()) for name, table in slots.items()])
 
     new_sections = []
     for section, blob, size, _ in laid_out:

@@ -157,7 +157,8 @@ def check_invariants(meta: EllfMetadata) -> None:
     """Raise InvariantViolation unless ``meta`` is canonical `.ellf` metadata.
 
     This is the one definition of canonical: the encoder, the decoder, the
-    JSON reader, ``from_build_facts`` and the assembler all apply it.
+    JSON reader and ``metadata_from_layout`` (through which the assembler and
+    ``from_build_facts`` build metadata) all apply it.
     """
     if meta.version != VERSION:
         raise InvariantViolation(f"unsupported metadata version {meta.version}")
@@ -704,17 +705,70 @@ def build_facts_from_json(obj: dict) -> BuildFacts:
     return BuildFacts(**_json_tables(obj, _FACTS_TABLES, "build facts JSON"))
 
 
+def metadata_from_layout(regions, functions, blocks, pointers, variables, locals
+                         ) -> tuple[EllfMetadata, list[Diagnostic]]:
+    """Canonical metadata from a layout, plus the warnings it raised.
+
+    The one place where layout becomes records. Regions are (start, count),
+    functions (entry, last instruction) and locals (entry, offsets) pairs.
+    Entries get FUNCTION_START, last instructions FUNCTION_END and other block
+    starts BASIC_BLOCK. A variable that overlaps the one kept before it (in
+    address order, longer first) is dropped with an ``overlap-dropped``
+    warning. Each function's offsets merge into one stack record; one that is
+    not positive raises InconsistentFacts. The tables are sorted canonically
+    and held to ``check_invariants``.
+    """
+    entries = {entry for entry, _ in functions}
+    text = {TextRecord(entry, FUNCTION_START) for entry in entries}
+    text.update(TextRecord(last, FUNCTION_END) for _, last in functions)
+    text.update(TextRecord(addr, BASIC_BLOCK) for addr in blocks if addr not in entries)
+
+    diagnostics: list[Diagnostic] = []
+    data = []
+    kept_end = None
+    for var in sorted(variables, key=lambda v: (v.addr, -v.size)):
+        if kept_end is not None and var.addr < kept_end:
+            diagnostics.append(Diagnostic(
+                kind="overlap-dropped",
+                message=f"variable at 0x{var.addr:x} (size {var.size}) overlaps the "
+                        f"previous variable and was dropped",
+                addr=var.addr, severity=WARNING))
+            continue
+        data.append(var)
+        kept_end = var.addr + var.size
+
+    per_function: dict[int, set[int]] = {}
+    for entry, offsets in locals:
+        for off in offsets:
+            if off <= 0:
+                raise InconsistentFacts(
+                    f"local offset {off} of function 0x{entry:x} is not positive")
+        per_function.setdefault(entry, set()).update(offsets)
+
+    meta = EllfMetadata(
+        instruction_regions=tuple(InstructionRegion(start, count)
+                                  for start, count in sorted(regions)),
+        pointers=tuple(sorted(pointers, key=_pointer_sort_key)),
+        text=tuple(sorted(text, key=_text_sort_key)),
+        stack=tuple(StackRecord(entry, tuple(sorted(offsets)))
+                    for entry, offsets in sorted(per_function.items()) if offsets),
+        data=tuple(data),
+    )
+    check_invariants(meta)
+    return meta, diagnostics
+
+
 def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagnostic]]:
     """Turn linker-time facts into oracle metadata.
 
     ``image`` is the loadable image from ``elfio.load_image`` (any mapping from
     virtual address to byte will do); instruction counts, operand positions
     and function-end addresses all need the decoder, so it is a required
-    input.
+    input. This function coalesces and decodes the blocks, checks that each
+    block starts an instruction and maps each relocation to a pointer record;
+    ``metadata_from_layout`` decides the records and their order.
     """
     from .isa import decode_one  # local import keeps the codec importable standalone
-
-    diagnostics: list[Diagnostic] = []
 
     # Coalesce block byte extents into maximal contiguous runs.
     extents = []
@@ -747,31 +801,31 @@ def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagn
         if addr != end:
             raise InconsistentFacts(
                 f"instructions decoded from 0x{start:x} overrun the block end 0x{end:x}")
-        regions.append(InstructionRegion(start, len(decoded) - first))
+        regions.append((start, len(decoded) - first))
     starts = [ins.address for ins in decoded]
 
-    # Text records: first block of a function starts it, the last instruction
-    # of its last block ends it. Every block starts an instruction.
-    text = set()
+    # Every block starts an instruction; a function starts at its first block
+    # and ends at the last instruction of its last block.
+    functions, block_starts = [], []
     for blocks in facts.basic_blocks:
         if not blocks.block_offsets:
             continue
         order = sorted(zip(blocks.block_offsets, blocks.block_sizes))
-        for k, (off, size) in enumerate(order):
+        for off, size in order:
             addr = blocks.function_addr + off
             i = bisect_left(starts, addr)
             if i == len(starts) or starts[i] != addr:
                 raise InconsistentFacts(
                     f"function 0x{blocks.function_addr:x}: the block at 0x{addr:x} "
                     f"is not at an instruction start")
-            text.add(TextRecord(addr, BASIC_BLOCK if k else FUNCTION_START))
+            block_starts.append(addr)
         # The loop left addr, size and i at the last block.
         last = bisect_left(starts, addr + size) - 1
         if last < i:
             raise InconsistentFacts(
                 f"function 0x{blocks.function_addr:x}: the block at 0x{addr:x} "
                 f"holds no instruction")
-        text.add(TextRecord(starts[last], FUNCTION_END))
+        functions.append((blocks.function_addr + order[0][0], starts[last]))
 
     # Pointer records from relocations.
     pointers = []
@@ -814,41 +868,9 @@ def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagn
                 f"not at an operand immediate/displacement position")
         pointers.append(OperandPointer(ins.address, operand_index, reloc.target_addr))
 
-    # Data records with the drop-later overlap rule.
-    data_records = []
-    kept_end = None
-    for var in sorted(facts.variables, key=lambda v: (v.addr, -v.size)):
-        if kept_end is not None and var.addr < kept_end:
-            diagnostics.append(Diagnostic(
-                kind="overlap-dropped",
-                message=f"variable at 0x{var.addr:x} (size {var.size}) overlaps the "
-                        f"previous variable and was dropped",
-                addr=var.addr, severity=WARNING))
-            continue
-        data_records.append(DataRecord(var.addr, var.size))
-        kept_end = var.addr + var.size
-
-    # Stack records, merged per function.
-    per_function: dict[int, set[int]] = {}
-    for rec in facts.locals:
-        for off in rec.offsets:
-            if off <= 0:
-                raise InconsistentFacts(
-                    f"local offset {off} of function 0x{rec.function_entry:x} "
-                    f"is not positive")
-        per_function.setdefault(rec.function_entry, set()).update(rec.offsets)
-    stack = [StackRecord(entry, tuple(sorted(offs)))
-             for entry, offs in sorted(per_function.items()) if offs]
-
-    meta = EllfMetadata(
-        instruction_regions=tuple(sorted(regions, key=lambda r: r.start)),
-        pointers=tuple(sorted(pointers, key=_pointer_sort_key)),
-        text=tuple(sorted(text, key=_text_sort_key)),
-        stack=tuple(stack),
-        data=tuple(data_records),
-    )
-    check_invariants(meta)
-    return meta, diagnostics
+    return metadata_from_layout(
+        regions, functions, block_starts, pointers, facts.variables,
+        [(rec.function_entry, rec.offsets) for rec in facts.locals])
 
 
 # --- validation against an ELF image ---
