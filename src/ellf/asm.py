@@ -39,10 +39,13 @@ final encoding whose length differs from the laid-out one is an
 AsmSyntaxError naming the line, so layout and bytes cannot disagree.
 
 The result is an ELF image (with the encoded metadata injected as `.ellf`)
-and the ground-truth metadata derived from the same layout: instruction
-regions from consecutive instruction runs, text records from functions and
-labels, pointer records from every label-valued operand and data cell, data
-records from labeled data objects, stack records from slot definitions.
+and the ground-truth metadata of the same layout. The walk gathers the runs
+of consecutive instructions, each function's entry and last instruction, the
+labels on instructions, a pointer record for every label-valued operand and
+data cell, a variable from each data label to the next, and the slot tables;
+``meta.metadata_from_layout``, which ``from_build_facts`` shares, turns them
+into records. Instructions go only in executable sections and a function
+starts with one, so every text record sits at an instruction start.
 """
 
 from __future__ import annotations
@@ -582,7 +585,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         current_func = None
         func_slots = {}
         run = None
-        nobits = section.nobits
+        execable, nobits = section_kind(section.name)
         for item in section.items:
             if isinstance(item, (Label, FuncBegin, SetLabel)):
                 names.append(item.name)
@@ -601,6 +604,9 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 current_func = None
                 func_slots = {}
             elif isinstance(item, Data):
+                if current_func is not None and current_func.last_instr is None:
+                    raise AsmSyntaxError(f"function {current_func.name} must start with "
+                                         f"an instruction", item.line)
                 if nobits:
                     if item.directive != "zero":
                         raise AsmSyntaxError(
@@ -616,9 +622,10 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                     blob += encoded
                     addr += len(encoded)
             elif isinstance(item, Instr):
-                if nobits:
+                if not execable:
                     raise AsmSyntaxError(
-                        f"instructions not allowed in the zero-fill section "
+                        f"instructions not allowed in the "
+                        f"{'zero-fill' if nobits else 'non-executable'} section "
                         f"{section.name}", item.line)
                 encoded, _ = _encode_instr(item, addr, func_slots)
                 if _uses_labels(item.operands):

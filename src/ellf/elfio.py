@@ -31,7 +31,6 @@ ELF_MAGIC = b"\x7fELF"
 
 SHT_NULL = 0
 SHT_PROGBITS = 1
-SHT_SYMTAB = 2
 SHT_STRTAB = 3
 SHT_NOBITS = 8
 SHT_ELLF = 0x6FFF4C46  # OS-specific range; standard tools skip it

@@ -112,10 +112,6 @@ class RegionOverlap(LiftError):
     pass
 
 
-class OperandIndexOutOfRange(LiftError):
-    pass
-
-
 class NotAPointerPosition(LiftError):
     pass
 

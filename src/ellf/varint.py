@@ -8,10 +8,6 @@ zigzag so small magnitudes stay short.
 
 from .errors import NonCanonical, TruncatedTable, VarintOverflow
 
-# Address deltas are differences of two 64-bit addresses, so signed values
-# need one bit more than the 64 available to unsigned fields.
-U64_MAX = (1 << 64) - 1
-
 
 def encode_unsigned(value: int) -> bytes:
     if value < 0:

@@ -219,6 +219,21 @@ def test_slot_and_set_names_must_be_identifiers(statement, message):
     assert str(info.value) == f"line 4: {message}"
 
 
+@pytest.mark.parametrize("src, line, message", [
+    (".section .data base=0x5000\n.func f\n    ret\n.endfunc\n", 3,
+     "instructions not allowed in the non-executable section .data"),
+    (".section .text base=0x1000\n.func f\n    .byte 1\n    ret\n.endfunc\n", 3,
+     "function f must start with an instruction"),
+    (".section .text base=0x1000\n.func f\nx:\n    .zero 2\n    ret\n.endfunc\n", 4,
+     "function f must start with an instruction"),
+], ids=["instruction_in_data", "function_starting_with_data", "labeled_data_first"])
+def test_code_that_text_records_cannot_describe_is_a_syntax_error(src, line, message):
+    # The metadata of such code would fail validation or a strict lift.
+    with pytest.raises(AsmSyntaxError) as info:
+        assemble_image(parse_assembly(src))
+    assert str(info.value) == f"line {line}: {message}"
+
+
 # --- the lexer against the per-character scanners it replaced ---
 # The three reference functions are the parser's code before it was written
 # with regular expressions; on well-formed statements the two must agree.

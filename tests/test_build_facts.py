@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from test_frozen_outputs import PROGRAMS
 
 from ellf import elfio
 from ellf.asm import assemble_image, parse_assembly
@@ -276,3 +277,54 @@ def test_build_facts_json_loader():
 def test_malformed_build_facts_name_the_table_record_and_field(obj, message):
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         build_facts_from_json(obj)
+
+
+def facts_of(meta, image):
+    """The facts a linker would report for the program ``meta`` describes.
+
+    Blocks come from the text records, one abs64 relocation from each operand
+    pointer (at its operand's field) and each data pointer, one diff32 from
+    each difference cell; variables and locals are the data and stack tables.
+    """
+    blocks = []
+    for rec in meta.text:
+        if rec.kind == FUNCTION_START:
+            entry, starts = rec.addr, [rec.addr]
+        elif rec.kind == BASIC_BLOCK:
+            starts.append(rec.addr)
+        else:
+            ends = starts[1:] + [rec.addr + decode_one(image, rec.addr).length]
+            blocks.append(BlockFacts(entry, tuple(s - entry for s in starts),
+                                     tuple(e - s for s, e in zip(starts, ends))))
+    relocations = []
+    for rec in meta.pointers:
+        if isinstance(rec, OperandPointer):
+            field = next(f for f in decode_one(image, rec.instr_addr).fields
+                         if f.operand == rec.operand_index)
+            relocations.append(RelocationFact(rec.instr_addr + field.offset, "abs64",
+                                              rec.target))
+        elif isinstance(rec, DataPointer):
+            relocations.append(RelocationFact(rec.addr, "abs64", rec.target))
+        else:
+            relocations.append(RelocationFact(rec.addr, "diff32", rec.minuend,
+                                              rec.subtrahend))
+    return BuildFacts(basic_blocks=tuple(blocks), relocations=tuple(relocations),
+                      variables=meta.data, locals=meta.stack)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_the_facts_of_every_bundled_program_give_back_its_metadata(name):
+    """The assembler and from_build_facts agree: the facts of an assembled
+    program, decoded and mapped to records, are its metadata again."""
+    elf, meta = assemble_image(parse_assembly(PROGRAMS[name]))
+    image = elfio.load_image(elfio.read_elf(elf))
+    facts = facts_of(meta, image)
+    assert facts.basic_blocks
+    assert from_build_facts(facts, image) == (meta, [])
+
+
+def test_the_bundled_programs_hold_every_kind_of_pointer_record():
+    """So the test above maps each kind of relocation on some program."""
+    kinds = {type(rec) for src in PROGRAMS.values()
+             for rec in assemble_image(parse_assembly(src))[1].pointers}
+    assert kinds == {OperandPointer, DataPointer, DataDiff}
