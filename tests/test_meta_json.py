@@ -1,10 +1,13 @@
+import hashlib
 import json
 import random
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_frozen_outputs import PROGRAMS
 
+from ellf.asm import assemble_image, parse_assembly
 from ellf.errors import InvariantViolation
 from ellf.meta import (
     BUILD_FACTS_SCHEMA,
@@ -77,3 +80,24 @@ def test_json_counts_the_schema_rejects_do_not_load(count):
         jsonschema.validate(obj, METADATA_SCHEMA)
     with pytest.raises(InvariantViolation):
         metadata_from_json(obj)
+
+
+# `ellf extract --json` prints json.dumps(metadata_to_json(meta), indent=2), so
+# its text (key order included) and the schema are frozen here: over the
+# metadata of every bundled program and of random_metadata seeds 0-199.
+EXTRACT_JSON_DIGEST = "9d0c454f55464d5a57e6327e0800e502878905c2fd28feea60292c706bb3521b"
+METADATA_SCHEMA_DIGEST = "0e4d8ad22bc65c8b79320492931dfb40de295bb5fdf439e01c6d0cb1ec25ad1a"
+
+
+def test_extract_json_matches_the_frozen_digest():
+    metas = [assemble_image(parse_assembly(PROGRAMS[name]))[1] for name in sorted(PROGRAMS)]
+    metas += [random_metadata(random.Random(seed)) for seed in range(200)]
+    digest = hashlib.sha256()
+    for meta in metas:
+        digest.update(json.dumps(metadata_to_json(meta), indent=2).encode() + b"\n")
+    assert digest.hexdigest() == EXTRACT_JSON_DIGEST
+
+
+def test_metadata_schema_matches_the_frozen_digest():
+    text = json.dumps(METADATA_SCHEMA, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == METADATA_SCHEMA_DIGEST
