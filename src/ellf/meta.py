@@ -29,13 +29,22 @@ metadata that breaks it. The decoder only parses structure (magic, version,
 table ids, record kinds, minimal varints, no trailing bytes) and then applies
 the same rule, so it accepts exactly the canonical image of encoding:
 encode(decode(b)) == b, and decode(encode(m)) == m whenever encode succeeds.
+
+The JSON interchange (`ellf inject --meta`, `ellf extract --json`) is written
+down once, as data: per table its record types (a pointer's "kind" picks one),
+per record type its fields in constructor order, per field a kind with its
+JSON Schema, reader and writer. `metadata_from_json`, `build_facts_from_json`,
+`metadata_to_json`, `METADATA_SCHEMA` and `BUILD_FACTS_SCHEMA` derive from it,
+so a reader accepts exactly the documents its schema accepts. Metadata needs
+its version and all five tables, and then `check_invariants`; every build
+facts table is optional.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -304,28 +313,207 @@ def _read_data(rd, addr):
     return DataRecord(addr, rd.uvarint("data record size"))
 
 
+# --- JSON field kinds ---
+#
+# A reader's messages start with the name it is given. A list reads its items
+# as "" and puts "name[i]" before an item's message: names cost only faults.
+
+class _Field(NamedTuple):
+    schema: dict
+    read: Callable                 # (JSON value, name) -> value
+    write: Callable | None = None  # value -> JSON value; None writes it as it is
+
+
+class _Record(NamedTuple):
+    cls: type
+    fields: dict            # JSON name -> _Field, in the constructor's order
+    tag: str | None = None  # the "kind" that picks this record in its table
+    optional: tuple = ()    # fields that may be absent; cls's default fills them
+
+
+_HEX_ADDR = {"type": "string", "pattern": "^0x[0-9a-fA-F]+$"}
+_hex_match = re.compile(_HEX_ADDR["pattern"]).match  # ^-anchored: as JSON Schema's search
+
+
+def _json_addr(value, name):
+    if type(value) is str and _hex_match(value):
+        return int(value, 16)
+    raise InvariantViolation(f"{name} must be a hex string, got {value!r}")
+
+
+_ADDR = _Field(_HEX_ADDR, _json_addr, "0x{:x}".format)
+
+
+def _integer(minimum):
+    """An integer from ``minimum`` to 2**64 - 1, the range a uvarint holds."""
+    def read(value, name):
+        if type(value) is float and value.is_integer():
+            value = int(value)  # JSON has one number type: 2.0 is the integer 2
+        if type(value) is not int:  # 2.5, "2" and true are no integers
+            raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+        if not minimum <= value <= U64:
+            raise InvariantViolation(
+                f"{name} must be from {minimum} to {U64}, got {quoted(value)}")
+        return value
+    return _Field({"type": "integer", "minimum": minimum, "maximum": U64}, read)
+
+
+_COUNT = _integer(1)  # counts, sizes and offsets
+
+
+def _enum(noun, values):
+    def read(value, name):
+        if type(value) is str and value in values:
+            return value
+        raise InvariantViolation(f"{name}: unknown {noun} {value!r}")
+    return _Field({"enum": list(values)}, read)
+
+
+def _list(item):
+    read_item, write_item = item.read, item.write
+
+    def read(value, name):
+        if not isinstance(value, list):
+            raise InvariantViolation(f"{name} must be a list, got {type(value).__name__}")
+        out = []
+        try:
+            for v in value:
+                out.append(read_item(v, ""))
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"{name}[{len(out)}]{exc}") from None
+        return tuple(out)
+
+    write = list if write_item is None else lambda values: [write_item(v) for v in values]
+    return _Field({"type": "array", "items": item.schema}, read, write)
+
+
+def _read_object(obj, record, what, prefix):
+    """``obj`` read as ``record``, or InvariantViolation for its first fault.
+
+    ``what`` names the object and ``prefix`` goes before its field names. The
+    faults are looked for in order: no object, a key that is no field (the
+    first in document order), then field by field a missing or bad field.
+    """
+    if not isinstance(obj, dict):
+        raise InvariantViolation(f"{what} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in record.fields and (key != "kind" or record.tag is None):
+            raise InvariantViolation(f"{what} has unknown field {key!r}")
+    values = {}
+    for (name, field), attr in zip(record.fields.items(), dataclass_fields(record.cls)):
+        if name in obj:
+            values[attr.name] = field.read(obj[name], prefix + name)
+        elif name not in record.optional:
+            raise InvariantViolation(f"{prefix}{name} is missing")
+    return record.cls(**values)
+
+
+def _object(record):
+    """The field kind of a JSON object read as ``record``."""
+    cls, names = record.cls, tuple(record.fields)
+    reads = tuple(field.read for field in record.fields.values())
+    size = len(names) + (record.tag is not None)
+    # Built out per arity, as each record of a table is read here.
+    if len(names) == 2:
+        (k0, k1), (r0, r1) = names, reads
+
+        def build(obj):
+            return cls(r0(obj[k0], k0), r1(obj[k1], k1))
+    elif len(names) == 3:
+        (k0, k1, k2), (r0, r1, r2) = names, reads
+
+        def build(obj):
+            return cls(r0(obj[k0], k0), r1(obj[k1], k1), r2(obj[k2], k2))
+    else:
+        def build(obj):
+            return cls(*[read(obj[k], k) for k, read in zip(names, reads)])
+
+    def read(value, name):
+        # An object with exactly the record's keys and no fault is built
+        # directly; any other value is read again to name its fault.
+        try:
+            if len(value) == size:
+                return build(value)
+        except (KeyError, TypeError, InvariantViolation):
+            pass
+        return _read_object(value, record, name, name + ".")
+
+    tag = {} if record.tag is None else {"kind": record.tag}
+    writes = [(name, attr.name, field.write) for (name, field), attr
+              in zip(record.fields.items(), dataclass_fields(cls))]
+
+    def write(value):
+        obj = dict(tag)
+        for name, attr, write_field in writes:
+            v = getattr(value, attr)
+            obj[name] = v if write_field is None else write_field(v)
+        return obj
+
+    properties = {**{key: {"const": value} for key, value in tag.items()},
+                  **{name: field.schema for name, field in record.fields.items()}}
+    required = [*tag, *(name for name in names if name not in record.optional)]
+    return _Field({"type": "object", "additionalProperties": False,
+                   "properties": properties, "required": required}, read, write)
+
+
+def _one_of(noun, *records):
+    """The field kind of a JSON object read as the one of ``records`` its "kind" picks."""
+    kinds = {record.tag: _object(record) for record in records}
+    writers = {record.cls: kinds[record.tag].write for record in records}
+
+    def read(value, name):
+        try:
+            kind = kinds[value["kind"]]
+        except (KeyError, TypeError):  # no object, or no kind it names
+            if isinstance(value, dict):
+                raise InvariantViolation(
+                    f"{name}.kind: unknown {noun} {value['kind']!r}" if "kind" in value
+                    else f"{name}.kind is missing") from None
+            return _read_object(value, records[0], name, "")  # raises: no object
+        return kind.read(value, name)
+
+    return _Field({"oneOf": [kind.schema for kind in kinds.values()]}, read,
+                  lambda value: writers[type(value)](value))
+
+
+_DATA_TABLE = _list(_object(_Record(DataRecord, {"addr": _ADDR, "size": _COUNT})))
+
+
 class _Table(NamedTuple):
     table_id: int
     name: str        # the table's name in encoded_table_sizes
-    field: str       # the EllfMetadata attribute holding its records
+    field: str       # the EllfMetadata attribute holding its records, and its JSON name
     count_what: str  # field names for codec errors
     key_what: str
     key: Callable
     write: Callable
     read: Callable
+    json: _Field     # the table in the JSON interchange
 
 
 _TABLES = (
     _Table(1, "instructions", "instruction_regions", "region count", "region start",
-           attrgetter("start"), _write_region, _read_region),
+           attrgetter("start"), _write_region, _read_region,
+           _list(_object(_Record(InstructionRegion, {"start": _ADDR, "count": _COUNT})))),
     _Table(2, "pointers", "pointers", "pointer count", "pointer key",
-           attrgetter("key"), _write_pointer, _read_pointer),
+           attrgetter("key"), _write_pointer, _read_pointer,
+           _list(_one_of(
+               "pointer kind",
+               _Record(OperandPointer, {"instr_addr": _ADDR, "operand_index": _integer(0),
+                                        "target": _ADDR}, tag="operand"),
+               _Record(DataPointer, {"addr": _ADDR, "target": _ADDR}, tag="data"),
+               _Record(DataDiff, {"addr": _ADDR, "minuend": _ADDR, "subtrahend": _ADDR},
+                       tag="diff")))),
     _Table(3, "text", "text", "text record count", "text record address",
-           attrgetter("addr"), _write_text, _read_text),
+           attrgetter("addr"), _write_text, _read_text,
+           _list(_object(_Record(TextRecord, {
+               "addr": _ADDR, "kind": _enum("text record kind", tuple(_TEXT_KIND_WIRE))})))),
     _Table(4, "stack", "stack", "stack record count", "stack function entry",
-           attrgetter("function_entry"), _write_stack, _read_stack),
+           attrgetter("function_entry"), _write_stack, _read_stack,
+           _list(_object(_Record(StackRecord, {"function_entry": _ADDR,
+                                               "offsets": _list(_COUNT)})))),
     _Table(5, "data", "data", "data record count", "data record address",
-           attrgetter("addr"), _write_data, _read_data),
+           attrgetter("addr"), _write_data, _read_data, _DATA_TABLE),
 )
 
 
@@ -425,206 +613,33 @@ def encoded_table_sizes(meta: EllfMetadata) -> dict[str, tuple[int, int]]:
 
 # --- JSON interchange ---
 
-def _hex(value):
-    return f"0x{value:x}"
+_METADATA = _Record(EllfMetadata, {
+    "version": _Field({"type": "integer", "const": VERSION}, _COUNT.read),
+    **{table.field: table.json for table in _TABLES}})
+_METADATA_KIND = _object(_METADATA)
+
+METADATA_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                   **_METADATA_KIND.schema}
 
 
 def metadata_to_json(meta: EllfMetadata) -> dict:
-    pointers = []
-    for rec in meta.pointers:
-        if isinstance(rec, OperandPointer):
-            pointers.append({"kind": "operand", "instr_addr": _hex(rec.instr_addr),
-                             "operand_index": rec.operand_index, "target": _hex(rec.target)})
-        elif isinstance(rec, DataPointer):
-            pointers.append({"kind": "data", "addr": _hex(rec.addr),
-                             "target": _hex(rec.target)})
-        else:
-            pointers.append({"kind": "diff", "addr": _hex(rec.addr),
-                             "minuend": _hex(rec.minuend),
-                             "subtrahend": _hex(rec.subtrahend)})
-    return {
-        "version": meta.version,
-        "instruction_regions": [{"start": _hex(r.start), "count": r.count}
-                                for r in meta.instruction_regions],
-        "pointers": pointers,
-        "text": [{"addr": _hex(r.addr), "kind": r.kind} for r in meta.text],
-        "stack": [{"function_entry": _hex(r.function_entry), "offsets": list(r.offsets)}
-                  for r in meta.stack],
-        "data": [{"addr": _hex(r.addr), "size": r.size} for r in meta.data],
-    }
-
-
-# Reading JSON records: a field reader raises InvariantViolation naming the
-# field, and a missing field surfaces as KeyError; metadata_from_json adds the
-# table and the record index to either.
-
-def _json_int(value, field):
-    # JSON has one number type: 2 and 2.0 are integers; 2.5, "2" and true are not.
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise InvariantViolation(f"{field} must be an integer, got {value!r}")
-
-
-def _json_addr(value, field):
-    if type(value) is str and _hex_match(value):
-        return int(value, 16)
-    raise InvariantViolation(f"{field} must be a hex string, got {value!r}")
-
-
-def _region_from_json(rec):
-    return InstructionRegion(_json_addr(rec["start"], "start"),
-                             _json_int(rec["count"], "count"))
-
-
-def _pointer_from_json(rec):
-    kind = rec["kind"]
-    if kind == "operand":
-        return OperandPointer(_json_addr(rec["instr_addr"], "instr_addr"),
-                              _json_int(rec["operand_index"], "operand_index"),
-                              _json_addr(rec["target"], "target"))
-    if kind == "data":
-        return DataPointer(_json_addr(rec["addr"], "addr"),
-                           _json_addr(rec["target"], "target"))
-    if kind == "diff":
-        return DataDiff(_json_addr(rec["addr"], "addr"),
-                        _json_addr(rec["minuend"], "minuend"),
-                        _json_addr(rec["subtrahend"], "subtrahend"))
-    raise InvariantViolation(f"kind: unknown pointer kind {kind!r}")
-
-
-def _text_from_json(rec):
-    addr, kind = _json_addr(rec["addr"], "addr"), rec["kind"]
-    if type(kind) is not str or kind not in _TEXT_KIND_WIRE:
-        raise InvariantViolation(f"kind: unknown text record kind {kind!r}")
-    return TextRecord(addr, kind)
-
-
-def _json_ints(value, field):
-    if not isinstance(value, list):
-        raise InvariantViolation(f"{field} must be a list, got {type(value).__name__}")
-    return tuple(_json_int(v, f"{field}[{i}]") for i, v in enumerate(value))
-
-
-def _stack_from_json(rec):
-    return StackRecord(_json_addr(rec["function_entry"], "function_entry"),
-                       _json_ints(rec["offsets"], "offsets"))
-
-
-def _data_from_json(rec):
-    return DataRecord(_json_addr(rec["addr"], "addr"), _json_int(rec["size"], "size"))
-
-
-# JSON table name (also the EllfMetadata field) -> record reader
-_JSON_TABLES = {
-    "instruction_regions": _region_from_json,
-    "pointers": _pointer_from_json,
-    "text": _text_from_json,
-    "stack": _stack_from_json,
-    "data": _data_from_json,
-}
-
-
-def _json_tables(obj, readers, what) -> dict[str, tuple]:
-    """Each table of the JSON object ``obj``, read record by record.
-
-    ``readers`` maps a table name to its record reader; a missing table is
-    empty. Errors name the table, the record index and the field.
-    """
-    if not isinstance(obj, dict):
-        raise InvariantViolation(f"{what} must be an object, got {type(obj).__name__}")
-    tables = {}
-    for name, read in readers.items():
-        records = obj.get(name, [])
-        if not isinstance(records, list):
-            raise InvariantViolation(f"{name} must be a list, got {type(records).__name__}")
-        table = []
-        for rec in records:
-            if not isinstance(rec, dict):
-                raise InvariantViolation(f"{name}[{len(table)}] must be an object, "
-                                         f"got {type(rec).__name__}")
-            try:
-                table.append(read(rec))
-            except KeyError as exc:
-                raise InvariantViolation(f"{name}[{len(table)}].{exc.args[0]} is missing") \
-                    from None
-            except InvariantViolation as exc:
-                raise InvariantViolation(f"{name}[{len(table)}].{exc}") from None
-        tables[name] = tuple(table)
-    return tables
+    """The JSON interchange form of ``meta``, which ``ellf extract --json`` prints."""
+    return _METADATA_KIND.write(meta)
 
 
 def metadata_from_json(obj: dict) -> EllfMetadata:
     """Read the JSON interchange form (see METADATA_SCHEMA) into metadata.
 
-    Anything that is not a schema-valid document meeting check_invariants
-    raises InvariantViolation. A malformed record is named by table, record
-    index and field, as in "stack[2].offsets[0] must be an integer, got '8'".
+    The reader and METADATA_SCHEMA derive from one description, so a
+    document loads exactly when the schema accepts it and it meets
+    check_invariants; anything else raises InvariantViolation. The version
+    and all five tables are required. The first fault is named by table,
+    record index and field, as in "stack[2].offsets[0] must be an integer,
+    got '8'" or "pointers[0] has unknown field 'addres'".
     """
-    tables = _json_tables(obj, _JSON_TABLES, "metadata JSON")
-    meta = EllfMetadata(version=_json_int(obj.get("version", VERSION), "version"),
-                        **tables)
+    meta = _read_object(obj, _METADATA, "metadata JSON", "")
     check_invariants(meta)
     return meta
-
-
-def _record(required, optional=None):
-    """Schema of a JSON object with exactly these properties, all but ``optional`` required."""
-    schema = {"type": "object", "additionalProperties": False,
-              "properties": {**required, **(optional or {})}}
-    if required:
-        schema["required"] = list(required)
-    return schema
-
-
-def _array(items):
-    return {"type": "array", "items": items}
-
-
-_HEX_ADDR = {"type": "string", "pattern": "^0x[0-9a-fA-F]+$"}
-_hex_match = re.compile(_HEX_ADDR["pattern"]).match  # ^-anchored: as JSON Schema's search
-_POSITIVE = {"type": "integer", "minimum": 1}
-_COUNT = {**_POSITIVE, "maximum": U64}  # held in a uvarint
-
-METADATA_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    **_record({
-        "version": {"type": "integer", "const": 1},
-        "instruction_regions": _array(_record({"start": _HEX_ADDR, "count": _COUNT})),
-        "pointers": _array({"oneOf": [
-            _record({"kind": {"const": "operand"}, "instr_addr": _HEX_ADDR,
-                     "operand_index": {"type": "integer", "minimum": 0, "maximum": U64},
-                     "target": _HEX_ADDR}),
-            _record({"kind": {"const": "data"}, "addr": _HEX_ADDR, "target": _HEX_ADDR}),
-            _record({"kind": {"const": "diff"}, "addr": _HEX_ADDR, "minuend": _HEX_ADDR,
-                     "subtrahend": _HEX_ADDR}),
-        ]}),
-        "text": _array(_record({
-            "addr": _HEX_ADDR,
-            "kind": {"enum": [BASIC_BLOCK, FUNCTION_START, FUNCTION_END]}})),
-        "stack": _array(_record({"function_entry": _HEX_ADDR, "offsets": _array(_COUNT)})),
-        "data": _array(_record({"addr": _HEX_ADDR, "size": _COUNT})),
-    }),
-}
-
-BUILD_FACTS_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    **_record({}, {
-        "basic_blocks": _array(_record({
-            "function_addr": _HEX_ADDR,
-            "block_offsets": _array({"type": "integer", "minimum": 0}),
-            "block_sizes": _array(_POSITIVE)})),
-        "relocations": _array(_record({
-            "addr": _HEX_ADDR,
-            "kind": {"enum": ["abs64", "pc32", "diff32"]},
-            "target_addr": _HEX_ADDR}, {"subtrahend_addr": _HEX_ADDR})),
-        "variables": _array(_record({"addr": _HEX_ADDR, "size": _POSITIVE})),
-        "locals": _array(_record({"function_addr": _HEX_ADDR, "offsets": _array(_POSITIVE)})),
-        "jump_tables": _array(_record({"table_addr": _HEX_ADDR, "entry_count": _POSITIVE,
-                                       "entry_size": _POSITIVE})),
-    }),
-}
 
 
 # --- build facts ingestion ---
@@ -660,49 +675,33 @@ class BuildFacts:
     jump_tables: tuple[JumpTableFact, ...] = ()
 
 
-def _blocks_from_json(rec):
-    return BlockFacts(_json_addr(rec["function_addr"], "function_addr"),
-                      _json_ints(rec["block_offsets"], "block_offsets"),
-                      _json_ints(rec["block_sizes"], "block_sizes"))
-
-
-def _relocation_from_json(rec):
-    kind = rec["kind"]
-    if kind not in ("abs64", "pc32", "diff32"):
-        raise InvariantViolation(f"kind: unknown relocation kind {kind!r}")
-    subtrahend = (_json_addr(rec["subtrahend_addr"], "subtrahend_addr")
-                  if "subtrahend_addr" in rec else None)
-    return RelocationFact(_json_addr(rec["addr"], "addr"), kind,
-                          _json_addr(rec["target_addr"], "target_addr"), subtrahend)
-
-
-def _locals_from_json(rec):
-    return StackRecord(_json_addr(rec["function_addr"], "function_addr"),
-                       _json_ints(rec["offsets"], "offsets"))
-
-
-def _jump_table_from_json(rec):
-    return JumpTableFact(_json_addr(rec["table_addr"], "table_addr"),
-                         _json_int(rec["entry_count"], "entry_count"),
-                         _json_int(rec["entry_size"], "entry_size"))
-
-
-# JSON table name (also the BuildFacts field) -> record reader
-_FACTS_TABLES = {
-    "basic_blocks": _blocks_from_json,
-    "relocations": _relocation_from_json,
-    "variables": _data_from_json,
-    "locals": _locals_from_json,
-    "jump_tables": _jump_table_from_json,
+_FACTS_FIELDS = {
+    "basic_blocks": _list(_object(_Record(BlockFacts, {
+        "function_addr": _ADDR, "block_offsets": _list(_integer(0)),
+        "block_sizes": _list(_COUNT)}))),
+    "relocations": _list(_object(_Record(RelocationFact, {
+        "addr": _ADDR, "kind": _enum("relocation kind", ("abs64", "pc32", "diff32")),
+        "target_addr": _ADDR, "subtrahend_addr": _ADDR}, optional=("subtrahend_addr",)))),
+    "variables": _DATA_TABLE,
+    "locals": _list(_object(_Record(StackRecord, {"function_addr": _ADDR,
+                                                  "offsets": _list(_COUNT)}))),
+    "jump_tables": _list(_object(_Record(JumpTableFact, {
+        "table_addr": _ADDR, "entry_count": _COUNT, "entry_size": _COUNT}))),
 }
+_FACTS = _Record(BuildFacts, _FACTS_FIELDS, optional=tuple(_FACTS_FIELDS))
+
+BUILD_FACTS_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                      **_object(_FACTS).schema}
 
 
 def build_facts_from_json(obj: dict) -> BuildFacts:
-    """Read build facts (see BUILD_FACTS_SCHEMA) with metadata_from_json's readers.
+    """Read build facts (see BUILD_FACTS_SCHEMA) as metadata_from_json reads metadata.
 
-    A malformed document raises InvariantViolation naming table[index].field.
+    A document loads exactly when BUILD_FACTS_SCHEMA accepts it. Every table
+    is optional, and a missing one is empty. A malformed document raises
+    InvariantViolation naming table[index].field.
     """
-    return BuildFacts(**_json_tables(obj, _FACTS_TABLES, "build facts JSON"))
+    return _read_object(obj, _FACTS, "build facts JSON", "")
 
 
 def metadata_from_layout(regions, functions, blocks, pointers, variables, locals
