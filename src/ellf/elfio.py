@@ -242,22 +242,21 @@ class ImageView(Mapping):
         """The alloc section that contains ``addr``, or None."""
         return self._image.section_at(addr)
 
-    def _runs(self) -> list[list[int]]:
-        """Maximal [start, end) runs of consecutive mapped addresses."""
-        runs: list[list[int]] = []
-        for start, end in zip(self._starts, self._ends):
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = end
-            else:
-                runs.append([start, end])
-        return runs
-
     def __eq__(self, other):
         if not isinstance(other, ImageView):
             return super().__eq__(other)
-        runs = self._runs()
-        return runs == other._runs() and all(
-            self.read(start, end) == other.read(start, end) for start, end in runs)
+        # Each piece between the section boundaries of both views lies in one
+        # section or gap on each side; zero-fill on both sides is never read.
+        cuts = sorted({*self._starts, *self._ends, *other._starts, *other._ends})
+        for start, end in zip(cuts, cuts[1:]):
+            mapped = start in self
+            if mapped != (start in other):
+                return False
+            zero_fill = mapped and self._bodies[self._index(start)] is None \
+                and other._bodies[other._index(start)] is None
+            if mapped and not zero_fill and self.read(start, end) != other.read(start, end):
+                return False
+        return True
 
 
 def load_image(img: ElfImage) -> ImageView:

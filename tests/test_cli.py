@@ -176,6 +176,20 @@ def test_malformed_metadata_json_fails_cleanly(tmp_path, capsys, assembled, muta
     assert not (tmp_path / "out.elf").exists()
 
 
+def test_inject_refuses_a_misspelled_table(tmp_path, capsys):
+    plain, meta = assemble_image(parse_assembly(corpus_programs()["13_function_pointer"]))
+    doc = metadata_to_json(meta)
+    assert doc["pointers"]
+    doc["pointer"] = doc.pop("pointers")
+    (tmp_path / "plain.elf").write_bytes(plain)
+    (tmp_path / "meta.json").write_text(json.dumps(doc))
+    code, _, err = run(capsys, "inject", tmp_path / "plain.elf", "--meta",
+                       tmp_path / "meta.json", "-o", tmp_path / "out.elf")
+    assert code == cli.EXIT_DOMAIN == 1
+    assert err == "error: InvariantViolation: metadata JSON has unknown field 'pointer'\n"
+    assert not (tmp_path / "out.elf").exists()
+
+
 def test_metadata_json_that_is_not_utf8_fails_cleanly(tmp_path, capsys, assembled):
     meta = tmp_path / "meta.json"
     meta.write_bytes(b'{"version": 1, "text": "\xff"}')

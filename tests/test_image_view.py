@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellf import elfio
-from ellf.asm import assemble, parse_assembly
+from ellf.asm import assemble, parse_assembly, roundtrip_check
 from ellf.corpus import corpus_programs
 from ellf.errors import OverlapError
 from ellf.lifter import emit_assembly, lift
@@ -154,3 +154,9 @@ def test_lift_of_a_large_bss_allocates_no_per_byte_objects():
         tracemalloc.stop()
     assert ".zero 4194304" in text
     assert peak < 16 * 2 ** 20
+
+
+def test_round_trip_of_a_bss_that_ends_at_the_top_of_the_address_space():
+    # Comparing the two images must not read the 2**64 - 0x2000 zero bytes.
+    report = roundtrip_check(".section .bss base=0x2000\n.zero 0xffffffffffffe000\n")
+    assert report.ok, report.lines()

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -12,7 +13,20 @@ from ellf.errors import InvariantViolation
 from ellf.meta import (
     BUILD_FACTS_SCHEMA,
     METADATA_SCHEMA,
+    BlockFacts,
+    BuildFacts,
+    DataDiff,
+    DataPointer,
+    DataRecord,
     EllfMetadata,
+    InstructionRegion,
+    JumpTableFact,
+    OperandPointer,
+    RelocationFact,
+    StackRecord,
+    TextRecord,
+    build_facts_from_json,
+    check_invariants,
     metadata_from_json,
     metadata_to_json,
 )
@@ -101,3 +115,145 @@ def test_extract_json_matches_the_frozen_digest():
 def test_metadata_schema_matches_the_frozen_digest():
     text = json.dumps(METADATA_SCHEMA, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == METADATA_SCHEMA_DIGEST
+
+
+# --- the readers accept exactly what the schemas accept ---
+
+FACTS_DOCUMENTS = [
+    {"basic_blocks": [{"function_addr": "0x4000", "block_offsets": [0, 4],
+                       "block_sizes": [4, 8]}],
+     "relocations": [{"addr": "0x5000", "kind": "abs64", "target_addr": "0x4000"},
+                     {"addr": "0x5010", "kind": "diff32", "target_addr": "0x4004",
+                      "subtrahend_addr": "0x5010"}],
+     "variables": [{"addr": "0x5000", "size": 8}],
+     "locals": [{"function_addr": "0x4000", "offsets": [8, 16]}],
+     "jump_tables": [{"table_addr": "0x5010", "entry_count": 2, "entry_size": 8}]},
+    {"relocations": [{"addr": "0x10", "kind": "pc32", "target_addr": "0x20"}]},
+]
+
+METADATA_RECORDS = {"instruction_regions": InstructionRegion, "text": TextRecord,
+                    "stack": StackRecord, "data": DataRecord}
+POINTER_RECORDS = {"operand": OperandPointer, "data": DataPointer, "diff": DataDiff}
+FACTS_RECORDS = {"basic_blocks": BlockFacts, "relocations": RelocationFact,
+                 "variables": DataRecord, "locals": StackRecord, "jump_tables": JumpTableFact}
+
+
+def plain(value):
+    """A schema-valid JSON value as the records hold it."""
+    if isinstance(value, str) and value.startswith("0x"):
+        return int(value, 16)
+    if isinstance(value, list):
+        return tuple(plain(v) for v in value)
+    return int(value) if isinstance(value, float) else value
+
+
+def record(cls, obj, tagged=False):
+    """``obj`` as a ``cls``; in a tagged table, "kind" picks the class and is no field."""
+    return cls(*[plain(v) for k, v in obj.items() if not (tagged and k == "kind")])
+
+
+def expected_metadata(doc):
+    tables = {name: tuple(record(POINTER_RECORDS[r["kind"]], r, tagged=True)
+                          if name == "pointers" else record(METADATA_RECORDS[name], r)
+                          for r in records)
+              for name, records in doc.items() if name != "version"}
+    return EllfMetadata(version=plain(doc["version"]), **tables)
+
+
+def expected_facts(doc):
+    return BuildFacts(**{name: tuple(record(FACTS_RECORDS[name], r) for r in records)
+                         for name, records in doc.items()})
+
+
+def sites(node):
+    """(container, key) of every value inside the JSON value ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in list(items):
+        yield node, key
+        yield from sites(value)
+
+
+def mutate(doc, data):
+    """Drop, rename or add a table or a field, retype a value or push an integer out."""
+    every = list(sites(doc))
+    fields = [(obj, key) for obj, key in every if isinstance(obj, dict)]
+    integers = [(obj, key) for obj, key in every if type(obj[key]) is int]
+    how = data.draw(st.sampled_from(["add"] + ["drop", "rename", "retype"] * bool(fields)
+                                    + ["integer"] * bool(integers)))
+    if how == "add":
+        objects = [doc] + [obj[key] for obj, key in every if isinstance(obj[key], dict)]
+        data.draw(st.sampled_from(objects))["bogus"] = 1
+        return
+    obj, key = data.draw(st.sampled_from(integers if how == "integer" else
+                                         fields if how != "retype" else every))
+    if how == "drop":
+        del obj[key]
+    elif how == "rename":  # in place, as "pointers" -> "pointer"
+        items = list(obj.items())
+        obj.clear()
+        obj.update((k[:-1] if k == key else k, v) for k, v in items)
+    elif how == "retype":
+        obj[key] = data.draw(st.sampled_from(["2", True, 2.0, 2.5, []]))
+    else:
+        obj[key] = data.draw(st.sampled_from([0, -1, 2 ** 64]))
+
+
+METADATA_VALIDATOR = jsonschema.Draft202012Validator(METADATA_SCHEMA)
+FACTS_VALIDATOR = jsonschema.Draft202012Validator(BUILD_FACTS_SCHEMA)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_readers_accept_exactly_the_documents_their_schema_accepts(data):
+    if data.draw(st.booleans(), label="metadata"):
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        doc = metadata_to_json(random_metadata(random.Random(seed)))
+        read, validator, expected = metadata_from_json, METADATA_VALIDATOR, expected_metadata
+    else:
+        doc = copy.deepcopy(data.draw(st.sampled_from(FACTS_DOCUMENTS)))
+        read, validator, expected = build_facts_from_json, FACTS_VALIDATOR, expected_facts
+    mutate(doc, data)
+    if not validator.is_valid(doc):
+        with pytest.raises(InvariantViolation):
+            read(doc)
+        return
+    want = expected(doc)
+    if isinstance(want, EllfMetadata):
+        try:
+            check_invariants(want)
+        except InvariantViolation:  # say, an operand index now shared at one address
+            with pytest.raises(InvariantViolation):
+                read(doc)
+            return
+    assert read(doc) == want
+
+
+def u64_range(low):
+    return f"from {low} to {2 ** 64 - 1}"
+BLOCKS = {"function_addr": "0x10", "block_offsets": [0], "block_sizes": [4]}
+
+
+@pytest.mark.parametrize("read, doc, message", [
+    (metadata_from_json, {**metadata_to_json(SPARSE_DEMO_META), "pointer": []},
+     "metadata JSON has unknown field 'pointer'"),
+    (metadata_from_json, {}, "version is missing"),
+    (metadata_from_json, {**metadata_to_json(SPARSE_DEMO_META),
+                          "data": [{"addr": "0x10", "size": 8, "zz": 1, "aa": 2}]},
+     "data[0] has unknown field 'zz'"),
+    (build_facts_from_json, {"variable": []}, "build facts JSON has unknown field 'variable'"),
+    (build_facts_from_json, {"basic_blocks": [{**BLOCKS, "block_sizes": [0]}]},
+     f"basic_blocks[0].block_sizes[0] must be {u64_range(1)}, got 0"),
+    (build_facts_from_json, {"basic_blocks": [{**BLOCKS, "block_offsets": [-4]}]},
+     f"basic_blocks[0].block_offsets[0] must be {u64_range(0)}, got -4"),
+    (build_facts_from_json, {"jump_tables": [{"table_addr": "0x10", "entry_count": 0,
+                                              "entry_size": 8}]},
+     f"jump_tables[0].entry_count must be {u64_range(1)}, got 0"),
+], ids=["misspelled_table", "no_version_no_tables", "unknown_fields", "unknown_facts_table",
+        "zero_block_size", "negative_block_offset", "zero_entry_count"])
+def test_documents_the_schema_rejects_name_their_first_fault(read, doc, message):
+    schema = METADATA_SCHEMA if read is metadata_from_json else BUILD_FACTS_SCHEMA
+    assert not jsonschema.Draft202012Validator(schema).is_valid(doc)
+    with pytest.raises(InvariantViolation) as info:
+        read(doc)
+    assert str(info.value) == message
