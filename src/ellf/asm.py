@@ -1,6 +1,8 @@
 """One-walk assembler for the emitted dialect, and the round-trip oracle.
 
-The dialect (one statement per line, ``#`` comments):
+The dialect (one statement per line, ``#`` comments; a line ends at ``\\n``,
+``\\r\\n`` or ``\\r`` and nowhere else, so a form feed or U+2028 is a character
+of its line):
 
     .section NAME base=0xADDR      sections; flags follow the name (.text*
                                    executable, .bss* zero-fill, .rodata*
@@ -19,7 +21,10 @@ two hex digits); any other character stands for itself and must be at most
 U+00FF, since ``.asciz`` holds bytes up to 0xFF. Arguments are separated by
 commas. A ``.byte`` value is a Python integer literal in 0..255: decimal or
 with a ``0x``/``0o``/``0b`` base prefix, optionally signed, with underscores
-allowed between digits (``0x_ff``, ``1_0``). A memory operand's terms are
+allowed between digits (``0x_ff``, ``1_0``). Consecutive plain ``.byte`` lines
+(nothing but spaces, tabs, ``.byte`` and values: no label, comment or other
+character) form one data item; the bytes, and any error and its line, are
+those of the lines parsed one by one. A memory operand's terms are
 separated by ``+`` and ``-`` and none may be empty: a sign may lead the
 operand, but two signs in a row or a trailing sign is an error.
 
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice, repeat
 
 from . import elfio
 from .errors import (
@@ -95,6 +100,9 @@ _SECTION_RE = re.compile(rf"^\.section\s+({_IDENT})(?:\s+base\s*=\s*(\S+))?$")
 # A line's code: everything before the first '#' outside a double-quoted
 # string; inside a string a backslash escapes the next character.
 _CODE_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"?)*')
+# A run of plain .byte lines: no label, comment or other character. One
+# blank after ".byte" (the rest may hold more) keeps a failed match linear.
+_BYTE_RUN_RE = re.compile(r"^(?:[ \t]*\.byte[ \t][0-9A-Za-z_+\-, \t]*(?:\n|\Z))+", re.M)
 
 
 # --- program representation ---
@@ -137,6 +145,9 @@ class Data:
     directive: str  # "byte" | "long" | "quad" | "zero" | "asciz"
     payload: object
     line: int
+    # A run of .byte lines keeps its source text, which says on what line
+    # each byte stands; empty for any other item.
+    run_text: str = field(default="", repr=False, compare=False)
 
 
 @dataclass
@@ -224,7 +235,16 @@ def parse_assembly(text: str) -> AsmProgram:
             raise DuplicateLabel(f"label {name!r} already defined", line)
         defined.add(name)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    runs = {}  # first line number -> text of a run of plain .byte lines
+    lineno, pos = 1, 0
+    for m in _BYTE_RUN_RE.finditer(text):
+        lineno += text.count("\n", pos, m.start())
+        pos = m.start()
+        runs[lineno] = m.group()
+
+    numbered = enumerate(text.split("\n"), start=1)
+    for lineno, raw in numbered:
         # _CODE_RE cuts only at a '#', and a label needs a ':'.
         line = (_CODE_RE.match(raw).group() if "#" in raw else raw).strip()
         while ":" in line:
@@ -285,6 +305,10 @@ def parse_assembly(text: str) -> AsmProgram:
                 define(parts[0], lineno)
                 current_section(lineno).items.append(
                     SetLabel(parts[0], base, offset, lineno))
+            elif lineno in runs and (item := _byte_run(runs[lineno], lineno)):
+                current_section(lineno).items.append(item)
+                skip = item.run_text.count("\n", 0, -1)  # the run's other lines
+                next(islice(numbered, skip, skip), None)
             elif word in (".byte", ".long", ".quad", ".zero", ".asciz"):
                 current_section(lineno).items.append(
                     _parse_data(word[1:], rest, lineno))
@@ -373,6 +397,17 @@ def _parse_data(directive, rest, line):
         if isinstance(e, QuadInt) and not -(1 << 63) <= e.value < (1 << 64):
             raise AsmSyntaxError(f"quad value {quoted(e.value)} out of range", line)
     return Data("quad", exprs, line)
+
+
+def _byte_run(run, line):
+    """The one Data item of a run of plain ``.byte`` lines, or None if a value
+    is bad; the line path then names the first fault."""
+    # A value holds no '.', so the ".byte" words and the commas separate them.
+    try:
+        payload = bytes(map(int, run.replace(".byte", ",").split(",")[1:], repeat(0)))
+    except ValueError:
+        return None
+    return Data("byte", payload, line, run)
 
 
 def _parse_string(text, line):
@@ -641,8 +676,11 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 blob += encoded
                 addr += len(encoded)
             if addr > 1 << 64:
+                line = item.line
+                if isinstance(item, Data) and item.run_text:
+                    line = _run_line(item, len(item.payload) - (addr - (1 << 64)))
                 raise AsmSyntaxError(f"section {section.name} runs past the end of the "
-                                     f"64-bit address space", item.line)
+                                     f"64-bit address space", line)
         laid_out.append((section, blob, addr - section.base, names))
 
     for item in sorted(set_labels, key=lambda s: s.line):
@@ -703,6 +741,14 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
             sh_type=sh_type, sh_flags=flags, size=size))
     entry = next((section.base for section in sections if section.execable), 0)
     return elfio.build_elf(new_sections, entry_point=entry), meta
+
+
+def _run_line(item: Data, offset: int) -> int:
+    """The line of a ``.byte`` run that holds byte ``offset`` of its payload."""
+    for i, line_text in enumerate(item.run_text.split("\n")):
+        offset -= line_text.count(",") + 1
+        if offset < 0:
+            return item.line + i
 
 
 def _uses_labels(parts) -> bool:

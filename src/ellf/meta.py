@@ -332,7 +332,10 @@ class _Record(NamedTuple):
 
 
 _HEX_ADDR = {"type": "string", "pattern": "^0x[0-9a-fA-F]+$"}
-_hex_match = re.compile(_HEX_ADDR["pattern"]).match  # ^-anchored: as JSON Schema's search
+# JSON Schema reads a pattern as ECMA-262 does, where "$" matches only at the
+# end of the string; Python's "$" also matches before a final "\n" (so
+# Python's jsonschema accepts "0x10\n"). A full match reads it as ECMA-262.
+_hex_match = re.compile(_HEX_ADDR["pattern"]).fullmatch
 
 
 def _json_addr(value, name):
@@ -631,7 +634,8 @@ def metadata_from_json(obj: dict) -> EllfMetadata:
     """Read the JSON interchange form (see METADATA_SCHEMA) into metadata.
 
     The reader and METADATA_SCHEMA derive from one description, so a
-    document loads exactly when the schema accepts it and it meets
+    document loads exactly when the schema accepts it (its patterns read as
+    ECMA-262 reads them, so "0x10\\n" is no address) and it meets
     check_invariants; anything else raises InvariantViolation. The version
     and all five tables are required. The first fault is named by table,
     record index and field, as in "stack[2].offsets[0] must be an integer,

@@ -1,5 +1,6 @@
 """Assembler contracts and the round-trip oracle over the bundled corpus."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,13 @@ from ellf.asm import (
     _split_terms,
 )
 from ellf.corpus import corpus_programs, hazard_program
-from ellf.errors import AsmSyntaxError, PointerStraddle, RangeOverflow, UndefinedLabel
+from ellf.errors import (
+    AsmSyntaxError,
+    EllfError,
+    PointerStraddle,
+    RangeOverflow,
+    UndefinedLabel,
+)
 from ellf.isa import PcRel, _REG_INFO
 from ellf.lifter import emit_assembly, lift
 from ellf.meta import decode_metadata
@@ -480,3 +487,137 @@ def test_byte_lines_parse_as_the_reference_does(items):
 def test_byte_values_may_carry_any_whitespace_that_strip_removes():
     prog = parse_assembly(".section .data base=0x2000\n    .byte \x1f1,\x1f0x_ff ,2\n")
     assert prog.sections[0].items[0].payload == b"\x01\xff\x02"
+
+
+# --- line breaks ---
+
+FORMER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", FORMER_LINE_BREAKS)
+def test_only_lf_crlf_and_cr_break_lines(char):
+    src = f".section .text base=0x1000\n# note{char} more\n    ret\r\n    ret\r    bogus\n"
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_assembly(src)
+    assert str(info.value) == "line 5: unknown mnemonic 'bogus'"
+
+
+def test_asciz_may_hold_a_form_feed():
+    prog = parse_assembly('.section .data base=0x2000\n    .asciz "a\x0cb\x85"\n')
+    assert prog.sections[0].items[0].payload == b"a\x0cb\x85\0"
+
+
+def test_a_line_separator_in_asciz_is_a_character_above_0xff():
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_assembly('.section .data base=0x2000\n    .asciz "a\u2028b"\n')
+    assert str(info.value) == ("line 2: '\\u2028' is not a byte: .asciz holds "
+                               "characters up to \\xff")
+
+
+# --- a run of .byte lines against the line path ---
+
+def test_a_run_of_plain_byte_lines_is_one_data_item():
+    src = (".section .data base=0x2000\n    .byte 1, 2\r\n\t.byte\t3\n"
+           "x:\n    .byte 4\n    .byte 5  # five\n    .byte 6")
+    items = parse_assembly(src).sections[0].items
+    assert [(type(item).__name__, getattr(item, "payload", None), item.line)
+            for item in items] == [("Data", b"\1\2\3", 2), ("Label", None, 4),
+                                   ("Data", b"\4", 5), ("Data", b"\5", 6),
+                                   ("Data", b"\6", 7)]
+
+
+@pytest.mark.parametrize("base, line", [(0xFFFFFFFFFFFFFFF8, 4), (0xFFFFFFFFFFFFFFF9, 3),
+                                        (0xFFFFFFFFFFFFFFFC, 3), (0xFFFFFFFFFFFFFFFD, 2)])
+def test_a_run_past_the_address_space_names_the_line_of_the_first_byte_past_it(
+        base, line):
+    src = f".section .data base={base:#x}\n.byte 1,2,3,4\n.byte 5,6,7,8\n.byte 9\n"
+    with pytest.raises(AsmSyntaxError) as info:
+        assemble_image(parse_assembly(src))
+    assert str(info.value) == (f"line {line}: section .data runs past the end of the "
+                               f"64-bit address space")
+
+
+@pytest.mark.parametrize("src, message", [
+    (".section .bss base=0x2000\nb:\n    .byte 1, 2\n    .byte 3\n",
+     "line 3: .byte not allowed in the zero-fill section .bss"),
+    (".section .text base=0x1000\n.func f\n    .byte 1\n    .byte 2\n    ret\n.endfunc\n",
+     "line 3: function f must start with an instruction"),
+], ids=["in_bss", "opening_a_function"])
+def test_a_run_that_cannot_stand_where_it_is_names_its_first_line(src, message):
+    for text in (src, src.replace("\n", " #\n")):  # a run, then the line path
+        with pytest.raises(AsmSyntaxError) as info:
+            assemble_image(parse_assembly(text))
+        assert str(info.value) == message
+
+
+def test_a_line_that_is_almost_a_run_is_rejected_in_linear_time():
+    src = ".section .data base=0x2000\n.byte" + " " * 20_000 + "1 # note\n"
+    start = time.perf_counter()
+    assert parse_assembly(src).sections[0].items[0].payload == b"\1"
+    assert time.perf_counter() - start < 1.0  # a quadratic match takes seconds
+
+
+def assembled(text):
+    """The ELF and metadata ``text`` assembles to, or the error's class, message
+    and line."""
+    try:
+        return assemble_image(parse_assembly(text))
+    except EllfError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+run_values = st.tuples(  # a line's values in one literal form (byte_numbers varies them)
+    st.lists(st.integers(0, 0xFF), min_size=1, max_size=8),
+    st.sampled_from(["{}", "{:#x}", "{:#04X}", "+{:#o}", "0b_{:b}", "{:#b}"]),
+    st.sampled_from(["", " ", "\t", " \t"]),
+).map(lambda t: [t[2] + t[1].format(v) + t[2] for v in t[0]])
+byte_statements = st.tuples(
+    st.sampled_from(["", "    ", "\t", " \t"]), st.sampled_from([" ", "\t", " \t "]),
+    st.integers(0, 9).flatmap(  # mostly values a run may hold, so runs reach the assembler
+        lambda k: run_values if k < 8 else st.lists(
+            clean_bytes if k == 8 else byte_items, max_size=4)),
+).map(lambda t: f"{t[0]}.byte{t[1]}{','.join(t[2])}")
+other_statements = st.sampled_from([
+    "", "  ", "d{}:", "d{}: .byte 1, 2", "    .quad 7", "    .quad d0 + 1",
+    "    .byte 3  # three", "    .asciz \"ab\"", "    .zero 2",
+])
+SECTION_HEADS = [
+    [".section .data base=0x2000"], [".section .data base=0xfffffffffffffff0"],
+    [".section .data base=0xfffffffffffffff9"], [".section .rodata base=0xffffffffffffffc3"],
+    [".section .bss base=0x2000"], [".section .text base=0x1000", ".func f"], [],
+]
+
+
+@st.composite
+def byte_run_sources(draw):
+    """Source lines and which of them are plain ``.byte`` statements: runs of
+    them among labels, blank lines and other data, in one of the sections."""
+    head = draw(st.sampled_from(SECTION_HEADS))
+    lines, is_byte = head + ["d0:"], [False] * (len(head) + 1)
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            run = draw(st.lists(byte_statements, min_size=1, max_size=4))
+            lines += run
+            is_byte += [True] * len(run)
+        else:
+            lines.append(draw(other_statements).format(len(lines)))
+            is_byte.append(False)
+    if ".func f" in head:
+        lines += ["    ret", ".endfunc"]
+        is_byte += [False, False]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line break after the last line
+    return lines, is_byte, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_run_sources())
+def test_byte_runs_assemble_as_the_line_path_does(source):
+    # A comment keeps a .byte line out of a run but leaves its values and
+    # its line number as they are, so the line path parses the second text.
+    lines, is_byte, ends = source
+    text = "".join(line + end for line, end in zip(lines, ends))
+    by_line = "".join(line + " #" * byte + end for line, byte, end in zip(lines, is_byte, ends))
+    assert assembled(text) == assembled(by_line)

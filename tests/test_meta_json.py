@@ -263,3 +263,21 @@ def test_documents_the_schema_rejects_name_their_first_fault(read, doc, message)
     with pytest.raises(InvariantViolation) as info:
         read(doc)
     assert str(info.value) == message
+
+
+# JSON Schema reads a "pattern" as ECMA-262 does, where "$" matches only at the
+# end of the string. Python's "$" also matches before a final "\n", so Python's
+# jsonschema accepts "0x10\n" as an address; the readers refuse it.
+@pytest.mark.parametrize("read, doc, message", [
+    (metadata_from_json, {**metadata_to_json(SPARSE_DEMO_META),
+                          "data": [{"addr": "0x10\n", "size": 8}]},
+     "data[0].addr must be a hex string, got '0x10\\n'"),
+    (build_facts_from_json, {"variables": [{"addr": "0x10\n", "size": 8}]},
+     "variables[0].addr must be a hex string, got '0x10\\n'"),
+    (build_facts_from_json, {"basic_blocks": [{**BLOCKS, "function_addr": "0x10\n"}]},
+     "basic_blocks[0].function_addr must be a hex string, got '0x10\\n'"),
+], ids=["metadata", "facts_variable", "facts_block"])
+def test_a_hex_address_with_a_trailing_newline_is_refused(read, doc, message):
+    with pytest.raises(InvariantViolation) as info:
+        read(doc)
+    assert str(info.value) == message
