@@ -29,7 +29,7 @@ from ellf.errors import (
 )
 from ellf.isa import PcRel, _REG_INFO
 from ellf.lifter import emit_assembly, lift
-from ellf.meta import decode_metadata
+from ellf.meta import DataPointer, OperandPointer, decode_metadata
 
 
 def test_bases_do_not_leak_into_the_parsed_program():
@@ -209,6 +209,23 @@ def test_leading_sign_in_memory_operand(operand, terms):
 def test_empty_memory_operand_is_a_syntax_error():
     with pytest.raises(AsmSyntaxError, match="empty memory operand"):
         parse_assembly(".section .text base=0x1000\n    mov rax, []\n")
+
+
+def test_a_second_register_term_is_the_index_at_scale_one():
+    def code(operand):
+        src = f".section .text base=0x1000\n.func f\n    mov rax, {operand}\n    ret\n.endfunc\n"
+        return assemble_image(parse_assembly(src))[0]
+
+    assert code("[rbx + rcx]") == code("[rbx + rcx*1]") != code("[rcx + rbx]")
+
+
+def test_a_label_minus_an_offset_names_the_address_before_the_label():
+    src = (".section .text base=0x1000\n.func f\n    mov rcx, g - 4\n    ret\n.endfunc\n"
+           ".func g\n    ret\n.endfunc\n.set h, g - 1\n.section .data base=0x2000\n"
+           "    .quad h\n")
+    _, meta = assemble_image(parse_assembly(src))
+    g = 0x1000 + 10 + 1  # after a movabs and a ret
+    assert meta.pointers == (OperandPointer(0x1000, 1, g - 4), DataPointer(0x2000, g - 1))
 
 
 @pytest.mark.parametrize("statement, message", [

@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 
 import pytest
 
@@ -305,3 +306,148 @@ def test_a_section_may_end_at_the_top_of_the_address_space(tmp_path, capsys):
     path.write_text(BSS.format(".zero 0xffffffffffffe000"))
     code, _, _ = run(capsys, "asm", path, "-o", tmp_path / "prog.elf")
     assert code == cli.EXIT_OK
+
+
+# --- every assembler error, through the command line ---
+
+FUNC = ".section .text base=0x1000\n.func f\n    {}\n    ret\n.endfunc\n"
+FAR = ".section .text2 base=0x100001000\n.func g\n    ret\n.endfunc\n"
+
+
+@pytest.mark.parametrize("source, error", [
+    pytest.param(".section .text base=0x1000\n.func f\n    ret\n.endfunc\nf:\n",
+                 "DuplicateLabel: line 5: label 'f' already defined", id="duplicate-label"),
+    pytest.param(".section .text base 0x1000\n",
+                 f"{SYNTAX}line 1: malformed .section line: '.section .text base 0x1000'",
+                 id="malformed-section"),
+    pytest.param(".section .text base=0x1000\n.func f\n.func g\n",
+                 f"{SYNTAX}line 3: nested .func", id="nested-func"),
+    pytest.param(".section .text base=0x1000\n.func f\n    ret\n.endfunc f\n",
+                 f"{SYNTAX}line 4: .endfunc takes no arguments", id="endfunc-argument"),
+    pytest.param(".section .text base=0x1000\n    ret\n.endfunc\n",
+                 f"{SYNTAX}line 3: .endfunc without .func", id="endfunc-without-func"),
+    pytest.param(".section .text base=0x1000\n.func f\n    ret\n",
+                 f"{SYNTAX}line 0: .func without closing .endfunc", id="unclosed-func"),
+    pytest.param(FUNC.format(".slot f, s8"), f"{SYNTAX}line 3: .slot takes FUNC, NAME, OFFSET",
+                 id="slot-arity"),
+    pytest.param(FUNC.format(".set x"), f"{SYNTAX}line 3: .set takes NAME, LABEL[+N]",
+                 id="set-arity"),
+    pytest.param(DATA.format(".word 1"), "UnknownDirective: line 2: unknown directive '.word'",
+                 id="unknown-directive"),
+    pytest.param(FUNC.format("mov rax, 1x"),
+                 f"{SYNTAX}line 3: expected LABEL or LABEL+N, got '1x'", id="label-expression"),
+    pytest.param(DATA.format(".asciz abc"),
+                 f"{SYNTAX}line 2: .asciz needs a quoted string, got 'abc'", id="asciz-unquoted"),
+    pytest.param(DATA.format(".quad x - 3"),
+                 f"{SYNTAX}line 2: malformed .quad expression 'x - 3'", id="quad-expression"),
+    pytest.param(FUNC.format("mov rax, [rbx"),
+                 f"{SYNTAX}line 3: unterminated memory operand '[rbx'", id="unterminated-memory"),
+    pytest.param(FUNC.format("mov rax, [a + b]"),
+                 f"{SYNTAX}line 3: memory operand has several labels: 'a + b'",
+                 id="several-labels"),
+    pytest.param(FUNC.format("mov rax, [-f]"),
+                 f"{SYNTAX}line 3: label reference cannot be negated", id="negated-label"),
+    pytest.param(FUNC.format("mov rax, [rbx + rip*2]"),
+                 f"{SYNTAX}line 3: bad index register 'rip'", id="bad-index-register"),
+    pytest.param(FUNC.format("mov rax, [rbx - rcx*2]"),
+                 f"{SYNTAX}line 3: index term cannot be negated", id="negated-index"),
+    pytest.param(FUNC.format("mov rax, [rcx*2 + rdx*4]"),
+                 f"{SYNTAX}line 3: two index terms in one operand", id="two-index-terms"),
+    pytest.param(FUNC.format("mov rax, [rbx - rcx]"),
+                 f"{SYNTAX}line 3: register term cannot be negated", id="negated-register"),
+    pytest.param(FUNC.format("mov rax, [rax + rbx + rcx]"),
+                 f"{SYNTAX}line 3: too many registers in memory operand", id="three-registers"),
+    pytest.param(".section .rodata\n    .byte 1\n",
+                 f"{SYNTAX}section .rodata has no base address", id="no-base"),
+    pytest.param(".section .text base=0x1000\n.func f\n.slot f, s, 8\n.slot f, s, 16\n"
+                 "    ret\n.endfunc\n",
+                 f"{SYNTAX}line 4: slot 's' redefined with a different offset",
+                 id="slot-redefined"),
+    pytest.param(".section .text base=0x1000\n.func f\n.endfunc\n",
+                 f"{SYNTAX}line 3: function f has no instructions", id="empty-function"),
+    pytest.param(FUNC.format("ret") + ".set x, nowhere\n",
+                 "UndefinedLabel: line 6: label 'nowhere' is not defined", id="set-undefined"),
+    pytest.param(FUNC.format("ret") + ".section .data base=0x1000\n    .byte 1\n",
+                 "SectionOverlap: sections .text and .data overlap", id="section-overlap"),
+    pytest.param(FUNC.format(".slot g, s, 8"),
+                 "UndefinedLabel: slot defined for unknown function 'g'",
+                 id="slot-of-unknown-function"),
+    pytest.param(FUNC.format("lea rax, [g]") + FAR,
+                 "RangeOverflow: line 3: RIP-relative target 0x100001000 out of range",
+                 id="rip-out-of-range"),
+    pytest.param(FUNC.format("jmp nowhere"),
+                 "UndefinedLabel: line 3: label 'nowhere' is not defined", id="undefined-label"),
+])
+def test_each_assembler_error_fails_cleanly(tmp_path, capsys, source, error):
+    path = tmp_path / "prog.s"
+    path.write_text(source)
+    code, _, err = run(capsys, "asm", path, "-o", tmp_path / "prog.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err == f"error: {error}\n"
+    assert not (tmp_path / "prog.elf").exists()
+
+
+def test_roundtrip_reports_a_lift_that_fails(tmp_path, capsys):
+    # The cell points one past the end of its section, which no section holds.
+    path = tmp_path / "prog.s"
+    path.write_text(FUNC.format("lea rax, [buf]")
+                    + ".section .data base=0x2000\nbuf:\n    .quad buf + 8\n")
+    code, out, _ = run(capsys, "roundtrip", path)
+    assert code == cli.EXIT_DOMAIN
+    assert out.splitlines() == [
+        "byte identity:      FAIL", "metadata fixpoint:  FAIL", "text fixpoint:      FAIL",
+        "error: LiftError: metadata fails validation: [error] range at 0x2008: "
+        "pointer target 0x2008 is not inside any section"]
+
+
+def _ellf_header_offset(elf):
+    """File offset of the ``.ellf`` entry in ``elf``'s section header table."""
+    img = elfio.read_elf(elf)
+    shoff, = struct.unpack_from("<Q", elf, 0x28)
+    index = [sec.name for sec in img.sections].index(".ellf") + 1  # after the null entry
+    return shoff + 64 * index
+
+
+@pytest.mark.parametrize("command", [["extract"], ["extract", "--json"], ["stats"],
+                                     ["lift", "-o", "x.s"], ["lift", "--strict", "-o", "x.s"]])
+def test_an_ellf_section_of_type_nobits_fails_cleanly(tmp_path, capsys, assembled, command):
+    elf = bytearray(assembled.read_bytes())
+    struct.pack_into("<I", elf, _ellf_header_offset(elf) + 4, elfio.SHT_NOBITS)
+    broken = tmp_path / "nobits.elf"
+    broken.write_bytes(bytes(elf))
+    argv = [arg if arg != "x.s" else tmp_path / arg for arg in command[1:]]
+    code, _, err = run(capsys, command[0], broken, *argv)
+    assert code == cli.EXIT_DOMAIN and err.startswith("error: ")
+    assert not (tmp_path / "x.s").exists()
+
+
+def _damaged_elfs(rng, elfs, count):
+    """``count`` copies of the ELFs with bytes of the ELF header, the section
+    header table or the ``.ellf`` payload overwritten, or the file cut short."""
+    for _ in range(count):
+        elf = bytearray(rng.choice(elfs))
+        shoff, = struct.unpack_from("<Q", elf, 0x28)
+        ellf = next(sec for sec in elfio.read_elf(elf).sections if sec.name == ".ellf")
+        kind = rng.randrange(4)
+        if kind == 3:
+            yield bytes(elf[:rng.randrange(len(elf))])
+            continue
+        start, end = ((0, 64), (shoff, len(elf)),
+                      (ellf.file_offset, ellf.file_offset + ellf.size))[kind]
+        for _ in range(rng.randint(1, 4)):
+            elf[rng.randrange(start, end)] = rng.randrange(256)
+        yield bytes(elf)
+
+
+def test_damaged_elfs_never_raise_past_the_command_line(tmp_path, capsys):
+    sources = corpus_programs()
+    elfs = [assemble(parse_assembly(sources[name]))[0]
+            for name in ("06_dispatch3", "10_frame_slots", "12_data_pointers", "21_mixed_sections")]
+    path, lifted = tmp_path / "damaged.elf", tmp_path / "lifted.s"
+    codes = set()
+    for elf in _damaged_elfs(random.Random(0xE1F), elfs, 200):
+        path.write_bytes(elf)
+        for argv in (("extract", path), ("stats", path), ("lift", path, "-o", lifted),
+                     ("lift", path, "--strict", "-o", lifted)):
+            codes.add(run(capsys, *argv)[0])  # run() checks the code; a raise fails here
+    assert codes == {cli.EXIT_OK, cli.EXIT_DOMAIN}

@@ -1,5 +1,6 @@
 """ELF parsing, image building, and execution-image-preserving injection."""
 
+import hashlib
 import random
 import struct
 
@@ -11,6 +12,7 @@ from ellf.corpus import corpus_programs
 from ellf.errors import (
     DuplicateSection,
     EllfError,
+    MalformedHeader,
     NotElf,
     OverlapError,
     SectionNotFound,
@@ -173,3 +175,57 @@ def test_inject_into_a_file_with_a_wider_header_stride():
     injected = elfio.read_elf(elfio.inject_section(img, ".ellf", b"payload"))
     assert elfio.extract_section(injected, ".ellf") == b"payload"
     assert elfio.load_image(injected) == elfio.load_image(img)
+
+
+def _one_section_elf():
+    text = elfio.NewSection(".text", 0x1000, b"\xc3",
+                            sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR)
+    return bytearray(elfio.build_elf([text], entry_point=0x1000))
+
+
+def _patched(fmt, offset, *values):
+    """The one-section ELF with ``values`` packed at ``offset``."""
+    elf = _one_section_elf()
+    struct.pack_into(fmt, elf, offset, *values)
+    return bytes(elf)
+
+
+# Section header entries: null, .text, .shstrtab.
+SHOFF, = struct.unpack_from("<Q", _one_section_elf(), 0x28)
+TEXT_HEADER, STRTAB_HEADER = SHOFF + 64, SHOFF + 128
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(bytes(_one_section_elf()[:40]), "file too short for an ELF64 header",
+                 id="short"),
+    pytest.param(_patched("<H", 0x3A, 32), "section header entry size 32 too small",
+                 id="entry-size"),
+    pytest.param(_patched("<Q", 0x28, 1 << 40), "section header table runs past end of file",
+                 id="table-offset"),
+    pytest.param(_patched("<H", 0x3E, 3), "section name table index 3 out of range",
+                 id="name-table-index"),
+    pytest.param(_patched("<Q", STRTAB_HEADER + 0x20, 1 << 20),
+                 "section name table runs past end of file", id="name-table-size"),
+    pytest.param(_patched("<Q", TEXT_HEADER + 0x20, 1 << 20),
+                 "section body at 0x40 runs past end of file", id="section-body"),
+    pytest.param(_patched("<I", TEXT_HEADER, 1000), "string offset 1000 outside string table",
+                 id="section-name"),
+])
+def test_malformed_headers_name_their_fault(data, message):
+    with pytest.raises(MalformedHeader) as info:
+        elfio.read_elf(data)
+    assert str(info.value) == message
+
+
+def test_inject_into_a_file_without_section_headers():
+    elf = _one_section_elf()
+    struct.pack_into("<Q", elf, 0x28, 0)  # e_shoff
+    struct.pack_into("<HH", elf, 0x3C, 0, 0)  # e_shnum, e_shstrndx
+    img = elfio.read_elf(bytes(elf))
+    assert img.sections == ()
+    injected = elfio.inject_section(img, ".ellf", b"ellf-payload")
+    assert hashlib.sha256(injected).hexdigest() == \
+        "5ed6d0fe07fc143726f158e9d20583cec2304b1996766be1516806645e8a7a8c"
+    back = elfio.read_elf(injected)
+    assert [sec.name for sec in back.sections] == [".shstrtab", ".ellf"]
+    assert elfio.extract_section(back, ".ellf") == b"ellf-payload"

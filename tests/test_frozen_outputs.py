@@ -7,9 +7,10 @@ Each digest pair is the SHA-256 of ``assemble()``'s ELF bytes and of the
 emitted text of a strict lift (a lenient lift for the straddle hazard, which
 strict lifting refuses). A change to the assembler, the codec or the lifter
 that alters a single output byte fails here. A lenient lift of every
-program but the hazard must emit exactly the strict text. CI also runs this
-file under several ``PYTHONHASHSEED`` values, so no output may depend on set
-or dict hash order.
+program but the hazard must emit exactly the strict text. The outcomes of
+the assembler on seeded mutations of the bundled sources, errors included,
+are frozen the same way. CI also runs this file under several
+``PYTHONHASHSEED`` values, so no output may depend on set or dict hash order.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from ellf import elfio
-from ellf.asm import assemble, parse_assembly
+from ellf.asm import assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import InvariantViolation
 from ellf.isa import (REG32, REG64, SUBSET_MNEMONICS, Immediate, MemRef, PcRel, Register,
@@ -408,3 +409,45 @@ def test_decoder_outcomes_match_the_frozen_digest():
 
 def test_encoder_outcomes_match_the_frozen_digest():
     assert outcomes_digest(encode_one, encode_inputs()) == ISA_FROZEN["encode"]
+
+
+# --- the assembler on damaged sources ---
+
+ASM_FROZEN = "5012f6bf32909634ec49ff73a872ae96a6a4ea9e324f6386df3feb75f6ad617a"
+
+# Characters of the dialect's syntax, so that most mutations reach past the
+# lexer into the operand, data and layout checks.
+MUTATION_ALPHABET = "\n\t ,:+-*[]#\".$_0123456789abcdefxqrsz"
+
+
+def mutated_sources(seed=13, count=5000):
+    """Bundled sources with one to three characters deleted, inserted or
+    replaced; a new character is from ``MUTATION_ALPHABET`` or the source."""
+    rng = random.Random(seed)
+    sources = [src for _, src in sorted(corpus_programs().items())] + [hazard_program()]
+    for _ in range(count):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(text))
+            char = (rng.choice(MUTATION_ALPHABET) if rng.random() < 0.5
+                    else text[rng.randrange(len(text))])
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:pos] + text[pos + 1:]
+            elif edit == 1:
+                text = text[:pos] + char + text[pos:]
+            else:
+                text = text[:pos] + char + text[pos + 1:]
+        yield text
+
+
+def assembled_digest(source):
+    elf, meta = assemble_image(parse_assembly(source))
+    return hashlib.sha256(elf + repr(meta).encode()).hexdigest()
+
+
+def test_assembler_outcomes_on_mutated_sources_match_the_frozen_digest():
+    # Each outcome is the digest of the ELF and metadata, or the error's
+    # class and message (which names the line).
+    inputs = ((source,) for source in mutated_sources())
+    assert outcomes_digest(assembled_digest, inputs) == ASM_FROZEN

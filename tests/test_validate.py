@@ -186,3 +186,13 @@ def test_overlapping_regions_still_stop_a_lenient_lift():
     _, img, meta = _function_pointer_program()
     with pytest.raises(RegionOverlap):
         lift(img, _overlapping_regions(meta), mode="lenient")
+
+
+def test_a_region_that_runs_into_bytes_outside_the_subset_does_not_decode():
+    src = ".section .text base=0x1000\n.func f\n    ret\n.endfunc\n    .byte 0x0f, 0x0b\n"
+    elf, meta = assemble_image(parse_assembly(src))
+    region = InstructionRegion(0x1000, 2)  # ret, then ud2
+    diags = validate_metadata(replace(meta, instruction_regions=(region,)), elfio.read_elf(elf))
+    assert [(d.kind, d.message, d.addr, d.record) for d in diags] == [(
+        "range", "instruction region at 0x1000 does not decode: byte pattern at 0x1001 is "
+                 "outside the instruction subset (opcode 0x0f)", 0x1000, region)]
