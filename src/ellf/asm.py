@@ -103,6 +103,10 @@ _CODE_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"?)*')
 # A run of plain .byte lines: no label, comment or other character. One
 # blank after ".byte" (the rest may hold more) keeps a failed match linear.
 _BYTE_RUN_RE = re.compile(r"^(?:[ \t]*\.byte[ \t][0-9A-Za-z_+\-, \t]*(?:\n|\Z))+", re.M)
+# LABEL [+|- N], and the .quad form LABEL [+ N] [- LABEL [+ N]].
+_LABEL_EXPR_RE = re.compile(rf"({_IDENT})\s*(?:([+-])\s*(\w+))?")
+_QUAD_EXPR_RE = re.compile(
+    rf"({_IDENT})\s*(?:\+\s*(\w+))?\s*(?:-\s*({_IDENT})\s*(?:\+\s*(\w+))?)?")
 
 
 # --- program representation ---
@@ -167,18 +171,6 @@ class AsmSection:
     name: str
     base: int | None
     items: list = field(default_factory=list)
-
-    @property
-    def execable(self):
-        return section_kind(self.name)[0]
-
-    @property
-    def nobits(self):
-        return section_kind(self.name)[1]
-
-    @property
-    def writable(self):
-        return not (self.execable or self.name.startswith(".rodata"))
 
 
 @dataclass
@@ -350,9 +342,13 @@ def _parse_int(text: str, line: int) -> int:
 
 
 def _parse_label_expr(text: str, line: int) -> tuple[str, int]:
-    m = re.fullmatch(rf"({_IDENT})\s*(?:([+-])\s*(\w+))?", text.strip())
+    m = _LABEL_EXPR_RE.fullmatch(text.strip())
     if not m:
         raise AsmSyntaxError(f"expected LABEL or LABEL+N, got {text!r}", line)
+    return _label_expr(m, line)
+
+
+def _label_expr(m, line: int) -> tuple[str, int]:
     offset = 0
     if m.group(2):
         offset = _parse_int(m.group(3), line)
@@ -374,29 +370,24 @@ def _parse_data(directive, rest, line):
     args = _split_args(rest)
     if not args:
         raise AsmSyntaxError(f".{directive} needs at least one value", line)
-    if directive == "byte":
-        # One pass over the line. int() strips less than str.strip() (it
-        # rejects U+001F), so it relies on _split_args having stripped.
-        try:
-            return Data("byte", bytes(map(int, args, repeat(0))), line)
-        except ValueError:
-            pass
-        # Name the first fault as a value-by-value parse does.
-        values = [_parse_int(a, line) for a in args]
-        bad = next(v for v in values if not 0 <= v <= 0xFF)
-        raise AsmSyntaxError(f"byte value {quoted(bad)} out of range", line)
-    if directive == "long":
+    if directive in _CELLS:
+        low, high, size = _CELLS[directive]
         values = [_parse_int(a, line) for a in args]
         for v in values:
-            if not -(1 << 31) <= v < (1 << 32):
-                raise AsmSyntaxError(f"long value {quoted(v)} out of range", line)
-        return Data("long", [v & 0xFFFFFFFF for v in values], line)
+            if not low <= v <= high:
+                raise AsmSyntaxError(f"{directive} value {quoted(v)} out of range", line)
+        return Data(directive, b"".join(v.to_bytes(size, "little", signed=v < 0)
+                                        for v in values), line)
     # .quad: integers, label references, or label differences
     exprs = [_parse_quad_expr(a, line) for a in args]
     for e in exprs:
         if isinstance(e, QuadInt) and not -(1 << 63) <= e.value < (1 << 64):
             raise AsmSyntaxError(f"quad value {quoted(e.value)} out of range", line)
     return Data("quad", exprs, line)
+
+
+# The value range and cell size of each integer directive but .quad.
+_CELLS = {"byte": (0, 0xFF, 1), "long": (-(1 << 31), (1 << 32) - 1, 4)}
 
 
 def _byte_run(run, line):
@@ -441,17 +432,14 @@ _HEX2 = re.compile(r"[0-9A-Fa-f]{2}")
 
 
 def _parse_quad_expr(text, line):
-    text = text.strip()
-    try:
-        return QuadInt(_parse_int(text, line))
-    except AsmSyntaxError:
-        pass
-    # LABEL [+|- N] [- LABEL [+|- N]]
-    m = re.fullmatch(
-        rf"({_IDENT})\s*(?:\+\s*(\w+))?\s*(?:-\s*({_IDENT})\s*(?:\+\s*(\w+))?)?",
-        text)
+    """``text`` is stripped. No integer literal matches the label forms, so
+    they are matched first and a label raises nothing on its way."""
+    m = _QUAD_EXPR_RE.fullmatch(text)
     if not m:
-        raise AsmSyntaxError(f"malformed .quad expression {text!r}", line)
+        try:
+            return QuadInt(int(text, 0))
+        except ValueError:
+            raise AsmSyntaxError(f"malformed .quad expression {text!r}", line) from None
     a, aoff, b, boff = m.groups()
     aoff = _parse_int(aoff, line) if aoff else 0
     if b is None:
@@ -468,12 +456,13 @@ def _parse_operand(text, line):
         return _parse_mem(text[1:-1].strip(), line)
     if text.lower() in _REG_INFO:
         return Register(text.lower())
+    m = _LABEL_EXPR_RE.fullmatch(text)  # no integer literal matches it
+    if m:
+        return LabelRef(*_label_expr(m, line))
     try:
-        return Immediate(_parse_int(text, line))
-    except AsmSyntaxError:
-        pass
-    base, offset = _parse_label_expr(text, line)
-    return LabelRef(base, offset)
+        return Immediate(int(text, 0))
+    except ValueError:
+        raise AsmSyntaxError(f"expected LABEL or LABEL+N, got {text!r}", line) from None
 
 
 @dataclass(frozen=True)
@@ -607,7 +596,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
 
     # The walk: lay out and encode each item once. Label operands and label
     # cells hold placeholders of their final width until the fixups below.
-    laid_out = []  # (section, bytes, size, names of the labels it defines)
+    laid_out = []  # (section, kind, bytes, size, names of the labels it defines)
     functions: list[_FunctionInfo] = []
     set_labels: list[SetLabel] = []
     fixups = []  # (item, addr, length, enclosing slot table, section bytes, offset)
@@ -620,7 +609,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         current_func = None
         func_slots = {}
         run = None
-        execable, nobits = section_kind(section.name)
+        execable, nobits = kind = section_kind(section.name)
         for item in section.items:
             if isinstance(item, (Label, FuncBegin, SetLabel)):
                 names.append(item.name)
@@ -681,14 +670,14 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                     line = _run_line(item, len(item.payload) - (addr - (1 << 64)))
                 raise AsmSyntaxError(f"section {section.name} runs past the end of the "
                                      f"64-bit address space", line)
-        laid_out.append((section, blob, addr - section.base, names))
+        laid_out.append((section, kind, blob, addr - section.base, names))
 
     for item in sorted(set_labels, key=lambda s: s.line):
         if item.base not in labels:
             raise UndefinedLabel(f"label {item.base!r} is not defined", item.line)
         labels[item.name] = labels[item.base] + item.offset
 
-    spans = [(s.base, s.base + max(size, 1), s.name) for s, _, size, _ in laid_out]
+    spans = [(s.base, s.base + max(size, 1), s.name) for s, _, _, size, _ in laid_out]
     for i, (start_a, end_a, name_a) in enumerate(spans):
         for start_b, end_b, name_b in spans[i + 1:]:
             if start_a < end_b and start_b < end_a:
@@ -710,9 +699,9 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     # Block starts are labels on instructions; the variables of a data
     # section run from each of its labels to the next.
     blocks, variables = [], []
-    for section, _, size, names in laid_out:
+    for section, (execable, _), _, size, names in laid_out:
         sites = {labels[name] for name in names}
-        if section.execable:
+        if execable:
             blocks.extend(sites & instr_starts)
             continue
         end = section.base + size
@@ -729,17 +718,17 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         variables, [(labels[name], table.values()) for name, table in slots.items()])
 
     new_sections = []
-    for section, blob, size, _ in laid_out:
+    for section, (execable, nobits), blob, size, _ in laid_out:
         flags = elfio.SHF_ALLOC
-        if section.execable:
+        if execable:
             flags |= elfio.SHF_EXECINSTR
-        elif section.writable:
+        elif not section.name.startswith(".rodata"):
             flags |= elfio.SHF_WRITE
-        sh_type = elfio.SHT_NOBITS if section.nobits else elfio.SHT_PROGBITS
+        sh_type = elfio.SHT_NOBITS if nobits else elfio.SHT_PROGBITS
         new_sections.append(elfio.NewSection(
             name=section.name, vaddr=section.base, data=bytes(blob),
             sh_type=sh_type, sh_flags=flags, size=size))
-    entry = next((section.base for section in sections if section.execable), 0)
+    entry = next((sec.vaddr for sec in new_sections if sec.sh_flags & elfio.SHF_EXECINSTR), 0)
     return elfio.build_elf(new_sections, entry_point=entry), meta
 
 
@@ -824,10 +813,8 @@ def _label_value(labels, name, line):
 
 def _encode_data(item: Data, addr, labels=None):
     """Bytes and pointer records of a data item; label cells are zero without ``labels``."""
-    if item.directive in ("byte", "asciz"):
+    if item.directive in ("byte", "long", "asciz"):
         return item.payload, []
-    if item.directive == "long":
-        return b"".join(v.to_bytes(4, "little") for v in item.payload), []
     if item.directive == "zero":
         try:
             return bytes(item.payload), []

@@ -122,12 +122,8 @@ def read_elf(data) -> ElfImage:
         raise UnsupportedEndianness("only little-endian ELF files are supported")
     if len(data) < _EHDR.size:
         raise MalformedHeader("file too short for an ELF64 header")
-    try:
-        (_ident, _type, _machine, _version, entry, _phoff, shoff, _flags,
-         _ehsize, _phentsize, _phnum, shentsize, shnum, shstrndx) = \
-            _EHDR.unpack_from(data, 0)
-    except struct.error as exc:
-        raise MalformedHeader(str(exc)) from None
+    (_ident, _type, _machine, _version, entry, _phoff, shoff, _flags,
+     _ehsize, _phentsize, _phnum, shentsize, shnum, shstrndx) = _EHDR.unpack_from(data, 0)
 
     sections: list[Section] = []
     raw_headers = []
@@ -285,49 +281,29 @@ def inject_section(img: ElfImage, name: str, payload: bytes) -> bytes:
     (_ident, e_type, machine, version, entry, phoff, shoff, flags,
      ehsize, phentsize, phnum, shentsize, shnum, shstrndx) = _EHDR.unpack_from(data, 0)
 
-    out = bytearray(data)
-
-    if shnum == 0:
-        # No section headers at all: build a fresh table with a null entry,
-        # a string table and the new section.
-        old_headers = [(0,) * 10]
-        strtab = bytearray(b"\0")
-        shstrndx = 1  # .shstrtab goes right after the null entry
-        strtab_hdr_index = None
+    name_entry = name.encode("latin-1") + b"\0"
+    if shnum:
+        headers = [list(_SHDR.unpack_from(data, shoff + i * shentsize))
+                   for i in range(shnum)]
+        start, size = headers[shstrndx][4:6]
+        strtab, own_name = data[start:start + size], b""
     else:
-        old_headers = [list(_SHDR.unpack_from(data, shoff + i * shentsize))
-                       for i in range(shnum)]
-        strtab = bytearray(data[old_headers[shstrndx][4]:
-                                old_headers[shstrndx][4] + old_headers[shstrndx][5]])
-        strtab_hdr_index = shstrndx
+        # No section headers: start a table of a null entry and a string
+        # table that names itself after the new section's name.
+        shstrndx = 1
+        strtab, own_name = b"\0", b".shstrtab\0"
+        headers = [[0] * 10, [len(strtab) + len(name_entry), SHT_STRTAB,
+                              0, 0, 0, 0, 0, 0, 1, 0]]
+    headers.append([len(strtab), SHT_ELLF, 0, 0, len(data), len(payload), 0, 0, 1, 0])
+    strtab += name_entry + own_name
 
-    new_name_off = len(strtab)
-    strtab += name.encode("latin-1") + b"\0"
-    if strtab_hdr_index is None:
-        shstr_name_off = len(strtab)
-        strtab += b".shstrtab\0"
-
-    payload_off = len(out)
-    out += payload
-
-    strtab_off = len(out)
+    out = bytearray(data) + payload
+    # The string table keeps its header slot; only its offset and size move.
+    headers[shstrndx][4:6] = len(out), len(strtab)
     out += strtab
-
-    # The relocated string table keeps its header slot; only offset/size move.
-    if strtab_hdr_index is not None:
-        old_headers[strtab_hdr_index][4] = strtab_off
-        old_headers[strtab_hdr_index][5] = len(strtab)
-
     while len(out) % 8:
         out.append(0)
     new_shoff = len(out)
-
-    headers = [tuple(h) for h in old_headers]
-    if strtab_hdr_index is None:
-        headers.append((shstr_name_off, SHT_STRTAB, 0, 0, strtab_off, len(strtab),
-                        0, 0, 1, 0))
-    headers.append((new_name_off, SHT_ELLF, 0, 0, payload_off, len(payload),
-                    0, 0, 1, 0))
     for hdr in headers:
         out += _SHDR.pack(*hdr)
 

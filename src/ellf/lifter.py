@@ -70,7 +70,8 @@ POINTER_WIDTH = 8
 
 @dataclass(frozen=True)
 class SlotMemRef:
-    """A stack access expressed against a frame slot: disp = bias - slot + interior."""
+    """A stack access expressed against a frame slot: the displacement is
+    bias - slot_offset + interior."""
     base: str
     slot_name: str
     slot_offset: int
@@ -78,10 +79,6 @@ class SlotMemRef:
     interior: int
     index: str | None = None
     scale: int = 1
-
-    @property
-    def disp(self):
-        return self.bias - self.slot_offset + self.interior
 
 
 # --- data variables ---
@@ -793,16 +790,8 @@ def render_operand(op) -> str:
     if isinstance(op, SymbolRef):
         return _ref(op.label, op.offset)
     if isinstance(op, SlotMemRef):
-        parts = [op.base]
-        if op.index:
-            parts.append(f"{op.index}*{op.scale}")
-        expr = " + ".join(parts)
-        if op.bias:
-            expr += f" + {op.bias}" if op.bias > 0 else f" - {-op.bias}"
-        expr += f" - {op.slot_name}"
-        if op.interior:
-            expr += f" + {op.interior}"
-        return f"[{expr}]"
+        interior = f" + {op.interior}" if op.interior else ""
+        return f"[{_address(op.base, op.index, op.scale, op.bias)} - {op.slot_name}{interior}]"
     if isinstance(op, MemRef):
         if op.label is not None:
             if op.label_offset:
@@ -810,20 +799,23 @@ def render_operand(op) -> str:
             return f"[{op.label}]"
         if op.rip_relative:
             raise LiftError(f"unsymbolized RIP-relative operand {op!r}")
-        parts = []
-        if op.base:
-            parts.append(op.base)
-        if op.index:
-            parts.append(f"{op.index}*{op.scale}")
-        if not parts:
-            return f"[{op.disp}]"
-        expr = " + ".join(parts)
-        if op.disp:
-            expr += f" + {op.disp}" if op.disp > 0 else f" - {-op.disp}"
-        return f"[{expr}]"
+        return f"[{_address(op.base, op.index, op.scale, op.disp)}]"
     if isinstance(op, PcRel):
         raise LiftError(f"unsymbolized PC-relative operand {op!r}")
     raise LiftError(f"cannot render operand {op!r}")
+
+
+def _address(base, index, scale, disp) -> str:
+    """``base + index*scale + disp`` with the absent terms left out."""
+    parts = [base] if base else []
+    if index:
+        parts.append(f"{index}*{scale}")
+    if not parts:
+        return str(disp)
+    expr = " + ".join(parts)
+    if disp:
+        expr += f" + {disp}" if disp > 0 else f" - {-disp}"
+    return expr
 
 
 def render_instruction(ins: Instruction) -> str:
