@@ -50,7 +50,9 @@ labels on instructions, a pointer record for every label-valued operand and
 data cell, a variable from each data label to the next, and the slot tables;
 ``meta.metadata_from_layout``, which ``from_build_facts`` shares, turns them
 into records. Instructions go only in executable sections and a function
-starts with one, so every text record sits at an instruction start.
+starts with one, so every text record sits at an instruction start. A
+``.quad`` that names a label goes only in a non-executable section: the
+lifter reads pointer cells in data alone, so one in code would be lost.
 """
 
 from __future__ import annotations
@@ -641,6 +643,10 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                     run = None
                     encoded, _ = _encode_data(item, addr)
                     if item.directive == "quad" and _uses_labels(item.payload):
+                        if execable:
+                            raise AsmSyntaxError(f"label-valued .quad not allowed in the "
+                                                 f"executable section {section.name}",
+                                                 item.line)
                         fixups.append((item, addr, len(encoded), None, blob,
                                        addr - section.base))
                     blob += encoded

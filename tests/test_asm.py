@@ -258,6 +258,19 @@ def test_code_that_text_records_cannot_describe_is_a_syntax_error(src, line, mes
     assert str(info.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("cells", ["f", "8, tbl - f"])
+def test_a_label_cell_in_code_is_a_syntax_error_naming_the_line_and_section(cells):
+    # A lift reads pointer cells in data alone: it would drop this record
+    # without a word, and the round trip would fail its metadata fixpoint.
+    src = (".section .text base=0x1000\n.func f\n    lea rax, [tbl]\n    ret\n.endfunc\n"
+           f"tbl:\n    .quad {cells}\n")
+    with pytest.raises(AsmSyntaxError) as info:
+        assemble_image(parse_assembly(src))
+    assert str(info.value) == ("line 7: label-valued .quad not allowed in the executable "
+                               "section .text")
+    assert roundtrip_check(src).error == f"AsmSyntaxError: {info.value}"
+
+
 # --- the lexer against the per-character scanners it replaced ---
 # The three reference functions are the parser's code before it was written
 # with regular expressions; on well-formed statements the two must agree.
