@@ -408,17 +408,17 @@ def _ellf_header_offset(elf):
     return shoff + 64 * index
 
 
-@pytest.mark.parametrize("command", [["extract"], ["extract", "--json"], ["stats"],
-                                     ["lift", "-o", "x.s"], ["lift", "--strict", "-o", "x.s"]])
-def test_an_ellf_section_of_type_nobits_fails_cleanly(tmp_path, capsys, assembled, command):
+@pytest.mark.parametrize("argv", [["extract"], ["extract", "--json"], ["stats"], ["lift"],
+                                  ["lift", "--strict"]])
+def test_an_ellf_section_of_type_nobits_fails_cleanly(tmp_path, capsys, assembled, argv):
     elf = bytearray(assembled.read_bytes())
     struct.pack_into("<I", elf, _ellf_header_offset(elf) + 4, elfio.SHT_NOBITS)
-    broken = tmp_path / "nobits.elf"
+    broken, lifted = tmp_path / "nobits.elf", tmp_path / "lifted.s"
     broken.write_bytes(bytes(elf))
-    argv = [arg if arg != "x.s" else tmp_path / arg for arg in command[1:]]
-    code, _, err = run(capsys, command[0], broken, *argv)
+    output = ["-o", lifted] if argv[0] == "lift" else []
+    code, _, err = run(capsys, argv[0], broken, *argv[1:], *output)
     assert code == cli.EXIT_DOMAIN and err.startswith("error: ")
-    assert not (tmp_path / "x.s").exists()
+    assert not lifted.exists()
 
 
 def _damaged_elfs(rng, elfs, count):
