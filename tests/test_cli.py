@@ -75,6 +75,23 @@ def test_missing_input_is_an_io_failure(tmp_path, capsys):
     assert code == cli.EXIT_IO and err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("command", ["asm", "lift", "inject"])
+def test_an_output_in_a_missing_directory_is_an_io_failure(tmp_path, capsys, command):
+    source = corpus_programs()["06_dispatch3"]
+    plain, meta = assemble_image(parse_assembly(source))
+    (tmp_path / "prog.s").write_text(source)
+    (tmp_path / "prog.elf").write_bytes(assemble(parse_assembly(source))[0])
+    (tmp_path / "plain.elf").write_bytes(plain)
+    (tmp_path / "meta.json").write_text(json.dumps(metadata_to_json(meta)))
+    inputs = {"asm": ["prog.s"], "lift": ["prog.elf"],
+              "inject": ["plain.elf", "--meta", tmp_path / "meta.json"]}[command]
+    output = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, command, tmp_path / inputs[0], *inputs[1:], "-o", output)
+    assert code == cli.EXIT_IO
+    assert err == f"error: cannot write {output}: No such file or directory\n"
+    assert not output.parent.exists()
+
+
 def test_truncated_elf_fails_cleanly(tmp_path, capsys, assembled):
     data = assembled.read_bytes()
     broken = tmp_path / "broken.elf"

@@ -19,7 +19,7 @@ from ellf.errors import (
     RegionDecodeError,
     RegionOverlap,
 )
-from ellf.isa import Immediate, MemRef, Register
+from ellf.isa import Immediate, MemRef, Register, decode_one
 from ellf.lifter import (
     DiffPayload,
     LabelMap,
@@ -325,6 +325,87 @@ def test_stack_slot_resolution_rule():
     # store at depth 40: deepest slot
     slot = ops[addrs[4]][0]
     assert (slot.slot_offset, slot.interior) == (40, 0)
+
+
+def _one_instruction(text):
+    """``text`` assembled alone at 0x1000 and decoded back."""
+    elf, _ = assemble(parse_assembly(f".section .text base=0x1000\n    {text}\n"))
+    return decode_one(elfio.load_image(elfio.read_elf(elf)), 0x1000)
+
+
+# (instruction, (rsp, rbp) anchors before, anchors after). An anchor is the
+# register's offset from the stack pointer at function entry, None when
+# untracked.
+SP_EFFECTS = [
+    ("push rbp", (0, None), (-8, None)),
+    ("push rsp", (None, -8), (None, -8)),
+    ("pop rax", (-16, -8), (-8, -8)),
+    ("pop rax", (None, -8), (None, -8)),
+    ("pop rbp", (-16, -8), (-8, None)),
+    ("pop rsp", (-16, -8), (None, -8)),
+    ("leave", (-32, -8), (0, None)),
+    ("leave", (-32, None), (None, None)),
+    ("mov rbp, rsp", (-8, None), (-8, -8)),
+    ("mov rbp, rsp", (None, -8), (None, None)),
+    ("mov rbp, rax", (-8, -8), (-8, None)),
+    ("mov rbp, rbp", (-8, -8), (-8, None)),
+    ("mov rsp, rbp", (-32, -8), (-8, -8)),
+    ("mov rsp, rax", (-32, -8), (None, -8)),
+    ("mov rax, rsp", (-32, -8), (-32, -8)),
+    ("mov [rbp - 8], rsp", (-32, -8), (-32, -8)),
+    ("sub rsp, 16", (-8, -8), (-24, -8)),
+    ("add rsp, 16", (-24, -8), (-8, -8)),
+    ("sub rsp, 16", (None, -8), (None, -8)),
+    ("add rsp, rax", (-24, -8), (None, -8)),
+    ("sub rsp, rax", (-24, -8), (None, -8)),
+    ("and rsp, -16", (-24, -8), (None, -8)),
+    ("or rsp, 1", (-24, -8), (None, -8)),
+    ("inc rsp", (-24, -8), (None, -8)),
+    ("movsxd rsp, [rax]", (-24, -8), (None, -8)),
+    ("imul rsp, rax", (-24, -8), (None, -8)),
+    ("add rbp, 8", (-24, -8), (-24, None)),
+    ("dec rbp", (-24, -8), (-24, None)),
+    ("lea rbp, [rsp + 8]", (-24, -8), (-24, None)),
+    ("xor rbp, rbp", (-24, -8), (-24, None)),
+    ("cmp rsp, 8", (-24, -8), (-24, -8)),
+    ("test rbp, rbp", (-24, -8), (-24, -8)),
+    ("call rax", (-24, -8), (-24, -8)),
+    ("ret", (-24, -8), (-24, -8)),
+]
+
+
+@pytest.mark.parametrize("text, before, after", SP_EFFECTS)
+def test_each_instruction_moves_or_drops_the_frame_anchors(text, before, after):
+    assert lifter._apply_sp_effect(_one_instruction(text), *before) == after
+
+
+def _stack_lift(body):
+    """A strict lift of one function with slots 8 and 16, and its text."""
+    src = (".section .text base=0x1000\n.func f\n.slot f, a, 8\n.slot f, b, 16\n"
+           + "".join(f"    {line}\n" for line in body) + ".endfunc\n")
+    elf, meta = assemble(parse_assembly(src))
+    img = elfio.read_elf(elf)
+    lp = lift(img, meta, mode="strict")
+    text = emit_assembly(lp)
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
+    return lp, text
+
+
+def test_a_stack_access_through_an_untracked_anchor_is_left_as_is():
+    lp, text = _stack_lift(["mov rax, [rbp - 8]", "mov rcx, [rdx - 8]",
+                            "mov rsi, [rsp + 8]", "ret"])
+    assert [(d.kind, d.message) for d in lp.diagnostics] == [
+        ("stack", "stack access at 0x1000 has an untracked frame anchor")]
+    assert ("    mov rax, [rbp - 8]\n    mov rcx, [rdx - 8]\n    mov rsi, [rsp + 8]\n"
+            in text)
+
+
+def test_a_stack_access_below_every_slot_is_left_as_is():
+    lp, text = _stack_lift(["push rbp", "mov rbp, rsp", "mov rax, [rbp - 24]",
+                            "mov rcx, [rbp - 8]", "pop rbp", "ret"])
+    assert [(d.kind, d.message) for d in lp.diagnostics] == [
+        ("stack", "stack access at 0x1004 (depth 32) is outside every frame slot")]
+    assert "    mov rax, [rbp - 24]\n    mov rcx, [rbp + 8 - s16]\n" in text
 
 
 def test_no_stack_record_leaves_operands(table_demo):
