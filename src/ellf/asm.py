@@ -180,7 +180,7 @@ class AsmProgram:
     sections: list[AsmSection]
 
 
-# operand ASTs that need label resolution
+# values that need label resolution; a LabelRef is an operand or a .quad cell
 @dataclass(frozen=True)
 class LabelRef:
     name: str
@@ -191,17 +191,6 @@ class LabelRef:
 class LabelMem:
     name: str
     offset: int = 0
-
-
-@dataclass(frozen=True)
-class QuadInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class QuadRef:
-    name: str
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -383,8 +372,8 @@ def _parse_data(directive, rest, line):
     # .quad: integers, label references, or label differences
     exprs = [_parse_quad_expr(a, line) for a in args]
     for e in exprs:
-        if isinstance(e, QuadInt) and not -(1 << 63) <= e.value < (1 << 64):
-            raise AsmSyntaxError(f"quad value {quoted(e.value)} out of range", line)
+        if isinstance(e, int) and not -(1 << 63) <= e < (1 << 64):
+            raise AsmSyntaxError(f"quad value {quoted(e)} out of range", line)
     return Data("quad", exprs, line)
 
 
@@ -434,18 +423,19 @@ _HEX2 = re.compile(r"[0-9A-Fa-f]{2}")
 
 
 def _parse_quad_expr(text, line):
-    """``text`` is stripped. No integer literal matches the label forms, so
-    they are matched first and a label raises nothing on its way."""
+    """An ``int``, ``LabelRef`` or ``QuadDiff``; ``text`` is stripped. No
+    integer literal matches the label forms, so they are matched first and a
+    label raises nothing on its way."""
     m = _QUAD_EXPR_RE.fullmatch(text)
     if not m:
         try:
-            return QuadInt(int(text, 0))
+            return int(text, 0)
         except ValueError:
             raise AsmSyntaxError(f"malformed .quad expression {text!r}", line) from None
     a, aoff, b, boff = m.groups()
     aoff = _parse_int(aoff, line) if aoff else 0
     if b is None:
-        return QuadRef(a, aoff)
+        return LabelRef(a, aoff)
     boff = _parse_int(boff, line) if boff else 0
     return QuadDiff(a, aoff, b, boff)
 
@@ -476,26 +466,11 @@ class _MemAst:
 
 
 def _parse_mem(body, line):
-    terms = _split_terms(body, line)
     base = index = None
     scale = 1
     consts: list[tuple[int, object]] = []
-    symbol_terms = [t for _, t in terms if isinstance(t, str) and t not in _REG_INFO
-                    and "*" not in t]
-    reg_terms = [t for _, t in terms
-                 if isinstance(t, str) and (t in _REG_INFO or "*" in t)]
-
-    # A lone non-register identifier means a RIP-relative label reference.
-    if symbol_terms and not reg_terms:
-        if len(symbol_terms) != 1:
-            raise AsmSyntaxError(f"memory operand has several labels: {body!r}", line)
-        sign = next(s for s, t in terms if t == symbol_terms[0])
-        if sign < 0:
-            raise AsmSyntaxError("label reference cannot be negated", line)
-        offset = sum(s * t for s, t in terms if isinstance(t, int))
-        return LabelMem(symbol_terms[0], offset)
-
-    for sign, term in terms:
+    names = []  # (sign, identifier) of the terms that are no register
+    for sign, term in _split_terms(body, line):
         if isinstance(term, int):
             consts.append((sign, term))
             continue
@@ -521,7 +496,17 @@ def _parse_mem(body, line):
             else:
                 raise AsmSyntaxError("too many registers in memory operand", line)
             continue
+        names.append((sign, term))
         consts.append((sign, term))  # slot constant, resolved during assembly
+
+    # A lone identifier beside no register is a RIP-relative label reference.
+    if names and base is None and index is None:
+        if len(names) != 1:
+            raise AsmSyntaxError(f"memory operand has several labels: {body!r}", line)
+        sign, name = names[0]
+        if sign < 0:
+            raise AsmSyntaxError("label reference cannot be negated", line)
+        return LabelMem(name, sum(s * t for s, t in consts if isinstance(t, int)))
     return _MemAst(base, index, scale, tuple(consts))
 
 
@@ -747,7 +732,7 @@ def _run_line(item: Data, offset: int) -> int:
 
 
 def _uses_labels(parts) -> bool:
-    return any(isinstance(p, (LabelRef, LabelMem, QuadRef, QuadDiff)) for p in parts)
+    return any(isinstance(p, (LabelRef, LabelMem, QuadDiff)) for p in parts)
 
 
 def _resolve_mem(ast: _MemAst, func_slots, line):
@@ -831,11 +816,11 @@ def _encode_data(item: Data, addr, labels=None):
     records = []
     for i, expr in enumerate(item.payload):
         cell = addr + 8 * i
-        if isinstance(expr, QuadInt):
-            value = expr.value & U64
+        if isinstance(expr, int):
+            value = expr & U64
         elif labels is None:
             value = 0
-        elif isinstance(expr, QuadRef):
+        elif isinstance(expr, LabelRef):
             value = (_label_value(labels, expr.name, item.line) + expr.offset) & U64
             records.append(DataPointer(cell, value))
         else:

@@ -180,7 +180,6 @@ class ImageView(Mapping):
         starts, ordered, overlap = img._alloc_index
         if overlap is not None:
             raise overlap
-        self._image = img
         self._starts = starts
         self._ends = []
         self._bodies = []  # memoryview, or None for zeros
@@ -234,10 +233,6 @@ class ImageView(Mapping):
             if i == len(self._starts):
                 raise KeyError(pos)
 
-    def section_at(self, addr: int) -> Section | None:
-        """The alloc section that contains ``addr``, or None."""
-        return self._image.section_at(addr)
-
     def __eq__(self, other):
         if not isinstance(other, ImageView):
             return super().__eq__(other)
@@ -269,13 +264,9 @@ def extract_section(img: ElfImage, name: str) -> bytes:
     raise SectionNotFound(f"no section named {name}")
 
 
-def has_section(img: ElfImage, name: str) -> bool:
-    return any(sec.name == name for sec in img.sections)
-
-
 def inject_section(img: ElfImage, name: str, payload: bytes) -> bytes:
     """Append a non-alloc section without disturbing the execution image."""
-    if has_section(img, name):
+    if any(sec.name == name for sec in img.sections):
         raise DuplicateSection(f"section {name} already present")
     data = img.raw_file
     (_ident, e_type, machine, version, entry, phoff, shoff, flags,
@@ -325,9 +316,6 @@ class NewSection:
     sh_flags: int = SHF_ALLOC
     size: int | None = None  # defaults to len(data); nobits sections set it
 
-    def mem_size(self):
-        return self.size if self.size is not None else len(self.data)
-
 
 def build_elf(sections: list[NewSection], entry_point: int = 0) -> bytes:
     """Write an ET_EXEC ELF64 with the given sections and no program headers."""
@@ -361,7 +349,8 @@ def build_elf(sections: list[NewSection], entry_point: int = 0) -> bytes:
     out += _SHDR.pack(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     for sec, name_off, body_off in zip(sections, name_offsets, body_offsets):
         out += _SHDR.pack(name_off, sec.sh_type, sec.sh_flags, sec.vaddr,
-                          body_off, sec.mem_size(), 0, 0, 1, 0)
+                          body_off, len(sec.data) if sec.size is None else sec.size,
+                          0, 0, 1, 0)
     out += _SHDR.pack(shstr_name_off, SHT_STRTAB, 0, 0, strtab_off, len(strtab),
                       0, 0, 1, 0)
 

@@ -117,7 +117,6 @@ def test_view_matches_the_reference_dict(specs, other_specs, data):
     for addr in range(lo - 1, hi + 2):
         assert outcome(view.__getitem__, addr) == outcome(ref.__getitem__, addr)
         assert (addr in view) == (addr in ref)
-        assert view.section_at(addr) == reference_section_at(img, addr)
         assert img.section_at(addr) == reference_section_at(img, addr)
     for _ in range(10):
         start = data.draw(st.integers(lo - 1, hi + 1))
@@ -139,7 +138,6 @@ def test_view_over_an_image_with_no_sections():
     assert view.read(5, 5) == b""
     with pytest.raises(KeyError):
         view.read(0, 1)
-    assert view.section_at(0) is None
 
 
 def test_lift_of_a_large_bss_allocates_no_per_byte_objects():
