@@ -81,12 +81,8 @@ class SlotMemRef:
     scale: int = 1
 
 
-# --- data variables ---
-
-@dataclass(frozen=True)
-class RawBytes:
-    data: bytes
-
+# --- data variables (a payload part is ``bytes``, a ``SymbolRef``, a
+# ``DiffPayload`` or ``Zeroes``) ---
 
 @dataclass(frozen=True)
 class DiffPayload:
@@ -143,7 +139,6 @@ class LabelMap:
     bb_backed: set[int] = field(default_factory=set)
     function_ends: set[int] = field(default_factory=set)
     data_labels: dict[int, str] = field(default_factory=dict)
-    record_backed: set[int] = field(default_factory=set)
     text_floors: dict[int, str] = field(default_factory=dict)
     data_floors: dict[int, str] = field(default_factory=dict)
     slots: dict[int, tuple[tuple[int, str], ...]] = field(default_factory=dict)
@@ -172,10 +167,6 @@ class LabelMap:
             return None
         return names[i], addr - addrs[i]
 
-    def use(self, name: str) -> str:
-        self.used.add(name)
-        return name
-
     def all_names(self):
         for mapping in (self.functions, self.blocks, self.data_labels,
                         self.text_floors, self.data_floors):
@@ -193,13 +184,11 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
     """
     lm = LabelMap()
 
+    block_candidates = set()
     for rec in meta.text:
         if rec.kind == FUNCTION_START:
             lm.functions[rec.addr] = f"F_{rec.addr:x}"
-
-    block_candidates = set()
-    for rec in meta.text:
-        if rec.kind == BASIC_BLOCK:
+        elif rec.kind == BASIC_BLOCK:
             block_candidates.add(rec.addr)
             lm.bb_backed.add(rec.addr)
         elif rec.kind == FUNCTION_END:
@@ -226,7 +215,6 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
 
     for rec in meta.data:
         lm.data_labels[rec.addr] = f"D_{rec.addr:x}"
-        lm.record_backed.add(rec.addr)
     # Interiors, each from one past its start: a label there could not be
     # placed, so an address inside is rendered as label + offset.
     interiors = [(r.addr + 1, r.addr + r.size) for r in meta.data]
@@ -322,7 +310,7 @@ def _symbol_for(state, addr):
     if found is None:
         return None
     name, offset = found
-    state.labels.use(name)
+    state.labels.used.add(name)
     return SymbolRef(name, offset)
 
 
@@ -470,44 +458,39 @@ def _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta):
             interior=slot - depth, index=op.index, scale=op.scale))
 
 
-# Mnemonics that write their first operand: on rbp or rsp, that anchor is lost.
-_WRITES_FIRST = ("add", "sub", "inc", "dec", "lea", "movsxd", "imul", "xor", "and", "or")
+# Mnemonics that write their first operand.
+_WRITES_FIRST = frozenset(("mov", "pop", "lea", "movsxd", "add", "sub", "inc", "dec",
+                           "imul", "xor", "and", "or"))
+# The anchor that a write to each register changes.
+_ANCHOR_OF = {"rsp": "rsp", "rbp": "rbp"}
 
 
 def _apply_sp_effect(ins, sp_delta, rbp_delta):
-    m = ins.mnemonic
-    ops = ins.operands
+    """The (rsp, rbp) anchors after ``ins``: offsets from the stack pointer
+    at function entry, None when untracked.
 
-    def is_reg(op, name):
-        return isinstance(op, Register) and op.name == name
-
-    if m == "push":
-        return (None if sp_delta is None else sp_delta - 8), rbp_delta
-    if m == "pop":
-        new_sp = None if sp_delta is None else sp_delta + 8
-        if is_reg(ops[0], "rbp"):
-            return new_sp, None
-        if is_reg(ops[0], "rsp"):
-            return None, rbp_delta
-        return new_sp, rbp_delta
-    if m == "mov" and len(ops) == 2:
-        if is_reg(ops[0], "rbp"):
-            return sp_delta, (sp_delta if is_reg(ops[1], "rsp") else None)
-        if is_reg(ops[0], "rsp"):
-            return (rbp_delta if is_reg(ops[1], "rbp") else None), rbp_delta
-    if m in ("add", "sub") and len(ops) == 2 and is_reg(ops[0], "rsp"):
-        if isinstance(ops[1], Immediate) and sp_delta is not None:
-            step = ops[1].value if m == "add" else -ops[1].value
-            return sp_delta + step, rbp_delta
-        return None, rbp_delta
-    if m in _WRITES_FIRST and ops and is_reg(ops[0], "rbp"):
-        return sp_delta, None
-    if m in _WRITES_FIRST and ops and is_reg(ops[0], "rsp"):
-        return None, rbp_delta
-    if m == "leave":
-        new_sp = None if rbp_delta is None else rbp_delta + 8
-        return new_sp, None
-    return sp_delta, rbp_delta
+    push, pop, leave, mov rbp, rsp, mov rsp, rbp and add/sub rsp, imm move
+    the anchors. Any other write whose first operand is rsp or rbp drops
+    that anchor.
+    """
+    m, ops = ins.mnemonic, ins.operands
+    if m == "leave":  # mov rsp, rbp; pop rbp
+        return (None if rbp_delta is None else rbp_delta + 8), None
+    anchors = {"rsp": sp_delta, "rbp": rbp_delta}
+    if m in ("push", "pop") and sp_delta is not None:
+        anchors["rsp"] += 8 if m == "pop" else -8
+    dst = ops[0].name if ops and isinstance(ops[0], Register) else None
+    if m in _WRITES_FIRST and dst in _ANCHOR_OF:
+        src = ops[-1]
+        if (m == "mov" and isinstance(src, Register)
+                and (dst, src.name) in (("rbp", "rsp"), ("rsp", "rbp"))):
+            anchors[dst] = anchors[src.name]
+        elif (m in ("add", "sub") and dst == "rsp" and isinstance(src, Immediate)
+              and sp_delta is not None):
+            anchors["rsp"] += src.value if m == "add" else -src.value
+        else:
+            anchors[_ANCHOR_OF[dst]] = None
+    return anchors["rsp"], anchors["rbp"]
 
 
 # --- step V: data symbolization ---
@@ -562,11 +545,11 @@ def _build_payload(state, sec, start, end, nobits, marks):
             state.fault(PointerStraddle, "straddle", msg, addr)
             continue
         if addr > pos:
-            parts.append(RawBytes(state.byte_map.read(pos, addr)))
+            parts.append(state.byte_map.read(pos, addr))
         parts.append(_pointer_part(state, state.earmarks[addr]))
         pos = addr + POINTER_WIDTH
     if pos < end:
-        parts.append(RawBytes(state.byte_map.read(pos, end)))
+        parts.append(state.byte_map.read(pos, end))
     return tuple(parts)
 
 
@@ -581,7 +564,7 @@ def _pointer_part(state, rec):
                    f"names 0x{rec.target:x}")
             state.fault(MetadataMismatch, "pointer", msg, rec.addr)
         sym = _symbol_for(state, rec.target)
-        return RawBytes(cell) if sym is None else sym
+        return cell if sym is None else sym
     difference = (rec.minuend - rec.subtrahend) & U64
     if stored != difference:
         msg = (f"data cell at 0x{rec.addr:x} stores 0x{stored:x} but the recorded "
@@ -590,7 +573,7 @@ def _pointer_part(state, rec):
     msym = _symbol_for(state, rec.minuend)
     ssym = _symbol_for(state, rec.subtrahend)
     if msym is None or ssym is None:
-        return RawBytes(cell)
+        return cell
     return DiffPayload(msym.label, msym.offset, ssym.label, ssym.offset)
 
 
@@ -846,8 +829,7 @@ def emit_assembly(lp: LiftedProgram) -> str:
     - ``.func NAME`` and its ``.slot`` lines at a decoded function entry;
     - a used function's ``NAME:`` line anywhere else;
     - a block label at a decoded ``BASIC_BLOCK`` record, or wherever used;
-    - a variable's label at the variable's start;
-    - an unrecorded data label wherever used.
+    - a data label where a variable starts with it, or wherever used.
 
     At a shared address the order is floor, function, then block or data
     label. ``.endfunc`` follows the instruction at a decoded
@@ -884,7 +866,7 @@ def emit_assembly(lp: LiftedProgram) -> str:
                     lines.append(".endfunc")
                     in_func = False
             elif isinstance(item, (bytes, Zeroes)):
-                end = addr + (item.size if isinstance(item, Zeroes) else len(item))
+                end = addr + _part_size(item)
                 pos = addr
                 for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, end)]:
                     lines.extend(_fill_lines(item, pos - addr, cut - addr))
@@ -906,6 +888,12 @@ def _fill_lines(item, lo, hi):
     return _byte_lines(item[lo:hi])
 
 
+def _part_size(part) -> int:
+    if isinstance(part, Zeroes):
+        return part.size
+    return len(part) if isinstance(part, bytes) else POINTER_WIDTH
+
+
 def _items(lp, sec):
     """(address, item) in address order: instructions and padding runs in
     code, variable parts in data; raw bytes are ``bytes``."""
@@ -920,12 +908,8 @@ def _items(lp, sec):
         if lo <= var.address < hi:
             addr = var.address
             for part in var.payload:
-                if isinstance(part, RawBytes):
-                    items.append((addr, part.data))
-                    addr += len(part.data)
-                else:
-                    items.append((addr, part))
-                    addr += part.size if isinstance(part, Zeroes) else POINTER_WIDTH
+                items.append((addr, part))
+                addr += _part_size(part)
     return items
 
 
@@ -946,11 +930,9 @@ def _label_lines(lp, code) -> dict[int, list[str]]:
     for addr, name in lm.blocks.items():
         if name in lm.used or (addr in lm.bb_backed and addr in code):
             marks.setdefault(addr, []).append(f"{name}:")
-    for var in lp.variables:
-        if var.label:
-            marks.setdefault(var.address, []).append(f"{var.label}:")
+    var_labels = {var.label for var in lp.variables}
     for addr, name in lm.data_labels.items():
-        if addr not in lm.record_backed and name in lm.used:
+        if name in var_labels or name in lm.used:
             marks.setdefault(addr, []).append(f"{name}:")
     return marks
 

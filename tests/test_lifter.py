@@ -23,7 +23,6 @@ from ellf.isa import Immediate, MemRef, Register, decode_one
 from ellf.lifter import (
     DiffPayload,
     LabelMap,
-    RawBytes,
     SlotMemRef,
     Zeroes,
     _byte_lines,
@@ -448,7 +447,7 @@ def test_section_without_records_is_one_anonymous_variable():
     assert len(lp.variables) == 1
     var = lp.variables[0]
     assert (var.address, var.size, var.label) == (0x2000, 3, None)
-    assert var.payload == (RawBytes(b"\x01\x02\x03"),)
+    assert var.payload == (b"\x01\x02\x03",)
 
 
 def test_uncovered_gap_merges_into_preceding_variable(table_demo):
@@ -611,6 +610,19 @@ def test_a_reference_inside_a_pointer_cell_renders_as_the_cell_label_plus_offset
     text = emit_assembly(lift(img, replace(meta, data=()), mode="strict"))
     assert "    .quad D_402010 + 4\nD_402010:\n    .quad F_401000\n" in text
     assert _reassembles_to_the_same_alloc_bytes(text, img)
+
+
+def test_a_used_label_of_a_data_record_past_its_section_end_is_defined():
+    elf, meta = assemble(parse_assembly(corpus_programs()["12_data_pointers"]))
+    img = elfio.read_elf(elf)
+    data = tuple(DataRecord(0x40711C, 16) if rec == DataRecord(0x407118, 16) else rec
+                 for rec in meta.data)
+    lp = lift(img, replace(meta, data=data), mode="lenient")
+    assert [d.message for d in lp.diagnostics] == [
+        "data record at 0x40711c extends past the end of .data"]
+    text = emit_assembly(lp)
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
+    assert "    .quad D_40711c + 4\n" in text and "\nD_40711c:\n" in text
 
 
 def test_a_used_function_label_outside_decoded_code_is_defined():
