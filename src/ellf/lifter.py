@@ -461,8 +461,9 @@ def _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta):
 # Mnemonics that write their first operand.
 _WRITES_FIRST = frozenset(("mov", "pop", "lea", "movsxd", "add", "sub", "inc", "dec",
                            "imul", "xor", "and", "or"))
-# The anchor that a write to each register changes.
-_ANCHOR_OF = {"rsp": "rsp", "rbp": "rbp"}
+# The anchor that a write to each register changes. A 32-bit write
+# zero-extends into the whole register, so it leaves the anchor unknown.
+_ANCHOR_OF = {"rsp": "rsp", "rbp": "rbp", "esp": "rsp", "ebp": "rbp"}
 
 
 def _apply_sp_effect(ins, sp_delta, rbp_delta):
@@ -471,7 +472,7 @@ def _apply_sp_effect(ins, sp_delta, rbp_delta):
 
     push, pop, leave, mov rbp, rsp, mov rsp, rbp and add/sub rsp, imm move
     the anchors. Any other write whose first operand is rsp or rbp drops
-    that anchor.
+    that anchor, as does any write to esp or ebp.
     """
     m, ops = ins.mnemonic, ins.operands
     if m == "leave":  # mov rsp, rbp; pop rbp

@@ -366,6 +366,12 @@ SP_EFFECTS = [
     ("dec rbp", (-24, -8), (-24, None)),
     ("lea rbp, [rsp + 8]", (-24, -8), (-24, None)),
     ("xor rbp, rbp", (-24, -8), (-24, None)),
+    ("mov ebp, 0", (-24, -8), (-24, None)),
+    ("mov ebp, esp", (-24, -8), (-24, None)),
+    ("xor ebp, ebp", (-24, -8), (-24, None)),
+    ("add esp, 8", (-24, -8), (None, -8)),
+    ("mov esp, ebp", (-24, -8), (None, -8)),
+    ("lea esp, [rax]", (-24, -8), (None, -8)),
     ("cmp rsp, 8", (-24, -8), (-24, -8)),
     ("test rbp, rbp", (-24, -8), (-24, -8)),
     ("call rax", (-24, -8), (-24, -8)),
@@ -405,6 +411,14 @@ def test_a_stack_access_below_every_slot_is_left_as_is():
     assert [(d.kind, d.message) for d in lp.diagnostics] == [
         ("stack", "stack access at 0x1004 (depth 32) is outside every frame slot")]
     assert "    mov rax, [rbp - 24]\n    mov rcx, [rbp + 8 - s16]\n" in text
+
+
+def test_a_32_bit_write_to_ebp_leaves_the_frame_anchor_untracked():
+    lp, text = _stack_lift(["push rbp", "mov rbp, rsp", "sub rsp, 16", "mov [rbp - a], rax",
+                            "mov ebp, 0", "mov rcx, [rbp - 8]", "leave", "ret"])
+    assert [(d.kind, d.message) for d in lp.diagnostics] == [
+        ("stack", "stack access at 0x1011 has an untracked frame anchor")]
+    assert "    mov [rbp + 8 - s16], rax\n    mov ebp, 0\n    mov rcx, [rbp - 8]\n" in text
 
 
 def test_no_stack_record_leaves_operands(table_demo):
