@@ -81,8 +81,7 @@ class SlotMemRef:
     scale: int = 1
 
 
-# --- data variables (a payload part is ``bytes``, a ``SymbolRef``, a
-# ``DiffPayload`` or ``Zeroes``) ---
+# --- data variables ---
 
 @dataclass(frozen=True)
 class DiffPayload:
@@ -102,7 +101,7 @@ class Variable:
     address: int
     size: int
     label: str | None
-    payload: tuple
+    payload: tuple  # of bytes, SymbolRef, DiffPayload and Zeroes parts
 
 
 # --- control flow graphs ---
