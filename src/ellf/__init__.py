@@ -10,7 +10,6 @@ executable property.
 
 from .errors import Diagnostic, EllfError
 from .meta import (
-    BuildFacts,
     DataDiff,
     DataPointer,
     DataRecord,
@@ -21,7 +20,6 @@ from .meta import (
     TextRecord,
     decode_metadata,
     encode_metadata,
-    from_build_facts,
     metadata_from_json,
     metadata_to_json,
     validate_metadata,
@@ -34,12 +32,12 @@ from .asm import AsmProgram, assemble, parse_assembly, roundtrip_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsmProgram", "BuildFacts", "DataDiff", "DataPointer", "DataRecord",
-    "Diagnostic", "ElfImage", "EllfError", "EllfMetadata", "Instruction",
-    "InstructionRegion", "LiftedProgram", "OperandPointer", "Section",
-    "StackRecord", "TextRecord", "assemble", "decode_metadata", "decode_one",
-    "emit_assembly", "encode_metadata", "encode_one", "extract_section",
-    "from_build_facts", "inject_section", "instruction_class", "lift",
-    "load_image", "metadata_from_json", "metadata_to_json", "parse_assembly",
-    "read_elf", "roundtrip_check", "validate_metadata",
+    "AsmProgram", "DataDiff", "DataPointer", "DataRecord", "Diagnostic",
+    "ElfImage", "EllfError", "EllfMetadata", "Instruction", "InstructionRegion",
+    "LiftedProgram", "OperandPointer", "Section", "StackRecord", "TextRecord",
+    "assemble", "decode_metadata", "decode_one", "emit_assembly",
+    "encode_metadata", "encode_one", "extract_section", "inject_section",
+    "instruction_class", "lift", "load_image", "metadata_from_json",
+    "metadata_to_json", "parse_assembly", "read_elf", "roundtrip_check",
+    "validate_metadata",
 ]

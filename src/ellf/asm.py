@@ -48,11 +48,11 @@ and the ground-truth metadata of the same layout. The walk gathers the runs
 of consecutive instructions, each function's entry and last instruction, the
 labels on instructions, a pointer record for every label-valued operand and
 data cell, a variable from each data label to the next, and the slot tables;
-``meta.metadata_from_layout``, which ``from_build_facts`` shares, turns them
-into records. Instructions go only in executable sections and a function
-starts with one, so every text record sits at an instruction start. A
-``.quad`` that names a label goes only in a non-executable section: the
-lifter reads pointer cells in data alone, so one in code would be lost.
+``meta.metadata_from_layout`` turns them into records. Instructions go only
+in executable sections and a function starts with one, so every text record
+sits at an instruction start. A ``.quad`` that names a label goes only in a
+non-executable section: the lifter reads pointer cells in data alone, so one
+in code would be lost.
 """
 
 from __future__ import annotations
@@ -663,10 +663,22 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                                      f"64-bit address space", line)
         laid_out.append((section, kind, blob, addr - section.base, names))
 
+    # The .sets are placed in line order, each after a pending .set its base names.
+    pending = {item.name: item for item in set_labels}
     for item in sorted(set_labels, key=lambda s: s.line):
-        if item.base not in labels:
-            raise UndefinedLabel(f"label {item.base!r} is not defined", item.line)
-        labels[item.name] = labels[item.base] + item.offset
+        chain = {}  # pending .sets from item on, each the base of the one before
+        link = pending.get(item.name)
+        while link is not None:
+            if link.name in chain:
+                raise AsmSyntaxError(f".set {link.name} is defined in terms of itself",
+                                     link.line)
+            chain[link.name] = link
+            link = pending.get(link.base)
+        for link in reversed(chain.values()):
+            if link.base not in labels:
+                raise UndefinedLabel(f"label {link.base!r} is not defined", link.line)
+            labels[link.name] = labels[link.base] + link.offset
+            del pending[link.name]
 
     spans = [(s.base, s.base + max(size, 1), s.name) for s, _, _, size, _ in laid_out]
     for i, (start_a, end_a, name_a) in enumerate(spans):
@@ -704,7 +716,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     for func_name in slots:
         if func_name not in func_names:
             raise UndefinedLabel(f"slot defined for unknown function {func_name!r}")
-    meta, _ = metadata_from_layout(  # disjoint variables: no diagnostics
+    meta = metadata_from_layout(
         runs, [(fn.entry, fn.last_instr) for fn in functions], blocks, pointers,
         variables, [(labels[name], table.values()) for name, table in slots.items()])
 

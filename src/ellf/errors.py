@@ -42,10 +42,6 @@ class VarintOverflow(EllfError):
     pass
 
 
-class InconsistentFacts(EllfError):
-    pass
-
-
 # --- ELF container ---
 
 class ElfError(EllfError):
@@ -174,7 +170,7 @@ ERROR = "error"
 
 @dataclass(frozen=True)
 class Diagnostic:
-    kind: str          # "range" | "alignment" | "function-start" | "overlap-dropped" | ...
+    kind: str          # "range" | "alignment" | "function-start" | "pointer" | ...
     message: str
     addr: int | None = None
     severity: str = ERROR

@@ -33,33 +33,29 @@ encode(decode(b)) == b, and decode(encode(m)) == m whenever encode succeeds.
 The JSON interchange (`ellf inject --meta`, `ellf extract --json`) is written
 down once, as data: per table its record types (a pointer's "kind" picks one),
 per record type its fields in constructor order, per field a kind with its
-JSON Schema, reader and writer. `metadata_from_json`, `build_facts_from_json`,
-`metadata_to_json`, `METADATA_SCHEMA` and `BUILD_FACTS_SCHEMA` derive from it,
-so a reader accepts exactly the documents its schema accepts. Metadata needs
-its version and all five tables, and then `check_invariants`; every build
-facts table is optional.
+JSON Schema, reader and writer. `metadata_from_json`, `metadata_to_json` and
+`METADATA_SCHEMA` derive from it, so the reader accepts exactly the documents
+the schema accepts. A document needs its version and all five tables, and
+then `check_invariants`.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields as dataclass_fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from . import varint
 from .errors import (
     BadMagic,
     Diagnostic,
-    InconsistentFacts,
     InvariantViolation,
     IsaError,
     NonCanonical,
     TruncatedTable,
     UnsupportedVersion,
     VarintOverflow,
-    WARNING,
     quoted,
 )
 
@@ -166,8 +162,8 @@ def check_invariants(meta: EllfMetadata) -> None:
     """Raise InvariantViolation unless ``meta`` is canonical `.ellf` metadata.
 
     This is the one definition of canonical: the encoder, the decoder, the
-    JSON reader and ``metadata_from_layout`` (through which the assembler and
-    ``from_build_facts`` build metadata) all apply it.
+    JSON reader and ``metadata_from_layout`` (through which the assembler
+    builds metadata) all apply it.
     """
     if meta.version != VERSION:
         raise InvariantViolation(f"unsupported metadata version {meta.version}")
@@ -328,7 +324,6 @@ class _Record(NamedTuple):
     cls: type
     fields: dict            # JSON name -> _Field, in the constructor's order
     tag: str | None = None  # the "kind" that picks this record in its table
-    optional: tuple = ()    # fields that may be absent; cls's default fills them
 
 
 _HEX_ADDR = {"type": "string", "pattern": "^0x[0-9a-fA-F]+$"}
@@ -402,13 +397,12 @@ def _read_object(obj, record, what, prefix):
     for key in obj:
         if key not in record.fields and (key != "kind" or record.tag is None):
             raise InvariantViolation(f"{what} has unknown field {key!r}")
-    values = {}
-    for (name, field), attr in zip(record.fields.items(), dataclass_fields(record.cls)):
-        if name in obj:
-            values[attr.name] = field.read(obj[name], prefix + name)
-        elif name not in record.optional:
+    values = []
+    for name, field in record.fields.items():
+        if name not in obj:
             raise InvariantViolation(f"{prefix}{name} is missing")
-    return record.cls(**values)
+        values.append(field.read(obj[name], prefix + name))
+    return record.cls(*values)
 
 
 def _object(record):
@@ -454,9 +448,8 @@ def _object(record):
 
     properties = {**{key: {"const": value} for key, value in tag.items()},
                   **{name: field.schema for name, field in record.fields.items()}}
-    required = [*tag, *(name for name in names if name not in record.optional)]
     return _Field({"type": "object", "additionalProperties": False,
-                   "properties": properties, "required": required}, read, write)
+                   "properties": properties, "required": [*tag, *names]}, read, write)
 
 
 def _one_of(noun, *records):
@@ -477,9 +470,6 @@ def _one_of(noun, *records):
 
     return _Field({"oneOf": [kind.schema for kind in kinds.values()]}, read,
                   lambda value: writers[type(value)](value))
-
-
-_DATA_TABLE = _list(_object(_Record(DataRecord, {"addr": _ADDR, "size": _COUNT})))
 
 
 class _Table(NamedTuple):
@@ -516,7 +506,8 @@ _TABLES = (
            _list(_object(_Record(StackRecord, {"function_entry": _ADDR,
                                                "offsets": _list(_COUNT)})))),
     _Table(5, "data", "data", "data record count", "data record address",
-           attrgetter("addr"), _write_data, _read_data, _DATA_TABLE),
+           attrgetter("addr"), _write_data, _read_data,
+           _list(_object(_Record(DataRecord, {"addr": _ADDR, "size": _COUNT})))),
 )
 
 
@@ -646,234 +637,35 @@ def metadata_from_json(obj: dict) -> EllfMetadata:
     return meta
 
 
-# --- build facts ingestion ---
-
-@dataclass(frozen=True)
-class BlockFacts:
-    function_addr: int
-    block_offsets: tuple[int, ...]
-    block_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RelocationFact:
-    addr: int
-    kind: str  # "abs64" | "pc32" | "diff32"
-    target_addr: int
-    subtrahend_addr: int | None = None
-
-
-@dataclass(frozen=True)
-class JumpTableFact:
-    table_addr: int
-    entry_count: int
-    entry_size: int
-
-
-@dataclass(frozen=True)
-class BuildFacts:
-    basic_blocks: tuple[BlockFacts, ...] = ()
-    relocations: tuple[RelocationFact, ...] = ()
-    variables: tuple[DataRecord, ...] = ()
-    locals: tuple[StackRecord, ...] = ()
-    jump_tables: tuple[JumpTableFact, ...] = ()
-
-
-_FACTS_FIELDS = {
-    "basic_blocks": _list(_object(_Record(BlockFacts, {
-        "function_addr": _ADDR, "block_offsets": _list(_integer(0)),
-        "block_sizes": _list(_COUNT)}))),
-    "relocations": _list(_object(_Record(RelocationFact, {
-        "addr": _ADDR, "kind": _enum("relocation kind", ("abs64", "pc32", "diff32")),
-        "target_addr": _ADDR, "subtrahend_addr": _ADDR}, optional=("subtrahend_addr",)))),
-    "variables": _DATA_TABLE,
-    "locals": _list(_object(_Record(StackRecord, {"function_addr": _ADDR,
-                                                  "offsets": _list(_COUNT)}))),
-    "jump_tables": _list(_object(_Record(JumpTableFact, {
-        "table_addr": _ADDR, "entry_count": _COUNT, "entry_size": _COUNT}))),
-}
-_FACTS = _Record(BuildFacts, _FACTS_FIELDS, optional=tuple(_FACTS_FIELDS))
-
-BUILD_FACTS_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema",
-                      **_object(_FACTS).schema}
-
-
-def build_facts_from_json(obj: dict) -> BuildFacts:
-    """Read build facts (see BUILD_FACTS_SCHEMA) as metadata_from_json reads metadata.
-
-    A document loads exactly when BUILD_FACTS_SCHEMA accepts it. Every table
-    is optional, and a missing one is empty. A malformed document raises
-    InvariantViolation naming table[index].field.
-    """
-    return _read_object(obj, _FACTS, "build facts JSON", "")
-
+# --- metadata from a layout ---
 
 def metadata_from_layout(regions, functions, blocks, pointers, variables, locals
-                         ) -> tuple[EllfMetadata, list[Diagnostic]]:
-    """Canonical metadata from a layout, plus the warnings it raised.
+                         ) -> EllfMetadata:
+    """Canonical metadata from the assembler's layout.
 
     The one place where layout becomes records. Regions are (start, count),
     functions (entry, last instruction) and locals (entry, offsets) pairs.
     Entries get FUNCTION_START, last instructions FUNCTION_END and other block
-    starts BASIC_BLOCK. A variable that overlaps the one kept before it (in
-    address order, longer first) is dropped with an ``overlap-dropped``
-    warning. Each function's offsets merge into one stack record; one that is
-    not positive raises InconsistentFacts. The tables are sorted canonically
-    and held to ``check_invariants``.
+    starts BASIC_BLOCK. The tables are sorted canonically and held to
+    ``check_invariants``, which refuses overlapping variables and offsets that
+    are not positive.
     """
     entries = {entry for entry, _ in functions}
     text = {TextRecord(entry, FUNCTION_START) for entry in entries}
     text.update(TextRecord(last, FUNCTION_END) for _, last in functions)
     text.update(TextRecord(addr, BASIC_BLOCK) for addr in blocks if addr not in entries)
 
-    diagnostics: list[Diagnostic] = []
-    data = []
-    kept_end = None
-    for var in sorted(variables, key=lambda v: (v.addr, -v.size)):
-        if kept_end is not None and var.addr < kept_end:
-            diagnostics.append(Diagnostic(
-                kind="overlap-dropped",
-                message=f"variable at 0x{var.addr:x} (size {var.size}) overlaps the "
-                        f"previous variable and was dropped",
-                addr=var.addr, severity=WARNING))
-            continue
-        data.append(var)
-        kept_end = var.addr + var.size
-
-    per_function: dict[int, set[int]] = {}
-    for entry, offsets in locals:
-        for off in offsets:
-            if off <= 0:
-                raise InconsistentFacts(
-                    f"local offset {off} of function 0x{entry:x} is not positive")
-        per_function.setdefault(entry, set()).update(offsets)
-
     meta = EllfMetadata(
         instruction_regions=tuple(InstructionRegion(start, count)
                                   for start, count in sorted(regions)),
         pointers=tuple(sorted(pointers, key=_pointer_sort_key)),
         text=tuple(sorted(text, key=_text_sort_key)),
-        stack=tuple(StackRecord(entry, tuple(sorted(offsets)))
-                    for entry, offsets in sorted(per_function.items()) if offsets),
-        data=tuple(data),
+        stack=tuple(StackRecord(entry, tuple(sorted(set(offsets))))
+                    for entry, offsets in sorted(locals, key=itemgetter(0)) if offsets),
+        data=tuple(sorted(variables, key=attrgetter("addr"))),
     )
     check_invariants(meta)
-    return meta, diagnostics
-
-
-def from_build_facts(facts: BuildFacts, image) -> tuple[EllfMetadata, list[Diagnostic]]:
-    """Turn linker-time facts into oracle metadata.
-
-    ``image`` is the loadable image from ``elfio.load_image`` (any mapping from
-    virtual address to byte will do); instruction counts, operand positions
-    and function-end addresses all need the decoder, so it is a required
-    input. This function coalesces and decodes the blocks, checks that each
-    block starts an instruction and maps each relocation to a pointer record;
-    ``metadata_from_layout`` decides the records and their order.
-    """
-    from .isa import decode_one  # local import keeps the codec importable standalone
-
-    # Coalesce block byte extents into maximal contiguous runs.
-    extents = []
-    for blocks in facts.basic_blocks:
-        if len(blocks.block_offsets) != len(blocks.block_sizes):
-            raise InconsistentFacts(
-                f"function 0x{blocks.function_addr:x}: offset/size lists differ in length")
-        for off, size in zip(blocks.block_offsets, blocks.block_sizes):
-            extents.append((blocks.function_addr + off, blocks.function_addr + off + size))
-    extents.sort()
-    runs = []
-    for start, end in extents:
-        if runs and start < runs[-1][1]:
-            raise InconsistentFacts(f"basic blocks overlap at 0x{start:x}")
-        if runs and start == runs[-1][1]:
-            runs[-1][1] = end
-        else:
-            runs.append([start, end])
-
-    # Decode each run to count instructions; the runs are sorted and disjoint,
-    # so ``decoded`` is in address order and covers exactly the runs.
-    regions = []
-    decoded = []
-    for start, end in runs:
-        addr = start
-        first = len(decoded)
-        while addr < end:
-            decoded.append(decode_one(image, addr))
-            addr += decoded[-1].length
-        if addr != end:
-            raise InconsistentFacts(
-                f"instructions decoded from 0x{start:x} overrun the block end 0x{end:x}")
-        regions.append((start, len(decoded) - first))
-    starts = [ins.address for ins in decoded]
-
-    # Every block starts an instruction; a function starts at its first block
-    # and ends at the last instruction of its last block.
-    functions, block_starts = [], []
-    for blocks in facts.basic_blocks:
-        if not blocks.block_offsets:
-            continue
-        order = sorted(zip(blocks.block_offsets, blocks.block_sizes))
-        for off, size in order:
-            addr = blocks.function_addr + off
-            i = bisect_left(starts, addr)
-            if i == len(starts) or starts[i] != addr:
-                raise InconsistentFacts(
-                    f"function 0x{blocks.function_addr:x}: the block at 0x{addr:x} "
-                    f"is not at an instruction start")
-            block_starts.append(addr)
-        # The loop left addr, size and i at the last block.
-        last = bisect_left(starts, addr + size) - 1
-        if last < i:
-            raise InconsistentFacts(
-                f"function 0x{blocks.function_addr:x}: the block at 0x{addr:x} "
-                f"holds no instruction")
-        functions.append((blocks.function_addr + order[0][0], starts[last]))
-
-    # Pointer records from relocations.
-    pointers = []
-    for reloc in facts.relocations:
-        if reloc.kind == "diff32":
-            sub = None
-            for table in facts.jump_tables:
-                span = table.entry_count * table.entry_size
-                if table.table_addr <= reloc.addr < table.table_addr + span:
-                    if table.entry_size != 8:
-                        raise InconsistentFacts(
-                            f"jump table at 0x{table.table_addr:x} has entry size "
-                            f"{table.entry_size}; only pointer-width entries are supported")
-                    sub = table.table_addr
-                    break
-            if sub is None:
-                sub = reloc.subtrahend_addr
-            if sub is None:
-                raise InconsistentFacts(
-                    f"diff relocation at 0x{reloc.addr:x} has no subtrahend and "
-                    f"is not inside any declared jump table")
-            pointers.append(DataDiff(reloc.addr, reloc.target_addr, sub))
-            continue
-        i = bisect_right(starts, reloc.addr) - 1
-        if i < 0 or reloc.addr >= starts[i] + decoded[i].length:
-            if reloc.kind == "pc32":
-                raise InconsistentFacts(
-                    f"pc-relative relocation at 0x{reloc.addr:x} falls outside every "
-                    f"instruction region; 4-byte pointer cells are not representable")
-            pointers.append(DataPointer(reloc.addr, reloc.target_addr))
-            continue
-        # Inside a region: find the operand of the containing instruction
-        # whose immediate or displacement field sits exactly at the reloc.
-        ins = decoded[i]
-        operand_index = next((fld.operand for fld in ins.fields
-                              if ins.address + fld.offset == reloc.addr), None)
-        if operand_index is None:
-            raise InconsistentFacts(
-                f"relocation at 0x{reloc.addr:x} is inside an instruction region but "
-                f"not at an operand immediate/displacement position")
-        pointers.append(OperandPointer(ins.address, operand_index, reloc.target_addr))
-
-    return metadata_from_layout(
-        regions, functions, block_starts, pointers, facts.variables,
-        [(rec.function_entry, rec.offsets) for rec in facts.locals])
+    return meta
 
 
 # --- validation against an ELF image ---

@@ -228,6 +228,28 @@ def test_a_label_minus_an_offset_names_the_address_before_the_label():
     assert meta.pointers == (OperandPointer(0x1000, 1, g - 4), DataPointer(0x2000, g - 1))
 
 
+def set_program(sets):
+    """A movabs of label ``a``, with ``sets`` (lines 7 on) before a 16-byte ``buf``."""
+    return (".section .text base=0x1000\n.func f\n    mov rax, a\n    ret\n.endfunc\n"
+            f".section .data base=0x2000\n{sets}buf:\n    .zero 16\n")
+
+
+def test_a_set_may_name_a_set_defined_on_a_later_line():
+    _, meta = assemble_image(parse_assembly(set_program(".set a, b\n.set b, buf + 8\n")))
+    assert meta.pointers == (OperandPointer(0x1000, 1, 0x2008),)
+
+
+@pytest.mark.parametrize("sets, error, message", [
+    (".set a, b\n.set b, a\n", AsmSyntaxError, "line 7: .set a is defined in terms of itself"),
+    (".set a, b\n.set b, nowhere + 8\n", UndefinedLabel,
+     "line 8: label 'nowhere' is not defined"),
+], ids=["cycle", "undefined_base"])
+def test_a_set_chain_without_a_placed_end_names_its_line(sets, error, message):
+    with pytest.raises(error) as info:
+        assemble_image(parse_assembly(set_program(sets)))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("statement, message", [
     (".slot f, a b, 8", "malformed .slot name: 'a b'"),
     (".slot f, 9x, 8", "malformed .slot name: '9x'"),

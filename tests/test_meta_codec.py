@@ -34,6 +34,7 @@ from ellf.meta import (
     _text_sort_key,
     decode_metadata,
     encode_metadata,
+    metadata_from_layout,
 )
 
 from conftest import SPARSE_DEMO_META
@@ -412,6 +413,19 @@ def test_truncated_payload_errors_name_the_field():
 def test_fields_past_64_bits_rejected_on_encode(meta):
     with pytest.raises(InvariantViolation):
         encode_metadata(meta)
+
+
+# metadata_from_layout(regions, functions, blocks, pointers, variables, locals)
+@pytest.mark.parametrize("layout, message", [
+    (([], [], [], [], [DataRecord(0x5000, 12), DataRecord(0x5006, 6)], []),
+     "data records overlap at 0x5006"),
+    (([], [], [], [], [], [(0x4000, [0, 8])]),
+     "stack offsets of 0x4000 not strictly increasing"),
+], ids=["overlapping_variables", "slot_offset_zero"])
+def test_the_record_builder_refuses_a_layout_that_breaks_an_invariant(layout, message):
+    with pytest.raises(InvariantViolation) as info:
+        metadata_from_layout(*layout)
+    assert str(info.value) == message
 
 
 # Field values near 0, around 2**64 and anywhere up to 2**65.

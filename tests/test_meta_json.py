@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 import random
@@ -11,21 +10,15 @@ from test_frozen_outputs import PROGRAMS
 from ellf.asm import assemble_image, parse_assembly
 from ellf.errors import InvariantViolation
 from ellf.meta import (
-    BUILD_FACTS_SCHEMA,
     METADATA_SCHEMA,
-    BlockFacts,
-    BuildFacts,
     DataDiff,
     DataPointer,
     DataRecord,
     EllfMetadata,
     InstructionRegion,
-    JumpTableFact,
     OperandPointer,
-    RelocationFact,
     StackRecord,
     TextRecord,
-    build_facts_from_json,
     check_invariants,
     metadata_from_json,
     metadata_to_json,
@@ -73,9 +66,8 @@ def test_json_rejects_invariant_violations():
         metadata_from_json(obj)
 
 
-def test_build_facts_schema_is_valid_schema():
+def test_metadata_schema_is_valid_schema():
     jsonschema.Draft202012Validator.check_schema(METADATA_SCHEMA)
-    jsonschema.Draft202012Validator.check_schema(BUILD_FACTS_SCHEMA)
 
 
 def test_json_integral_floats_load_as_the_schema_allows():
@@ -117,25 +109,11 @@ def test_metadata_schema_matches_the_frozen_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == METADATA_SCHEMA_DIGEST
 
 
-# --- the readers accept exactly what the schemas accept ---
-
-FACTS_DOCUMENTS = [
-    {"basic_blocks": [{"function_addr": "0x4000", "block_offsets": [0, 4],
-                       "block_sizes": [4, 8]}],
-     "relocations": [{"addr": "0x5000", "kind": "abs64", "target_addr": "0x4000"},
-                     {"addr": "0x5010", "kind": "diff32", "target_addr": "0x4004",
-                      "subtrahend_addr": "0x5010"}],
-     "variables": [{"addr": "0x5000", "size": 8}],
-     "locals": [{"function_addr": "0x4000", "offsets": [8, 16]}],
-     "jump_tables": [{"table_addr": "0x5010", "entry_count": 2, "entry_size": 8}]},
-    {"relocations": [{"addr": "0x10", "kind": "pc32", "target_addr": "0x20"}]},
-]
+# --- the reader accepts exactly what the schema accepts ---
 
 METADATA_RECORDS = {"instruction_regions": InstructionRegion, "text": TextRecord,
                     "stack": StackRecord, "data": DataRecord}
 POINTER_RECORDS = {"operand": OperandPointer, "data": DataPointer, "diff": DataDiff}
-FACTS_RECORDS = {"basic_blocks": BlockFacts, "relocations": RelocationFact,
-                 "variables": DataRecord, "locals": StackRecord, "jump_tables": JumpTableFact}
 
 
 def plain(value):
@@ -158,11 +136,6 @@ def expected_metadata(doc):
                           for r in records)
               for name, records in doc.items() if name != "version"}
     return EllfMetadata(version=plain(doc["version"]), **tables)
-
-
-def expected_facts(doc):
-    return BuildFacts(**{name: tuple(record(FACTS_RECORDS[name], r) for r in records)
-                         for name, records in doc.items()})
 
 
 def sites(node):
@@ -200,33 +173,26 @@ def mutate(doc, data):
 
 
 METADATA_VALIDATOR = jsonschema.Draft202012Validator(METADATA_SCHEMA)
-FACTS_VALIDATOR = jsonschema.Draft202012Validator(BUILD_FACTS_SCHEMA)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_the_readers_accept_exactly_the_documents_their_schema_accepts(data):
-    if data.draw(st.booleans(), label="metadata"):
-        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
-        doc = metadata_to_json(random_metadata(random.Random(seed)))
-        read, validator, expected = metadata_from_json, METADATA_VALIDATOR, expected_metadata
-    else:
-        doc = copy.deepcopy(data.draw(st.sampled_from(FACTS_DOCUMENTS)))
-        read, validator, expected = build_facts_from_json, FACTS_VALIDATOR, expected_facts
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    doc = metadata_to_json(random_metadata(random.Random(seed)))
     mutate(doc, data)
-    if not validator.is_valid(doc):
+    if not METADATA_VALIDATOR.is_valid(doc):
         with pytest.raises(InvariantViolation):
-            read(doc)
+            metadata_from_json(doc)
         return
-    want = expected(doc)
-    if isinstance(want, EllfMetadata):
-        try:
-            check_invariants(want)
-        except InvariantViolation:  # say, an operand index now shared at one address
-            with pytest.raises(InvariantViolation):
-                read(doc)
-            return
-    assert read(doc) == want
+    want = expected_metadata(doc)
+    try:
+        check_invariants(want)
+    except InvariantViolation:  # say, an operand index now shared at one address
+        with pytest.raises(InvariantViolation):
+            metadata_from_json(doc)
+        return
+    assert metadata_from_json(doc) == want
 
 
 def u64_range(low):
@@ -237,47 +203,44 @@ def renamed(doc, old, new):
     return {new if key == old else key: value for key, value in doc.items()}
 
 
-BLOCKS = {"function_addr": "0x10", "block_offsets": [0], "block_sizes": [4]}
+def demo_with(table, field, value):
+    """The JSON of SPARSE_DEMO_META with ``table[0].field`` set to ``value``."""
+    doc = metadata_to_json(SPARSE_DEMO_META)
+    doc[table][0][field] = value
+    return doc
 
 
-@pytest.mark.parametrize("read, doc, message", [
-    (metadata_from_json, renamed(metadata_to_json(SPARSE_DEMO_META), "pointers", "pointer"),
+@pytest.mark.parametrize("doc, message", [
+    (renamed(metadata_to_json(SPARSE_DEMO_META), "pointers", "pointer"),
      "metadata JSON has unknown field 'pointer'"),
-    (metadata_from_json, {}, "version is missing"),
-    (metadata_from_json, {**metadata_to_json(SPARSE_DEMO_META),
-                          "data": [{"addr": "0x10", "size": 8, "zz": 1, "aa": 2}]},
+    ({}, "version is missing"),
+    ({**metadata_to_json(SPARSE_DEMO_META),
+      "data": [{"addr": "0x10", "size": 8, "zz": 1, "aa": 2}]},
      "data[0] has unknown field 'zz'"),
-    (build_facts_from_json, {"variable": []}, "build facts JSON has unknown field 'variable'"),
-    (build_facts_from_json, {"basic_blocks": [{**BLOCKS, "block_sizes": [0]}]},
-     f"basic_blocks[0].block_sizes[0] must be {u64_range(1)}, got 0"),
-    (build_facts_from_json, {"basic_blocks": [{**BLOCKS, "block_offsets": [-4]}]},
-     f"basic_blocks[0].block_offsets[0] must be {u64_range(0)}, got -4"),
-    (build_facts_from_json, {"jump_tables": [{"table_addr": "0x10", "entry_count": 0,
-                                              "entry_size": 8}]},
-     f"jump_tables[0].entry_count must be {u64_range(1)}, got 0"),
-], ids=["misspelled_table", "no_version_no_tables", "unknown_fields", "unknown_facts_table",
-        "zero_block_size", "negative_block_offset", "zero_entry_count"])
-def test_documents_the_schema_rejects_name_their_first_fault(read, doc, message):
-    validator = METADATA_VALIDATOR if read is metadata_from_json else FACTS_VALIDATOR
-    assert not validator.is_valid(doc)
+    (demo_with("text", "kind", "loop"), "text[0].kind: unknown text record kind 'loop'"),
+    (demo_with("instruction_regions", "count", 0),
+     f"instruction_regions[0].count must be {u64_range(1)}, got 0"),
+    (demo_with("pointers", "operand_index", -1),
+     f"pointers[0].operand_index must be {u64_range(0)}, got -1"),
+], ids=["misspelled_table", "no_version_no_tables", "unknown_fields", "unknown_text_kind",
+        "zero_region_count", "negative_operand_index"])
+def test_documents_the_schema_rejects_name_their_first_fault(doc, message):
+    assert not METADATA_VALIDATOR.is_valid(doc)
     with pytest.raises(InvariantViolation) as info:
-        read(doc)
+        metadata_from_json(doc)
     assert str(info.value) == message
 
 
 # JSON Schema reads a "pattern" as ECMA-262 does, where "$" matches only at the
 # end of the string. Python's "$" also matches before a final "\n", so Python's
-# jsonschema accepts "0x10\n" as an address; the readers refuse it.
-@pytest.mark.parametrize("read, doc, message", [
-    (metadata_from_json, {**metadata_to_json(SPARSE_DEMO_META),
-                          "data": [{"addr": "0x10\n", "size": 8}]},
+# jsonschema accepts "0x10\n" as an address; the reader refuses it.
+@pytest.mark.parametrize("doc, message", [
+    ({**metadata_to_json(SPARSE_DEMO_META), "data": [{"addr": "0x10\n", "size": 8}]},
      "data[0].addr must be a hex string, got '0x10\\n'"),
-    (build_facts_from_json, {"variables": [{"addr": "0x10\n", "size": 8}]},
-     "variables[0].addr must be a hex string, got '0x10\\n'"),
-    (build_facts_from_json, {"basic_blocks": [{**BLOCKS, "function_addr": "0x10\n"}]},
-     "basic_blocks[0].function_addr must be a hex string, got '0x10\\n'"),
-], ids=["metadata", "facts_variable", "facts_block"])
-def test_a_hex_address_with_a_trailing_newline_is_refused(read, doc, message):
+    (demo_with("pointers", "target", "0x10\n"),
+     "pointers[0].target must be a hex string, got '0x10\\n'"),
+], ids=["metadata", "pointer_target"])
+def test_a_hex_address_with_a_trailing_newline_is_refused(doc, message):
     with pytest.raises(InvariantViolation) as info:
-        read(doc)
+        metadata_from_json(doc)
     assert str(info.value) == message
