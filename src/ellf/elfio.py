@@ -170,10 +170,9 @@ class ImageView(Mapping):
 
     Section bodies are memoryviews into the file, and nobits sections read
     as zeros without storing any, so building a view costs one entry per
-    section. ``image[addr]`` bisects the sections (the last one hit is tried
-    first) and raises KeyError for an unmapped address, like the dict it
-    replaces; two views are equal when they map the same addresses to the
-    same bytes.
+    section. ``image[addr]`` bisects the sections and raises KeyError for an
+    unmapped address, like the dict it replaces; two views are equal when
+    they map the same addresses to the same bytes.
     """
 
     def __init__(self, img: ElfImage):
@@ -189,7 +188,6 @@ class ImageView(Mapping):
                     else raw[sec.file_offset:sec.file_offset + sec.size])
             self._ends.append(sec.vaddr + (sec.size if body is None else len(body)))
             self._bodies.append(body)
-        self._last = (0, 0, None)  # (start, end, body) of the last section hit
 
     def _index(self, addr: int) -> int:
         i = bisect_right(self._starts, addr) - 1
@@ -198,12 +196,9 @@ class ImageView(Mapping):
         return i
 
     def __getitem__(self, addr: int) -> int:
-        start, end, body = self._last
-        if not start <= addr < end:
-            i = self._index(addr)
-            start, end, body = self._last = \
-                self._starts[i], self._ends[i], self._bodies[i]
-        return 0 if body is None else body[addr - start]
+        i = self._index(addr)
+        body = self._bodies[i]
+        return 0 if body is None else body[addr - self._starts[i]]
 
     def __len__(self) -> int:
         return sum(end - start for start, end in zip(self._starts, self._ends))
@@ -212,26 +207,32 @@ class ImageView(Mapping):
         for start, end in zip(self._starts, self._ends):
             yield from range(start, end)
 
-    def read(self, start: int, end: int) -> bytes:
-        """The bytes at [start, end); KeyError names the first unmapped address."""
-        if start >= end:
-            return b""
-        i = self._index(start)
+    def read_run(self, start: int, size: int) -> memoryview:
+        """The mapped bytes from ``start`` on, at most ``size`` of them.
+
+        The run stops at the first unmapped address; abutting sections join,
+        and zero-fill reads as zeros, as through ``image[addr]``.
+        """
+        starts, ends, bodies = self._starts, self._ends, self._bodies
+        end = start + size
+        i = bisect_right(starts, start) - 1
         parts = []
         pos = start
-        while True:
-            sec_start, sec_end, body = self._starts[i], self._ends[i], self._bodies[i]
-            if pos < sec_start:
-                raise KeyError(pos)
-            stop = min(sec_end, end)
+        while pos < end and 0 <= i < len(starts) and starts[i] <= pos < ends[i]:
+            stop = min(ends[i], end)
+            body = bodies[i]
             parts.append(bytes(stop - pos) if body is None
-                         else body[pos - sec_start:stop - sec_start])
+                         else body[pos - starts[i]:stop - starts[i]])
             pos = stop
-            if pos == end:
-                return b"".join(parts)
             i += 1
-            if i == len(self._starts):
-                raise KeyError(pos)
+        return memoryview(parts[0] if len(parts) == 1 else b"".join(parts))
+
+    def read(self, start: int, end: int) -> bytes:
+        """The bytes at [start, end); KeyError names the first unmapped address."""
+        data = self.read_run(start, end - start)
+        if start + len(data) < end:
+            raise KeyError(start + len(data))
+        return bytes(data)
 
     def __eq__(self, other):
         if not isinstance(other, ImageView):

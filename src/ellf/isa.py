@@ -32,6 +32,11 @@ Both directions read one set of opcode tables: ``_NO_OPERANDS``,
 immediate widths) and ``_PLUS_R`` (register in the opcode byte). The encoder
 looks a form up by mnemonic; the decoder looks it up by opcode bytes in maps
 inverted from the same tables, so changing a form's bytes is one table edit.
+
+The decoder reads bytes, not an address map: ``decode_one(code, addr)``
+decodes the instruction at the start of ``code``, which holds the bytes from
+``addr`` on. ``decode_region`` reads an image a run of bytes at a time
+(``ImageView.read_run``) and decodes a region's instructions along it.
 """
 
 from __future__ import annotations
@@ -188,168 +193,185 @@ _EXT_OPCODES = {("inc", 0): (b"\xFF", 0), ("dec", 0): (b"\xFF", 1),
 # Forms that hold their register in the opcode's low three bits.
 _PLUS_R = {"push": 0x50, "pop": 0x58, "mov": 0xB8}
 
-# The same tables inverted, for decode_one to read by opcode bytes.
-_NO_OPERAND_CODES = {code: m for m, code in _NO_OPERANDS.items()}
-_PCREL_CODES = {b"\xEB": ("jmp", 1),  # rel8 jmp: decoded, never emitted
-                **{code: (m, 4) for m, code in _PCREL_OPCODES.items()}}
-_MR_CODES = {code: m for m, code in _MR_OPCODES.items()}
-_RM_CODES = {code: m for m, code in _RM_OPCODES.items()}
-_EXT_CODES = {key: form for form, key in _EXT_OPCODES.items()}
+def _key(code: bytes) -> int:
+    """An opcode's bytes as one int (0x0F05 for syscall), so that decode_one
+    looks an opcode up without building a bytes key."""
+    return int.from_bytes(code, "big")
+
+
+# The same tables inverted, for decode_one to read by opcode.
+_NO_OPERAND_CODES = {_key(code): m for m, code in _NO_OPERANDS.items()}
+_PCREL_CODES = {0xEB: ("jmp", 1),  # rel8 jmp: decoded, never emitted
+                **{_key(code): (m, 4) for m, code in _PCREL_OPCODES.items()}}
+_MR_CODES = {_key(code): m for m, code in _MR_OPCODES.items()}
+_RM_CODES = {_key(code): m for m, code in _RM_OPCODES.items()}
+_EXT_CODES = {(_key(code), ext): form for form, (code, ext) in _EXT_OPCODES.items()}
 _EXT_GROUPS = frozenset(code for code, _ in _EXT_CODES)
 _PLUS_R_CODES = {base + num: m for m, base in _PLUS_R.items() for num in range(8)}
+
+# The register operands by number, at each width.
+_REGS = {64: tuple(Register(name) for name in REG64),
+         32: tuple(Register(name) for name in REG32)}
+
+# The architectural limit on an instruction's length. No subset form is
+# longer, so the first MAX_LENGTH bytes at an address decode as all of the
+# bytes from there on would.
+MAX_LENGTH = 15
+
+# The most bytes decode_region reads at a time: all that a region can span
+# in one run unless that is more, and never much of a large zero-fill section.
+RUN_BYTES = 1 << 16
 
 
 # --- decoding ---
 
-class _Reader:
-    def __init__(self, image, addr):
-        self.image = image
-        self.addr = addr
-        self.pos = 0
-
-    def u8(self):
-        try:
-            byte = self.image[self.addr + self.pos]
-        except KeyError:
-            raise TruncatedInstruction(
-                f"instruction at 0x{self.addr:x} runs past the image") from None
-        self.pos += 1
-        return byte
-
-    def field(self, width, signed=True):
-        """The next ``width`` bytes as a little-endian integer."""
-        return int.from_bytes(bytes(self.u8() for _ in range(width)), "little",
-                              signed=signed)
+def _field(code, pos, width, signed=True):
+    """The ``width``-byte little-endian field at ``pos``; IndexError if
+    ``code`` ends inside it."""
+    end = pos + width
+    if end > len(code):
+        raise IndexError(end)
+    return int.from_bytes(code[pos:end], "little", signed=signed)
 
 
-def _regname(num, size):
-    return REG64[num] if size == 64 else REG32[num]
-
-
-def _read_modrm(rd: _Reader, rex: int, rm_size: int, operand: int):
-    """Returns (reg_field, rm_operand, fields), where ``fields`` holds the
-    displacement's field, as operand number ``operand``, if there is one."""
-    m = rd.u8()
+def _read_modrm(code, pos, rex: int, rm_size: int, operand: int):
+    """Returns (pos after the operand, reg_field, rm_operand, fields), where
+    ``fields`` holds the displacement's field, as operand number ``operand``,
+    if there is one."""
+    m = code[pos]
+    pos += 1
     mod, reg, rm = m >> 6, (m >> 3) & 7, m & 7
-    reg |= ((rex >> 2) & 1) << 3  # REX.R
+    reg |= (rex & 4) << 1  # REX.R
+    rex_b = (rex & 1) << 3
     if mod == 3:
-        num = rm | ((rex & 1) << 3)  # REX.B
-        return reg, Register(_regname(num, rm_size)), ()
+        return pos, reg, _REGS[rm_size][rm | rex_b], ()
 
     base = index = None
     scale = 1
     rip = False
-    force_disp32 = False
+    width = 1 if mod == 1 else 4 if mod == 2 else 0
     if rm == 4:
-        sib = rd.u8()
-        ss, idx, bse = sib >> 6, (sib >> 3) & 7, sib & 7
-        idx |= ((rex >> 1) & 1) << 3  # REX.X
+        sib = code[pos]
+        pos += 1
+        ss, idx, bse = sib >> 6, ((sib >> 3) & 7) | ((rex & 2) << 2), sib & 7  # REX.X
         if idx != 4:  # index 100 with REX.X clear means "no index"
             index = REG64[idx]
             scale = 1 << ss
         if bse == 5 and mod == 0:
-            force_disp32 = True
+            width = 4
         else:
-            base = REG64[bse | ((rex & 1) << 3)]
+            base = REG64[bse | rex_b]
     elif rm == 5 and mod == 0:
         rip = True
-        force_disp32 = True
+        width = 4
     else:
-        base = REG64[rm | ((rex & 1) << 3)]
+        base = REG64[rm | rex_b]
 
-    disp = 0
-    fields = ()
-    width = 1 if mod == 1 else 4 if mod == 2 or force_disp32 else 0
-    if width:
-        fields = (OperandField(operand, rd.pos, width, "disp"),)
-        disp = rd.field(width)
-    return reg, MemRef(base=base, index=index, scale=scale, disp=disp,
-                       rip_relative=rip), fields
+    if not width:
+        return pos, reg, MemRef(base, index, scale, 0, rip), ()
+    mem = MemRef(base, index, scale, _field(code, pos, width), rip)
+    return pos + width, reg, mem, (OperandField(operand, pos, width, "disp"),)
 
 
-def _rel(rd: _Reader, width: int):
-    """The PC-relative operand that ends the instruction, and its field."""
-    field = OperandField(0, rd.pos, width, "rel")
-    rel = rd.field(width)
-    return (PcRel((rd.addr + rd.pos + rel) & U64),), (field,)
+def _with_imm(addr, code, pos, mnemonic, dst, width, signed=True):
+    """``mnemonic dst, imm``, ended by the ``width``-byte immediate at ``pos``."""
+    imm = Immediate(_field(code, pos, width, signed), 8 * width)
+    return Instruction(addr, pos + width, mnemonic, (dst, imm),
+                       (OperandField(1, pos, width, "imm"),))
 
 
-def _imm(rd: _Reader, dst: Register, width: int, signed=True):
-    """``dst`` and the immediate that ends the instruction, and its field."""
-    field = OperandField(1, rd.pos, width, "imm")
-    return (dst, Immediate(rd.field(width, signed), 8 * width)), (field,)
+def _unknown(addr, op):
+    return UnknownOpcode(f"byte pattern at 0x{addr:x} is outside the "
+                         f"instruction subset (opcode 0x{op:02x})")
 
 
-def decode_one(image, addr: int) -> Instruction:
-    """Decode the unique subset instruction at ``addr`` of the byte map."""
-    rd = _Reader(image, addr)
-    rex = 0
-    op = rd.u8()
-    if 0x40 <= op <= 0x4F:
-        rex = op
-        op = rd.u8()
-    w = (rex >> 3) & 1
-    size = 64 if w else 32
+def decode_one(code, addr: int) -> Instruction:
+    """Decode the unique subset instruction at the start of ``code``, a
+    bytes-like object that holds the bytes from ``addr`` on."""
+    try:
+        op = code[0]
+        pos = 1
+        rex = 0
+        if 0x40 <= op <= 0x4F:
+            rex = op
+            op = code[1]
+            pos = 2
+        w = rex & 8
+        size = 64 if w else 32
+        key = op
+        if op == 0x0F:
+            key = (op << 8) | code[pos]
+            pos += 1
 
-    def done(mnemonic, operands, fields=()):
-        return Instruction(address=addr, length=rd.pos, mnemonic=mnemonic,
-                           operands=tuple(operands), fields=tuple(fields))
+        if key in _NO_OPERAND_CODES or key in _PCREL_CODES:
+            if rex:  # a REX prefix on these is outside the subset
+                raise _unknown(addr, op)
+            if key in _NO_OPERAND_CODES:
+                return Instruction(addr, pos, _NO_OPERAND_CODES[key], ())
+            mnemonic, width = _PCREL_CODES[key]
+            end = pos + width
+            target = (addr + end + _field(code, pos, width)) & U64
+            return Instruction(addr, end, mnemonic, (PcRel(target),),
+                               (OperandField(0, pos, width, "rel"),))
 
-    def unknown():
-        return UnknownOpcode(f"byte pattern at 0x{addr:x} is outside the "
-                             f"instruction subset (opcode 0x{op:02x})")
+        if key in _PLUS_R_CODES:
+            mnemonic = _PLUS_R_CODES[key]
+            num = (op & 7) | ((rex & 1) << 3)
+            if mnemonic == "mov":  # imm64 (movabs) with REX.W, else imm32
+                return _with_imm(addr, code, pos, mnemonic, _REGS[size][num], 8 if w else 4,
+                                 signed=False)
+            if rex & 0x0E:  # only REX.B is meaningful on push and pop
+                raise _unknown(addr, op)
+            return Instruction(addr, pos, mnemonic, (_REGS[64][num],))
 
-    code = bytes([op, rd.u8()]) if op == 0x0F else bytes([op])
+        if key in _EXT_GROUPS:
+            pos, reg, rm_op, fields = _read_modrm(code, pos, rex, size, 0)
+            if (key, reg) not in _EXT_CODES:
+                raise _unknown(addr, op)
+            mnemonic, width = _EXT_CODES[key, reg]
+            if width or mnemonic in ("inc", "dec"):  # register forms only
+                if not isinstance(rm_op, Register):
+                    raise _unknown(addr, op)
+                if width:
+                    return _with_imm(addr, code, pos, mnemonic, rm_op, width)
+                return Instruction(addr, pos, mnemonic, (rm_op,))
+            if w:  # call/jmp indirect, always 64-bit
+                raise _unknown(addr, op)
+            if isinstance(rm_op, Register):
+                rm_op = _REGS[64][rm_op.num]
+            return Instruction(addr, pos, mnemonic, (rm_op,), fields)
 
-    if code in _NO_OPERAND_CODES or code in _PCREL_CODES:
-        if rex:  # a REX prefix on these is outside the subset
-            raise unknown()
-        if code in _NO_OPERAND_CODES:
-            return done(_NO_OPERAND_CODES[code], ())
-        mnemonic, width = _PCREL_CODES[code]
-        return done(mnemonic, *_rel(rd, width))
+        if key in _MR_CODES:
+            pos, reg, rm_op, fields = _read_modrm(code, pos, rex, size, 0)
+            return Instruction(addr, pos, _MR_CODES[key], (rm_op, _REGS[size][reg]), fields)
 
-    if op in _PLUS_R_CODES:
-        mnemonic = _PLUS_R_CODES[op]
-        num = (op & 7) | ((rex & 1) << 3)
-        if mnemonic == "mov":  # imm64 (movabs) with REX.W, else imm32
-            return done(mnemonic, *_imm(rd, Register(_regname(num, size)), 8 if w else 4,
-                                        signed=False))
-        if rex & 0x0E:  # only REX.B is meaningful on push and pop
-            raise unknown()
-        return done(mnemonic, (Register(REG64[num]),))
+        if key in _RM_CODES:
+            mnemonic = _RM_CODES[key]
+            if mnemonic == "movsxd" and not w:
+                raise _unknown(addr, op)
+            pos, reg, rm_op, fields = _read_modrm(code, pos, rex,
+                                                  32 if mnemonic == "movsxd" else size, 1)
+            if isinstance(rm_op, Register) and mnemonic not in ("imul", "movsxd"):
+                # lea needs memory; register-to-register uses the MR opcode
+                raise _unknown(addr, op)
+            return Instruction(addr, pos, mnemonic, (_REGS[size][reg], rm_op), fields)
 
-    if code in _EXT_GROUPS:
-        reg, rm_op, fields = _read_modrm(rd, rex, size, 0)
-        if (code, reg) not in _EXT_CODES:
-            raise unknown()
-        mnemonic, width = _EXT_CODES[code, reg]
-        if width or mnemonic in ("inc", "dec"):  # register forms only
-            if not isinstance(rm_op, Register):
-                raise unknown()
-            if width:
-                return done(mnemonic, *_imm(rd, rm_op, width))
-            return done(mnemonic, (rm_op,))
-        if w:  # call/jmp indirect, always 64-bit
-            raise unknown()
-        if isinstance(rm_op, Register):
-            rm_op = Register(REG64[rm_op.num])
-        return done(mnemonic, (rm_op,), fields)
+        raise _unknown(addr, op)
+    except IndexError:  # code ends inside the instruction
+        raise TruncatedInstruction(f"instruction at 0x{addr:x} runs past the image") from None
 
-    if code in _MR_CODES:
-        reg, rm_op, fields = _read_modrm(rd, rex, size, 0)
-        return done(_MR_CODES[code], (rm_op, Register(_regname(reg, size))), fields)
 
-    if code in _RM_CODES:
-        mnemonic = _RM_CODES[code]
-        if mnemonic == "movsxd" and not w:
-            raise unknown()
-        reg, rm_op, fields = _read_modrm(rd, rex, 32 if mnemonic == "movsxd" else size, 1)
-        if isinstance(rm_op, Register) and mnemonic not in ("imul", "movsxd"):
-            raise unknown()  # lea needs memory; register-to-register uses the MR opcode
-        return done(mnemonic, (Register(_regname(reg, size)), rm_op), fields)
-
-    raise unknown()
+def decode_region(image, start: int, count: int):
+    """Yield the ``count`` instructions laid end to end from ``start`` of an
+    ImageView, decoding each once along runs of its bytes."""
+    addr, code = start, b""
+    for left in range(count, 0, -1):
+        if len(code) < MAX_LENGTH:  # at first, and wherever a run ends
+            code = image.read_run(addr, min(left * MAX_LENGTH, RUN_BYTES))
+        ins = decode_one(code, addr)
+        yield ins
+        addr += ins.length
+        code = code[ins.length:]
 
 
 # --- encoding ---

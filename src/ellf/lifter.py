@@ -44,7 +44,7 @@ from .isa import (
     PcRel,
     Register,
     SymbolRef,
-    decode_one,
+    decode_region,
     instruction_class,
 )
 from .meta import (
@@ -54,6 +54,7 @@ from .meta import (
     EllfMetadata,
     FUNCTION_END,
     FUNCTION_START,
+    InstructionRegion,
     OperandPointer,
     validate_metadata,
 )
@@ -244,7 +245,7 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
 
 # --- step I: decoding by the instruction oracle ---
 
-def lift_unsymbolized(image, regions) -> dict[int, Instruction]:
+def lift_unsymbolized(image: ImageView, regions) -> dict[int, Instruction]:
     """Decode exactly ``count`` instructions from each region start."""
     instrs: dict[int, Instruction] = {}
     prev_end = None
@@ -255,14 +256,12 @@ def lift_unsymbolized(image, regions) -> dict[int, Instruction]:
                 f"region at 0x{region.start:x} begins inside the decoded extent of "
                 f"the region at 0x{prev_start:x}")
         addr = region.start
-        for _ in range(region.count):
-            try:
-                ins = decode_one(image, addr)
-            except IsaError as exc:
-                raise RegionDecodeError(
-                    f"region at 0x{region.start:x}: {exc}") from exc
-            instrs[addr] = ins
-            addr += ins.length
+        try:
+            for ins in decode_region(image, addr, region.count):
+                instrs[addr] = ins
+                addr += ins.length
+        except IsaError as exc:
+            raise RegionDecodeError(f"region at 0x{region.start:x}: {exc}") from exc
         prev_end = addr
         prev_start = region.start
     return instrs
@@ -289,7 +288,8 @@ class _LiftState:
         """Write operand ``index`` of the instruction at ``addr``."""
         ins = self.instrs[addr]
         operands = ins.operands[:index] + (op,) + ins.operands[index + 1:]
-        self.instrs[addr] = replace(ins, operands=operands)
+        self.instrs[addr] = Instruction(ins.address, ins.length, ins.mnemonic, operands,
+                                        ins.fields)
 
     def warn(self, kind, message, addr=None):
         self.diagnostics.append(Diagnostic(kind, message, addr, WARNING))
@@ -689,16 +689,22 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
 
     In ``"strict"`` mode a fault in the metadata raises. In ``"lenient"`` mode
     a fault the lift can step over becomes one diagnostic instead.
+
+    Each instruction is decoded once: the lift keeps what validation decoded.
+    Only when validation finds a region at fault does ``lift_unsymbolized``
+    decode the regions again, with its own overlap and decode errors.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
-    problems = validate_metadata(meta, image)
+    decoded = {}
+    problems = validate_metadata(meta, image, decoded)
     if problems and mode == STRICT:
         raise LiftError("metadata fails validation: "
                         + "; ".join(str(p) for p in problems))
 
     byte_map = load_image(image)
-    decoded = lift_unsymbolized(byte_map, meta.instruction_regions)
+    if any(isinstance(p.record, InstructionRegion) for p in problems):
+        decoded = lift_unsymbolized(byte_map, meta.instruction_regions)
     labels = generate_labels(meta, image)
     state = _LiftState(image=image, byte_map=byte_map, meta=meta, mode=mode,
                        labels=labels, decoded=decoded, instrs=dict(decoded),

@@ -544,6 +544,10 @@ class _Reader:
         return b
 
     def uvarint(self, what):
+        data, pos = self.data, self.pos
+        if pos < len(data) and data[pos] < 0x80:  # one byte: always minimal
+            self.pos = pos + 1
+            return data[pos]
         return self._varint(varint.decode_unsigned, what)
 
     def svarint(self, what):
@@ -670,28 +674,32 @@ def metadata_from_layout(regions, functions, blocks, pointers, variables, locals
 
 # --- validation against an ELF image ---
 
-def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
+def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None
+                      ) -> list[Diagnostic]:
     """Cross-check metadata against the sections of an ElfImage.
 
-    Returns an empty list iff region starts and text records sit in executable
-    sections, no region begins inside the decoded extent of the one before,
-    pointer targets and diff operands sit in some section, data records stay
-    inside one data section, stack entries name function starts, and operand
-    pointers land on decoded instruction starts and name an operand that
-    exists and is no 8-bit immediate (too narrow for the label a lift puts
-    there). Each diagnostic carries the record it is about as ``record``.
+    Returns an empty list iff each region starts in an executable section
+    and decodes without leaving executable sections, no region begins inside
+    the decoded extent of the one before, text records sit in executable
+    sections, pointer targets and diff operands sit in some section, data
+    records stay inside one data section, stack entries name function starts,
+    and operand pointers land on decoded instruction starts and name an
+    operand that exists and is no 8-bit immediate (too narrow for the label a
+    lift puts there). Each diagnostic carries the record it is about as
+    ``record``. A ``decoded`` dict is filled with the instructions decoded,
+    by address.
     """
-    from .isa import Immediate, decode_one
+    from .isa import Immediate, decode_region
 
     diags: list[Diagnostic] = []
 
-    def check_in_exec(addr, what, rec):
+    def exec_section(addr, what, rec):
         sec = image.section_at(addr)
         if sec is None or not sec.exec:
             diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside an "
                                              f"executable section", addr, record=rec))
-            return False
-        return True
+            return None
+        return sec
 
     def check_in_any(addr, what, rec):
         if image.section_at(addr) is None:
@@ -699,10 +707,12 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                                              f"section", addr, record=rec))
 
     byte_map = None
-    decoded = {}  # instruction start -> instruction
+    if decoded is None:
+        decoded = {}  # instruction start -> instruction
     extent = None  # (start, end) of the region decoded last
     for region in meta.instruction_regions:
-        if not check_in_exec(region.start, "instruction region start", region):
+        sec = exec_section(region.start, "instruction region start", region)
+        if sec is None:
             continue
         if extent is not None and region.start < extent[1]:
             diags.append(Diagnostic("overlap", f"region at 0x{region.start:x} begins "
@@ -714,14 +724,15 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
             byte_map = load_image(image)
         addr = region.start
         try:
-            for _ in range(region.count):
-                ins = decode_one(byte_map, addr)
+            for ins in decode_region(byte_map, addr, region.count):
                 decoded[addr] = ins
                 addr += ins.length
         except IsaError as exc:  # undecodable region: report, skip alignment checks
             diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
                                              f"does not decode: {exc}", region.start,
                                   record=region))
+        else:
+            _check_region_in_code(image, region, sec, addr, decoded, diags)
         extent = (region.start, addr)
 
     for rec in meta.pointers:
@@ -754,7 +765,7 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
             check_in_any(rec.subtrahend, "diff subtrahend", rec)
 
     for trec in meta.text:
-        check_in_exec(trec.addr, "text record address", trec)
+        exec_section(trec.addr, "text record address", trec)
 
     starts = {t.addr for t in meta.text if t.kind == FUNCTION_START}
     for srec in meta.stack:
@@ -776,3 +787,24 @@ def validate_metadata(meta: EllfMetadata, image) -> list[Diagnostic]:
                                     record=drec))
 
     return diags
+
+
+def _check_region_in_code(image, region, sec, end, decoded, diags):
+    """Report ``region`` if its decoded extent, from its start in the
+    executable section ``sec`` up to ``end``, leaves executable sections,
+    naming the first instruction that crosses out."""
+    edge = sec.vaddr + sec.size
+    while edge < end:
+        sec = image.section_at(edge)
+        if sec is None or not sec.exec:
+            break
+        edge = sec.vaddr + sec.size
+    if edge >= end:
+        return
+    addr = region.start
+    while addr + decoded[addr].length <= edge:
+        addr += decoded[addr].length
+    diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
+                                     f"leaves executable sections at 0x{edge:x}, "
+                                     f"inside the instruction at 0x{addr:x}", addr,
+                            record=region))

@@ -325,7 +325,7 @@ def random_address(rng):
 
 
 def decode_inputs(seed=9, count=20_000):
-    """``(image, address)`` pairs: 1-16 random bytes, half of them behind a REX
+    """``(code, address)`` pairs: 1-16 random bytes, half of them behind a REX
     byte, a third opening with an opcode byte the decoder knows."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -339,7 +339,7 @@ def decode_inputs(seed=9, count=20_000):
         data = bytes(head) + rng.randbytes(rng.randint(0, 16))
         data = data[:rng.randint(1, 16)]
         address = random_address(rng)
-        yield {address + i: b for i, b in enumerate(data)}, address
+        yield data, address
 
 
 def random_int(rng):

@@ -48,6 +48,13 @@ def reference_read(image, start, end):
     return bytes(image[a] for a in range(start, end))
 
 
+def reference_run(image, start, size):
+    run = bytearray()
+    while len(run) < size and start + len(run) in image:
+        run.append(image[start + len(run)])
+    return bytes(run)
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -123,6 +130,7 @@ def test_view_matches_the_reference_dict(specs, other_specs, data):
         end = data.draw(st.integers(start - 1, hi + 2))
         assert outcome(view.read, start, end) == \
             outcome(reference_read, ref, start, end)
+        assert bytes(view.read_run(start, end - start)) == reference_run(ref, start, end - start)
 
     same = elfio.load_image(build(same_bytes(specs)))
     assert view == same and same == view

@@ -4,11 +4,12 @@ passes, CFG recovery, and deterministic emission."""
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ellf import elfio, lifter
+from ellf import elfio, isa, lifter
 from ellf.asm import assemble, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import (
@@ -18,8 +19,10 @@ from ellf.errors import (
     PointerStraddle,
     RegionDecodeError,
     RegionOverlap,
+    TruncatedInstruction,
+    UnknownOpcode,
 )
-from ellf.isa import Immediate, MemRef, Register, decode_one
+from ellf.isa import MAX_LENGTH, RUN_BYTES, Immediate, MemRef, Register, decode_one
 from ellf.lifter import (
     DiffPayload,
     LabelMap,
@@ -41,9 +44,10 @@ from ellf.meta import (
     InstructionRegion,
     OperandPointer,
     TextRecord,
+    validate_metadata,
 )
 
-from conftest import SPARSE_DEMO_META
+from conftest import SPARSE_DEMO_META, TABLE_DEMO
 from test_frozen_outputs import PROGRAMS, metadata_variants
 
 
@@ -63,23 +67,115 @@ def test_region_decodes_exact_count(table_demo):
     assert instrs[ordered[-1]].mnemonic == "ret"
 
 
+def code_image(*sections):
+    """The image of ``(vaddr, bytes)`` executable sections; ``(vaddr, None,
+    size)`` is a zero-fill one and ``(vaddr, bytes, None)`` a data one."""
+    built = []
+    for i, (vaddr, data, *size) in enumerate(sections):
+        if data is None:
+            built.append(elfio.NewSection(f".s{i}", vaddr, b"", elfio.SHT_NOBITS,
+                                          elfio.SHF_ALLOC | elfio.SHF_EXECINSTR,
+                                          size=size[0]))
+        else:
+            flags = elfio.SHF_ALLOC | (0 if size else elfio.SHF_EXECINSTR)
+            built.append(elfio.NewSection(f".s{i}", vaddr, data, sh_flags=flags))
+    return elfio.read_elf(elfio.build_elf(built))
+
+
 def test_single_instruction_region():
-    image = {0x100: 0xC3}
+    image = elfio.load_image(code_image((0x100, b"\xc3")))
     instrs = lift_unsymbolized(image, (InstructionRegion(0x100, 1),))
     assert instrs[0x100].mnemonic == "ret"
 
 
 def test_region_decode_error():
-    image = {0x100: 0xC3, 0x101: 0x06}
+    image = elfio.load_image(code_image((0x100, b"\xc3\x06")))
     with pytest.raises(RegionDecodeError):
         lift_unsymbolized(image, (InstructionRegion(0x100, 2),))
 
 
 def test_region_overlap():
-    image = {0x100: 0x55, 0x101: 0x55, 0x102: 0xC3}
+    image = elfio.load_image(code_image((0x100, b"\x55\x55\xc3")))
     with pytest.raises(RegionOverlap):
         lift_unsymbolized(image, (InstructionRegion(0x100, 2),
                                   InstructionRegion(0x101, 1)))
+
+
+
+def both_walks(img, region):
+    """What the lift's and validation's region walks make of ``region``:
+    (instructions or the decode error's cause, validation's diagnostics and
+    the instructions it decoded)."""
+    try:
+        lifted = lift_unsymbolized(elfio.load_image(img), (region,))
+    except RegionDecodeError as exc:
+        lifted = exc.__cause__
+    decoded = {}
+    diags = validate_metadata(EllfMetadata(instruction_regions=(region,)), img, decoded)
+    return lifted, [d.message for d in diags], decoded
+
+
+def test_an_instruction_across_two_abutting_code_sections_decodes():
+    img = code_image((0x1000, bytes.fromhex("48c7c0")), (0x1003, bytes.fromhex("01000000c3")))
+    lifted, diags, decoded = both_walks(img, InstructionRegion(0x1000, 2))
+    assert lifted == decoded and diags == []
+    assert [(ins.mnemonic, ins.operands, ins.length) for ins in lifted.values()] == [
+        ("mov", (Register("rax"), Immediate(1, 32)), 7), ("ret", (), 1)]
+
+
+def test_an_instruction_that_runs_into_zero_fill_reads_zeros():
+    img = code_image((0x1000, b"\xb8"), (0x1001, None, 16))
+    lifted, diags, decoded = both_walks(img, InstructionRegion(0x1000, 1))
+    assert lifted == decoded and diags == []
+    assert lifted[0x1000].operands == (Register("eax"), Immediate(0, 32))
+
+
+@pytest.mark.parametrize("after", [(0x1010, b"\x00" * 4), None])  # a gap, or nothing
+def test_an_instruction_that_runs_past_the_mapped_bytes_is_truncated(after):
+    img = code_image((0x1000, bytes.fromhex("c3b801")), *([after] if after else []))
+    lifted, diags, _ = both_walks(img, InstructionRegion(0x1000, 2))
+    message = "instruction at 0x1001 runs past the image"
+    assert isinstance(lifted, TruncatedInstruction) and str(lifted) == message
+    assert diags == [f"instruction region at 0x1000 does not decode: {message}"]
+
+
+def test_a_region_longer_than_one_read_decodes_whole():
+    count = RUN_BYTES // 7 + 10  # 7-byte instructions, past the first read
+    img = code_image((0x1000, bytes.fromhex("48c7c001000000") * count))
+    lifted, diags, decoded = both_walks(img, InstructionRegion(0x1000, count))
+    assert lifted == decoded and diags == [] and len(lifted) == count
+    assert {ins.operands for ins in lifted.values()} == {(Register("rax"), Immediate(1, 32))}
+
+
+def test_a_region_in_a_huge_zero_fill_section_reads_no_more_than_one_run():
+    img = code_image((0x1000, None, 1 << 40))
+    tracemalloc.start()
+    try:
+        lifted, diags, _ = both_walks(img, InstructionRegion(0x1000, 1 << 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(lifted, UnknownOpcode) and len(diags) == 1
+    assert peak < 4 * RUN_BYTES
+
+
+def test_a_strict_lift_decodes_each_instruction_once(monkeypatch):
+    programs = []
+    for source in [*corpus_programs().values(), TABLE_DEMO]:
+        elf, meta = assemble(parse_assembly(source))
+        programs.append((elfio.read_elf(elf), meta))
+    calls = Counter()
+
+    def counted(code, addr):
+        calls[addr] += 1
+        return decode_one(code, addr)
+
+    monkeypatch.setattr(isa, "decode_one", counted)  # what decode_region calls
+    for img, meta in programs:
+        calls.clear()
+        lp = lift(img, meta)
+        assert calls == Counter(lp.instructions.keys())  # each address once
+        assert calls.total() == sum(region.count for region in meta.instruction_regions)
 
 
 # --- labels ---
@@ -329,7 +425,8 @@ def test_stack_slot_resolution_rule():
 def _one_instruction(text):
     """``text`` assembled alone at 0x1000 and decoded back."""
     elf, _ = assemble(parse_assembly(f".section .text base=0x1000\n    {text}\n"))
-    return decode_one(elfio.load_image(elfio.read_elf(elf)), 0x1000)
+    return decode_one(elfio.load_image(elfio.read_elf(elf)).read_run(0x1000, MAX_LENGTH),
+                      0x1000)
 
 
 # (instruction, (rsp, rbp) anchors before, anchors after). An anchor is the

@@ -196,3 +196,38 @@ def test_a_region_that_runs_into_bytes_outside_the_subset_does_not_decode():
     assert [(d.kind, d.message, d.addr, d.record) for d in diags] == [(
         "range", "instruction region at 0x1000 does not decode: byte pattern at 0x1001 is "
                  "outside the instruction subset (opcode 0x0f)", 0x1000, region)]
+
+
+def _text_then_data(text, data, region):
+    """An image of ``.text`` at 0x1000 and an abutting ``.data``, with
+    metadata of the one ``region``."""
+    img = elfio.read_elf(elfio.build_elf([
+        elfio.NewSection(".text", 0x1000, text,
+                         sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR),
+        elfio.NewSection(".data", 0x1000 + len(text), data,
+                         sh_flags=elfio.SHF_ALLOC | elfio.SHF_WRITE)]))
+    return img, EllfMetadata(instruction_regions=(region,))
+
+
+def test_a_region_that_runs_out_of_its_executable_section_fails_validation():
+    # mov rax, 1; ret in .text, then two nops at the start of .data
+    region = InstructionRegion(0x1000, 4)
+    img, meta = _text_then_data(bytes.fromhex("48c7c001000000c3"), b"\x90\x90\0\0", region)
+    message = ("instruction region at 0x1000 leaves executable sections at 0x1008, "
+               "inside the instruction at 0x1008")
+    assert [(d.kind, d.message, d.addr, d.record) for d in validate_metadata(meta, img)] \
+        == [("range", message, 0x1008, region)]
+    with pytest.raises(LiftError, match=message):
+        lift(img, meta)
+    lenient = lift(img, meta, mode="lenient")
+    assert sorted(lenient.instructions) == [0x1000, 0x1007, 0x1008, 0x1009]
+    assert [d.message for d in lenient.diagnostics] == [message]
+
+
+def test_an_instruction_that_straddles_the_end_of_code_fails_validation():
+    # mov rax, 1 with its last three bytes in .data
+    region = InstructionRegion(0x1000, 1)
+    img, meta = _text_then_data(bytes.fromhex("48c7c001"), b"\0\0\0", region)
+    assert [d.message for d in validate_metadata(meta, img)] == [
+        "instruction region at 0x1000 leaves executable sections at 0x1004, "
+        "inside the instruction at 0x1000"]
