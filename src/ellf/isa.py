@@ -222,6 +222,12 @@ MAX_LENGTH = 15
 # in one run unless that is more, and never much of a large zero-fill section.
 RUN_BYTES = 1 << 16
 
+# Each operand field a decoded instruction can have, as its one-field tuple,
+# built once like the registers: (operand, offset, width, kind) -> (field,).
+_FIELDS = {(operand, offset, width, kind): (OperandField(operand, offset, width, kind),)
+           for operand in (0, 1) for offset in range(MAX_LENGTH) for width in (1, 4, 8)
+           for kind in ("disp", "imm", "rel")}
+
 
 # --- decoding ---
 
@@ -270,14 +276,14 @@ def _read_modrm(code, pos, rex: int, rm_size: int, operand: int):
     if not width:
         return pos, reg, MemRef(base, index, scale, 0, rip), ()
     mem = MemRef(base, index, scale, _field(code, pos, width), rip)
-    return pos + width, reg, mem, (OperandField(operand, pos, width, "disp"),)
+    return pos + width, reg, mem, _FIELDS[operand, pos, width, "disp"]
 
 
 def _with_imm(addr, code, pos, mnemonic, dst, width, signed=True):
     """``mnemonic dst, imm``, ended by the ``width``-byte immediate at ``pos``."""
     imm = Immediate(_field(code, pos, width, signed), 8 * width)
     return Instruction(addr, pos + width, mnemonic, (dst, imm),
-                       (OperandField(1, pos, width, "imm"),))
+                       _FIELDS[1, pos, width, "imm"])
 
 
 def _unknown(addr, op):
@@ -312,7 +318,7 @@ def decode_one(code, addr: int) -> Instruction:
             end = pos + width
             target = (addr + end + _field(code, pos, width)) & U64
             return Instruction(addr, end, mnemonic, (PcRel(target),),
-                               (OperandField(0, pos, width, "rel"),))
+                               _FIELDS[0, pos, width, "rel"])
 
         if key in _PLUS_R_CODES:
             mnemonic = _PLUS_R_CODES[key]

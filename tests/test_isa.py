@@ -29,6 +29,7 @@ from helpers_gen import random_form
 
 
 def image_at(data, base=0x4000):
+    """The bytes to decode, and the address they start at."""
     return data, base
 
 
@@ -217,3 +218,5 @@ def test_decode_one_returns_an_instruction_or_raises_an_isa_error(data, base):
         return
     assert isinstance(ins, Instruction) and ins.address == addr
     assert 1 <= ins.length <= len(data)
+    # no byte past the instruction is read, so any longer run decodes the same
+    assert decode_one(data[:ins.length], addr) == ins == decode_one(data + b"\0", addr)
