@@ -69,17 +69,12 @@ def test_region_decodes_exact_count(table_demo):
 
 def code_image(*sections):
     """The image of ``(vaddr, bytes)`` executable sections; ``(vaddr, None,
-    size)`` is a zero-fill one and ``(vaddr, bytes, None)`` a data one."""
-    built = []
-    for i, (vaddr, data, *size) in enumerate(sections):
-        if data is None:
-            built.append(elfio.NewSection(f".s{i}", vaddr, b"", elfio.SHT_NOBITS,
-                                          elfio.SHF_ALLOC | elfio.SHF_EXECINSTR,
-                                          size=size[0]))
-        else:
-            flags = elfio.SHF_ALLOC | (0 if size else elfio.SHF_EXECINSTR)
-            built.append(elfio.NewSection(f".s{i}", vaddr, data, sh_flags=flags))
-    return elfio.read_elf(elfio.build_elf(built))
+    size)`` is a zero-fill one."""
+    flags = elfio.SHF_ALLOC | elfio.SHF_EXECINSTR
+    return elfio.read_elf(elfio.build_elf([
+        elfio.NewSection(f".s{i}", vaddr, b"", elfio.SHT_NOBITS, flags, size=size[0])
+        if data is None else elfio.NewSection(f".s{i}", vaddr, data, sh_flags=flags)
+        for i, (vaddr, data, *size) in enumerate(sections)]))
 
 
 def test_single_instruction_region():
@@ -99,7 +94,6 @@ def test_region_overlap():
     with pytest.raises(RegionOverlap):
         lift_unsymbolized(image, (InstructionRegion(0x100, 2),
                                   InstructionRegion(0x101, 1)))
-
 
 
 def both_walks(img, region):
