@@ -26,7 +26,10 @@ allowed between digits (``0x_ff``, ``1_0``). Consecutive plain ``.byte`` lines
 character) form one data item; the bytes, and any error and its line, are
 those of the lines parsed one by one. A memory operand's terms are
 separated by ``+`` and ``-`` and none may be empty: a sign may lead the
-operand, but two signs in a row or a trailing sign is an error.
+operand, but two signs in a row or a trailing sign is an error. Symbolic
+operands and ``.quad`` cells (``LABEL + N``, ``[LABEL + N]``, ``A - B``)
+parse to ``SymbolRef``, a labelled ``MemRef`` and ``SymbolDiff``, the same
+values ``lifter.emit_assembly`` renders.
 
 Assembling walks the items once, laying each out at the next address of its
 section and encoding it through the canonical instruction encoder. An item
@@ -77,6 +80,8 @@ from .isa import (
     MemRef,
     PcRel,
     Register,
+    SymbolDiff,
+    SymbolRef,
     JCC_MNEMONICS,
     SUBSET_MNEMONICS,
     _REG_INFO,
@@ -178,27 +183,6 @@ class AsmSection:
 @dataclass
 class AsmProgram:
     sections: list[AsmSection]
-
-
-# values that need label resolution; a LabelRef is an operand or a .quad cell
-@dataclass(frozen=True)
-class LabelRef:
-    name: str
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class LabelMem:
-    name: str
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class QuadDiff:
-    minuend: str
-    minuend_offset: int
-    subtrahend: str
-    subtrahend_offset: int
 
 
 # --- parsing ---
@@ -423,7 +407,7 @@ _HEX2 = re.compile(r"[0-9A-Fa-f]{2}")
 
 
 def _parse_quad_expr(text, line):
-    """An ``int``, ``LabelRef`` or ``QuadDiff``; ``text`` is stripped. No
+    """An ``int``, ``SymbolRef`` or ``SymbolDiff``; ``text`` is stripped. No
     integer literal matches the label forms, so they are matched first and a
     label raises nothing on its way."""
     m = _QUAD_EXPR_RE.fullmatch(text)
@@ -433,11 +417,10 @@ def _parse_quad_expr(text, line):
         except ValueError:
             raise AsmSyntaxError(f"malformed .quad expression {text!r}", line) from None
     a, aoff, b, boff = m.groups()
-    aoff = _parse_int(aoff, line) if aoff else 0
+    minuend = SymbolRef(a, _parse_int(aoff, line) if aoff else 0)
     if b is None:
-        return LabelRef(a, aoff)
-    boff = _parse_int(boff, line) if boff else 0
-    return QuadDiff(a, aoff, b, boff)
+        return minuend
+    return SymbolDiff(minuend, SymbolRef(b, _parse_int(boff, line) if boff else 0))
 
 
 def _parse_operand(text, line):
@@ -450,7 +433,7 @@ def _parse_operand(text, line):
         return Register(text.lower())
     m = _LABEL_EXPR_RE.fullmatch(text)  # no integer literal matches it
     if m:
-        return LabelRef(*_label_expr(m, line))
+        return SymbolRef(*_label_expr(m, line))
     try:
         return Immediate(int(text, 0))
     except ValueError:
@@ -506,7 +489,8 @@ def _parse_mem(body, line):
         sign, name = names[0]
         if sign < 0:
             raise AsmSyntaxError("label reference cannot be negated", line)
-        return LabelMem(name, sum(s * t for s, t in consts if isinstance(t, int)))
+        return MemRef(rip_relative=True, label=name,
+                      label_offset=sum(s * t for s, t in consts if isinstance(t, int)))
     return _MemAst(base, index, scale, tuple(consts))
 
 
@@ -744,7 +728,8 @@ def _run_line(item: Data, offset: int) -> int:
 
 
 def _uses_labels(parts) -> bool:
-    return any(isinstance(p, (LabelRef, LabelMem, QuadDiff)) for p in parts)
+    """Whether an operand or cell names a label; a parsed ``MemRef`` always does."""
+    return any(isinstance(p, (SymbolRef, MemRef, SymbolDiff)) for p in parts)
 
 
 def _resolve_mem(ast: _MemAst, func_slots, line):
@@ -772,18 +757,17 @@ def _encode_instr(item: Instr, addr, func_slots, labels=None, length=0):
     records = []
     ops = []
     for i, op in enumerate(item.operands):
-        if isinstance(op, (LabelRef, LabelMem)):
-            target = 0
-            if labels is not None:
-                target = (_label_value(labels, op.name, item.line) + op.offset) & U64
-            if isinstance(op, LabelMem):
-                rel = 0 if labels is None else target - (addr + length)
-                if not -(1 << 31) <= rel < (1 << 31):
-                    raise RangeOverflow(
-                        f"RIP-relative target 0x{target:x} out of range", item.line)
-                ops.append(MemRef(rip_relative=True, disp=rel))
-                records.append(OperandPointer(addr, i, target))
-            elif item.mnemonic in _BRANCH_MNEMONICS:
+        if isinstance(op, MemRef):  # a parsed MemRef is [LABEL + N]
+            target = _value(labels, op.label, op.label_offset, item.line)
+            rel = 0 if labels is None else target - (addr + length)
+            if not -(1 << 31) <= rel < (1 << 31):
+                raise RangeOverflow(
+                    f"RIP-relative target 0x{target:x} out of range", item.line)
+            ops.append(MemRef(rip_relative=True, disp=rel))
+            records.append(OperandPointer(addr, i, target))
+        elif isinstance(op, SymbolRef):
+            target = _value(labels, op.label, op.offset, item.line)
+            if item.mnemonic in _BRANCH_MNEMONICS:
                 ops.append(PcRel(addr if labels is None else target))
             else:
                 ops.append(Immediate(target, width=_label_imm_width(item)))
@@ -808,10 +792,13 @@ def _label_imm_width(item: Instr) -> int:
     return 32
 
 
-def _label_value(labels, name, line):
+def _value(labels, name, offset, line):
+    """The value of ``name + offset`` in 64 bits; 0 at layout, without ``labels``."""
+    if labels is None:
+        return 0
     if name not in labels:
         raise UndefinedLabel(f"label {name!r} is not defined", line)
-    return labels[name]
+    return (labels[name] + offset) & U64
 
 
 def _encode_data(item: Data, addr, labels=None):
@@ -832,14 +819,13 @@ def _encode_data(item: Data, addr, labels=None):
             value = expr & U64
         elif labels is None:
             value = 0
-        elif isinstance(expr, LabelRef):
-            value = (_label_value(labels, expr.name, item.line) + expr.offset) & U64
+        elif isinstance(expr, SymbolRef):
+            value = _value(labels, expr.label, expr.offset, item.line)
             records.append(DataPointer(cell, value))
         else:
-            minuend = (_label_value(labels, expr.minuend, item.line)
-                       + expr.minuend_offset) & U64
-            subtrahend = (_label_value(labels, expr.subtrahend, item.line)
-                          + expr.subtrahend_offset) & U64
+            minuend = _value(labels, expr.minuend.label, expr.minuend.offset, item.line)
+            subtrahend = _value(labels, expr.subtrahend.label, expr.subtrahend.offset,
+                                item.line)
             value = (minuend - subtrahend) & U64
             records.append(DataDiff(cell, minuend, subtrahend))
         out += value.to_bytes(8, "little")

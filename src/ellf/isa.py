@@ -89,7 +89,7 @@ class MemRef:
     scale: int = 1
     disp: int = 0
     rip_relative: bool = False
-    # Post-symbolization: a label standing in for the RIP-relative target.
+    # A label standing in for the RIP-relative target, as symbolized or parsed.
     label: str | None = None
     label_offset: int = 0
 
@@ -103,6 +103,13 @@ class PcRel:
 class SymbolRef:
     label: str
     offset: int = 0
+
+
+@dataclass(frozen=True)
+class SymbolDiff:
+    """A ``.quad A - B`` cell: the difference of two symbol values."""
+    minuend: SymbolRef
+    subtrahend: SymbolRef
 
 
 @dataclass(frozen=True)

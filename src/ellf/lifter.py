@@ -43,6 +43,7 @@ from .isa import (
     MemRef,
     PcRel,
     Register,
+    SymbolDiff,
     SymbolRef,
     decode_region,
     instruction_class,
@@ -85,14 +86,6 @@ class SlotMemRef:
 # --- data variables ---
 
 @dataclass(frozen=True)
-class DiffPayload:
-    minuend_label: str
-    minuend_offset: int
-    subtrahend_label: str
-    subtrahend_offset: int
-
-
-@dataclass(frozen=True)
 class Zeroes:
     size: int
 
@@ -102,7 +95,7 @@ class Variable:
     address: int
     size: int
     label: str | None
-    payload: tuple  # of bytes, SymbolRef, DiffPayload and Zeroes parts
+    payload: tuple  # of bytes, Zeroes, and SymbolRef and SymbolDiff cells as asm parses them
 
 
 # --- control flow graphs ---
@@ -554,7 +547,7 @@ def _build_payload(state, sec, start, end, nobits, marks):
 
 
 def _pointer_part(state, rec):
-    """A ``SymbolRef`` or ``DiffPayload`` for the cell ``rec`` records, or
+    """A ``SymbolRef`` or ``SymbolDiff`` for the cell ``rec`` records, or
     its raw bytes when a label is missing."""
     cell = state.byte_map.read(rec.addr, rec.addr + POINTER_WIDTH)
     stored = int.from_bytes(cell, "little")
@@ -574,7 +567,7 @@ def _pointer_part(state, rec):
     ssym = _symbol_for(state, rec.subtrahend)
     if msym is None or ssym is None:
         return cell
-    return DiffPayload(msym.label, msym.offset, ssym.label, ssym.offset)
+    return SymbolDiff(msym, ssym)
 
 
 # --- control flow graphs ---
@@ -783,9 +776,7 @@ def render_operand(op) -> str:
         return f"[{_address(op.base, op.index, op.scale, op.bias)} - {op.slot_name}{interior}]"
     if isinstance(op, MemRef):
         if op.label is not None:
-            if op.label_offset:
-                return f"[{op.label} + {op.label_offset}]"
-            return f"[{op.label}]"
+            return f"[{_ref(op.label, op.label_offset)}]"
         if op.rip_relative:
             raise LiftError(f"unsymbolized RIP-relative operand {op!r}")
         return f"[{_address(op.base, op.index, op.scale, op.disp)}]"
@@ -947,8 +938,8 @@ def _part_line(part) -> str:
     """The line for a pointer or difference cell."""
     if isinstance(part, SymbolRef):
         return f"    .quad {_ref(part.label, part.offset)}"
-    return (f"    .quad {_ref(part.minuend_label, part.minuend_offset)} - "
-            f"{_ref(part.subtrahend_label, part.subtrahend_offset)}")
+    a, b = part.minuend, part.subtrahend
+    return f"    .quad {_ref(a.label, a.offset)} - {_ref(b.label, b.offset)}"
 
 
 def _ref(label, offset):

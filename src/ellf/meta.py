@@ -47,6 +47,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from . import varint
+from .elfio import load_image
 from .errors import (
     BadMagic,
     Diagnostic,
@@ -58,6 +59,7 @@ from .errors import (
     VarintOverflow,
     quoted,
 )
+from .isa import Immediate, decode_region
 
 MAGIC = b"ELLF"
 VERSION = 1
@@ -689,8 +691,6 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None
     ``record``. A ``decoded`` dict is filled with the instructions decoded,
     by address.
     """
-    from .isa import Immediate, decode_region
-
     diags: list[Diagnostic] = []
 
     def exec_section(addr, what, rec):
@@ -720,7 +720,6 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None
                                                f"region at 0x{extent[0]:x}",
                                     region.start, record=region))
         if byte_map is None:
-            from .elfio import load_image
             byte_map = load_image(image)
         addr = region.start
         try:

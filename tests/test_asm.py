@@ -9,8 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from ellf import asm, elfio
 from ellf.asm import (
     Instr,
-    LabelMem,
-    LabelRef,
     assemble,
     assemble_image,
     parse_assembly,
@@ -27,7 +25,7 @@ from ellf.errors import (
     RangeOverflow,
     UndefinedLabel,
 )
-from ellf.isa import PcRel, _REG_INFO
+from ellf.isa import MemRef, PcRel, SymbolRef, _REG_INFO
 from ellf.lifter import emit_assembly, lift
 from ellf.meta import DataPointer, OperandPointer, decode_metadata
 
@@ -147,7 +145,7 @@ def test_each_instruction_is_encoded_once_plus_once_per_label_reference(
     instrs = [item for sec in prog.sections for item in sec.items
               if isinstance(item, Instr)]
     labeled = [ins for ins in instrs
-               if any(isinstance(op, (LabelRef, LabelMem)) for op in ins.operands)]
+               if any(isinstance(op, (SymbolRef, MemRef)) for op in ins.operands)]
     calls = []
     real = asm.encode_one
     monkeypatch.setattr(asm, "encode_one", lambda *args: calls.append(args) or real(*args))

@@ -1,0 +1,41 @@
+"""Source hygiene: every name a module of the package imports is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ellf
+
+MODULES = sorted(path for path in Path(ellf.__file__).parent.rglob("*.py")
+                 if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the import statements of ``source`` that no other
+    statement reads. A ``from __future__`` import binds no name."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_module_of_the_package_is_checked():
+    assert {path.name for path in MODULES} >= {"asm.py", "isa.py", "lifter.py", "meta.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_import_left_behind_is_found():
+    source = "from .isa import MemRef, SymbolRef\n\ndef f(op):\n    return MemRef()\n"
+    assert unused_imports(source) == ["line 1: SymbolRef"]
