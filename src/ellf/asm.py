@@ -190,7 +190,7 @@ class AsmProgram:
 def parse_assembly(text: str) -> AsmProgram:
     sections: list[AsmSection] = []
     defined: set[str] = set()
-    in_func = False
+    open_func = None  # line of the .func not yet closed
 
     def current_section(line):
         if not sections:
@@ -238,19 +238,19 @@ def parse_assembly(text: str) -> AsmProgram:
                                          f"the 64-bit address space", lineno)
                 sections.append(AsmSection(m.group(1), base))
             elif word == ".func":
-                if in_func:
+                if open_func is not None:
                     raise AsmSyntaxError("nested .func", lineno)
                 _check_ident(rest, ".func name", lineno)
                 define(rest, lineno)
                 current_section(lineno).items.append(FuncBegin(rest, lineno))
-                in_func = True
+                open_func = lineno
             elif word == ".endfunc":
                 if rest:
                     raise AsmSyntaxError(".endfunc takes no arguments", lineno)
-                if not in_func:
+                if open_func is None:
                     raise AsmSyntaxError(".endfunc without .func", lineno)
                 current_section(lineno).items.append(FuncEnd(lineno))
-                in_func = False
+                open_func = None
             elif word == ".slot":
                 parts = _split_args(rest)
                 if len(parts) != 3:
@@ -291,8 +291,8 @@ def parse_assembly(text: str) -> AsmProgram:
                          for tok in _split_args(operand_text))
         current_section(lineno).items.append(Instr(mnemonic, operands, lineno))
 
-    if in_func:
-        raise AsmSyntaxError(".func without closing .endfunc", 0)
+    if open_func is not None:
+        raise AsmSyntaxError(".func without closing .endfunc", open_func)
     return AsmProgram(sections)
 
 
@@ -548,6 +548,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     bases = bases or {}
     labels: dict[str, int] = {}
     slots: dict[str, dict[str, int]] = {}
+    slot_lines: dict[str, int] = {}  # function -> line of its first .slot
 
     sections = []
     for section in prog.sections:
@@ -564,6 +565,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                         f"slot {item.name!r} redefined with a different offset",
                         item.line)
                 table[item.name] = item.offset
+                slot_lines.setdefault(item.function, item.line)
 
     # The walk: lay out and encode each item once. Label operands and label
     # cells hold placeholders of their final width until the fixups below.
@@ -699,7 +701,8 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     func_names = {fn.name for fn in functions}
     for func_name in slots:
         if func_name not in func_names:
-            raise UndefinedLabel(f"slot defined for unknown function {func_name!r}")
+            raise UndefinedLabel(f"slot defined for unknown function {func_name!r}",
+                                 slot_lines[func_name])
     meta = metadata_from_layout(
         runs, [(fn.entry, fn.last_instr) for fn in functions], blocks, pointers,
         variables, [(labels[name], table.values()) for name, table in slots.items()])

@@ -344,7 +344,7 @@ FAR = ".section .text2 base=0x100001000\n.func g\n    ret\n.endfunc\n"
     pytest.param(".section .text base=0x1000\n    ret\n.endfunc\n",
                  f"{SYNTAX}line 3: .endfunc without .func", id="endfunc-without-func"),
     pytest.param(".section .text base=0x1000\n.func f\n    ret\n",
-                 f"{SYNTAX}line 0: .func without closing .endfunc", id="unclosed-func"),
+                 f"{SYNTAX}line 2: .func without closing .endfunc", id="unclosed-func"),
     pytest.param(FUNC.format(".slot f, s8"), f"{SYNTAX}line 3: .slot takes FUNC, NAME, OFFSET",
                  id="slot-arity"),
     pytest.param(FUNC.format(".set x"), f"{SYNTAX}line 3: .set takes NAME, LABEL[+N]",
@@ -387,7 +387,7 @@ FAR = ".section .text2 base=0x100001000\n.func g\n    ret\n.endfunc\n"
     pytest.param(FUNC.format("ret") + ".section .data base=0x1000\n    .byte 1\n",
                  "SectionOverlap: sections .text and .data overlap", id="section-overlap"),
     pytest.param(FUNC.format(".slot g, s, 8"),
-                 "UndefinedLabel: slot defined for unknown function 'g'",
+                 "UndefinedLabel: line 3: slot defined for unknown function 'g'",
                  id="slot-of-unknown-function"),
     pytest.param(FUNC.format("lea rax, [g]") + FAR,
                  "RangeOverflow: line 3: RIP-relative target 0x100001000 out of range",

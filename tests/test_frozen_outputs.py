@@ -413,7 +413,7 @@ def test_encoder_outcomes_match_the_frozen_digest():
 
 # --- the assembler on damaged sources ---
 
-ASM_FROZEN = "5012f6bf32909634ec49ff73a872ae96a6a4ea9e324f6386df3feb75f6ad617a"
+ASM_FROZEN = "c9b4ede023dfcf14b699e8506e28c08c1208de241cc95c2f50384ec7ccc1642d"
 
 # Characters of the dialect's syntax, so that most mutations reach past the
 # lexer into the operand, data and layout checks.
