@@ -61,8 +61,8 @@ in code would be lost.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
+from typing import NamedTuple
 
 from . import elfio
 from .errors import (
@@ -74,6 +74,8 @@ from .errors import (
     UnknownDirective,
     EllfError,
     quoted,
+    value_type,
+    value_type_but_last,
 )
 from .isa import (
     Immediate,
@@ -85,6 +87,7 @@ from .isa import (
     JCC_MNEMONICS,
     SUBSET_MNEMONICS,
     _REG_INFO,
+    _REGISTERS,
     encode_one,
 )
 from .meta import (
@@ -118,51 +121,51 @@ _QUAD_EXPR_RE = re.compile(
 
 # --- program representation ---
 
-@dataclass
-class Label:
+@value_type
+class Label(NamedTuple):
     name: str
     line: int
 
 
-@dataclass
-class FuncBegin:
+@value_type
+class FuncBegin(NamedTuple):
     name: str
     line: int
 
 
-@dataclass
-class FuncEnd:
+@value_type
+class FuncEnd(NamedTuple):
     line: int
 
 
-@dataclass
-class SlotDef:
+@value_type
+class SlotDef(NamedTuple):
     function: str
     name: str
     offset: int
     line: int
 
 
-@dataclass
-class SetLabel:
+@value_type
+class SetLabel(NamedTuple):
     name: str
     base: str
     offset: int
     line: int
 
 
-@dataclass
-class Data:
+@value_type_but_last
+class Data(NamedTuple):
     directive: str  # "byte" | "long" | "quad" | "zero" | "asciz"
     payload: object
     line: int
     # A run of .byte lines keeps its source text, which says on what line
     # each byte stands; empty for any other item.
-    run_text: str = field(default="", repr=False, compare=False)
+    run_text: str = ""
 
 
-@dataclass
-class Instr:
+@value_type
+class Instr(NamedTuple):
     mnemonic: str
     operands: tuple
     line: int
@@ -173,15 +176,15 @@ def section_kind(name: str) -> tuple[bool, bool]:
     return name.startswith(".text"), name.startswith(".bss")
 
 
-@dataclass
-class AsmSection:
+@value_type
+class AsmSection(NamedTuple):
     name: str
     base: int | None
-    items: list = field(default_factory=list)
+    items: list  # the parser appends to it
 
 
-@dataclass
-class AsmProgram:
+@value_type
+class AsmProgram(NamedTuple):
     sections: list[AsmSection]
 
 
@@ -236,7 +239,7 @@ def parse_assembly(text: str) -> AsmProgram:
                 if base is not None and not 0 <= base <= U64:
                     raise AsmSyntaxError(f"section base {m.group(2)} is outside "
                                          f"the 64-bit address space", lineno)
-                sections.append(AsmSection(m.group(1), base))
+                sections.append(AsmSection(m.group(1), base, []))
             elif word == ".func":
                 if open_func is not None:
                     raise AsmSyntaxError("nested .func", lineno)
@@ -429,8 +432,9 @@ def _parse_operand(text, line):
         if not text.endswith("]"):
             raise AsmSyntaxError(f"unterminated memory operand {text!r}", line)
         return _parse_mem(text[1:-1].strip(), line)
-    if text.lower() in _REG_INFO:
-        return Register(text.lower())
+    reg = _REGISTERS.get(text.lower())
+    if reg is not None:
+        return reg
     m = _LABEL_EXPR_RE.fullmatch(text)  # no integer literal matches it
     if m:
         return SymbolRef(*_label_expr(m, line))
@@ -440,8 +444,8 @@ def _parse_operand(text, line):
         raise AsmSyntaxError(f"expected LABEL or LABEL+N, got {text!r}", line) from None
 
 
-@dataclass(frozen=True)
-class _MemAst:
+@value_type
+class _MemAst(NamedTuple):
     base: str | None
     index: str | None
     scale: int
@@ -524,11 +528,13 @@ _SIGN_RE = re.compile(r"([+-])")
 
 # --- assembly ---
 
-@dataclass
 class _FunctionInfo:
-    name: str
-    entry: int
-    last_instr: int | None = None
+    """A function as laid out so far: its last instruction grows with it."""
+
+    def __init__(self, name: str, entry: int):
+        self.name = name
+        self.entry = entry
+        self.last_instr: int | None = None
 
 
 def assemble(prog: AsmProgram, bases: dict[str, int] | None = None
@@ -555,7 +561,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         if section.base is None:
             if section.name not in bases:
                 raise AsmSyntaxError(f"section {section.name} has no base address")
-            section = replace(section, base=bases[section.name])
+            section = section._replace(base=bases[section.name])
         sections.append(section)
         for item in section.items:
             if isinstance(item, SlotDef):
@@ -837,11 +843,11 @@ def _encode_data(item: Data, addr, labels=None):
 
 # --- round-trip oracle ---
 
-@dataclass
 class RoundtripReport:
-    bytes_identical: bool = False
-    metadata_fixpoint: bool = False
-    text_fixpoint: bool = False
+    """What ``roundtrip_check`` found; each check fails until it passes."""
+    bytes_identical = False
+    metadata_fixpoint = False
+    text_fixpoint = False
     error: str | None = None
 
     @property

@@ -14,8 +14,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DuplicateSection,
@@ -25,6 +25,7 @@ from .errors import (
     SectionNotFound,
     UnsupportedClass,
     UnsupportedEndianness,
+    value_type,
 )
 
 ELF_MAGIC = b"\x7fELF"
@@ -43,8 +44,8 @@ _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")
 _SHDR = struct.Struct("<IIQQQQIIQQ")
 
 
-@dataclass(frozen=True)
-class Section:
+@value_type
+class Section(NamedTuple):
     name: str
     vaddr: int
     file_offset: int
@@ -69,11 +70,35 @@ class Section:
         return "other"
 
 
-@dataclass(frozen=True)
 class ElfImage:
-    entry_point: int
-    sections: tuple[Section, ...]
-    raw_file: bytes = b""
+    """A parsed file: its entry point, its sections and its bytes.
+
+    An image is immutable and equal to another with the same three fields.
+    It is a plain class rather than a value type so that it can keep its
+    section index, built on first use.
+    """
+
+    def __init__(self, entry_point: int, sections: tuple[Section, ...], raw_file: bytes = b""):
+        vars(self).update(entry_point=entry_point, sections=sections, raw_file=raw_file)
+
+    def _key(self):
+        return self.entry_point, self.sections, self.raw_file
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ElfImage else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"ElfImage(entry_point={self.entry_point!r}, sections={self.sections!r}, "
+                f"raw_file={self.raw_file!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def _alloc_index(self):
@@ -308,8 +333,8 @@ def inject_section(img: ElfImage, name: str, payload: bytes) -> bytes:
 
 # --- writing small executables (used by the assembler and tests) ---
 
-@dataclass
-class NewSection:
+@value_type
+class NewSection(NamedTuple):
     name: str
     vaddr: int
     data: bytes = b""

@@ -1,6 +1,7 @@
-"""Exception hierarchy and diagnostics shared by all ellf modules."""
+"""Exception hierarchy, diagnostics and the value-type helpers shared by all
+ellf modules."""
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class EllfError(Exception):
@@ -162,20 +163,68 @@ class SectionOverlap(AsmError):
     pass
 
 
+# --- value types ---
+#
+# Every value class of the package is a NamedTuple: defining one compiles
+# no generated methods at import, and building one allocates one tuple. A
+# plain tuple compares by its items alone, so these helpers make each record
+# a value of its own type, as a frozen dataclass is: equal only to an
+# instance of exactly its class with equal fields, and hashed as its field
+# tuple. Without them OperandPointer(0x10, 1, 0x20) would equal
+# DataDiff(0x10, 1, 0x20), and a record would equal a plain tuple.
+
+def _eq(self, other):
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _ne(self, other):
+    return not _eq(self, other)
+
+
+def value_type(cls):
+    """Give the NamedTuple class ``cls`` type-aware equality and the hash of
+    its field tuple."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
+    return cls
+
+
+def value_type_but_last(cls):
+    """``value_type``, with the last field, which has a default, left out of
+    equality, hash and repr: it rides along with the value."""
+    shown = cls._fields[:-1]
+    n = len(shown)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self[:n] == other[:n]
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    def __hash__(self):
+        return hash(self[:n])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(shown, self))
+        return f"{type(self).__name__}({fields})"
+
+    cls.__eq__, cls.__ne__, cls.__hash__, cls.__repr__ = __eq__, __ne__, __hash__, __repr__
+    return cls
+
+
 # --- diagnostics (non-fatal findings, returned rather than raised) ---
 
 WARNING = "warning"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@value_type_but_last
+class Diagnostic(NamedTuple):
     kind: str          # "range" | "alignment" | "function-start" | "pointer" | ...
     message: str
     addr: int | None = None
     severity: str = ERROR
     # The metadata record at fault, if the finding is about one record.
-    record: object = field(default=None, compare=False, repr=False)
+    record: object = None
 
     def __str__(self):
         loc = f" at 0x{self.addr:x}" if self.addr is not None else ""

@@ -41,10 +41,10 @@ decodes the instruction at the start of ``code``, which holds the bytes from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (RangeOverflow, TruncatedInstruction, UnknownOpcode, UnsupportedForm,
-                     quoted)
+                     quoted, value_type)
 
 U64 = (1 << 64) - 1
 
@@ -63,8 +63,8 @@ JCC_MNEMONICS = tuple("j" + cc for cc in CONDITION_CODES)
 
 # --- operands ---
 
-@dataclass(frozen=True)
-class Register:
+@value_type
+class Register(NamedTuple):
     name: str
 
     @property
@@ -76,14 +76,14 @@ class Register:
         return _REG_INFO[self.name][1]
 
 
-@dataclass(frozen=True)
-class Immediate:
+@value_type
+class Immediate(NamedTuple):
     value: int
     width: int = 0  # encoded field width in bits (8/32/64); 0 lets the encoder pick
 
 
-@dataclass(frozen=True)
-class MemRef:
+@value_type
+class MemRef(NamedTuple):
     base: str | None = None
     index: str | None = None
     scale: int = 1
@@ -94,26 +94,26 @@ class MemRef:
     label_offset: int = 0
 
 
-@dataclass(frozen=True)
-class PcRel:
+@value_type
+class PcRel(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
-class SymbolRef:
+@value_type
+class SymbolRef(NamedTuple):
     label: str
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class SymbolDiff:
+@value_type
+class SymbolDiff(NamedTuple):
     """A ``.quad A - B`` cell: the difference of two symbol values."""
     minuend: SymbolRef
     subtrahend: SymbolRef
 
 
-@dataclass(frozen=True)
-class OperandField:
+@value_type
+class OperandField(NamedTuple):
     """Byte span of an operand's immediate/displacement/relative field."""
     operand: int
     offset: int
@@ -121,8 +121,8 @@ class OperandField:
     kind: str   # "imm" | "disp" | "rel"
 
 
-@dataclass(frozen=True)
-class Instruction:
+@value_type
+class Instruction(NamedTuple):
     address: int
     length: int
     mnemonic: str
@@ -141,8 +141,8 @@ RETURN = "return"
 HALT = "halt"
 
 
-@dataclass(frozen=True)
-class InstrClass:
+@value_type
+class InstrClass(NamedTuple):
     kind: str
     target: int | None = None
 
@@ -216,9 +216,10 @@ _EXT_CODES = {(_key(code), ext): form for form, (code, ext) in _EXT_OPCODES.item
 _EXT_GROUPS = frozenset(code for code, _ in _EXT_CODES)
 _PLUS_R_CODES = {base + num: m for m, base in _PLUS_R.items() for num in range(8)}
 
-# The register operands by number, at each width.
+# The register operands by number, at each width, and by name.
 _REGS = {64: tuple(Register(name) for name in REG64),
          32: tuple(Register(name) for name in REG32)}
+_REGISTERS = {reg.name: reg for regs in _REGS.values() for reg in regs}
 
 # The architectural limit on an instruction's length. No subset form is
 # longer, so the first MAX_LENGTH bytes at an address decode as all of the

@@ -14,8 +14,8 @@ diagnostics and which fault a strict lift raises first.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 from .asm import section_kind
 from .elfio import ElfImage, ImageView, load_image
@@ -31,6 +31,7 @@ from .errors import (
     RegionOverlap,
     TargetOutsideFunction,
     WARNING,
+    value_type,
 )
 from .isa import (
     CONDITIONAL_JUMP,
@@ -70,8 +71,8 @@ POINTER_WIDTH = 8
 
 # --- stack-slot operands (render through named assembler constants) ---
 
-@dataclass(frozen=True)
-class SlotMemRef:
+@value_type
+class SlotMemRef(NamedTuple):
     """A stack access expressed against a frame slot: the displacement is
     bias - slot_offset + interior."""
     base: str
@@ -85,13 +86,13 @@ class SlotMemRef:
 
 # --- data variables ---
 
-@dataclass(frozen=True)
-class Zeroes:
+@value_type
+class Zeroes(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
-class Variable:
+@value_type
+class Variable(NamedTuple):
     address: int
     size: int
     label: str | None
@@ -100,15 +101,15 @@ class Variable:
 
 # --- control flow graphs ---
 
-@dataclass(frozen=True)
-class CfgBlock:
+@value_type
+class CfgBlock(NamedTuple):
     start: int
     end: int  # address of the block's last instruction
     successors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Cfg:
+@value_type
+class Cfg(NamedTuple):
     function_entry: int
     blocks: tuple[CfgBlock, ...]
 
@@ -119,25 +120,28 @@ def _section_label(name: str) -> str:
     return "S_" + "".join(ch if ch.isalnum() else "_" for ch in name).strip("_")
 
 
-@dataclass
 class LabelMap:
     """Address-derived names, written only by ``generate_labels``.
 
     ``lookup`` answers from a sorted index per namespace that it builds on
     first use, so the name tables must not change after ``generate_labels``
-    returns; ``used`` is outside the index and may grow.
+    returns; ``used`` is outside the index and may grow. A table not given
+    starts empty.
     """
-    functions: dict[int, str] = field(default_factory=dict)
-    blocks: dict[int, str] = field(default_factory=dict)
-    bb_backed: set[int] = field(default_factory=set)
-    function_ends: set[int] = field(default_factory=set)
-    data_labels: dict[int, str] = field(default_factory=dict)
-    text_floors: dict[int, str] = field(default_factory=dict)
-    data_floors: dict[int, str] = field(default_factory=dict)
-    slots: dict[int, tuple[tuple[int, str], ...]] = field(default_factory=dict)
-    used: set[str] = field(default_factory=set)
-    _index: dict[str, tuple[list[int], list[str]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __init__(self, *, functions=None, blocks=None, bb_backed=None, function_ends=None,
+                 data_labels=None, text_floors=None, data_floors=None, slots=None,
+                 used=None):
+        self.functions: dict[int, str] = functions or {}
+        self.blocks: dict[int, str] = blocks or {}
+        self.bb_backed: set[int] = bb_backed or set()
+        self.function_ends: set[int] = function_ends or set()
+        self.data_labels: dict[int, str] = data_labels or {}
+        self.text_floors: dict[int, str] = text_floors or {}
+        self.data_floors: dict[int, str] = data_floors or {}
+        self.slots: dict[int, tuple[tuple[int, str], ...]] = slots or {}
+        self.used: set[str] = used or set()
+        self._index: dict[str, tuple[list[int], list[str]]] = {}
 
     def lookup(self, addr: int, namespace: str) -> tuple[str, int] | None:
         """Greatest entry at or below ``addr``, with the non-negative offset.
@@ -262,27 +266,51 @@ def lift_unsymbolized(image: ImageView, regions) -> dict[int, Instruction]:
 
 # --- shared lifting state ---
 
-@dataclass
 class _LiftState:
-    image: ElfImage
-    byte_map: ImageView
-    meta: EllfMetadata
-    mode: str
-    labels: LabelMap
-    decoded: dict[int, Instruction]  # as decoded; no step writes it
-    instrs: dict[int, Instruction]  # as symbolized so far, through set_operand
-    instr_addrs: list[int]  # sorted keys of both
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    reported: set = field(default_factory=set)  # records validation found at fault
-    earmarks: dict[int, DataPointer | DataDiff] = field(default_factory=dict)  # by cell
-    variables: list[Variable] = field(default_factory=list)
+    """What the passes of one lift share.
+
+    ``decoded`` holds the instructions as decoded, which no pass writes.
+    ``set_operand`` writes an operand into ``operands``, which holds the
+    operand list of each instruction symbolized so far; ``operands_of``
+    reads an instruction's operands as symbolized so far, and
+    ``instructions`` builds each changed instruction once, at the end.
+    """
+
+    def __init__(self, image, byte_map, meta, mode, labels, decoded, diagnostics, reported):
+        self.image: ElfImage = image
+        self.byte_map: ImageView = byte_map
+        self.meta: EllfMetadata = meta
+        self.mode: str = mode
+        self.labels: LabelMap = labels
+        self.decoded: dict[int, Instruction] = decoded
+        self.instr_addrs: list[int] = sorted(decoded)
+        self.operands: dict[int, list] = {}
+        self.diagnostics: list[Diagnostic] = diagnostics
+        self.reported: set = reported  # records validation found at fault
+        self.earmarks: dict[int, DataPointer | DataDiff] = {}  # by cell
+        self.variables: list[Variable] = []
+
+    def operands_of(self, addr):
+        """The operands of the instruction at ``addr``, as symbolized so far."""
+        ops = self.operands.get(addr)
+        return self.decoded[addr].operands if ops is None else ops
 
     def set_operand(self, addr, index, op):
         """Write operand ``index`` of the instruction at ``addr``."""
-        ins = self.instrs[addr]
-        operands = ins.operands[:index] + (op,) + ins.operands[index + 1:]
-        self.instrs[addr] = Instruction(ins.address, ins.length, ins.mnemonic, operands,
-                                        ins.fields)
+        ops = self.operands.get(addr)
+        if ops is None:
+            ops = self.operands[addr] = list(self.decoded[addr].operands)
+        ops[index] = op
+
+    def instructions(self) -> dict[int, Instruction]:
+        """The symbolized instructions, in address order."""
+        out = {}
+        for addr in self.instr_addrs:
+            ins = self.decoded[addr]
+            ops = self.operands.get(addr)
+            out[addr] = ins if ops is None else Instruction(
+                ins.address, ins.length, ins.mnemonic, tuple(ops), ins.fields)
+        return out
 
     def warn(self, kind, message, addr=None):
         self.diagnostics.append(Diagnostic(kind, message, addr, WARNING))
@@ -310,6 +338,11 @@ def _rip_target(ins, op):
     return (ins.address + ins.length + op.disp) & U64
 
 
+def _labelled(mem, sym):
+    """The RIP-relative ``mem`` with ``sym`` standing in for its target."""
+    return MemRef(mem.base, mem.index, mem.scale, mem.disp, True, sym.label, sym.offset)
+
+
 # --- step II: coarse symbolization ---
 
 def coarse_symbolize(state: _LiftState) -> None:
@@ -320,7 +353,7 @@ def coarse_symbolize(state: _LiftState) -> None:
             continue
         if rec in state.reported:
             continue  # a strict lift stopped at validation; a lenient one warned
-        ins = state.instrs.get(rec.instr_addr)
+        ins = state.decoded.get(rec.instr_addr)
         if ins is None:
             msg = (f"operand pointer at 0x{rec.instr_addr:x} does not name a "
                    f"decoded instruction")
@@ -342,7 +375,7 @@ def coarse_symbolize(state: _LiftState) -> None:
                        f"0x{computed:x} disagrees with recorded target "
                        f"0x{rec.target:x}")
                 state.fault(MetadataMismatch, "pointer", msg, rec.instr_addr)
-            new_op = replace(op, label=sym.label, label_offset=sym.offset)
+            new_op = _labelled(op, sym)
         else:
             msg = (f"operand {rec.operand_index} of the instruction at "
                    f"0x{rec.instr_addr:x} has no immediate or displacement field")
@@ -354,17 +387,15 @@ def coarse_symbolize(state: _LiftState) -> None:
     # record; resolving them keeps sections movable when metadata is partial.
     # An operand a record labeled above keeps that label.
     for addr in state.instr_addrs:
-        ins = state.instrs[addr]
-        for i, op in enumerate(ins.operands):
+        for i, op in enumerate(state.operands_of(addr)):
             if isinstance(op, MemRef) and op.rip_relative and op.label is None:
-                target = _rip_target(ins, op)
+                target = _rip_target(state.decoded[addr], op)
                 sym = _symbol_for(state, target)
                 if sym is None:
                     state.warn("range", f"RIP-relative target 0x{target:x} resolves "
                                         f"to no label", addr)
                     continue
-                state.set_operand(addr, i, replace(op, label=sym.label,
-                                                   label_offset=sym.offset))
+                state.set_operand(addr, i, _labelled(op, sym))
 
 
 # --- function extents (shared by the fine-grained steps) ---
@@ -389,7 +420,7 @@ def _function_instrs(state, entry, end):
 
 def text_symbolize(state: _LiftState) -> None:
     for rec in state.meta.text:
-        if rec.addr not in state.instrs and rec not in state.reported:
+        if rec.addr not in state.decoded and rec not in state.reported:
             msg = (f"text record at 0x{rec.addr:x} ({rec.kind}) is not a decoded "
                    f"instruction start")
             state.fault(DanglingTextRecord, "range", msg, rec.addr)
@@ -415,11 +446,11 @@ def stack_symbolize(state: _LiftState) -> None:
         sp_delta: int | None = 0
         rbp_delta: int | None = None
         for addr in _function_instrs(state, entry, end):
-            _rewrite_stack_operands(state, state.decoded[addr], names, sp_delta,
-                                    rbp_delta)
+            ins = state.decoded[addr]
+            _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta)
             # As symbolized: a pointer record on ``sub rsp, imm`` untracks the frame.
-            sp_delta, rbp_delta = _apply_sp_effect(state.instrs[addr], sp_delta,
-                                                   rbp_delta)
+            sp_delta, rbp_delta = _apply_sp_effect(ins, sp_delta, rbp_delta,
+                                                   state.operands_of(addr))
 
 
 def _rewrite_stack_operands(state, ins, names, sp_delta, rbp_delta):
@@ -458,32 +489,39 @@ _WRITES_FIRST = frozenset(("mov", "pop", "lea", "movsxd", "add", "sub", "inc", "
 _ANCHOR_OF = {"rsp": "rsp", "rbp": "rbp", "esp": "rsp", "ebp": "rbp"}
 
 
-def _apply_sp_effect(ins, sp_delta, rbp_delta):
+def _apply_sp_effect(ins, sp_delta, rbp_delta, ops=None):
     """The (rsp, rbp) anchors after ``ins``: offsets from the stack pointer
-    at function entry, None when untracked.
+    at function entry, None when untracked. ``ops`` are the operands to read,
+    ``ins.operands`` if not given.
 
     push, pop, leave, mov rbp, rsp, mov rsp, rbp and add/sub rsp, imm move
     the anchors. Any other write whose first operand is rsp or rbp drops
     that anchor, as does any write to esp or ebp.
     """
-    m, ops = ins.mnemonic, ins.operands
+    m = ins.mnemonic
+    if ops is None:
+        ops = ins.operands
     if m == "leave":  # mov rsp, rbp; pop rbp
         return (None if rbp_delta is None else rbp_delta + 8), None
-    anchors = {"rsp": sp_delta, "rbp": rbp_delta}
     if m in ("push", "pop") and sp_delta is not None:
-        anchors["rsp"] += 8 if m == "pop" else -8
+        sp_delta += 8 if m == "pop" else -8
     dst = ops[0].name if ops and isinstance(ops[0], Register) else None
     if m in _WRITES_FIRST and dst in _ANCHOR_OF:
         src = ops[-1]
         if (m == "mov" and isinstance(src, Register)
                 and (dst, src.name) in (("rbp", "rsp"), ("rsp", "rbp"))):
-            anchors[dst] = anchors[src.name]
+            if dst == "rbp":
+                rbp_delta = sp_delta
+            else:
+                sp_delta = rbp_delta
         elif (m in ("add", "sub") and dst == "rsp" and isinstance(src, Immediate)
               and sp_delta is not None):
-            anchors["rsp"] += src.value if m == "add" else -src.value
+            sp_delta += src.value if m == "add" else -src.value
+        elif _ANCHOR_OF[dst] == "rsp":
+            sp_delta = None
         else:
-            anchors[_ANCHOR_OF[dst]] = None
-    return anchors["rsp"], anchors["rbp"]
+            rbp_delta = None
+    return sp_delta, rbp_delta
 
 
 # --- step V: data symbolization ---
@@ -615,7 +653,7 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
 def _referenced_labels(state, addrs) -> set[str]:
     names = set()
     for addr in addrs:
-        for op in state.instrs[addr].operands:
+        for op in state.operands_of(addr):
             if isinstance(op, SymbolRef):
                 names.add(op.label)
             elif isinstance(op, MemRef) and op.label:
@@ -666,8 +704,8 @@ def _jump_targets(state, target, starts):
 
 # --- lifted program and emission ---
 
-@dataclass
-class LiftedProgram:
+@value_type
+class LiftedProgram(NamedTuple):
     sections: tuple
     instructions: dict[int, Instruction]
     padding: tuple[tuple[int, bytes], ...]
@@ -699,10 +737,8 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
     if any(isinstance(p.record, InstructionRegion) for p in problems):
         decoded = lift_unsymbolized(byte_map, meta.instruction_regions)
     labels = generate_labels(meta, image)
-    state = _LiftState(image=image, byte_map=byte_map, meta=meta, mode=mode,
-                       labels=labels, decoded=decoded, instrs=dict(decoded),
-                       instr_addrs=sorted(decoded), diagnostics=list(problems),
-                       reported={p.record for p in problems})
+    state = _LiftState(image, byte_map, meta, mode, labels, decoded,
+                       diagnostics=list(problems), reported={p.record for p in problems})
 
     _check_section_names(state)
     coarse_symbolize(state)
@@ -713,7 +749,7 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
 
     return LiftedProgram(
         sections=tuple(sec for sec in image.sections if sec.alloc),
-        instructions=dict(sorted(state.instrs.items())),
+        instructions=state.instructions(),
         padding=_collect_padding(state),
         variables=tuple(state.variables),
         labels=state.labels,
@@ -752,11 +788,11 @@ def _collect_padding(state) -> tuple[tuple[int, bytes], ...]:
         pos = sec.vaddr
         if first:  # an instruction may run on from the section before
             prev = addrs[first - 1]
-            pos = max(pos, prev + state.instrs[prev].length)
+            pos = max(pos, prev + state.decoded[prev].length)
         for addr in addrs[first:bisect_left(addrs, end)]:
             if addr > pos:
                 runs.append((pos, state.byte_map.read(pos, addr)))
-            pos = max(pos, addr + state.instrs[addr].length)
+            pos = max(pos, addr + state.decoded[addr].length)
         if pos < end:
             runs.append((pos, state.byte_map.read(pos, end)))
     return tuple(runs)

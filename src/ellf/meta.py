@@ -42,7 +42,6 @@ then `check_invariants`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields as dataclass_fields
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
@@ -58,6 +57,7 @@ from .errors import (
     UnsupportedVersion,
     VarintOverflow,
     quoted,
+    value_type,
 )
 from .isa import Immediate, decode_region
 
@@ -74,14 +74,14 @@ _TEXT_KIND_WIRE = {BASIC_BLOCK: 0, FUNCTION_START: 1, FUNCTION_END: 2}
 _TEXT_KIND_NAME = {v: k for k, v in _TEXT_KIND_WIRE.items()}
 
 
-@dataclass(frozen=True)
-class InstructionRegion:
+@value_type
+class InstructionRegion(NamedTuple):
     start: int
     count: int
 
 
-@dataclass(frozen=True)
-class OperandPointer:
+@value_type
+class OperandPointer(NamedTuple):
     instr_addr: int
     operand_index: int
     target: int
@@ -91,8 +91,8 @@ class OperandPointer:
         return self.instr_addr
 
 
-@dataclass(frozen=True)
-class DataPointer:
+@value_type
+class DataPointer(NamedTuple):
     addr: int
     target: int
 
@@ -101,8 +101,8 @@ class DataPointer:
         return self.addr
 
 
-@dataclass(frozen=True)
-class DataDiff:
+@value_type
+class DataDiff(NamedTuple):
     addr: int
     minuend: int
     subtrahend: int
@@ -117,26 +117,26 @@ PointerRecord = OperandPointer | DataPointer | DataDiff
 _POINTER_KIND = {OperandPointer: 0, DataPointer: 1, DataDiff: 2}
 
 
-@dataclass(frozen=True)
-class TextRecord:
+@value_type
+class TextRecord(NamedTuple):
     addr: int
     kind: str  # BASIC_BLOCK | FUNCTION_START | FUNCTION_END
 
 
-@dataclass(frozen=True)
-class StackRecord:
+@value_type
+class StackRecord(NamedTuple):
     function_entry: int
     offsets: tuple[int, ...]  # strictly increasing, all > 0
 
 
-@dataclass(frozen=True)
-class DataRecord:
+@value_type
+class DataRecord(NamedTuple):
     addr: int
     size: int
 
 
-@dataclass(frozen=True)
-class EllfMetadata:
+@value_type
+class EllfMetadata(NamedTuple):
     version: int = VERSION
     instruction_regions: tuple[InstructionRegion, ...] = ()
     pointers: tuple[PointerRecord, ...] = ()
@@ -316,12 +316,14 @@ def _read_data(rd, addr):
 # A reader's messages start with the name it is given. A list reads its items
 # as "" and puts "name[i]" before an item's message: names cost only faults.
 
+@value_type
 class _Field(NamedTuple):
     schema: dict
     read: Callable                 # (JSON value, name) -> value
     write: Callable | None = None  # value -> JSON value; None writes it as it is
 
 
+@value_type
 class _Record(NamedTuple):
     cls: type
     fields: dict            # JSON name -> _Field, in the constructor's order
@@ -438,8 +440,8 @@ def _object(record):
         return _read_object(value, record, name, name + ".")
 
     tag = {} if record.tag is None else {"kind": record.tag}
-    writes = [(name, attr.name, field.write) for (name, field), attr
-              in zip(record.fields.items(), dataclass_fields(cls))]
+    writes = [(name, attr, field.write) for (name, field), attr
+              in zip(record.fields.items(), cls._fields)]
 
     def write(value):
         obj = dict(tag)
@@ -474,6 +476,7 @@ def _one_of(noun, *records):
                   lambda value: writers[type(value)](value))
 
 
+@value_type
 class _Table(NamedTuple):
     table_id: int
     name: str        # the table's name in encoded_table_sizes

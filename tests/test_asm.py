@@ -1,7 +1,6 @@
 """Assembler contracts and the round-trip oracle over the bundled corpus."""
 
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -86,7 +85,7 @@ def test_round_trip_lifts_the_metadata_stored_in_the_elf(monkeypatch):
     src = corpus_programs()["12_data_pointers"]
     assert roundtrip_check(src).ok
     encode = asm.encode_metadata
-    monkeypatch.setattr(asm, "encode_metadata", lambda meta: encode(replace(meta, data=())))
+    monkeypatch.setattr(asm, "encode_metadata", lambda meta: encode(meta._replace(data=())))
     report = roundtrip_check(src)
     assert not report.ok and not report.metadata_fixpoint
 

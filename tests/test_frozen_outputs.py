@@ -15,7 +15,6 @@ are frozen the same way. CI also runs this file under several
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -203,7 +202,7 @@ def _edit(meta, table, removed=None, added=None):
     """``meta`` with ``removed`` taken out of ``table`` and ``added`` put in."""
     records = [rec for rec in getattr(meta, table) if rec != removed]
     records += [added] if added is not None else []
-    return replace(meta, **{table: tuple(sorted(records, key=SORT_KEYS[table]))})
+    return meta._replace(**{table: tuple(sorted(records, key=SORT_KEYS[table]))})
 
 
 def _damage(meta, rng, instrs, data_sections):
@@ -234,12 +233,12 @@ def _damage(meta, rng, instrs, data_sections):
     if kind == 5 and meta.data:  # a data record moved
         rec = rng.choice(meta.data)
         return _edit(meta, "data", removed=rec,
-                     added=replace(rec, addr=rec.addr + rng.choice((-4, -1, 1, 4))))
+                     added=rec._replace(addr=rec.addr + rng.choice((-4, -1, 1, 4))))
     if kind == 6 and meta.pointers:  # a pointer record moved
         rec = rng.choice(meta.pointers)
         field = "instr_addr" if isinstance(rec, OperandPointer) else "addr"
-        return _edit(meta, "pointers", removed=rec, added=replace(
-            rec, **{field: getattr(rec, field) + rng.choice((-4, -1, 1, 4))}))
+        return _edit(meta, "pointers", removed=rec, added=rec._replace(
+            **{field: getattr(rec, field) + rng.choice((-4, -1, 1, 4))}))
     return meta
 
 
@@ -248,9 +247,9 @@ def metadata_variants(img, meta, seed, count=20):
     tables and ``count`` seeded variants with one or two records added or
     shifted; only those that pass ``check_invariants``, a lift's contract."""
     rng = random.Random(seed)
-    variants = [meta] + [replace(meta, **{table: ()}) for table in TABLES]
+    variants = [meta] + [meta._replace(**{table: ()}) for table in TABLES]
     for _ in range(count):
-        variants.append(replace(meta, **{table: tuple(
+        variants.append(meta._replace(**{table: tuple(
             rec for rec in getattr(meta, table) if rng.random() < 0.6) for table in TABLES}))
     instrs = list(lift_unsymbolized(elfio.load_image(img), meta.instruction_regions).values())
     data_sections = [sec for sec in img.sections if sec.alloc and not sec.exec and sec.size]

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+no module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,27 @@ def test_every_imported_name_is_used(path):
 def test_an_import_left_behind_is_found():
     source = "from .isa import MemRef, SymbolRef\n\ndef f(op):\n    return MemRef()\n"
     assert unused_imports(source) == ["line 1: SymbolRef"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(Path(ellf.__file__).parent.rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # Defining a dataclass generates and compiles its methods at import,
+    # which every command pays for at start-up; records are NamedTuples.
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_a_dataclasses_import_is_found():
+    assert "dataclasses" in imported_modules("from dataclasses import dataclass\n")
+    assert "dataclasses" in imported_modules("import dataclasses as dc\n")

@@ -2,7 +2,6 @@
 passes, CFG recovery, and deterministic emission."""
 
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 import tracemalloc
 
@@ -307,10 +306,9 @@ def test_region_only_metadata_degrades_to_section_labels(table_demo):
 
 def test_strict_dangling_text_record(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META,
-                   text=SPARSE_DEMO_META.text[:1]
-                   + (TextRecord(0x4002, BASIC_BLOCK),)
-                   + SPARSE_DEMO_META.text[1:])
+    meta = SPARSE_DEMO_META._replace(text=SPARSE_DEMO_META.text[:1]
+                                     + (TextRecord(0x4002, BASIC_BLOCK),)
+                                     + SPARSE_DEMO_META.text[1:])
     with pytest.raises(DanglingTextRecord):
         lift(img, meta, mode="strict")
     lp = lift(img, meta, mode="lenient")
@@ -319,9 +317,8 @@ def test_strict_dangling_text_record(table_demo):
 
 def test_strict_metadata_mismatch(table_demo):
     _, _, img = table_demo
-    bad = replace(SPARSE_DEMO_META,
-                  pointers=(OperandPointer(0x4004, 1, 0x4028),)
-                  + SPARSE_DEMO_META.pointers[1:])
+    bad = SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4004, 1, 0x4028),)
+                                    + SPARSE_DEMO_META.pointers[1:])
     with pytest.raises(MetadataMismatch):
         lift(img, bad, mode="strict")
     lp = lift(img, bad, mode="lenient")
@@ -331,12 +328,12 @@ def test_strict_metadata_mismatch(table_demo):
 
 
 @pytest.mark.parametrize("meta", [
-    replace(SPARSE_DEMO_META, pointers=(OperandPointer(0x4005, 1, 0x4024),)
-            + SPARSE_DEMO_META.pointers[1:]),
-    replace(SPARSE_DEMO_META, pointers=(OperandPointer(0x4004, 1, 0x9999),)
-            + SPARSE_DEMO_META.pointers[1:]),
-    replace(SPARSE_DEMO_META, text=SPARSE_DEMO_META.text
-            + (TextRecord(0x4030, BASIC_BLOCK),)),
+    SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4005, 1, 0x4024),)
+                              + SPARSE_DEMO_META.pointers[1:]),
+    SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4004, 1, 0x9999),)
+                              + SPARSE_DEMO_META.pointers[1:]),
+    SPARSE_DEMO_META._replace(text=SPARSE_DEMO_META.text
+                              + (TextRecord(0x4030, BASIC_BLOCK),)),
 ], ids=["operand_pointer_off_an_instruction", "target_outside_sections",
         "text_record_outside_text"])
 def test_lenient_lift_reports_a_validation_fault_once(table_demo, meta):
@@ -557,7 +554,7 @@ def test_section_without_records_is_one_anonymous_variable():
 
 def test_uncovered_gap_merges_into_preceding_variable(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META, data=(DataRecord(0x4024, 8),))
+    meta = SPARSE_DEMO_META._replace(data=(DataRecord(0x4024, 8),))
     lp = lift(img, meta, mode="lenient")
     var = [v for v in lp.variables if v.address == 0x4024][0]
     assert var.size == 16  # trailing record-free bytes merged in
@@ -565,8 +562,7 @@ def test_uncovered_gap_merges_into_preceding_variable(table_demo):
 
 def test_pointer_straddle_strict(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META,
-                   data=(DataRecord(0x4024, 4), DataRecord(0x4028, 12)))
+    meta = SPARSE_DEMO_META._replace(data=(DataRecord(0x4024, 4), DataRecord(0x4028, 12)))
     with pytest.raises(PointerStraddle):
         lift(img, meta, mode="strict")
     lp = lift(img, meta, mode="lenient")
@@ -667,7 +663,7 @@ def test_lenient_lift_defines_a_recorded_block_label_used_in_padding():
            "inpad:\n    .byte 0xc3\n.endfunc\n")
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
-    meta = replace(meta, text=meta.text + (TextRecord(0x1006, BASIC_BLOCK),))
+    meta = meta._replace(text=meta.text + (TextRecord(0x1006, BASIC_BLOCK),))
     lp = lift(img, meta, mode="lenient")
     assert lp.padding == ((0x1006, b"\xc3"),)
     text = emit_assembly(lp)
@@ -690,12 +686,12 @@ def _reassembles_to_the_same_alloc_bytes(text, img):
 def test_unpaired_function_records_lift_to_text_that_reassembles(name, dropped, mode):
     elf, meta = assemble(parse_assembly(corpus_programs()[name]))
     img = elfio.read_elf(elf)
-    meta = replace(meta, text=tuple(rec for rec in meta.text if rec != dropped))
+    meta = meta._replace(text=tuple(rec for rec in meta.text if rec != dropped))
     text = emit_assembly(lift(img, meta, mode=mode))
     assert _reassembles_to_the_same_alloc_bytes(text, img)
     _, meta2 = assemble(parse_assembly(text))
     (changed,) = set(meta2.text) ^ set(meta.text)
-    assert changed.kind == FUNCTION_END and replace(meta2, text=meta.text) == meta
+    assert changed.kind == FUNCTION_END and meta2._replace(text=meta.text) == meta
 
 
 def test_a_data_label_inside_a_zero_run_is_defined():
@@ -703,7 +699,7 @@ def test_a_data_label_inside_a_zero_run_is_defined():
            ".section .bss base=0x3000\nfirst:\n    .zero 16\nmid:\n    .zero 16\n")
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
-    text = emit_assembly(lift(img, replace(meta, data=()), mode="strict"))
+    text = emit_assembly(lift(img, meta._replace(data=()), mode="strict"))
     assert "    lea rcx, [D_3010]\n" in text
     assert text.endswith(".section .bss base=0x3000\n    .zero 16\nD_3010:\n    .zero 16\n")
     assert _reassembles_to_the_same_alloc_bytes(text, img)
@@ -712,7 +708,7 @@ def test_a_data_label_inside_a_zero_run_is_defined():
 def test_a_reference_inside_a_pointer_cell_renders_as_the_cell_label_plus_offset():
     elf, meta = assemble(parse_assembly(hazard_program()))
     img = elfio.read_elf(elf)
-    text = emit_assembly(lift(img, replace(meta, data=()), mode="strict"))
+    text = emit_assembly(lift(img, meta._replace(data=()), mode="strict"))
     assert "    .quad D_402010 + 4\nD_402010:\n    .quad F_401000\n" in text
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
@@ -722,7 +718,7 @@ def test_a_used_label_of_a_data_record_past_its_section_end_is_defined():
     img = elfio.read_elf(elf)
     data = tuple(DataRecord(0x40711C, 16) if rec == DataRecord(0x407118, 16) else rec
                  for rec in meta.data)
-    lp = lift(img, replace(meta, data=data), mode="lenient")
+    lp = lift(img, meta._replace(data=data), mode="lenient")
     assert [d.message for d in lp.diagnostics] == [
         "data record at 0x40711c extends past the end of .data"]
     text = emit_assembly(lp)
@@ -735,7 +731,7 @@ def test_a_used_function_label_outside_decoded_code_is_defined():
     img = elfio.read_elf(elf)
     text_records = sorted(meta.text + (TextRecord(0x402034, FUNCTION_START),),
                           key=lambda rec: rec.addr)
-    meta = replace(meta, instruction_regions=(), text=tuple(text_records))
+    meta = meta._replace(instruction_regions=(), text=tuple(text_records))
     text = emit_assembly(lift(img, meta, mode="lenient"))
     assert "    .quad F_402034 - D_402200\n" in text
     assert "\nF_402034:\n" in text and ".func" not in text
@@ -756,7 +752,7 @@ def test_parsing_the_emitted_text_gives_back_the_lifts_symbol_values(name):
     elf, meta = assemble(parse_assembly(PROGRAMS[name]))
     for dropped in SPARSER:
         mode = "lenient" if dropped or name == "hazard_pointer_straddle" else "strict"
-        lp = lift(elfio.read_elf(elf), replace(meta, **dict.fromkeys(dropped, ())), mode)
+        lp = lift(elfio.read_elf(elf), meta._replace(**dict.fromkeys(dropped, ())), mode)
         _assert_parsed_symbols_are_lifted_ones(lp)
 
 
@@ -774,7 +770,7 @@ def _assert_parsed_symbols_are_lifted_ones(lp):
                     if isinstance(lifted_op, SymbolRef):
                         assert op == lifted_op
                     elif isinstance(lifted_op, MemRef) and lifted_op.label is not None:
-                        assert op == replace(lifted_op, disp=0)
+                        assert op == lifted_op._replace(disp=0)
         else:
             cells = [cell for item in parsed.items
                      if isinstance(item, Data) and item.directive == "quad"

@@ -1,7 +1,6 @@
 """Cross-checking metadata against the sections and bytes of a binary."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -34,8 +33,7 @@ def test_demo_metadata_is_clean(table_demo):
 
 def test_data_record_past_section_end(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META,
-                   data=(DataRecord(0x4024, 8), DataRecord(0x402C, 9)))
+    meta = SPARSE_DEMO_META._replace(data=(DataRecord(0x4024, 8), DataRecord(0x402C, 9)))
     diags = validate_metadata(meta, img)
     assert len(diags) == 1
     assert diags[0].kind == "range"
@@ -45,8 +43,7 @@ def test_data_record_past_section_end(table_demo):
 def test_operand_pointer_off_instruction_start(table_demo):
     _, _, img = table_demo
     shifted = OperandPointer(0x4005, 1, 0x4024)
-    meta = replace(SPARSE_DEMO_META,
-                   pointers=(shifted,) + SPARSE_DEMO_META.pointers[1:])
+    meta = SPARSE_DEMO_META._replace(pointers=(shifted,) + SPARSE_DEMO_META.pointers[1:])
     diags = validate_metadata(meta, img)
     assert len(diags) == 1
     assert diags[0].kind == "alignment"
@@ -63,25 +60,23 @@ def test_region_outside_executable_section(table_demo):
 
 def test_text_record_outside_executable_section(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META,
-                   text=SPARSE_DEMO_META.text + (type(SPARSE_DEMO_META.text[0])(
-                       0x4030, "basic_block"),))
+    meta = SPARSE_DEMO_META._replace(text=SPARSE_DEMO_META.text + (
+        type(SPARSE_DEMO_META.text[0])(0x4030, "basic_block"),))
     diags = validate_metadata(meta, img)
     assert any(d.kind == "range" and d.addr == 0x4030 for d in diags)
 
 
 def test_stack_entry_must_be_function_start(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META, stack=(StackRecord(0x4014, (8,)),))
+    meta = SPARSE_DEMO_META._replace(stack=(StackRecord(0x4014, (8,)),))
     diags = validate_metadata(meta, img)
     assert [d.kind for d in diags] == ["function-start"]
 
 
 def test_pointer_target_outside_sections(table_demo):
     _, _, img = table_demo
-    meta = replace(SPARSE_DEMO_META,
-                   pointers=(OperandPointer(0x4004, 1, 0x9999),)
-                   + SPARSE_DEMO_META.pointers[1:])
+    meta = SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4004, 1, 0x9999),)
+                                     + SPARSE_DEMO_META.pointers[1:])
     diags = validate_metadata(meta, img)
     assert any(d.kind == "range" for d in diags)
 
@@ -126,11 +121,11 @@ BAD_REGION = InstructionRegion(0x408001, 1)
 
 
 def _operand_index_out_of_range(meta):
-    return replace(meta, pointers=(BAD_POINTER,) + meta.pointers[1:])
+    return meta._replace(pointers=(BAD_POINTER,) + meta.pointers[1:])
 
 
 def _overlapping_regions(meta):
-    return replace(meta, instruction_regions=meta.instruction_regions + (BAD_REGION,))
+    return meta._replace(instruction_regions=meta.instruction_regions + (BAD_REGION,))
 
 
 REFUSED = {
@@ -192,7 +187,7 @@ def test_a_region_that_runs_into_bytes_outside_the_subset_does_not_decode():
     src = ".section .text base=0x1000\n.func f\n    ret\n.endfunc\n    .byte 0x0f, 0x0b\n"
     elf, meta = assemble_image(parse_assembly(src))
     region = InstructionRegion(0x1000, 2)  # ret, then ud2
-    diags = validate_metadata(replace(meta, instruction_regions=(region,)), elfio.read_elf(elf))
+    diags = validate_metadata(meta._replace(instruction_regions=(region,)), elfio.read_elf(elf))
     assert [(d.kind, d.message, d.addr, d.record) for d in diags] == [(
         "range", "instruction region at 0x1000 does not decode: byte pattern at 0x1001 is "
                  "outside the instruction subset (opcode 0x0f)", 0x1000, region)]
