@@ -12,6 +12,7 @@ of its line):
     .set NAME, LABEL [+|- N]       define NAME at another label plus offset
     NAME:                          label (also allowed before a statement)
     mnemonic ops                   one instruction, e.g. mov rax, [rcx + rbp*4]
+    movabs r64, N                  a mov that keeps its 10-byte imm64 form
     .byte/.long/.quad/.zero/.asciz data; .quad accepts LABEL, LABEL+N and
                                    LABEL - LABEL difference expressions
 
@@ -288,10 +289,12 @@ def parse_assembly(text: str) -> AsmProgram:
 
         mnemonic, _, operand_text = line.partition(" ")
         mnemonic = mnemonic.lower()
-        if mnemonic not in SUBSET_MNEMONICS:
+        if mnemonic not in SUBSET_MNEMONICS and mnemonic != "movabs":
             raise AsmSyntaxError(f"unknown mnemonic {mnemonic!r}", lineno)
         operands = tuple(_parse_operand(tok, lineno)
                          for tok in _split_args(operand_text))
+        if mnemonic == "movabs":
+            mnemonic, operands = _movabs(operands, lineno)
         current_section(lineno).items.append(Instr(mnemonic, operands, lineno))
 
     if open_func is not None:
@@ -301,6 +304,14 @@ def parse_assembly(text: str) -> AsmProgram:
 
 _DIRECTIVES = {".section", ".func", ".endfunc", ".slot", ".set",
                ".byte", ".long", ".quad", ".zero", ".asciz"}
+
+
+def _movabs(operands, line):
+    """``movabs r64, N`` as the mov it is, its immediate fixed at 64 bits."""
+    if (len(operands) != 2 or not isinstance(operands[0], Register)
+            or operands[0].size != 64 or not isinstance(operands[1], Immediate)):
+        raise AsmSyntaxError("movabs takes a 64-bit register and a number", line)
+    return "mov", (operands[0], Immediate(operands[1].value, 64))
 
 
 def _check_ident(text: str, what: str, line: int) -> None:

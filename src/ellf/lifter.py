@@ -837,7 +837,19 @@ def _address(base, index, scale, disp) -> str:
 def render_instruction(ins: Instruction) -> str:
     if not ins.operands:
         return ins.mnemonic
-    return ins.mnemonic + " " + ", ".join(render_operand(op) for op in ins.operands)
+    return _mnemonic(ins) + " " + ", ".join(render_operand(op) for op in ins.operands)
+
+
+def _mnemonic(ins: Instruction) -> str:
+    """``movabs`` for a 64-bit mov whose 10-byte imm64 holds a value that
+    ``mov`` would encode in the 7-byte sign-extended imm32 form, else the
+    instruction's own mnemonic."""
+    dst, src = ins.operands[0], ins.operands[-1]
+    if (ins.mnemonic == "mov" and isinstance(dst, Register) and dst.size == 64
+            and isinstance(src, Immediate) and src.width == 64
+            and -(1 << 31) <= src.value < (1 << 31)):
+        return "movabs"
+    return ins.mnemonic
 
 
 def _byte_lines(data: bytes):

@@ -24,7 +24,7 @@ from ellf.errors import (
     RangeOverflow,
     UndefinedLabel,
 )
-from ellf.isa import MemRef, PcRel, SymbolRef, _REG_INFO
+from ellf.isa import Immediate, MemRef, PcRel, Register, SymbolRef, _REG_INFO
 from ellf.lifter import emit_assembly, lift
 from ellf.meta import DataPointer, OperandPointer, decode_metadata
 
@@ -126,6 +126,30 @@ def test_label_immediates_on_group1_forms_round_trip(base):
 def test_label_immediate_beyond_imm32_is_a_syntax_error_naming_the_line():
     with pytest.raises(AsmSyntaxError) as info:
         assemble(parse_assembly(LABEL_IMMEDIATES.format(base="0x80000000")))
+    assert info.value.line == 3
+
+
+MOVABS = ".section .text base=0x1000\n.func f\n    {}\n    mov rcx, 7\n    ret\n.endfunc\n"
+
+
+def test_movabs_keeps_a_small_immediate_in_the_imm64_field():
+    src = MOVABS.format("movabs rax, 7")
+    prog = parse_assembly(src)
+    assert prog.sections[0].items[1] == Instr("mov", (Register("rax"), Immediate(7, 64)), 3)
+    elf, meta = assemble(prog)
+    img = elfio.read_elf(elf)
+    assert elfio.load_image(img).read(0x1000, 0x1012) == bytes.fromhex(
+        "48b80700000000000000" "48c7c107000000" "c3")
+    assert "    movabs rax, 7\n    mov rcx, 7\n" in emit_assembly(lift(img, meta))
+    assert roundtrip_check(src).ok
+
+
+@pytest.mark.parametrize("statement", ["movabs eax, 7", "movabs rax, rcx", "movabs rax, f",
+                                       "movabs rax", "movabs [rax], 7"])
+def test_movabs_takes_a_64_bit_register_and_a_number(statement):
+    with pytest.raises(AsmSyntaxError, match="movabs takes a 64-bit register and a number") \
+            as info:
+        parse_assembly(MOVABS.format(statement))
     assert info.value.line == 3
 
 

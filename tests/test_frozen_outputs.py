@@ -178,8 +178,8 @@ LIFT_FROZEN = {
     "10_frame_slots": "ce16eeaf1c69bd7af43fbd01e59ffb6dfd9af22279370ea985f43a592ba07cba",
     "11_calls_chain": "715ea1ca034e7aa2fe92c649954810e024e85c4ba64f8c46a58094fb577d16dd",
     "12_data_pointers": "28ae2b6d3b2ac809192f73921827bd091aa0a1119b6fd4b5261d6afff1bcdd12",
-    "13_function_pointer": "c70cf22307814bfbf6d4104a68842a1825693f74227cb2ada152c7efb8bdf00f",
-    "14_inline_bytes": "4a4f2d42e1f427c536b4e64385b13aa073204d24d16fe8ae386aad30e254effb",
+    "13_function_pointer": "330da0634bab79062ed186813b6b0af1dfd93de32c6d457bb5d8f54b95839430",
+    "14_inline_bytes": "b88ccfb93d8bb3533c40508e97d3c39296407492c61ffdd5aba9bb78e59bffaf",
     "15_loops_nested": "98636f93b039a38854fa841fd96b8a3dd0e28779fa884ac6d0eb8c15e5e3a763",
     "16_arith_mix": "51bb4f182e1679cd7c43e46dd3a90b39df65407883df082a270c6a71ca84330a",
     "17_memory_forms": "a5ce088b58aebe72bada1ba5b8013a7435396ac5a4ba0e95f6287d6934e0e6e6",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellf import elfio, isa, lifter
-from ellf.asm import Data, Instr, assemble, parse_assembly
+from ellf.asm import Data, Instr, assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import (
     DanglingTextRecord,
@@ -378,6 +378,21 @@ def test_text_stack_and_data_passes_give_the_same_lift_in_any_order(monkeypatch,
                 monkeypatch.setattr(lifter, slot, PASS_FUNCTIONS[step])
             lifts.append(_lenient_lift(img, variant))
         assert lifts == [lifts[0]] * len(lifts), variant
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_a_strict_lift_that_returns_reassembles_to_the_same_bytes(name):
+    """Over the partial and damaged metadata of ``metadata_variants``: a
+    strict lift refuses what it cannot render faithfully."""
+    elf, meta = assemble(parse_assembly(PROGRAMS[name]))
+    img = elfio.read_elf(elf)
+    for variant in metadata_variants(img, meta, seed=f"{name}-0"):
+        try:
+            text = emit_assembly(lift(img, variant, mode="strict"))
+        except LiftError:
+            continue
+        raw, _ = assemble_image(parse_assembly(text))
+        assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), variant
 
 
 # --- stack symbolization ---

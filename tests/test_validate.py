@@ -174,7 +174,7 @@ def test_a_lenient_lift_warns_once_and_skips_an_out_of_range_operand_index():
     meta = _operand_index_out_of_range(meta)
     lifted = lift(img, meta, mode="lenient")
     assert lifted.diagnostics == tuple(validate_metadata(meta, img))
-    assert "    mov rax, 4227085\n" in emit_assembly(lifted)
+    assert "    movabs rax, 4227085\n" in emit_assembly(lifted)
 
 
 def test_overlapping_regions_still_stop_a_lenient_lift():
