@@ -52,11 +52,14 @@ and the ground-truth metadata of the same layout. The walk gathers the runs
 of consecutive instructions, each function's entry and last instruction, the
 labels on instructions, a pointer record for every label-valued operand and
 data cell, a variable from each data label to the next, and the slot tables;
-``meta.metadata_from_layout`` turns them into records. Instructions go only
-in executable sections and a function starts with one, so every text record
-sits at an instruction start. A ``.quad`` that names a label goes only in a
-non-executable section: the lifter reads pointer cells in data alone, so one
-in code would be lost.
+``meta.metadata_from_layout`` turns them into records. A pointer record names
+where the label's value sits and never the value, which the encoded bytes
+hold: an operand's instruction and index, or a cell's address, and for a
+``.quad A - B`` cell the value of B. Instructions go only in executable
+sections and a function starts with one, so every text record sits at an
+instruction start. A ``.quad`` that names a label goes only in a
+non-executable section: validation reads pointer cells in progbits data
+alone, so one in code would fail it.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ from .isa import (
     _REG_INFO,
     _REGISTERS,
     encode_one,
+    label_imm_width,
 )
 from .meta import (
     DataDiff,
@@ -784,14 +788,14 @@ def _encode_instr(item: Instr, addr, func_slots, labels=None, length=0):
                 raise RangeOverflow(
                     f"RIP-relative target 0x{target:x} out of range", item.line)
             ops.append(MemRef(rip_relative=True, disp=rel))
-            records.append(OperandPointer(addr, i, target))
+            records.append(OperandPointer(addr, i))
         elif isinstance(op, SymbolRef):
             target = _value(labels, op.label, op.offset, item.line)
             if item.mnemonic in _BRANCH_MNEMONICS:
                 ops.append(PcRel(addr if labels is None else target))
             else:
-                ops.append(Immediate(target, width=_label_imm_width(item)))
-                records.append(OperandPointer(addr, i, target))
+                ops.append(Immediate(target, width=label_imm_width(item)))
+                records.append(OperandPointer(addr, i))
         elif isinstance(op, _MemAst):
             ops.append(_resolve_mem(op, func_slots, item.line))
         else:
@@ -802,14 +806,6 @@ def _encode_instr(item: Instr, addr, func_slots, labels=None, length=0):
         raise RangeOverflow(str(exc), item.line) from exc
     except EllfError as exc:
         raise AsmSyntaxError(str(exc), item.line) from exc
-
-
-def _label_imm_width(item: Instr) -> int:
-    """Field width of a label immediate, fixed whatever the label's value."""
-    dst = item.operands[0]
-    if item.mnemonic == "mov" and isinstance(dst, Register) and dst.size == 64:
-        return 64  # movabs
-    return 32
 
 
 def _value(labels, name, offset, line):
@@ -841,13 +837,13 @@ def _encode_data(item: Data, addr, labels=None):
             value = 0
         elif isinstance(expr, SymbolRef):
             value = _value(labels, expr.label, expr.offset, item.line)
-            records.append(DataPointer(cell, value))
+            records.append(DataPointer(cell))
         else:
             minuend = _value(labels, expr.minuend.label, expr.minuend.offset, item.line)
             subtrahend = _value(labels, expr.subtrahend.label, expr.subtrahend.offset,
                                 item.line)
             value = (minuend - subtrahend) & U64
-            records.append(DataDiff(cell, minuend, subtrahend))
+            records.append(DataDiff(cell, subtrahend))
         out += value.to_bytes(8, "little")
     return bytes(out), records
 

@@ -109,14 +109,6 @@ class RegionOverlap(LiftError):
     pass
 
 
-class NotAPointerPosition(LiftError):
-    pass
-
-
-class MetadataMismatch(LiftError):
-    """Metadata and decoded instruction bytes disagree (strict mode only)."""
-
-
 class DanglingTextRecord(LiftError):
     pass
 

@@ -130,6 +130,20 @@ class Instruction(NamedTuple):
     fields: tuple[OperandField, ...] = ()
 
 
+def rip_target(ins: Instruction, op: MemRef) -> int:
+    """The address that the RIP-relative operand ``op`` of ``ins`` names."""
+    return (ins.address + ins.length + op.disp) & U64
+
+
+def label_imm_width(ins) -> int:
+    """The bits of the immediate field that the assembler gives a label operand
+    of ``ins``, decoded or parsed: 64 on ``mov r64`` (movabs), else 32."""
+    dst = ins.operands[0]
+    if ins.mnemonic == "mov" and isinstance(dst, Register) and dst.size == 64:
+        return 64
+    return 32
+
+
 # --- instruction classification ---
 
 FALLTHROUGH = "fallthrough"

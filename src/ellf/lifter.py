@@ -24,8 +24,6 @@ from .errors import (
     Diagnostic,
     IsaError,
     LiftError,
-    MetadataMismatch,
-    NotAPointerPosition,
     PointerStraddle,
     RegionDecodeError,
     RegionOverlap,
@@ -48,6 +46,8 @@ from .isa import (
     SymbolRef,
     decode_region,
     instruction_class,
+    label_imm_width,
+    rip_target,
 )
 from .meta import (
     BASIC_BLOCK,
@@ -58,15 +58,13 @@ from .meta import (
     FUNCTION_START,
     InstructionRegion,
     OperandPointer,
+    POINTER_WIDTH,
     validate_metadata,
 )
 
-U64 = (1 << 64) - 1
 
 STRICT = "strict"
 LENIENT = "lenient"
-
-POINTER_WIDTH = 8
 
 
 # --- stack-slot operands (render through named assembler constants) ---
@@ -170,8 +168,11 @@ class LabelMap:
             yield from mapping.values()
 
 
-def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
+def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelMap:
     """Deterministic, address-derived names for every oracle entry.
+
+    ``values`` holds the value of each pointer record (a diff's minuend), as
+    ``validate_metadata`` derives them.
 
     Block labels are also minted at in-text addresses that only pointer or
     diff records name, so jump tables and code pointers always resolve to an
@@ -200,10 +201,8 @@ def generate_labels(meta: EllfMetadata, image: ElfImage) -> LabelMap:
             (block_candidates if sec.exec else data_candidates).add(addr)
 
     for rec in meta.pointers:
-        if isinstance(rec, OperandPointer) or isinstance(rec, DataPointer):
-            classify(rec.target)
-        else:
-            classify(rec.minuend)
+        classify(values[rec])
+        if isinstance(rec, DataDiff):
             classify(rec.subtrahend)
 
     block_candidates -= set(lm.functions)
@@ -269,20 +268,23 @@ def lift_unsymbolized(image: ImageView, regions) -> dict[int, Instruction]:
 class _LiftState:
     """What the passes of one lift share.
 
-    ``decoded`` holds the instructions as decoded, which no pass writes.
+    ``decoded`` holds the instructions as decoded, which no pass writes, and
+    ``values`` the value of each pointer record, as validation derived it.
     ``set_operand`` writes an operand into ``operands``, which holds the
     operand list of each instruction symbolized so far; ``operands_of``
     reads an instruction's operands as symbolized so far, and
     ``instructions`` builds each changed instruction once, at the end.
     """
 
-    def __init__(self, image, byte_map, meta, mode, labels, decoded, diagnostics, reported):
+    def __init__(self, image, byte_map, meta, mode, labels, decoded, values, diagnostics,
+                 reported):
         self.image: ElfImage = image
         self.byte_map: ImageView = byte_map
         self.meta: EllfMetadata = meta
         self.mode: str = mode
         self.labels: LabelMap = labels
         self.decoded: dict[int, Instruction] = decoded
+        self.values: dict = values
         self.instr_addrs: list[int] = sorted(decoded)
         self.operands: dict[int, list] = {}
         self.diagnostics: list[Diagnostic] = diagnostics
@@ -334,10 +336,6 @@ def _symbol_for(state, addr):
     return SymbolRef(name, offset)
 
 
-def _rip_target(ins, op):
-    return (ins.address + ins.length + op.disp) & U64
-
-
 def _labelled(mem, sym):
     """The RIP-relative ``mem`` with ``sym`` standing in for its target."""
     return MemRef(mem.base, mem.index, mem.scale, mem.disp, True, sym.label, sym.offset)
@@ -346,42 +344,19 @@ def _labelled(mem, sym):
 # --- step II: coarse symbolization ---
 
 def coarse_symbolize(state: _LiftState) -> None:
-    """Replace recorded pointer operands with labels, earmark data pointers."""
+    """Replace recorded pointer operands with labels, earmark data pointers.
+
+    Validation placed each operand pointer on an immediate or a RIP-relative
+    displacement of a decoded instruction, and its value in a section.
+    """
     for rec in state.meta.pointers:
         if not isinstance(rec, OperandPointer):
             state.earmarks[rec.addr] = rec
             continue
-        if rec in state.reported:
-            continue  # a strict lift stopped at validation; a lenient one warned
-        ins = state.decoded.get(rec.instr_addr)
-        if ins is None:
-            msg = (f"operand pointer at 0x{rec.instr_addr:x} does not name a "
-                   f"decoded instruction")
-            state.fault(NotAPointerPosition, "alignment", msg, rec.instr_addr)
-            continue
-        op = ins.operands[rec.operand_index]
-        sym = _symbol_for(state, rec.target)  # validated: the target is in a section
-        if isinstance(op, Immediate):
-            if (op.value & U64) != rec.target:
-                msg = (f"instruction at 0x{rec.instr_addr:x}: stored immediate "
-                       f"0x{op.value & U64:x} disagrees with recorded target "
-                       f"0x{rec.target:x}")
-                state.fault(MetadataMismatch, "pointer", msg, rec.instr_addr)
-            new_op = sym
-        elif isinstance(op, MemRef) and op.rip_relative:
-            computed = _rip_target(ins, op)
-            if computed != rec.target:
-                msg = (f"instruction at 0x{rec.instr_addr:x}: RIP-relative target "
-                       f"0x{computed:x} disagrees with recorded target "
-                       f"0x{rec.target:x}")
-                state.fault(MetadataMismatch, "pointer", msg, rec.instr_addr)
-            new_op = _labelled(op, sym)
-        else:
-            msg = (f"operand {rec.operand_index} of the instruction at "
-                   f"0x{rec.instr_addr:x} has no immediate or displacement field")
-            state.fault(NotAPointerPosition, "pointer", msg, rec.instr_addr)
-            continue
-        state.set_operand(rec.instr_addr, rec.operand_index, new_op)
+        op = state.decoded[rec.instr_addr].operands[rec.operand_index]
+        sym = _symbol_for(state, state.values[rec])
+        state.set_operand(rec.instr_addr, rec.operand_index,
+                          _labelled(op, sym) if isinstance(op, MemRef) else sym)
 
     # RIP-relative operands are position-derived pointers even without a
     # record; resolving them keeps sections movable when metadata is partial.
@@ -389,7 +364,7 @@ def coarse_symbolize(state: _LiftState) -> None:
     for addr in state.instr_addrs:
         for i, op in enumerate(state.operands_of(addr)):
             if isinstance(op, MemRef) and op.rip_relative and op.label is None:
-                target = _rip_target(state.decoded[addr], op)
+                target = rip_target(state.decoded[addr], op)
                 sym = _symbol_for(state, target)
                 if sym is None:
                     state.warn("range", f"RIP-relative target 0x{target:x} resolves "
@@ -548,18 +523,15 @@ def data_symbolize(state: _LiftState) -> None:
         nobits = sec.kind == "nobits"
         for start, end, label in spans:
             inside = marks[bisect_left(marks, start):bisect_left(marks, end)]
-            payload = _build_payload(state, sec, start, end, nobits, inside)
+            payload = _build_payload(state, start, end, nobits, inside)
             variables.append(Variable(address=start, size=end - start,
                                       label=label, payload=payload))
     state.variables = variables
 
 
-def _build_payload(state, sec, start, end, nobits, marks):
+def _build_payload(state, start, end, nobits, marks):
     """The variable's payload; ``marks`` are the sorted earmarks inside it."""
-    if nobits:
-        for addr in marks:
-            state.warn("pointer", f"pointer record at 0x{addr:x} lies in the "
-                                  f"zero-initialized section {sec.name}", addr)
+    if nobits:  # validation placed every pointer cell in progbits data
         return (Zeroes(end - start),)
 
     parts = []
@@ -587,25 +559,11 @@ def _build_payload(state, sec, start, end, nobits, marks):
 def _pointer_part(state, rec):
     """A ``SymbolRef`` or ``SymbolDiff`` for the cell ``rec`` records, or
     its raw bytes when a label is missing."""
-    cell = state.byte_map.read(rec.addr, rec.addr + POINTER_WIDTH)
-    stored = int.from_bytes(cell, "little")
-    if isinstance(rec, DataPointer):
-        if stored != rec.target:
-            msg = (f"data cell at 0x{rec.addr:x} stores 0x{stored:x} but the record "
-                   f"names 0x{rec.target:x}")
-            state.fault(MetadataMismatch, "pointer", msg, rec.addr)
-        sym = _symbol_for(state, rec.target)
-        return cell if sym is None else sym
-    difference = (rec.minuend - rec.subtrahend) & U64
-    if stored != difference:
-        msg = (f"data cell at 0x{rec.addr:x} stores 0x{stored:x} but the recorded "
-               f"difference is 0x{difference:x}")
-        state.fault(MetadataMismatch, "pointer", msg, rec.addr)
-    msym = _symbol_for(state, rec.minuend)
-    ssym = _symbol_for(state, rec.subtrahend)
-    if msym is None or ssym is None:
-        return cell
-    return SymbolDiff(msym, ssym)
+    sym = _symbol_for(state, state.values[rec])
+    if isinstance(rec, DataDiff) and sym is not None:
+        ssym = _symbol_for(state, rec.subtrahend)
+        sym = None if ssym is None else SymbolDiff(sym, ssym)
+    return state.byte_map.read(rec.addr, rec.addr + POINTER_WIDTH) if sym is None else sym
 
 
 # --- control flow graphs ---
@@ -616,7 +574,7 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
     tables: dict[int, list[int]] = {}
     for rec in state.meta.pointers:
         if isinstance(rec, DataDiff):
-            tables.setdefault(rec.subtrahend, []).append(rec.minuend)
+            tables.setdefault(rec.subtrahend, []).append(state.values[rec])
     table_minuends: dict[str, list[int]] = {}
     for sub_addr, minuends in tables.items():
         found = state.labels.lookup(sub_addr, "data")
@@ -723,22 +681,28 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
 
     Each instruction is decoded once: the lift keeps what validation decoded.
     Only when validation finds a region at fault does ``lift_unsymbolized``
-    decode the regions again, with its own overlap and decode errors.
+    decode the regions again, with its own overlap and decode errors. The
+    lift reads each pointer record's value from what validation derived, and
+    a lenient lift drops every pointer record that validation flagged.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
-    decoded = {}
-    problems = validate_metadata(meta, image, decoded)
+    decoded, values = {}, {}
+    problems = validate_metadata(meta, image, decoded, values)
     if problems and mode == STRICT:
         raise LiftError("metadata fails validation: "
                         + "; ".join(str(p) for p in problems))
+    reported = {p.record for p in problems}
+    if reported:
+        meta = meta._replace(pointers=tuple(rec for rec in meta.pointers
+                                            if rec not in reported))
 
     byte_map = load_image(image)
     if any(isinstance(p.record, InstructionRegion) for p in problems):
         decoded = lift_unsymbolized(byte_map, meta.instruction_regions)
-    labels = generate_labels(meta, image)
-    state = _LiftState(image, byte_map, meta, mode, labels, decoded,
-                       diagnostics=list(problems), reported={p.record for p in problems})
+    labels = generate_labels(meta, image, values)
+    state = _LiftState(image, byte_map, meta, mode, labels, decoded, values,
+                       diagnostics=list(problems), reported=reported)
 
     _check_section_names(state)
     coarse_symbolize(state)
@@ -844,9 +808,8 @@ def _mnemonic(ins: Instruction) -> str:
     """``movabs`` for a 64-bit mov whose 10-byte imm64 holds a value that
     ``mov`` would encode in the 7-byte sign-extended imm32 form, else the
     instruction's own mnemonic."""
-    dst, src = ins.operands[0], ins.operands[-1]
-    if (ins.mnemonic == "mov" and isinstance(dst, Register) and dst.size == 64
-            and isinstance(src, Immediate) and src.width == 64
+    src = ins.operands[-1]
+    if (isinstance(src, Immediate) and src.width == label_imm_width(ins) == 64
             and -(1 << 31) <= src.value < (1 << 31)):
         return "movabs"
     return ins.mnemonic

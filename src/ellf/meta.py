@@ -3,7 +3,7 @@
 The binary layout (little-endian where fixed width):
 
   bytes 0-3   magic "ELLF"
-  byte  4     version, always 1
+  byte  4     version, always 2
   then five tables in order, ids 1..5, each:
       1 byte table id, uvarint record count, then per record a uvarint key
       delta from the previous record's key (from 0 for the first) and a body
@@ -11,16 +11,19 @@ The binary layout (little-endian where fixed width):
   table             key              body
   instructions (1)  region start     uvarint instruction count
   pointers     (2)  pointer key      1 byte kind,
-                                     kind 0 = operand: uvarint operand index,
-                                                       svarint target - key
-                                     kind 1 = data pointer: svarint target - key
-                                     kind 2 = data diff: svarint minuend - key,
-                                                         svarint subtrahend - key
+                                     kind 0 = operand: uvarint operand index
+                                     kind 1 = data pointer: nothing more
+                                     kind 2 = data diff: svarint subtrahend - key
   text         (3)  address          1 byte kind (0 = basic block,
                                      1 = function start, 2 = function end)
   stack        (4)  function entry   uvarint offset count, then the offsets as
                                      uvarint deltas from the previous (from 0)
   data         (5)  address          uvarint size
+
+A record names a position; the binary holds its value, which
+``validate_metadata`` reads, so no stored target can disagree with it. A
+diff's cell holds minuend - subtrahend, so the record keeps the subtrahend.
+Version 1, which also stored every target, raises UnsupportedVersion.
 
 `check_invariants` is the single rule for canonical metadata: sorted
 duplicate-free tables, positive counts and sizes, non-overlapping data, and
@@ -59,11 +62,12 @@ from .errors import (
     quoted,
     value_type,
 )
-from .isa import Immediate, decode_region
+from .isa import Immediate, MemRef, decode_region, label_imm_width, rip_target
 
 MAGIC = b"ELLF"
-VERSION = 1
+VERSION = 2
 U64 = (1 << 64) - 1
+POINTER_WIDTH = 8  # bytes in a pointer or diff cell
 
 # text record kinds (wire values)
 BASIC_BLOCK = "basic_block"
@@ -84,7 +88,6 @@ class InstructionRegion(NamedTuple):
 class OperandPointer(NamedTuple):
     instr_addr: int
     operand_index: int
-    target: int
 
     @property
     def key(self):
@@ -94,7 +97,6 @@ class OperandPointer(NamedTuple):
 @value_type
 class DataPointer(NamedTuple):
     addr: int
-    target: int
 
     @property
     def key(self):
@@ -104,7 +106,6 @@ class DataPointer(NamedTuple):
 @value_type
 class DataDiff(NamedTuple):
     addr: int
-    minuend: int
     subtrahend: int
 
     @property
@@ -186,11 +187,7 @@ def check_invariants(meta: EllfMetadata) -> None:
             if not 0 <= rec.operand_index <= U64:
                 raise InvariantViolation(f"operand index {rec.operand_index} at "
                                          f"0x{rec.key:x} does not fit in 64 bits")
-            _check_u64(rec.target, "pointer target")
-        elif isinstance(rec, DataPointer):
-            _check_u64(rec.target, "pointer target")
-        else:
-            _check_u64(rec.minuend, "diff minuend")
+        elif isinstance(rec, DataDiff):
             _check_u64(rec.subtrahend, "diff subtrahend")
         key = _pointer_sort_key(rec)
         if prev_key is not None and key <= prev_key:
@@ -254,24 +251,18 @@ def _write_pointer(out, rec):
     out.append(_POINTER_KIND[type(rec)])
     if isinstance(rec, OperandPointer):
         out += varint.encode_unsigned(rec.operand_index)
-        out += varint.encode_signed(rec.target - rec.key)
-    elif isinstance(rec, DataPointer):
-        out += varint.encode_signed(rec.target - rec.key)
-    else:
-        out += varint.encode_signed(rec.minuend - rec.key)
+    elif isinstance(rec, DataDiff):
         out += varint.encode_signed(rec.subtrahend - rec.key)
 
 
 def _read_pointer(rd, key):
     kind = rd.u8("pointer kind")
     if kind == 0:
-        index = rd.uvarint("operand index")
-        return OperandPointer(key, index, key + rd.svarint("pointer target"))
+        return OperandPointer(key, rd.uvarint("operand index"))
     if kind == 1:
-        return DataPointer(key, key + rd.svarint("pointer target"))
+        return DataPointer(key)
     if kind == 2:
-        minuend = key + rd.svarint("diff minuend")
-        return DataDiff(key, minuend, key + rd.svarint("diff subtrahend"))
+        return DataDiff(key, key + rd.svarint("diff subtrahend"))
     raise NonCanonical(f"unknown pointer record kind {kind}")
 
 
@@ -415,16 +406,16 @@ def _object(record):
     reads = tuple(field.read for field in record.fields.values())
     size = len(names) + (record.tag is not None)
     # Built out per arity, as each record of a table is read here.
-    if len(names) == 2:
+    if len(names) == 1:
+        (k0,), (r0,) = names, reads
+
+        def build(obj):
+            return cls(r0(obj[k0], k0))
+    elif len(names) == 2:
         (k0, k1), (r0, r1) = names, reads
 
         def build(obj):
             return cls(r0(obj[k0], k0), r1(obj[k1], k1))
-    elif len(names) == 3:
-        (k0, k1, k2), (r0, r1, r2) = names, reads
-
-        def build(obj):
-            return cls(r0(obj[k0], k0), r1(obj[k1], k1), r2(obj[k2], k2))
     else:
         def build(obj):
             return cls(*[read(obj[k], k) for k, read in zip(names, reads)])
@@ -497,11 +488,10 @@ _TABLES = (
            attrgetter("key"), _write_pointer, _read_pointer,
            _list(_one_of(
                "pointer kind",
-               _Record(OperandPointer, {"instr_addr": _ADDR, "operand_index": _integer(0),
-                                        "target": _ADDR}, tag="operand"),
-               _Record(DataPointer, {"addr": _ADDR, "target": _ADDR}, tag="data"),
-               _Record(DataDiff, {"addr": _ADDR, "minuend": _ADDR, "subtrahend": _ADDR},
-                       tag="diff")))),
+               _Record(OperandPointer, {"instr_addr": _ADDR, "operand_index": _integer(0)},
+                       tag="operand"),
+               _Record(DataPointer, {"addr": _ADDR}, tag="data"),
+               _Record(DataDiff, {"addr": _ADDR, "subtrahend": _ADDR}, tag="diff")))),
     _Table(3, "text", "text", "text record count", "text record address",
            attrgetter("addr"), _write_text, _read_text,
            _list(_object(_Record(TextRecord, {
@@ -679,20 +669,30 @@ def metadata_from_layout(regions, functions, blocks, pointers, variables, locals
 
 # --- validation against an ELF image ---
 
-def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None
-                      ) -> list[Diagnostic]:
-    """Cross-check metadata against the sections of an ElfImage.
+def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
+                      values: dict | None = None) -> list[Diagnostic]:
+    """Cross-check metadata against the sections and bytes of an ElfImage.
 
     Returns an empty list iff each region starts in an executable section
     and decodes without leaving executable sections, no region begins inside
     the decoded extent of the one before, text records sit in executable
-    sections, pointer targets and diff operands sit in some section, data
-    records stay inside one data section, stack entries name function starts,
-    and operand pointers land on decoded instruction starts and name an
-    operand that exists and is no 8-bit immediate (too narrow for the label a
-    lift puts there). Each diagnostic carries the record it is about as
-    ``record``. A ``decoded`` dict is filled with the instructions decoded,
-    by address.
+    sections, data records stay inside one data section, stack entries name
+    function starts, and each pointer record has a value in some section (a
+    diff's minuend and subtrahend both). A record names a position and the
+    binary holds its value:
+
+    - an operand pointer, on a decoded instruction: the target of a
+      RIP-relative operand, or an immediate whose field has the width the
+      assembler gives a label there (``isa.label_imm_width``: 64 bits on
+      ``mov r64``, 32 elsewhere), so that a label there reassembles alike;
+    - a data pointer: its 8-byte cell, wholly inside one progbits data
+      section;
+    - a diff, on such a cell: its minuend, the cell plus the subtrahend.
+
+    Each diagnostic carries the record it is about as ``record``; a record
+    without a value gets one. ``decoded`` is filled with the instructions
+    decoded, by address, and ``values`` with the value of each record that
+    has one. The image is loaded at most once.
     """
     diags: list[Diagnostic] = []
 
@@ -737,34 +737,21 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None
             _check_region_in_code(image, region, sec, addr, decoded, diags)
         extent = (region.start, addr)
 
+    if values is None:
+        values = {}
     for rec in meta.pointers:
         if isinstance(rec, OperandPointer):
-            check_in_any(rec.target, "pointer target", rec)
-            ins = decoded.get(rec.instr_addr)
-            if ins is None:
-                if meta.instruction_regions:
-                    diags.append(Diagnostic(
-                        "alignment",
-                        f"operand pointer address 0x{rec.instr_addr:x} is not an "
-                        f"instruction start", rec.instr_addr, record=rec))
-            elif rec.operand_index >= len(ins.operands):
-                diags.append(Diagnostic(
-                    "pointer",
-                    f"operand index {rec.operand_index} out of range for the "
-                    f"instruction at 0x{rec.instr_addr:x}", rec.instr_addr, record=rec))
-            else:
-                op = ins.operands[rec.operand_index]
-                if isinstance(op, Immediate) and op.width == 8:
-                    diags.append(Diagnostic(
-                        "pointer",
-                        f"operand {rec.operand_index} of the instruction at "
-                        f"0x{rec.instr_addr:x} is an 8-bit immediate, too narrow "
-                        f"for a pointer", rec.instr_addr, record=rec))
-        elif isinstance(rec, DataPointer):
-            check_in_any(rec.target, "pointer target", rec)
+            value = _operand_value(rec, decoded, diags)
         else:
-            check_in_any(rec.minuend, "diff minuend", rec)
+            value = _cell_value(rec, image, diags)
+        if value is None:
+            continue
+        values[rec] = value
+        if isinstance(rec, DataDiff):
+            check_in_any(value, "diff minuend", rec)
             check_in_any(rec.subtrahend, "diff subtrahend", rec)
+        else:
+            check_in_any(value, "pointer target", rec)
 
     for trec in meta.text:
         exec_section(trec.addr, "text record address", trec)
@@ -789,6 +776,48 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None
                                     record=drec))
 
     return diags
+
+
+def _operand_value(rec, decoded, diags):
+    """The address the operand that ``rec`` names holds, or None after a
+    diagnostic saying why it holds none."""
+    ins = decoded.get(rec.instr_addr)
+    kind = "pointer"
+    if ins is None:
+        kind = "alignment"
+        message = f"operand pointer address 0x{rec.instr_addr:x} is not an instruction start"
+    elif rec.operand_index >= len(ins.operands):
+        message = (f"operand index {rec.operand_index} out of range for the instruction "
+                   f"at 0x{rec.instr_addr:x}")
+    else:
+        op = ins.operands[rec.operand_index]
+        if isinstance(op, MemRef) and op.rip_relative:
+            return rip_target(ins, op)
+        width = label_imm_width(ins)
+        if isinstance(op, Immediate) and op.width == width:
+            return op.value & U64
+        message = f"operand {rec.operand_index} of the instruction at 0x{rec.instr_addr:x} "
+        if isinstance(op, Immediate):
+            message += (f"is {'an' if op.width == 8 else 'a'} {op.width}-bit immediate, "
+                        f"but a label there takes {width} bits")
+        else:
+            message += "has no immediate or displacement field"
+    diags.append(Diagnostic(kind, message, rec.instr_addr, record=rec))
+    return None
+
+
+def _cell_value(rec, image, diags):
+    """The value of the data pointer or diff ``rec`` from its cell, or None
+    after a diagnostic if the cell is not wholly inside progbits data."""
+    sec = image.section_at(rec.addr)
+    if (sec is None or sec.exec or sec.kind != "progbits"
+            or rec.addr + POINTER_WIDTH > sec.vaddr + sec.size):
+        diags.append(Diagnostic("range", f"pointer cell at 0x{rec.addr:x} is not wholly "
+                                         f"inside progbits data", rec.addr, record=rec))
+        return None
+    at = sec.file_offset + rec.addr - sec.vaddr  # read_elf keeps progbits in the file
+    cell = int.from_bytes(image.raw_file[at:at + POINTER_WIDTH], "little")
+    return cell if isinstance(rec, DataPointer) else (cell + rec.subtrahend) & U64
 
 
 def _check_region_in_code(image, region, sec, end, decoded, diags):

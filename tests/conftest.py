@@ -46,9 +46,9 @@ D_402C:
 SPARSE_DEMO_META = EllfMetadata(
     instruction_regions=(InstructionRegion(0x4000, 10),),
     pointers=(
-        OperandPointer(0x4004, 1, 0x4024),
-        DataDiff(0x4024, 0x4014, 0x4024),
-        DataDiff(0x402C, 0x401C, 0x4024),
+        OperandPointer(0x4004, 1),
+        DataDiff(0x4024, 0x4024),
+        DataDiff(0x402C, 0x4024),
     ),
     text=(
         TextRecord(0x4000, FUNCTION_START),

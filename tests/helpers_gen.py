@@ -46,13 +46,13 @@ def random_metadata(rng: random.Random) -> EllfMetadata:
     for key in sorted(set(addr() for _ in range(rng.randint(0, 8)))):
         picks = rng.sample(["op0", "op1", "data", "diff"], rng.randint(1, 2))
         if "op0" in picks:
-            pointers.append(OperandPointer(key, 0, addr()))
+            pointers.append(OperandPointer(key, 0))
         if "op1" in picks:
-            pointers.append(OperandPointer(key, rng.randint(1, 3), addr()))
+            pointers.append(OperandPointer(key, rng.randint(1, 3)))
         if "data" in picks:
-            pointers.append(DataPointer(key, addr()))
+            pointers.append(DataPointer(key))
         if "diff" in picks:
-            pointers.append(DataDiff(key, addr(), addr()))
+            pointers.append(DataDiff(key, addr()))
 
     text = []
     for a in sorted_unique(rng.randint(0, 10)):

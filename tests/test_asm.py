@@ -26,7 +26,7 @@ from ellf.errors import (
 )
 from ellf.isa import Immediate, MemRef, PcRel, Register, SymbolRef, _REG_INFO
 from ellf.lifter import emit_assembly, lift
-from ellf.meta import DataPointer, OperandPointer, decode_metadata
+from ellf.meta import DataPointer, OperandPointer, decode_metadata, validate_metadata
 
 
 def test_bases_do_not_leak_into_the_parsed_program():
@@ -244,9 +244,17 @@ def test_a_label_minus_an_offset_names_the_address_before_the_label():
     src = (".section .text base=0x1000\n.func f\n    mov rcx, g - 4\n    ret\n.endfunc\n"
            ".func g\n    ret\n.endfunc\n.set h, g - 1\n.section .data base=0x2000\n"
            "    .quad h\n")
-    _, meta = assemble_image(parse_assembly(src))
     g = 0x1000 + 10 + 1  # after a movabs and a ret
-    assert meta.pointers == (OperandPointer(0x1000, 1, g - 4), DataPointer(0x2000, g - 1))
+    assert pointer_values(src) == {OperandPointer(0x1000, 1): g - 4, DataPointer(0x2000): g - 1}
+
+
+def pointer_values(src):
+    """The pointer records of ``src`` assembled, each with its value."""
+    elf, meta = assemble_image(parse_assembly(src))
+    values = {}
+    assert validate_metadata(meta, elfio.read_elf(elf), None, values) == []
+    assert list(values) == list(meta.pointers)
+    return values
 
 
 def set_program(sets):
@@ -256,8 +264,8 @@ def set_program(sets):
 
 
 def test_a_set_may_name_a_set_defined_on_a_later_line():
-    _, meta = assemble_image(parse_assembly(set_program(".set a, b\n.set b, buf + 8\n")))
-    assert meta.pointers == (OperandPointer(0x1000, 1, 0x2008),)
+    values = pointer_values(set_program(".set a, b\n.set b, buf + 8\n"))
+    assert values == {OperandPointer(0x1000, 1): 0x2008}
 
 
 @pytest.mark.parametrize("sets, error, message", [

@@ -145,9 +145,9 @@ def test_base_outside_the_address_space_is_a_usage_error(tmp_path, capsys, optio
 
 
 def _meta_document():
-    return {"version": 1,
+    return {"version": 2,
             "instruction_regions": [{"start": "0x1000", "count": 2}],
-            "pointers": [{"kind": "data", "addr": "0x2000", "target": "0x1000"}],
+            "pointers": [{"kind": "data", "addr": "0x2000"}],
             "text": [{"addr": "0x1000", "kind": "function_start"}],
             "stack": [{"function_entry": "0x1000", "offsets": [8]}],
             "data": [{"addr": "0x2000", "size": 8}]}

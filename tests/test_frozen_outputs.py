@@ -33,79 +33,79 @@ from conftest import TABLE_DEMO
 
 FROZEN = {
     "01_single_ret": (
-        "ad4ebd0c0c96ed708d4648d57b31a74da7dc8f012cb2e1e8ed3af4be5e91906b",
+        "0056b3e85dde18f209a74d9813f973af287d92fed5b6c7401f540f147b055112",
         "e66af229b7e87e15cd31207ebbfebaf7567935cd229beaef55c9561527a17bcf"),
     "02_straight_line": (
-        "4b0ed7022a592312d066d5a298213685f1274a47f5dbf8fdbfcd33eab143f009",
+        "f64f8cda61c146a0c1538c2847ab55d2b9e6b1a27069b0ac42b87f19bd8b748c",
         "f540b3dfb3a37dbfc337fa40866d3dcbbceb888f8dd1646b544834db9f77344d"),
     "03_conditional": (
-        "694831b1e1d8c9fb5dabe258c8be57533c154e3b49bcedbe911b2b58d33940f5",
+        "22a3b801e51265c907de9e500a7e226eb9ca3b70759f1ef332b7128984404386",
         "d33ded61f3e857c5e064388371d79bac0d10ac78b4bd7ed08539dd564c15a7e4"),
     "04_loop": (
-        "c9bb9f1025a6e2be831d82d31a08a72d1dfe2c4cde79000628d5ebda00fbcdde",
+        "eddf626ab7131d426c3ff050d02d6568246a76be81d6bf3b14b7f7fa61161c93",
         "8ed38411cbcf6106e16023743323a3014f24a12de35d421b7bbd86e62d74f17c"),
     "05_two_functions": (
-        "42c8728dbca67cf6447a6a7fb3a73f47ebd42c5a6a5c1759ee646e9274b0f010",
+        "8c09f6bfcca4c10f76144e5f876438822c7a3ebb2c603f48995aba3199542c83",
         "419494233189a8b64f85f93c05e38d4513cf91853cbad676a5f45da3a6b52796"),
     "06_dispatch3": (
-        "81c4cbf51d731fdf50d83f71c07640d5c0090583b102412e86f886ae7fea2296",
+        "07efff571ba919380d1563bc29ac11867cca89e43d8c298a500b3ad7df9587ac",
         "7c57915c4977b1d0241d546ece0a94d30002289a15cee6a9df6d10c468a84ecf"),
     "07_dispatch8": (
-        "65f482c12d70cb8cfadc561f4c1e3a42c149b33a5fb8baf29f837cd478480812",
+        "2fc6497d7c6144caddc6582ed45fd4c7277e53f7623e5cc2260df6b8f0334863",
         "598bd805a29116ac9c724c6e42a89a8a0b41a3a63d018e95cea62fcb63ed3fb2"),
     "08_strings": (
-        "58669b09716010cc34262611def4e5d6fb3107da9def5c713fe7f74f22e1905b",
+        "13fcd8e37a7514ec2dd274ff4b89c7e62ea88d485247c9bf481c0a756fe3939a",
         "ba6fddabd9cd5c179361b36d887462ceeafa274a29c5fcd8913e669087e7f209"),
     "09_bss_buffer": (
-        "35eb0d7291b12fbac2ef1436c267febe0fed015fee2c7180f3404021f24565ef",
+        "33782f57348614407601114a808120eca70d2f0dad9a5dcdfd5f21d98e6cfb8d",
         "f8a5899c315de9f724767237406f237a01df8e7f08f641e8a16ea3d199ba7801"),
     "10_frame_slots": (
-        "157838e57ad20d10b7c878f75fc1588b7fdf2cd95326f8d98e82dd74c7f3a818",
+        "279c8eae74ab3d4c2e7ae41c3df5a34528bf8fb5eb7464ae42d5beae175c3900",
         "2d8d680baba933696238a00de86c8b090c78bf7bf6a3481d40331051f5f9761c"),
     "11_calls_chain": (
-        "f638364561814d4622085564b9e95ae9a254fddfe9271f797e95594209d22569",
+        "5140727dd2f385fee1f1324f314ab5f3bd01b50da48946db5be88853d406f500",
         "e611329ce0c92345efc56b1d5441e947782342d28a2adbf7a827c64120fa1e06"),
     "12_data_pointers": (
-        "6f24fa98c396636bd1144e00b53b6b45c29d3cf8338d8b5ae04f1b87a75e8afa",
+        "19d2bae1bd9ab4eeaf2dac3bf66d3906831cb1f14d48522a8042044b5871acdc",
         "3f0bb3e14ed72baf708c50ac3150f26c4e09db31a3d810fc7bc8b3f72b7eca1e"),
     "13_function_pointer": (
-        "6828def43d72fdb76b2ca2875ac4457e08c6f4edaea5bdea3a51036fc4c7249e",
+        "8f51cf891d2a7b7dde194972e8028592763da4fe3c7dda630eb9eea09e54e8ae",
         "6d9c407c9125e4ec954d4c2c7f2c8d93de1459e923e48bb18a88d66a50a34ab3"),
     "14_inline_bytes": (
-        "8ea363f5d41a91b0aa40485a9a283621c6a7dfe37e10a409dd733d4fcdf1eb28",
+        "8c3469ce8682d39c4187c11d717d30e429f3750c74c672b3810a3c4f2642e859",
         "18b8999cd8056a092b2684e3aed66d782e5e30ac3ede50dce6086b532510de5f"),
     "15_loops_nested": (
-        "45c172835e17772d7655420bf807df21a941229877672cdb9612d629c24e0db0",
+        "6ab65d181f26eca14337a6632dd03ac6acf138dbf875d9f28d62c465937efc14",
         "fbd4c0c596dd42c6264e7161394d6fa3bb76aacf8c9f65a5d901ad511b3cf622"),
     "16_arith_mix": (
-        "4d390b6448c24c53bff0bc2438562868532c807a612b8a66e1ab1b363c6d09a9",
+        "289fd297073d78311217a87104757bd95fc6f942e02e2eb5f4d6752dd8f39c2b",
         "06f25f930577ce16b94be7359443c962eb9aa436a34fca09ec866fede412fc4b"),
     "17_memory_forms": (
-        "45d1e8e94d5d0febd7faef382a7818ecbf1aebd51a423ab6fcb18926d34d7af8",
+        "6fea617e39684bf10cc873e79b5908cd63f3ea3178d76ab4b2ee79f322969692",
         "8f58961c3c8df919c746a3f68fbe68e2213449f3ba2b2eabd408f27ea0fef5fc"),
     "18_rsp_frame": (
-        "15de3d3b9e87914214f66764678580d24e36e455e63207d437ba2ec5716d9e22",
+        "edb6c6613ee5f06058f3a8cecc117fcf126a5ef3c101f7a7d354fcac3ffaf49c",
         "de1686bc98a69fa891e44d7d0dc7a20996fdc2b546890a8d3ece0d1bf2d41199"),
     "19_syscall_exit": (
-        "d57c049373a1eb02b050b10f305a8b3eb773b316794612171896c8c90d707d54",
+        "ed02b50c7778dd283d6034bdc281e55c92b53166b1930dd393baf9935f2e6a06",
         "a609aeae35fe0d0a741784c7de791202531796b09721dd479d0734f7a0892d69"),
     "20_suffix_string": (
-        "44ab3df63f1cb1b6001c45687d22def5a19a07a12a7c9dbe40f407f7b441754e",
+        "9f2a3ede59460465035034ff9baf9deee9618ac8fbcaf37da519655197289891",
         "291b85fa880143eb10fde60dc2c2c01a11bb88a93ae15cd999f4b67399459674"),
     "21_mixed_sections": (
-        "91d640adb02ac43953024a7d28992ff34c8f98e5827913ba53645727b265ab61",
+        "fdff0a6dd15f733d083982fdda577edd2b77352ec8a6f0feee9d9153d170595f",
         "64f0ab89777132df64a2a7139d64459cda125f2f0d48d94e4168b29c5ed7e052"),
     "22_cond_chain": (
-        "c418c22816e44ae662a898bb4fead61c6692af7ba2efa0d15762b80acf7533ff",
+        "07efce5e47198b7b59bd4c7c8753737e2f4a4a8419ed12811a3aaaed36ffb5a7",
         "65885b5aa049eec30ca987c3ad12ce911ae10f5d3d628b791412589db3315244"),
     "hazard_pointer_straddle": (
-        "83e33709261c30754a4bd84de3bfc8fd8c3314686ef455cb3da78284dc0b2eee",
+        "ab263a91807775bb86936285cc4993f7c36da25cabdcca4dc9bd4d34db38ca20",
         "2cd622d00096324a9eda727aea622e451c47a55e0c3fa265be3245405c78bf70"),
     "TABLE_DEMO": (
-        "cbb425c03874e222e887d7e5676a11e11d03f467b29c9834258fe7d0a6dd6c59",
+        "f26641675a55abc040765a82357f907dd759889114d465b6b4c18fe2ad530ac9",
         "7094b3bd8cc72c392695fd92c35bd94495aa6d9b018a37136f87ab413b5eadd9"),
     "byte_heavy": (
-        "8764a496cde2a3260886e99e9a71c8d2c7d5a5e9b821009b2beff44cc3089a9f",
+        "63b29906daefb75d9e37ce90c0ca972dbcaa4da4f0f2bf8c864b9cec80bd8984",
         "2783fed57e92bf895bb8841be515f426eea889e81c24289b0caeb222513e999a"),
 }
 
@@ -166,30 +166,30 @@ def test_lenient_lift_emits_the_strict_text(name):
 # One digest per program over the strict and lenient lift of each variant of
 # its metadata that ``metadata_variants`` yields.
 LIFT_FROZEN = {
-    "01_single_ret": "2edf87233f06ae65bc749293ba4b4c12d2b8bb27366319e1816d7ce0f9a630bb",
-    "02_straight_line": "b81149996f02eb2760d9be5abbb273d30eccf3df23a7a751aca4aea09468bdd7",
-    "03_conditional": "ecb0c264734ef085b5957514cc9c67fd990cc8bfc272e5266e4a0c4c8061a56d",
-    "04_loop": "9a785565d7b568c60cd72f2d8b3e1af3b97428802d511d1873d80e84c85c0bbe",
-    "05_two_functions": "45aeb174db33145677353105793824d00770876c4d76403600f5003f3e20ab78",
-    "06_dispatch3": "2ea6de490224283ac8c6f71cdfe6991a5e73ea836eeaac692ed4574eb93da9f9",
-    "07_dispatch8": "a8c3ba615c88eba494d550f961e20706a8857f125989934acf2ca441038bc69d",
-    "08_strings": "a19bef2853eabebd515275822feaaa8325bbe1b7a9f6d9045ff697b516ff92a7",
-    "09_bss_buffer": "7dea86a0d757efde9464b40bedf12719e38255dd402873ff715ee84a19f66176",
-    "10_frame_slots": "ce16eeaf1c69bd7af43fbd01e59ffb6dfd9af22279370ea985f43a592ba07cba",
-    "11_calls_chain": "715ea1ca034e7aa2fe92c649954810e024e85c4ba64f8c46a58094fb577d16dd",
-    "12_data_pointers": "28ae2b6d3b2ac809192f73921827bd091aa0a1119b6fd4b5261d6afff1bcdd12",
-    "13_function_pointer": "330da0634bab79062ed186813b6b0af1dfd93de32c6d457bb5d8f54b95839430",
-    "14_inline_bytes": "b88ccfb93d8bb3533c40508e97d3c39296407492c61ffdd5aba9bb78e59bffaf",
-    "15_loops_nested": "98636f93b039a38854fa841fd96b8a3dd0e28779fa884ac6d0eb8c15e5e3a763",
-    "16_arith_mix": "51bb4f182e1679cd7c43e46dd3a90b39df65407883df082a270c6a71ca84330a",
-    "17_memory_forms": "a5ce088b58aebe72bada1ba5b8013a7435396ac5a4ba0e95f6287d6934e0e6e6",
-    "18_rsp_frame": "71c4690543663f31aab85bdcbe36cba7aeb328ebaebab65760676d89fbb03c1c",
-    "19_syscall_exit": "66c83a6af0c75bfd6b99533488e9be33f72ba9b79dae9711153b70e8528ea6b3",
-    "20_suffix_string": "d60fce6d0c43b166b2eaa12fb62fdc6bb658c3f7540dfd444f5578f6c9c9a803",
-    "21_mixed_sections": "4c02fbcf76806183b100a5cb2c48e5ff7211cba0426b1023a8451ea1e95820bd",
-    "22_cond_chain": "da0b1f1bf5a36ab5660b002e7062caeecb02d9142b1e4f666f51f8a22a5a464f",
-    "TABLE_DEMO": "3dad61e13b63d0e86e67af2f19d0927a51984e1fcbe90730ef40caa6ce1a4d52",
-    "hazard_pointer_straddle": "b5491013e4c8e64c09ecd76e58160edb6fd0a0fd7f037abac30f8a16c94bd01a",
+    "01_single_ret": "dab4cf8b695f6a297f7a9db8a7f8aad2e402b788b8a7272d85fedaadf23efae2",
+    "02_straight_line": "975d4be737097dff406587ac9df6bb254692e2a7671d67a2f4b192607bcb793c",
+    "03_conditional": "73067a28379360157ccb7418d476f8f58b9b92020b6777b0812ac3b78ce94711",
+    "04_loop": "421835171e14777b94aff29272f0be5651471d21f00a02964376c76adec1a028",
+    "05_two_functions": "cfea04d4d83a381b2feaeff8fee149704f75083acec713925bd0cf61e4325eff",
+    "06_dispatch3": "48eb412de01b64724eef041df7870fece57c0f3d321dbceb1747e3d1dfa29105",
+    "07_dispatch8": "8f8066e8d95ce0abd40ead579745382b01be079c94074bc52f909a7dc29ddcda",
+    "08_strings": "cb5baa8482d7a2729e3ad2fd06c87ef7e779746589a7695ce8fd4c1ebeb8292e",
+    "09_bss_buffer": "9e71476ca0102335600683fe66def4afe2c4d71eafb0f880bcec28c345d1c30b",
+    "10_frame_slots": "6084987492269d08ff3a435f6bb220d62f75328b2d3924b216c3e69b4ca86b30",
+    "11_calls_chain": "0c161dfde2e8d91eba3e72a79eacf764e92d0507acf02c3804296eb63b692149",
+    "12_data_pointers": "57e95b7ba7e5fde430704f4bb179d497729af4d7a74b8a7b4f17a10a3e75c529",
+    "13_function_pointer": "c95e04de137514a40f67ae83f2885c7b600d5039360a7c2eff017c582c6d2f6f",
+    "14_inline_bytes": "aedd852b468a8015cd019e019c7b65186a54d3131994cc578b21958bd66e1b4d",
+    "15_loops_nested": "74806dc6e5eaccd13f0b8b2553862ef5e4829cca80d309b15fdcc639347b47bf",
+    "16_arith_mix": "1d7afa91df2db59b677605c89aea7d3d92da91b491fc5decd3437a51942aafb9",
+    "17_memory_forms": "eab307f33655fc15d49fac5eab5239095c50f7fe100b49a92db488cb750be1e8",
+    "18_rsp_frame": "87833e0d865f0fc9349f75c459ec97a351400a240a188c2262f91344d6cb155c",
+    "19_syscall_exit": "0b6383fc308f15c6a7df16abf6075b0826647307ae7cefdbfa6dbd084d5744d5",
+    "20_suffix_string": "6395e2d195359d50703ec4de528d8a2b87bc11099354c59d2b76e6537550a333",
+    "21_mixed_sections": "fd9025b1c4fbb2f3018ff58db7e8088fc48fc52c047d311749d16284b9c17a73",
+    "22_cond_chain": "71520e402b325c9e68f035825513f9ab70a7ff8955cfec45b72b341d2935c100",
+    "TABLE_DEMO": "a3faa319ce6671d4a4c7c8c0a2e8d40ae3fb16e612a1b183209b2a72783acc77",
+    "hazard_pointer_straddle": "dbdecd99b17349cfd16d4f21f333dc918b6c3dc6999fca8d77fa5f7411ae81f1",
 }
 
 TABLES = ("instruction_regions", "pointers", "text", "stack", "data")
@@ -212,16 +212,14 @@ def _damage(meta, rng, instrs, data_sections):
     kind = rng.randrange(7)
     if kind == 0:  # an operand pointer off an instruction start
         return _edit(meta, "pointers", added=OperandPointer(
-            ins.address + rng.randint(1, 3), rng.randint(0, 1), ins.address))
+            ins.address + rng.randint(1, 3), rng.randint(0, 1)))
     if kind == 1:  # an operand pointer on an 8-bit immediate
         narrow = [(i.address, k) for i in instrs for k, op in enumerate(i.operands)
                   if isinstance(op, Immediate) and op.width == 8]
         if narrow:
-            return _edit(meta, "pointers", added=OperandPointer(*rng.choice(narrow),
-                                                                ins.address))
-    if kind == 2:  # an operand pointer whose target is in no section
-        return _edit(meta, "pointers", added=OperandPointer(
-            ins.address, rng.randint(0, 1), rng.choice((0x10, U64))))
+            return _edit(meta, "pointers", added=OperandPointer(*rng.choice(narrow)))
+    if kind == 2:  # an operand pointer on whatever an operand holds: mostly no address
+        return _edit(meta, "pointers", added=OperandPointer(ins.address, rng.randint(0, 1)))
     if kind == 3 and ins.length > 1:  # a text record inside an instruction
         return _edit(meta, "text", added=TextRecord(
             ins.address + rng.randrange(1, ins.length),
@@ -412,7 +410,7 @@ def test_encoder_outcomes_match_the_frozen_digest():
 
 # --- the assembler on damaged sources ---
 
-ASM_FROZEN = "c9b4ede023dfcf14b699e8506e28c08c1208de241cc95c2f50384ec7ccc1642d"
+ASM_FROZEN = "95125aac24440f06d2fdf43e56fa75f6d06b24ad4512f788b967f81df3b80a42"
 
 # Characters of the dialect's syntax, so that most mutations reach past the
 # lexer into the operand, data and layout checks.

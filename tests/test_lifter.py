@@ -14,7 +14,6 @@ from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import (
     DanglingTextRecord,
     LiftError,
-    MetadataMismatch,
     PointerStraddle,
     RegionDecodeError,
     RegionOverlap,
@@ -38,6 +37,7 @@ from ellf.meta import (
     BASIC_BLOCK,
     FUNCTION_END,
     FUNCTION_START,
+    DataPointer,
     DataRecord,
     EllfMetadata,
     InstructionRegion,
@@ -175,7 +175,9 @@ def test_a_strict_lift_decodes_each_instruction_once(monkeypatch):
 
 def test_label_names_from_sparse_oracle(table_demo):
     _, _, img = table_demo
-    lm = generate_labels(SPARSE_DEMO_META, img)
+    values = {}
+    validate_metadata(SPARSE_DEMO_META, img, None, values)
+    lm = generate_labels(SPARSE_DEMO_META, img, values)
     assert lm.functions == {0x4000: "F_4000"}
     # blocks: the recorded one plus the addresses pointer records name
     assert lm.blocks[0x4014] == ".Lb1"
@@ -186,7 +188,7 @@ def test_label_names_from_sparse_oracle(table_demo):
 
 def test_lookup_returns_floor_entry(table_demo):
     _, _, img = table_demo
-    lm = generate_labels(EllfMetadata(), img)
+    lm = generate_labels(EllfMetadata(), img, {})
     assert lm.lookup(0x4010, "text") == ("S_text", 0x10)
     assert lm.lookup(0x402C, "data") == ("S_rodata", 8)
 
@@ -245,10 +247,12 @@ def test_block_numbering_is_deterministic_across_functions():
 """
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
-    lm = generate_labels(meta, img)
+    values = {}
+    validate_metadata(meta, img, None, values)
+    lm = generate_labels(meta, img, values)
     names = [lm.blocks[a] for a in sorted(lm.blocks)]
     assert names == sorted(set(names)), "block labels must be unique"
-    again = generate_labels(meta, img)
+    again = generate_labels(meta, img, values)
     assert {a: n for a, n in lm.blocks.items()} == again.blocks
 
 
@@ -315,23 +319,12 @@ def test_strict_dangling_text_record(table_demo):
     assert any(d.kind == "range" for d in lp.diagnostics)
 
 
-def test_strict_metadata_mismatch(table_demo):
-    _, _, img = table_demo
-    bad = SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4004, 1, 0x4028),)
-                                    + SPARSE_DEMO_META.pointers[1:])
-    with pytest.raises(MetadataMismatch):
-        lift(img, bad, mode="strict")
-    lp = lift(img, bad, mode="lenient")
-    lea = lp.instructions[0x4004]
-    assert lea.operands[1].label == "D_4024"
-    assert lea.operands[1].label_offset == 4
-
-
 @pytest.mark.parametrize("meta", [
-    SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4005, 1, 0x4024),)
+    SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4005, 1),)
                               + SPARSE_DEMO_META.pointers[1:]),
-    SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4004, 1, 0x9999),)
-                              + SPARSE_DEMO_META.pointers[1:]),
+    # the cell at 0x402c holds .Lb2 - D_4024, which as a pointer is in no section
+    SPARSE_DEMO_META._replace(pointers=SPARSE_DEMO_META.pointers[:2]
+                              + (DataPointer(0x402C),)),
     SPARSE_DEMO_META._replace(text=SPARSE_DEMO_META.text
                               + (TextRecord(0x4030, BASIC_BLOCK),)),
 ], ids=["operand_pointer_off_an_instruction", "target_outside_sections",
@@ -381,18 +374,21 @@ def test_text_stack_and_data_passes_give_the_same_lift_in_any_order(monkeypatch,
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_a_strict_lift_that_returns_reassembles_to_the_same_bytes(name):
+def test_a_lift_that_returns_reassembles_to_the_same_bytes(name):
     """Over the partial and damaged metadata of ``metadata_variants``: a
-    strict lift refuses what it cannot render faithfully."""
+    strict lift refuses what it cannot render faithfully, and a lenient one
+    drops each record validation flags, so that its text keeps the bytes."""
     elf, meta = assemble(parse_assembly(PROGRAMS[name]))
     img = elfio.read_elf(elf)
     for variant in metadata_variants(img, meta, seed=f"{name}-0"):
-        try:
-            text = emit_assembly(lift(img, variant, mode="strict"))
-        except LiftError:
-            continue
-        raw, _ = assemble_image(parse_assembly(text))
-        assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), variant
+        for mode in ("strict", "lenient"):
+            try:
+                text = emit_assembly(lift(img, variant, mode=mode))
+            except LiftError:
+                continue
+            raw, _ = assemble_image(parse_assembly(text))
+            assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), (
+                mode, variant)
 
 
 # --- stack symbolization ---

@@ -61,7 +61,7 @@ def ref_sv(v):
 
 
 def ref_encode(meta):
-    out = b"ELLF" + b"\x01"
+    out = b"ELLF" + b"\x02"
     out += b"\x01" + ref_uv(len(meta.instruction_regions))
     prev = 0
     for i, r in enumerate(meta.instruction_regions):
@@ -72,11 +72,11 @@ def ref_encode(meta):
     for i, p in enumerate(meta.pointers):
         out += ref_uv(p.key if i == 0 else p.key - prev)
         if isinstance(p, OperandPointer):
-            out += b"\x00" + ref_uv(p.operand_index) + ref_sv(p.target - p.key)
+            out += b"\x00" + ref_uv(p.operand_index)
         elif isinstance(p, DataPointer):
-            out += b"\x01" + ref_sv(p.target - p.key)
+            out += b"\x01"
         else:
-            out += b"\x02" + ref_sv(p.minuend - p.key) + ref_sv(p.subtrahend - p.key)
+            out += b"\x02" + ref_sv(p.subtrahend - p.key)
         prev = p.key
     out += b"\x03" + ref_uv(len(meta.text))
     prev = 0
@@ -127,7 +127,7 @@ def ref_decode(data):
         raise BadMagic("input does not start with the ELLF magic")
     rd.pos = 4
     version = rd.u8("version")
-    if version != 1:
+    if version != 2:
         raise UnsupportedVersion(f"version {version} is not supported")
 
     regions = []
@@ -155,16 +155,12 @@ def ref_decode(data):
         key = delta if i == 0 else _ref_rebase(key, delta, "pointer key")
         kind = rd.u8("pointer kind")
         if kind == 0:
-            idx = rd.uvarint("operand index")
-            target = _ref_rebase(key, rd.svarint("pointer target"), "pointer target")
-            rec = OperandPointer(key, idx, target)
+            rec = OperandPointer(key, rd.uvarint("operand index"))
         elif kind == 1:
-            target = _ref_rebase(key, rd.svarint("pointer target"), "pointer target")
-            rec = DataPointer(key, target)
+            rec = DataPointer(key)
         elif kind == 2:
-            minuend = _ref_rebase(key, rd.svarint("diff minuend"), "diff minuend")
             subtrahend = _ref_rebase(key, rd.svarint("diff subtrahend"), "diff subtrahend")
-            rec = DataDiff(key, minuend, subtrahend)
+            rec = DataDiff(key, subtrahend)
         else:
             raise NonCanonical(f"unknown pointer record kind {kind}")
         sort = _pointer_sort_key(rec)
@@ -240,7 +236,7 @@ def ref_decode(data):
 def test_empty_metadata_exact_bytes():
     # magic + version + five (id, zero-count) table headers: 15 bytes total.
     encoded = encode_metadata(EllfMetadata())
-    assert encoded == bytes.fromhex("454c4c46 01 0100 0200 0300 0400 0500".replace(" ", ""))
+    assert encoded == bytes.fromhex("454c4c46 02 0100 0200 0300 0400 0500".replace(" ", ""))
     assert len(encoded) == 15
     assert decode_metadata(encoded) == EllfMetadata()
 
@@ -250,12 +246,12 @@ def test_sparse_demo_frozen_vector():
     # and cross-checked by the reference encoder above.
     expected = bytes.fromhex(
         "454c4c46"      # magic
-        "01"            # version
+        "02"            # version
         "0101" "808001" "0a"                        # one region: 0x4000 x10
         "0203"                                      # three pointer records
-        "848001" "00" "01" "40"                     # operand ptr @0x4004 -> +0x20
-        "20" "02" "1f" "00"                         # diff @0x4024: -16, +0
-        "08" "02" "1f" "0f"                         # diff @0x402c: -16, -8
+        "848001" "00" "01"                          # operand ptr @0x4004, operand 1
+        "20" "02" "00"                              # diff @0x4024: subtrahend +0
+        "08" "02" "0f"                              # diff @0x402c: subtrahend -8
         "0303" "808001" "01" "14" "00" "0f" "02"    # text: start, block, end
         "0400"                                      # no stack records
         "0502" "a48001" "08" "08" "08"              # data: 0x4024/8, 0x402c/8
@@ -282,14 +278,25 @@ def test_bad_magic():
         decode_metadata(b"")
 
 
+# The sparse demo as version 1 wrote it, with a target in every pointer record.
+VERSION_1_DEMO = bytes.fromhex(
+    "454c4c46" "01" "0101" "808001" "0a" "0203"
+    "848001" "00" "01" "40" "20" "02" "1f" "00" "08" "02" "1f" "0f"  # target, minuend
+    "0303" "808001" "01" "14" "00" "0f" "02" "0400" "0502" "a48001" "08" "08" "08")
+
+
 def test_unsupported_version():
+    for version in (1, 3):
+        with pytest.raises(UnsupportedVersion, match=f"version {version} is not supported"):
+            decode_metadata(b"ELLF" + bytes([version])
+                            + b"\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00")
     with pytest.raises(UnsupportedVersion):
-        decode_metadata(b"ELLF\x02" + b"\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00")
+        decode_metadata(VERSION_1_DEMO)
 
 
 def test_duplicate_text_records_rejected():
     # Same (address, kind) twice: the second delta is zero with an equal kind.
-    raw = (b"ELLF\x01" + b"\x01\x00" + b"\x02\x00"
+    raw = (b"ELLF\x02" + b"\x01\x00" + b"\x02\x00"
            + b"\x03\x02" + b"\x10\x00" + b"\x00\x00"
            + b"\x04\x00" + b"\x05\x00")
     with pytest.raises(NonCanonical):
@@ -307,7 +314,7 @@ def test_overlapping_data_rejected_both_ways():
     meta = EllfMetadata(data=(DataRecord(0x10, 8), DataRecord(0x14, 8)))
     with pytest.raises(InvariantViolation):
         encode_metadata(meta)
-    raw = (b"ELLF\x01" + b"\x01\x00" + b"\x02\x00" + b"\x03\x00" + b"\x04\x00"
+    raw = (b"ELLF\x02" + b"\x01\x00" + b"\x02\x00" + b"\x03\x00" + b"\x04\x00"
            + b"\x05\x02" + b"\x10\x08" + b"\x04\x08")
     with pytest.raises(NonCanonical):
         decode_metadata(raw)
@@ -373,7 +380,7 @@ def test_fuzz_decode_never_crashes():
 def test_truncated_payload_errors_name_the_field():
     meta = EllfMetadata(
         instruction_regions=SPARSE_DEMO_META.instruction_regions,
-        pointers=SPARSE_DEMO_META.pointers + (DataPointer(0x4034, 0x4000),),
+        pointers=SPARSE_DEMO_META.pointers + (DataPointer(0x4034),),
         text=SPARSE_DEMO_META.text,
         stack=(StackRecord(0x4000, (8, 16)),),
         data=SPARSE_DEMO_META.data,
@@ -395,8 +402,7 @@ def test_truncated_payload_errors_name_the_field():
     assert named == {
         "version", "table 1 id", "region count", "region start",
         "region instruction count", "table 2 id", "pointer count", "pointer key",
-        "pointer kind", "operand index", "pointer target", "diff minuend",
-        "diff subtrahend", "table 3 id", "text record count", "text record address",
+        "pointer kind", "operand index", "diff subtrahend", "table 3 id", "text record count", "text record address",
         "text record kind", "table 4 id", "stack record count",
         "stack function entry", "stack offset count", "stack offset", "table 5 id",
         "data record count", "data record address", "data record size"}
@@ -404,7 +410,7 @@ def test_truncated_payload_errors_name_the_field():
 
 @pytest.mark.parametrize("meta", [
     EllfMetadata(instruction_regions=(InstructionRegion(0, 1 << 64),)),
-    EllfMetadata(pointers=(OperandPointer(0, 1 << 64, 0),)),
+    EllfMetadata(pointers=(OperandPointer(0, 1 << 64),)),
     EllfMetadata(stack=(StackRecord(0, (1 << 64,)),)),
     # each delta fits in 64 bits, their sum does not
     EllfMetadata(stack=(StackRecord(0, (1 << 63, (1 << 64) + (1 << 62))),)),
@@ -442,10 +448,10 @@ def wide_metadata(draw):
     def pointer(key):
         kind = draw(st.integers(0, 2))
         if kind == 0:
-            return OperandPointer(key, draw(_WIDE), draw(_WIDE))
+            return OperandPointer(key, draw(_WIDE))
         if kind == 1:
-            return DataPointer(key, draw(_WIDE))
-        return DataDiff(key, draw(_WIDE), draw(_WIDE))
+            return DataPointer(key)
+        return DataDiff(key, draw(_WIDE))
 
     data = []
     end = 0
@@ -479,7 +485,7 @@ def _differential_payloads(rng, count):
     valid += [encode_metadata(random_metadata(random.Random(seed))) for seed in range(40)]
     for i in range(count):
         if i % 4 == 0:
-            yield b"ELLF\x01" + rng.randbytes(rng.randint(0, 48))
+            yield b"ELLF\x02" + rng.randbytes(rng.randint(0, 48))
             continue
         blob = bytearray(rng.choice(valid))
         for _ in range(rng.randint(1, 3)):

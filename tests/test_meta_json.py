@@ -31,8 +31,11 @@ from helpers_gen import random_metadata
 def test_json_roundtrip_demo():
     obj = metadata_to_json(SPARSE_DEMO_META)
     assert obj["instruction_regions"] == [{"start": "0x4000", "count": 10}]
-    assert obj["pointers"][0] == {"kind": "operand", "instr_addr": "0x4004",
-                                  "operand_index": 1, "target": "0x4024"}
+    assert obj["version"] == 2
+    assert obj["pointers"] == [
+        {"kind": "operand", "instr_addr": "0x4004", "operand_index": 1},
+        {"kind": "diff", "addr": "0x4024", "subtrahend": "0x4024"},
+        {"kind": "diff", "addr": "0x402c", "subtrahend": "0x4024"}]
     assert metadata_from_json(obj) == SPARSE_DEMO_META
     # survives an actual serialization pass
     assert metadata_from_json(json.loads(json.dumps(obj))) == SPARSE_DEMO_META
@@ -91,8 +94,8 @@ def test_json_counts_the_schema_rejects_do_not_load(count):
 # `ellf extract --json` prints json.dumps(metadata_to_json(meta), indent=2), so
 # its text (key order included) and the schema are frozen here: over the
 # metadata of every bundled program and of random_metadata seeds 0-199.
-EXTRACT_JSON_DIGEST = "9d0c454f55464d5a57e6327e0800e502878905c2fd28feea60292c706bb3521b"
-METADATA_SCHEMA_DIGEST = "0e4d8ad22bc65c8b79320492931dfb40de295bb5fdf439e01c6d0cb1ec25ad1a"
+EXTRACT_JSON_DIGEST = "3bcd1609ecaddcb4a8e8b2c8f324f6c13c9516d5f8004a1f817be9993bc3dfe6"
+METADATA_SCHEMA_DIGEST = "c334663e8721950425136a9f8f0e1be8385847b0123a1d8f0fb0088bd12a678e"
 
 
 def test_extract_json_matches_the_frozen_digest():
@@ -237,9 +240,9 @@ def test_documents_the_schema_rejects_name_their_first_fault(doc, message):
 @pytest.mark.parametrize("doc, message", [
     ({**metadata_to_json(SPARSE_DEMO_META), "data": [{"addr": "0x10\n", "size": 8}]},
      "data[0].addr must be a hex string, got '0x10\\n'"),
-    (demo_with("pointers", "target", "0x10\n"),
-     "pointers[0].target must be a hex string, got '0x10\\n'"),
-], ids=["metadata", "pointer_target"])
+    (demo_with("pointers", "instr_addr", "0x10\n"),
+     "pointers[0].instr_addr must be a hex string, got '0x10\\n'"),
+], ids=["metadata", "pointer_address"])
 def test_a_hex_address_with_a_trailing_newline_is_refused(doc, message):
     with pytest.raises(InvariantViolation) as info:
         metadata_from_json(doc)

@@ -47,7 +47,7 @@ def test_every_record_class_is_found():
 
 
 def test_records_of_two_types_with_equal_fields_differ():
-    a, b = OperandPointer(0x10, 1, 0x20), DataDiff(0x10, 1, 0x20)
+    a, b = OperandPointer(0x10, 1), DataDiff(0x10, 1)
     assert a != b and not a == b
     assert hash(a) == hash(b) and len({a, b}) == 2
 

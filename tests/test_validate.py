@@ -42,7 +42,7 @@ def test_data_record_past_section_end(table_demo):
 
 def test_operand_pointer_off_instruction_start(table_demo):
     _, _, img = table_demo
-    shifted = OperandPointer(0x4005, 1, 0x4024)
+    shifted = OperandPointer(0x4005, 1)
     meta = SPARSE_DEMO_META._replace(pointers=(shifted,) + SPARSE_DEMO_META.pointers[1:])
     diags = validate_metadata(meta, img)
     assert len(diags) == 1
@@ -73,12 +73,17 @@ def test_stack_entry_must_be_function_start(table_demo):
     assert [d.kind for d in diags] == ["function-start"]
 
 
-def test_pointer_target_outside_sections(table_demo):
-    _, _, img = table_demo
-    meta = SPARSE_DEMO_META._replace(pointers=(OperandPointer(0x4004, 1, 0x9999),)
-                                     + SPARSE_DEMO_META.pointers[1:])
-    diags = validate_metadata(meta, img)
-    assert any(d.kind == "range" for d in diags)
+def test_pointer_target_outside_sections():
+    """The value of an operand pointer is the immediate the binary holds."""
+    src = ".section .text base=0x4000\n.func f\n    add rax, 0x9999\n    ret\n.endfunc\n"
+    elf, meta = assemble_image(parse_assembly(src))
+    pointer = OperandPointer(0x4000, 1)
+    values = {}
+    diags = validate_metadata(meta._replace(pointers=(pointer,)), elfio.read_elf(elf), None,
+                              values)
+    assert [(d.kind, d.message, d.record) for d in diags] == [
+        ("range", "pointer target 0x9999 is not inside any section", pointer)]
+    assert values == {pointer: 0x9999}
 
 
 def test_operand_pointer_on_an_8_bit_immediate(tmp_path, capsys):
@@ -87,7 +92,7 @@ def test_operand_pointer_on_an_8_bit_immediate(tmp_path, capsys):
         ".text", 0x10, bytes.fromhex("4883c010c3"),  # add rax, 0x10; ret
         sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR)])
     img = elfio.read_elf(elf)
-    pointer = OperandPointer(0x10, 1, 0x10)
+    pointer = OperandPointer(0x10, 1)
     meta = EllfMetadata(instruction_regions=(InstructionRegion(0x10, 2),),
                         pointers=(pointer,),
                         text=(TextRecord(0x10, FUNCTION_START),
@@ -116,7 +121,7 @@ def test_operand_pointer_on_an_8_bit_immediate(tmp_path, capsys):
 
 
 # ``mov rax, helper`` at 0x408000 is 10 bytes long and has two operands.
-BAD_POINTER = OperandPointer(0x408000, 5, 0x40800D)
+BAD_POINTER = OperandPointer(0x408000, 5)
 BAD_REGION = InstructionRegion(0x408001, 1)
 
 
@@ -226,3 +231,4 @@ def test_an_instruction_that_straddles_the_end_of_code_fails_validation():
     assert [d.message for d in validate_metadata(meta, img)] == [
         "instruction region at 0x1000 leaves executable sections at 0x1004, "
         "inside the instruction at 0x1000"]
+
