@@ -557,13 +557,12 @@ def _build_payload(state, start, end, nobits, marks):
 
 
 def _pointer_part(state, rec):
-    """A ``SymbolRef`` or ``SymbolDiff`` for the cell ``rec`` records, or
-    its raw bytes when a label is missing."""
+    """A ``SymbolRef`` or ``SymbolDiff`` for the cell ``rec`` records.
+    Validation put its values in sections, and each has a floor label."""
     sym = _symbol_for(state, state.values[rec])
-    if isinstance(rec, DataDiff) and sym is not None:
-        ssym = _symbol_for(state, rec.subtrahend)
-        sym = None if ssym is None else SymbolDiff(sym, ssym)
-    return state.byte_map.read(rec.addr, rec.addr + POINTER_WIDTH) if sym is None else sym
+    if isinstance(rec, DataDiff):
+        return SymbolDiff(sym, _symbol_for(state, rec.subtrahend))
+    return sym
 
 
 # --- control flow graphs ---

@@ -406,12 +406,7 @@ def _object(record):
     reads = tuple(field.read for field in record.fields.values())
     size = len(names) + (record.tag is not None)
     # Built out per arity, as each record of a table is read here.
-    if len(names) == 1:
-        (k0,), (r0,) = names, reads
-
-        def build(obj):
-            return cls(r0(obj[k0], k0))
-    elif len(names) == 2:
+    if len(names) == 2:
         (k0, k1), (r0, r1) = names, reads
 
         def build(obj):
