@@ -12,12 +12,14 @@ from ellf.lifter import emit_assembly, lift
 from ellf.meta import (
     FUNCTION_END,
     FUNCTION_START,
+    DataPointer,
     DataRecord,
     EllfMetadata,
     InstructionRegion,
     OperandPointer,
     StackRecord,
     TextRecord,
+    _pointer_sort_key,
     metadata_to_json,
     validate_metadata,
 )
@@ -232,3 +234,71 @@ def test_an_instruction_that_straddles_the_end_of_code_fails_validation():
         "instruction region at 0x1000 leaves executable sections at 0x1004, "
         "inside the instruction at 0x1000"]
 
+
+# --- records whose value the binary cannot give or contradicts ---
+
+def test_each_record_gets_the_value_the_binary_holds_where_it_points(table_demo):
+    _, _, img = table_demo
+    values = {}
+    assert validate_metadata(SPARSE_DEMO_META, img, None, values) == []
+    lea, first, second = SPARSE_DEMO_META.pointers
+    # lea rcx, [D_4024]; the cells hold .Lb1 - D_4024 and .Lb2 - D_4024
+    assert values == {lea: 0x4024, first: 0x4014, second: 0x401C}
+
+    _, img, meta = _function_pointer_program()
+    values = {}
+    assert validate_metadata(meta, img, None, values) == []
+    assert values == {OperandPointer(0x408000, 1): 0x40800D, DataPointer(0x408100): 0x40800D}
+
+
+BSS_BUFFER = """\
+.section .text base=0x1000
+.func f
+    lea rax, [buf]
+    ret
+.endfunc
+.section .bss base=0x2000
+buf:
+    .zero 16
+"""
+
+
+@pytest.mark.parametrize("cell", [0x2000, 0x1000, 0x3000], ids=["bss", "text", "no_section"])
+def test_a_pointer_cell_outside_progbits_data_has_no_value(cell):
+    elf, meta = assemble_image(parse_assembly(BSS_BUFFER))
+    img = elfio.read_elf(elf)
+    pointer = DataPointer(cell)
+    foreign = meta._replace(pointers=tuple(sorted(meta.pointers + (pointer,),
+                                                  key=_pointer_sort_key)))
+    values = {}
+    diags = validate_metadata(foreign, img, None, values)
+    assert [(d.kind, d.message, d.addr, d.record) for d in diags] == [
+        ("range", f"pointer cell at 0x{cell:x} is not wholly inside progbits data", cell,
+         pointer)]
+    assert pointer not in values
+    with pytest.raises(LiftError, match="not wholly inside progbits data"):
+        lift(img, foreign, mode="strict")
+    lenient = lift(img, foreign, mode="lenient")
+    assert lenient.diagnostics == tuple(diags)
+    assert emit_assembly(lenient) == emit_assembly(lift(img, meta, mode="strict"))
+
+
+def test_an_operand_pointer_on_a_plain_immediate_keeps_the_immediate():
+    """``mov rax, 1`` holds a sign-extended imm32, where a label would take
+    the 10-byte movabs form: the record gives no value, and a lenient lift
+    drops it and keeps the stored number."""
+    elf, meta = assemble_image(parse_assembly(corpus_programs()["11_calls_chain"]))
+    img = elfio.read_elf(elf)
+    pointer = OperandPointer(0x406014, 1)  # mov rax, 1 in inner
+    foreign = meta._replace(pointers=(pointer,))
+    message = ("operand 1 of the instruction at 0x406014 is a 32-bit immediate, but a "
+               "label there takes 64 bits")
+    diags = validate_metadata(foreign, img)
+    assert [(d.kind, d.message, d.record) for d in diags] == [("pointer", message, pointer)]
+    with pytest.raises(LiftError, match=message):
+        lift(img, foreign, mode="strict")
+    lenient = lift(img, foreign, mode="lenient")
+    assert lenient.diagnostics == tuple(diags)
+    text = emit_assembly(lenient)
+    assert "    mov rax, 1\n" in text
+    assert text == emit_assembly(lift(img, meta, mode="strict"))
