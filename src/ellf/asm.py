@@ -176,11 +176,6 @@ class Instr(NamedTuple):
     line: int
 
 
-def section_kind(name: str) -> tuple[bool, bool]:
-    """(executable, zero-fill): what the dialect makes of a section name."""
-    return name.startswith(".text"), name.startswith(".bss")
-
-
 @value_type
 class AsmSection(NamedTuple):
     name: str
@@ -603,7 +598,7 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         current_func = None
         func_slots = {}
         run = None
-        execable, nobits = kind = section_kind(section.name)
+        execable, nobits = kind = elfio.section_kind(section.name)
         for item in section.items:
             if isinstance(item, (Label, FuncBegin, SetLabel)):
                 names.append(item.name)

@@ -70,6 +70,11 @@ class Section(NamedTuple):
         return "other"
 
 
+def section_kind(name: str) -> tuple[bool, bool]:
+    """(executable, zero-fill): what the assembly dialect makes of a section name."""
+    return name.startswith(".text"), name.startswith(".bss")
+
+
 class ElfImage:
     """A parsed file: its entry point, its sections and its bytes.
 

@@ -101,24 +101,10 @@ class LiftError(EllfError):
     pass
 
 
-class RegionDecodeError(LiftError):
-    pass
-
-
-class RegionOverlap(LiftError):
-    pass
-
-
-class DanglingTextRecord(LiftError):
-    pass
-
-
 class PointerStraddle(LiftError):
-    """A pointer payload crosses a data-object boundary (merged-suffix hazard)."""
-
-
-class TargetOutsideFunction(LiftError):
-    pass
+    """What a strict lift raises when validation reports a straddle: a
+    pointer cell that overlaps another or crosses a data-object boundary (the
+    merged-suffix hazard)."""
 
 
 # --- assembler ---

@@ -4,11 +4,13 @@ The pipeline decodes exactly the instruction regions, replaces pointer
 operands and pointer-holding data cells with labels, rewrites stack-frame
 accesses through named slot constants, partitions data sections into
 variables, and renders deterministic text that the bundled assembler accepts
-back. Function and block structure stays in the ``LabelMap``; only
+back. Whether metadata lifts is decided once, by ``validate_metadata``, in
+step I; the passes after it run over metadata that validation kept and
+raise nothing. Function and block structure stays in the ``LabelMap``; only
 ``emit_assembly`` decides where its label lines go. The text, stack and data
 passes write to disjoint state, so any order of them gives the same text,
 CFGs, variables and diagnostics. The order decides only the order of the
-diagnostics and which fault a strict lift raises first.
+diagnostics.
 """
 
 from __future__ import annotations
@@ -17,20 +19,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import NamedTuple
 
-from .asm import section_kind
 from .elfio import ElfImage, ImageView, load_image
-from .errors import (
-    DanglingTextRecord,
-    Diagnostic,
-    IsaError,
-    LiftError,
-    PointerStraddle,
-    RegionDecodeError,
-    RegionOverlap,
-    TargetOutsideFunction,
-    WARNING,
-    value_type,
-)
+from .errors import Diagnostic, LiftError, PointerStraddle, WARNING, value_type
 from .isa import (
     CONDITIONAL_JUMP,
     HALT,
@@ -44,7 +34,6 @@ from .isa import (
     Register,
     SymbolDiff,
     SymbolRef,
-    decode_region,
     instruction_class,
     label_imm_width,
     rip_target,
@@ -56,7 +45,6 @@ from .meta import (
     EllfMetadata,
     FUNCTION_END,
     FUNCTION_START,
-    InstructionRegion,
     OperandPointer,
     POINTER_WIDTH,
     validate_metadata,
@@ -239,28 +227,40 @@ def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelM
     return lm
 
 
-# --- step I: decoding by the instruction oracle ---
+# --- step I: validation, which decodes by the instruction oracle ---
 
-def lift_unsymbolized(image: ImageView, regions) -> dict[int, Instruction]:
-    """Decode exactly ``count`` instructions from each region start."""
-    instrs: dict[int, Instruction] = {}
-    prev_end = None
-    prev_start = None
-    for region in regions:
-        if prev_end is not None and region.start < prev_end:
-            raise RegionOverlap(
-                f"region at 0x{region.start:x} begins inside the decoded extent of "
-                f"the region at 0x{prev_start:x}")
-        addr = region.start
-        try:
-            for ins in decode_region(image, addr, region.count):
-                instrs[addr] = ins
-                addr += ins.length
-        except IsaError as exc:
-            raise RegionDecodeError(f"region at 0x{region.start:x}: {exc}") from exc
-        prev_end = addr
-        prev_start = region.start
-    return instrs
+_TABLES = EllfMetadata._fields[1:]  # the five record tables, after the version
+
+
+def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
+                      ) -> tuple[EllfMetadata, dict[int, Instruction], dict, list[Diagnostic]]:
+    """Validate ``meta`` against ``image``: the one step a lift's mode changes.
+
+    A strict lift raises on any problem ``validate_metadata`` reports:
+    PointerStraddle if one is a straddle, else LiftError. A lenient lift
+    drops every record a diagnostic names and validates what is left again,
+    until a round names no record still present; it keeps each new
+    diagnostic once. Returns the kept metadata, the instructions validation
+    decoded by address, the value of each pointer record, and the
+    diagnostics.
+    """
+    if mode not in (STRICT, LENIENT):
+        raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
+    diagnostics: list[Diagnostic] = []
+    seen: set[Diagnostic] = set()
+    while True:
+        decoded, values = {}, {}
+        problems = validate_metadata(meta, image, decoded, values)
+        if problems and mode == STRICT:
+            error = PointerStraddle if any(p.kind == "straddle" for p in problems) else LiftError
+            raise error("metadata fails validation: " + "; ".join(map(str, problems)))
+        diagnostics += [p for p in problems if p not in seen]
+        seen.update(problems)
+        flagged = {p.record for p in problems if p.record is not None}
+        if not flagged:
+            return meta, decoded, values, diagnostics
+        meta = meta._replace(**{table: tuple(rec for rec in getattr(meta, table)
+                                             if rec not in flagged) for table in _TABLES})
 
 
 # --- shared lifting state ---
@@ -276,19 +276,16 @@ class _LiftState:
     ``instructions`` builds each changed instruction once, at the end.
     """
 
-    def __init__(self, image, byte_map, meta, mode, labels, decoded, values, diagnostics,
-                 reported):
+    def __init__(self, image, byte_map, meta, labels, decoded, values, diagnostics):
         self.image: ElfImage = image
         self.byte_map: ImageView = byte_map
         self.meta: EllfMetadata = meta
-        self.mode: str = mode
         self.labels: LabelMap = labels
         self.decoded: dict[int, Instruction] = decoded
         self.values: dict = values
         self.instr_addrs: list[int] = sorted(decoded)
         self.operands: dict[int, list] = {}
         self.diagnostics: list[Diagnostic] = diagnostics
-        self.reported: set = reported  # records validation found at fault
         self.earmarks: dict[int, DataPointer | DataDiff] = {}  # by cell
         self.variables: list[Variable] = []
 
@@ -316,12 +313,6 @@ class _LiftState:
 
     def warn(self, kind, message, addr=None):
         self.diagnostics.append(Diagnostic(kind, message, addr, WARNING))
-
-    def fault(self, error_class, kind, message, addr):
-        """Raise ``error_class`` in a strict lift; warn in a lenient one."""
-        if self.mode == STRICT:
-            raise error_class(message)
-        self.warn(kind, message, addr)
 
 
 def _symbol_for(state, addr):
@@ -394,12 +385,6 @@ def _function_instrs(state, entry, end):
 # --- step III: text symbolization ---
 
 def text_symbolize(state: _LiftState) -> None:
-    for rec in state.meta.text:
-        if rec.addr not in state.decoded and rec not in state.reported:
-            msg = (f"text record at 0x{rec.addr:x} ({rec.kind}) is not a decoded "
-                   f"instruction start")
-            state.fault(DanglingTextRecord, "range", msg, rec.addr)
-
     for addr in state.instr_addrs:
         for i, op in enumerate(state.decoded[addr].operands):
             if isinstance(op, PcRel):
@@ -530,23 +515,15 @@ def data_symbolize(state: _LiftState) -> None:
 
 
 def _build_payload(state, start, end, nobits, marks):
-    """The variable's payload; ``marks`` are the sorted earmarks inside it."""
-    if nobits:  # validation placed every pointer cell in progbits data
+    """The variable's payload; ``marks`` are the sorted earmarks inside it.
+    Validation placed each pointer cell in progbits data, apart from every
+    other cell and from every data record start."""
+    if nobits:
         return (Zeroes(end - start),)
 
     parts = []
     pos = start
     for addr in marks:
-        if addr < pos:
-            msg = (f"pointer payload at 0x{addr:x} overlaps the pointer payload "
-                   f"ending at 0x{pos:x}")
-            state.fault(PointerStraddle, "straddle", msg, addr)
-            continue
-        if addr + POINTER_WIDTH > end:
-            msg = (f"pointer payload at 0x{addr:x} crosses the data object "
-                   f"boundary at 0x{end:x}")
-            state.fault(PointerStraddle, "straddle", msg, addr)
-            continue
         if addr > pos:
             parts.append(state.byte_map.read(pos, addr))
         parts.append(_pointer_part(state, state.earmarks[addr]))
@@ -650,13 +627,10 @@ def _successors(state, ins, starts, reachable_minuends):
 
 
 def _jump_targets(state, target, starts):
-    if target in starts:
-        return [target]
-    if target in state.labels.functions or target in state.labels.bb_backed:
-        return []  # a tail jump into another function leaves this one
-    msg = f"branch target 0x{target:x} is not a block start in any function"
-    state.fault(TargetOutsideFunction, "cfg", msg, target)
-    return []
+    """``[target]`` if it starts a block of this function, else nothing: a
+    tail jump into another function leaves this one, and validation reported
+    any other target."""
+    return [target] if target in starts else []
 
 
 # --- lifted program and emission ---
@@ -675,35 +649,18 @@ class LiftedProgram(NamedTuple):
 def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgram:
     """Run the full pipeline.
 
-    In ``"strict"`` mode a fault in the metadata raises. In ``"lenient"`` mode
-    a fault the lift can step over becomes one diagnostic instead.
-
-    Each instruction is decoded once: the lift keeps what validation decoded.
-    Only when validation finds a region at fault does ``lift_unsymbolized``
-    decode the regions again, with its own overlap and decode errors. The
-    lift reads each pointer record's value from what validation derived, and
-    a lenient lift drops every pointer record that validation flagged.
+    Step I, ``lift_unsymbolized``, validates the metadata: in ``"strict"``
+    mode any problem raises, and in ``"lenient"`` mode each record a
+    problem names is dropped and the problem becomes a diagnostic. The
+    passes after it run over the metadata kept, read each instruction as
+    validation decoded it, once, and each pointer record's value as
+    validation derived it.
     """
-    if mode not in (STRICT, LENIENT):
-        raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
-    decoded, values = {}, {}
-    problems = validate_metadata(meta, image, decoded, values)
-    if problems and mode == STRICT:
-        raise LiftError("metadata fails validation: "
-                        + "; ".join(str(p) for p in problems))
-    reported = {p.record for p in problems}
-    if reported:
-        meta = meta._replace(pointers=tuple(rec for rec in meta.pointers
-                                            if rec not in reported))
-
+    meta, decoded, values, diagnostics = lift_unsymbolized(image, meta, mode)
     byte_map = load_image(image)
-    if any(isinstance(p.record, InstructionRegion) for p in problems):
-        decoded = lift_unsymbolized(byte_map, meta.instruction_regions)
     labels = generate_labels(meta, image, values)
-    state = _LiftState(image, byte_map, meta, mode, labels, decoded, values,
-                       diagnostics=list(problems), reported=reported)
+    state = _LiftState(image, byte_map, meta, labels, decoded, values, diagnostics)
 
-    _check_section_names(state)
     coarse_symbolize(state)
     text_symbolize(state)
     stack_symbolize(state)
@@ -719,24 +676,6 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
         cfgs=cfgs,
         diagnostics=tuple(state.diagnostics),
     )
-
-
-def _check_section_names(state: _LiftState) -> None:
-    """Fault each section that the emitted ``.section NAME`` line would not
-    rebuild: one that is executable or zero-fill where the assembly dialect
-    gives a section of that name the other. A section whose write flag alone
-    differs from what its name gives (as ``.eh_frame``'s may) is let through,
-    since the reassembled bytes are the same."""
-    for sec in state.image.sections:
-        actual = (sec.exec, sec.kind == "nobits")
-        if sec.alloc and actual != section_kind(sec.name):
-            message = (f"section {sec.name} is {_kind_name(*actual)} but the assembly "
-                       f"dialect reads its name as {_kind_name(*section_kind(sec.name))}")
-            state.fault(LiftError, "section", message, sec.vaddr)
-
-
-def _kind_name(execable, nobits):
-    return ("zero-fill " if nobits else "") + ("code" if execable else "data")
 
 
 def _collect_padding(state) -> tuple[tuple[int, bytes], ...]:

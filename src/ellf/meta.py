@@ -45,11 +45,12 @@ then `check_invariants`.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from . import varint
-from .elfio import load_image
+from .elfio import load_image, section_kind
 from .errors import (
     BadMagic,
     Diagnostic,
@@ -62,7 +63,8 @@ from .errors import (
     quoted,
     value_type,
 )
-from .isa import Immediate, MemRef, decode_region, label_imm_width, rip_target
+from .isa import (CONDITIONAL_JUMP, JUMP, Immediate, MemRef, PcRel, decode_region,
+                  instruction_class, label_imm_width, rip_target)
 
 MAGIC = b"ELLF"
 VERSION = 2
@@ -668,13 +670,29 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                       values: dict | None = None) -> list[Diagnostic]:
     """Cross-check metadata against the sections and bytes of an ElfImage.
 
-    Returns an empty list iff each region starts in an executable section
-    and decodes without leaving executable sections, no region begins inside
-    the decoded extent of the one before, text records sit in executable
-    sections, data records stay inside one data section, stack entries name
-    function starts, and each pointer record has a value in some section (a
-    diff's minuend and subtrahend both). A record names a position and the
-    binary holds its value:
+    Returns an empty list iff every check below passes, and otherwise a
+    diagnostic per problem, in the order of the checks:
+
+    - each instruction region starts in an executable section, decodes, and
+      does not leave executable sections; none begins inside the decoded
+      extent of the region before it (kind ``overlap``);
+    - each pointer record has a value (below) inside some section, a diff's
+      minuend and subtrahend both;
+    - no data pointer or diff cell starts inside the last cell kept before
+      it, or has a data record starting strictly inside its 8 bytes (kind
+      ``straddle``);
+    - each text record sits on a decoded instruction start. Without regions
+      nothing is decoded, so every text record is reported;
+    - each stack record's entry is a function start, when there are text
+      records;
+    - each data record lies inside one data section;
+    - each decoded direct ``jmp`` or ``jcc`` at or after the first function
+      start targets a function start or a basic block (kind ``cfg``);
+    - each alloc section is code or data, and zero-fill or not, as the
+      assembly dialect reads its name (kind ``section``). A write flag alone
+      may differ, as ``.eh_frame``'s may: the reassembled bytes are the same.
+
+    A record names a position and the binary holds its value:
 
     - an operand pointer, on a decoded instruction: the target of a
       RIP-relative operand, or an immediate whose field has the width the
@@ -684,20 +702,13 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
       section;
     - a diff, on such a cell: its minuend, the cell plus the subtrahend.
 
-    Each diagnostic carries the record it is about as ``record``; a record
-    without a value gets one. ``decoded`` is filled with the instructions
-    decoded, by address, and ``values`` with the value of each record that
-    has one. The image is loaded at most once.
+    Each diagnostic carries the record it is about as ``record``, but for
+    the ``cfg`` and ``section`` ones, which carry none; a record without a
+    value gets one. ``decoded`` is filled with the instructions decoded, by
+    address, and ``values`` with the value of each record that has one. The
+    image is loaded at most once.
     """
     diags: list[Diagnostic] = []
-
-    def exec_section(addr, what, rec):
-        sec = image.section_at(addr)
-        if sec is None or not sec.exec:
-            diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside an "
-                                             f"executable section", addr, record=rec))
-            return None
-        return sec
 
     def check_in_any(addr, what, rec):
         if image.section_at(addr) is None:
@@ -709,8 +720,11 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
         decoded = {}  # instruction start -> instruction
     extent = None  # (start, end) of the region decoded last
     for region in meta.instruction_regions:
-        sec = exec_section(region.start, "instruction region start", region)
-        if sec is None:
+        sec = image.section_at(region.start)
+        if sec is None or not sec.exec:
+            diags.append(Diagnostic("range", f"instruction region start 0x{region.start:x} "
+                                             f"is not inside an executable section",
+                                    region.start, record=region))
             continue
         if extent is not None and region.start < extent[1]:
             diags.append(Diagnostic("overlap", f"region at 0x{region.start:x} begins "
@@ -734,6 +748,7 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
 
     if values is None:
         values = {}
+    cells = []  # data pointers and diffs with a value, in address order
     for rec in meta.pointers:
         if isinstance(rec, OperandPointer):
             value = _operand_value(rec, decoded, diags)
@@ -747,9 +762,29 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
             check_in_any(rec.subtrahend, "diff subtrahend", rec)
         else:
             check_in_any(value, "pointer target", rec)
+        if not isinstance(rec, OperandPointer):
+            cells.append(rec)
+
+    data_starts = [drec.addr for drec in meta.data]
+    kept_end = 0  # where the last cell kept ends
+    for rec in cells:
+        i = bisect_right(data_starts, rec.addr)  # the first data record after the cell start
+        if rec.addr < kept_end:
+            message = (f"pointer payload at 0x{rec.addr:x} overlaps the pointer payload "
+                       f"ending at 0x{kept_end:x}")
+        elif i < len(data_starts) and data_starts[i] < rec.addr + POINTER_WIDTH:
+            message = (f"pointer payload at 0x{rec.addr:x} crosses the data object "
+                       f"boundary at 0x{data_starts[i]:x}")
+        else:
+            kept_end = rec.addr + POINTER_WIDTH
+            continue
+        diags.append(Diagnostic("straddle", message, rec.addr, record=rec))
 
     for trec in meta.text:
-        exec_section(trec.addr, "text record address", trec)
+        if trec.addr not in decoded:
+            diags.append(Diagnostic("range", f"text record at 0x{trec.addr:x} ({trec.kind}) "
+                                             f"is not a decoded instruction start",
+                                    trec.addr, record=trec))
 
     starts = {t.addr for t in meta.text if t.kind == FUNCTION_START}
     for srec in meta.stack:
@@ -770,7 +805,29 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                                              f"past the end of {sec.name}", drec.addr,
                                     record=drec))
 
+    if starts:
+        first = min(starts)
+        blocks = starts.union(t.addr for t in meta.text if t.kind == BASIC_BLOCK)
+        for addr, ins in decoded.items():
+            ops = ins.operands  # only a direct branch has a PcRel operand
+            if addr >= first and ops and isinstance(ops[0], PcRel):
+                klass = instruction_class(ins)
+                if klass.kind in (JUMP, CONDITIONAL_JUMP) and klass.target not in blocks:
+                    diags.append(Diagnostic("cfg", f"branch target 0x{klass.target:x} is "
+                                                   f"not a block start in any function", addr))
+
+    for sec in image.sections:
+        actual, named = (sec.exec, sec.kind == "nobits"), section_kind(sec.name)
+        if sec.alloc and actual != named:
+            diags.append(Diagnostic("section", f"section {sec.name} is {_kind_name(*actual)} "
+                                               f"but the assembly dialect reads its name as "
+                                               f"{_kind_name(*named)}", sec.vaddr))
+
     return diags
+
+
+def _kind_name(execable, nobits):
+    return ("zero-fill " if nobits else "") + ("code" if execable else "data")
 
 
 def _operand_value(rec, decoded, diags):

@@ -24,10 +24,10 @@ from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import InvariantViolation
 from ellf.isa import (REG32, REG64, SUBSET_MNEMONICS, Immediate, MemRef, PcRel, Register,
                       SymbolRef, decode_one, encode_one)
-from ellf.lifter import emit_assembly, lift, lift_unsymbolized
+from ellf.lifter import emit_assembly, lift
 from ellf.meta import (BASIC_BLOCK, FUNCTION_END, FUNCTION_START, InstructionRegion,
                        OperandPointer, TextRecord, _pointer_sort_key, _text_sort_key,
-                       check_invariants)
+                       check_invariants, validate_metadata)
 
 from conftest import TABLE_DEMO
 
@@ -166,30 +166,30 @@ def test_lenient_lift_emits_the_strict_text(name):
 # One digest per program over the strict and lenient lift of each variant of
 # its metadata that ``metadata_variants`` yields.
 LIFT_FROZEN = {
-    "01_single_ret": "dab4cf8b695f6a297f7a9db8a7f8aad2e402b788b8a7272d85fedaadf23efae2",
-    "02_straight_line": "975d4be737097dff406587ac9df6bb254692e2a7671d67a2f4b192607bcb793c",
-    "03_conditional": "73067a28379360157ccb7418d476f8f58b9b92020b6777b0812ac3b78ce94711",
-    "04_loop": "421835171e14777b94aff29272f0be5651471d21f00a02964376c76adec1a028",
-    "05_two_functions": "cfea04d4d83a381b2feaeff8fee149704f75083acec713925bd0cf61e4325eff",
-    "06_dispatch3": "48eb412de01b64724eef041df7870fece57c0f3d321dbceb1747e3d1dfa29105",
-    "07_dispatch8": "8f8066e8d95ce0abd40ead579745382b01be079c94074bc52f909a7dc29ddcda",
-    "08_strings": "cb5baa8482d7a2729e3ad2fd06c87ef7e779746589a7695ce8fd4c1ebeb8292e",
-    "09_bss_buffer": "9e71476ca0102335600683fe66def4afe2c4d71eafb0f880bcec28c345d1c30b",
-    "10_frame_slots": "6084987492269d08ff3a435f6bb220d62f75328b2d3924b216c3e69b4ca86b30",
-    "11_calls_chain": "0c161dfde2e8d91eba3e72a79eacf764e92d0507acf02c3804296eb63b692149",
-    "12_data_pointers": "57e95b7ba7e5fde430704f4bb179d497729af4d7a74b8a7b4f17a10a3e75c529",
-    "13_function_pointer": "c95e04de137514a40f67ae83f2885c7b600d5039360a7c2eff017c582c6d2f6f",
-    "14_inline_bytes": "aedd852b468a8015cd019e019c7b65186a54d3131994cc578b21958bd66e1b4d",
-    "15_loops_nested": "74806dc6e5eaccd13f0b8b2553862ef5e4829cca80d309b15fdcc639347b47bf",
-    "16_arith_mix": "1d7afa91df2db59b677605c89aea7d3d92da91b491fc5decd3437a51942aafb9",
-    "17_memory_forms": "eab307f33655fc15d49fac5eab5239095c50f7fe100b49a92db488cb750be1e8",
-    "18_rsp_frame": "87833e0d865f0fc9349f75c459ec97a351400a240a188c2262f91344d6cb155c",
-    "19_syscall_exit": "0b6383fc308f15c6a7df16abf6075b0826647307ae7cefdbfa6dbd084d5744d5",
-    "20_suffix_string": "6395e2d195359d50703ec4de528d8a2b87bc11099354c59d2b76e6537550a333",
-    "21_mixed_sections": "fd9025b1c4fbb2f3018ff58db7e8088fc48fc52c047d311749d16284b9c17a73",
-    "22_cond_chain": "71520e402b325c9e68f035825513f9ab70a7ff8955cfec45b72b341d2935c100",
-    "TABLE_DEMO": "a3faa319ce6671d4a4c7c8c0a2e8d40ae3fb16e612a1b183209b2a72783acc77",
-    "hazard_pointer_straddle": "dbdecd99b17349cfd16d4f21f333dc918b6c3dc6999fca8d77fa5f7411ae81f1",
+    "01_single_ret": "96cf0884ae4857bc1a6833c6f2d9559b950e305795352b2cc363730e70fc0595",
+    "02_straight_line": "ca2e3900372f15b728cf0ea658c8c2aeb70e4fffb336a0328d680114e70344d3",
+    "03_conditional": "3356c436d1f0ef9a83e2f65ad61961aa9119c418147e799d05a3416c8d63aa88",
+    "04_loop": "581b43791d0da0b73937acef80763034e8496b95351a48bb5ba6b89138b1018d",
+    "05_two_functions": "52c2f2f8925929d81c164d3cbe73bf11bda3eec9be618e8c1e7e38f9398af493",
+    "06_dispatch3": "22ba0a0cdf667c2f19c9753921e97d04ae3f8f845c88505f4caff9ec03f7aeba",
+    "07_dispatch8": "c2360b647adb9295512fbf263991570acb75854664bba7507a67a327924c2621",
+    "08_strings": "c6695887244445b31235a797466004a11dc51e5088955d498ae43f371c82cc7e",
+    "09_bss_buffer": "35df9230fe5c4c16977c2618de244ca2d7bb05bda8d532d287627f3fd89ed882",
+    "10_frame_slots": "5e4dd69581169bcd7319f002bde9cc4f0f338c2ea8f8ceb9887b9a53725f72a7",
+    "11_calls_chain": "1703e19cd7b8c32e8f67127223bf6d1c8367fb5b3e5cb7014d450f37c9ee146e",
+    "12_data_pointers": "e0143a2b5aa032a0c70aff8cc23284fead6a9504560c75c2a0a6702da916de82",
+    "13_function_pointer": "d10333252e6406b9dcb3c6439d0c5e64f125c85108228210a153086c0ddea740",
+    "14_inline_bytes": "2a1853c1bd2d3542877075bd4eb78837f005c08d13949515ea0b61a449749ecd",
+    "15_loops_nested": "22dd8d6de3c6791d1da8e5a5600f99fc52ff3450c723c5ee05ff55859bfb1751",
+    "16_arith_mix": "78c1fc784dfd59a44423035ba08faea936522df385d48baa4cf5f8c88564d17a",
+    "17_memory_forms": "7a13c8f2abb7c39559d9802f85b25500915795e4b1ce62782d3fdb9ebefa9e7a",
+    "18_rsp_frame": "86359c43a241d6ff4d75cdac021f7c757eb880932b97de01067ac8467e55efd1",
+    "19_syscall_exit": "3aec086358556ed232d23f221944692c6007915bb1365d20e4882623ec383076",
+    "20_suffix_string": "0cb952f29a8f9e3a9b521b45b0763ac0c6e6c4a1a3754dce554ac8f31158a2ca",
+    "21_mixed_sections": "c120c11eafcc4b15affaf0c9f4eac06f6ddb6eacca7876329d232fe5db962e48",
+    "22_cond_chain": "9c6bcf4e36afc145e371d1a0c07a45d6e1741865ea39df5ec61a99c29afa026d",
+    "TABLE_DEMO": "5e063969dfb5688bfc96cf424ce70d00232dd301d9936ea7842f58790e3243c6",
+    "hazard_pointer_straddle": "1ab93c8ffba448d14f723eddff7f80cd3d31ed878a2af51825b60a92cf631831",
 }
 
 TABLES = ("instruction_regions", "pointers", "text", "stack", "data")
@@ -249,7 +249,9 @@ def metadata_variants(img, meta, seed, count=20):
     for _ in range(count):
         variants.append(meta._replace(**{table: tuple(
             rec for rec in getattr(meta, table) if rng.random() < 0.6) for table in TABLES}))
-    instrs = list(lift_unsymbolized(elfio.load_image(img), meta.instruction_regions).values())
+    decoded = {}
+    validate_metadata(meta, img, decoded)
+    instrs = list(decoded.values())
     data_sections = [sec for sec in img.sections if sec.alloc and not sec.exec and sec.size]
     for _ in range(count):
         damaged = meta

@@ -3,6 +3,7 @@ passes, CFG recovery, and deterministic emission."""
 
 from collections import Counter
 from itertools import permutations
+import re
 import tracemalloc
 
 import pytest
@@ -11,15 +12,7 @@ from hypothesis import given, strategies as st
 from ellf import elfio, isa, lifter
 from ellf.asm import Data, Instr, assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
-from ellf.errors import (
-    DanglingTextRecord,
-    LiftError,
-    PointerStraddle,
-    RegionDecodeError,
-    RegionOverlap,
-    TruncatedInstruction,
-    UnknownOpcode,
-)
+from ellf.errors import LiftError, PointerStraddle
 from ellf.isa import (MAX_LENGTH, RUN_BYTES, Immediate, MemRef, Register, SymbolDiff,
                       SymbolRef, decode_one)
 from ellf.lifter import (
@@ -50,17 +43,22 @@ from conftest import SPARSE_DEMO_META, TABLE_DEMO
 from test_frozen_outputs import PROGRAMS, metadata_variants
 
 
-def demo_image(table_demo):
-    _, _, img = table_demo
-    return elfio.load_image(img)
-
-
 # --- step I ---
 
+def decode_regions(img, *regions):
+    """Validation's diagnostics for metadata of ``regions`` alone, as
+    (kind, message, address, record), and the instructions it decoded. The
+    section names of ``code_image`` are left out of the diagnostics."""
+    decoded = {}
+    diags = validate_metadata(EllfMetadata(instruction_regions=regions), img, decoded)
+    return [(d.kind, d.message, d.addr, d.record) for d in diags
+            if d.kind != "section"], decoded
+
+
 def test_region_decodes_exact_count(table_demo):
-    image = demo_image(table_demo)
-    instrs = lift_unsymbolized(image, (InstructionRegion(0x4000, 10),))
-    assert len(instrs) == 10
+    _, _, img = table_demo
+    diags, instrs = decode_regions(img, InstructionRegion(0x4000, 10))
+    assert diags == [] and len(instrs) == 10
     ordered = sorted(instrs)
     assert instrs[ordered[0]].mnemonic == "push"
     assert instrs[ordered[-1]].mnemonic == "ret"
@@ -77,78 +75,69 @@ def code_image(*sections):
 
 
 def test_single_instruction_region():
-    image = elfio.load_image(code_image((0x100, b"\xc3")))
-    instrs = lift_unsymbolized(image, (InstructionRegion(0x100, 1),))
-    assert instrs[0x100].mnemonic == "ret"
+    diags, instrs = decode_regions(code_image((0x100, b"\xc3")), InstructionRegion(0x100, 1))
+    assert diags == [] and instrs[0x100].mnemonic == "ret"
 
 
 def test_region_decode_error():
-    image = elfio.load_image(code_image((0x100, b"\xc3\x06")))
-    with pytest.raises(RegionDecodeError):
-        lift_unsymbolized(image, (InstructionRegion(0x100, 2),))
+    region = InstructionRegion(0x100, 2)
+    diags, _ = decode_regions(code_image((0x100, b"\xc3\x06")), region)
+    assert diags == [("range", "instruction region at 0x100 does not decode: byte pattern "
+                               "at 0x101 is outside the instruction subset (opcode 0x06)",
+                      0x100, region)]
 
 
 def test_region_overlap():
-    image = elfio.load_image(code_image((0x100, b"\x55\x55\xc3")))
-    with pytest.raises(RegionOverlap):
-        lift_unsymbolized(image, (InstructionRegion(0x100, 2),
-                                  InstructionRegion(0x101, 1)))
-
-
-def both_walks(img, region):
-    """What the lift's and validation's region walks make of ``region``:
-    (instructions or the decode error's cause, validation's diagnostics and
-    the instructions it decoded)."""
-    try:
-        lifted = lift_unsymbolized(elfio.load_image(img), (region,))
-    except RegionDecodeError as exc:
-        lifted = exc.__cause__
-    decoded = {}
-    diags = validate_metadata(EllfMetadata(instruction_regions=(region,)), img, decoded)
-    return lifted, [d.message for d in diags], decoded
+    region = InstructionRegion(0x101, 1)
+    diags, _ = decode_regions(code_image((0x100, b"\x55\x55\xc3")),
+                              InstructionRegion(0x100, 2), region)
+    assert diags == [("overlap", "region at 0x101 begins inside the decoded extent of the "
+                                 "region at 0x100", 0x101, region)]
 
 
 def test_an_instruction_across_two_abutting_code_sections_decodes():
     img = code_image((0x1000, bytes.fromhex("48c7c0")), (0x1003, bytes.fromhex("01000000c3")))
-    lifted, diags, decoded = both_walks(img, InstructionRegion(0x1000, 2))
-    assert lifted == decoded and diags == []
-    assert [(ins.mnemonic, ins.operands, ins.length) for ins in lifted.values()] == [
+    diags, decoded = decode_regions(img, InstructionRegion(0x1000, 2))
+    assert diags == []
+    assert [(ins.mnemonic, ins.operands, ins.length) for ins in decoded.values()] == [
         ("mov", (Register("rax"), Immediate(1, 32)), 7), ("ret", (), 1)]
 
 
 def test_an_instruction_that_runs_into_zero_fill_reads_zeros():
     img = code_image((0x1000, b"\xb8"), (0x1001, None, 16))
-    lifted, diags, decoded = both_walks(img, InstructionRegion(0x1000, 1))
-    assert lifted == decoded and diags == []
-    assert lifted[0x1000].operands == (Register("eax"), Immediate(0, 32))
+    diags, decoded = decode_regions(img, InstructionRegion(0x1000, 1))
+    assert diags == []
+    assert decoded[0x1000].operands == (Register("eax"), Immediate(0, 32))
 
 
 @pytest.mark.parametrize("after", [(0x1010, b"\x00" * 4), None])  # a gap, or nothing
 def test_an_instruction_that_runs_past_the_mapped_bytes_is_truncated(after):
     img = code_image((0x1000, bytes.fromhex("c3b801")), *([after] if after else []))
-    lifted, diags, _ = both_walks(img, InstructionRegion(0x1000, 2))
-    message = "instruction at 0x1001 runs past the image"
-    assert isinstance(lifted, TruncatedInstruction) and str(lifted) == message
-    assert diags == [f"instruction region at 0x1000 does not decode: {message}"]
+    region = InstructionRegion(0x1000, 2)
+    diags, _ = decode_regions(img, region)
+    assert diags == [("range", "instruction region at 0x1000 does not decode: instruction "
+                               "at 0x1001 runs past the image", 0x1000, region)]
 
 
 def test_a_region_longer_than_one_read_decodes_whole():
     count = RUN_BYTES // 7 + 10  # 7-byte instructions, past the first read
     img = code_image((0x1000, bytes.fromhex("48c7c001000000") * count))
-    lifted, diags, decoded = both_walks(img, InstructionRegion(0x1000, count))
-    assert lifted == decoded and diags == [] and len(lifted) == count
-    assert {ins.operands for ins in lifted.values()} == {(Register("rax"), Immediate(1, 32))}
+    diags, decoded = decode_regions(img, InstructionRegion(0x1000, count))
+    assert diags == [] and len(decoded) == count
+    assert {ins.operands for ins in decoded.values()} == {(Register("rax"), Immediate(1, 32))}
 
 
 def test_a_region_in_a_huge_zero_fill_section_reads_no_more_than_one_run():
     img = code_image((0x1000, None, 1 << 40))
     tracemalloc.start()
     try:
-        lifted, diags, _ = both_walks(img, InstructionRegion(0x1000, 1 << 40))
+        diags, _ = decode_regions(img, InstructionRegion(0x1000, 1 << 40))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(lifted, UnknownOpcode) and len(diags) == 1
+    assert [message for _, message, _, _ in diags] == [
+        "instruction region at 0x1000 does not decode: byte pattern at 0x1000 is outside "
+        "the instruction subset (opcode 0x00)"]
     assert peak < 4 * RUN_BYTES
 
 
@@ -309,14 +298,15 @@ def test_region_only_metadata_degrades_to_section_labels(table_demo):
 
 
 def test_strict_dangling_text_record(table_demo):
-    _, _, img = table_demo
-    meta = SPARSE_DEMO_META._replace(text=SPARSE_DEMO_META.text[:1]
-                                     + (TextRecord(0x4002, BASIC_BLOCK),)
-                                     + SPARSE_DEMO_META.text[1:])
-    with pytest.raises(DanglingTextRecord):
+    _, full, img = table_demo
+    dangling = TextRecord(0x4002, BASIC_BLOCK)
+    meta = full._replace(text=full.text[:1] + (dangling,) + full.text[1:])
+    message = "text record at 0x4002 (basic_block) is not a decoded instruction start"
+    with pytest.raises(LiftError, match=re.escape(message)):
         lift(img, meta, mode="strict")
-    lp = lift(img, meta, mode="lenient")
-    assert any(d.kind == "range" for d in lp.diagnostics)
+    kept, _, _, diags = lift_unsymbolized(img, meta, "lenient")
+    assert [(d.kind, d.message, d.record) for d in diags] == [("range", message, dangling)]
+    assert kept == full
 
 
 @pytest.mark.parametrize("meta", [
@@ -331,7 +321,9 @@ def test_strict_dangling_text_record(table_demo):
         "text_record_outside_text"])
 def test_lenient_lift_reports_a_validation_fault_once(table_demo, meta):
     _, _, img = table_demo
-    assert len(lift(img, meta, mode="lenient").diagnostics) == 1
+    problems = validate_metadata(meta, img)
+    assert len([p for p in problems if p.record is not None]) == 1
+    assert lift(img, meta, mode="lenient").diagnostics == tuple(problems)
     with pytest.raises(LiftError) as info:
         lift(img, meta, mode="strict")
     assert type(info.value) is LiftError
@@ -375,17 +367,24 @@ def test_text_stack_and_data_passes_give_the_same_lift_in_any_order(monkeypatch,
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_a_lift_that_returns_reassembles_to_the_same_bytes(name):
-    """Over the partial and damaged metadata of ``metadata_variants``: a
-    strict lift refuses what it cannot render faithfully, and a lenient one
-    drops each record validation flags, so that its text keeps the bytes."""
+    """Over the partial and damaged metadata of ``metadata_variants``,
+    validation is the one judge: a strict lift raises if and only if
+    ``validate_metadata`` reports a problem, and a lenient lift never raises,
+    drops each record validation flags and reports validation's diagnostics
+    first. Either text, when there is one, keeps the bytes."""
     elf, meta = assemble(parse_assembly(PROGRAMS[name]))
     img = elfio.read_elf(elf)
     for variant in metadata_variants(img, meta, seed=f"{name}-0"):
+        problems = tuple(validate_metadata(variant, img))
         for mode in ("strict", "lenient"):
             try:
-                text = emit_assembly(lift(img, variant, mode=mode))
+                lp = lift(img, variant, mode=mode)
             except LiftError:
+                assert mode == "strict" and problems, variant
                 continue
+            assert mode == "lenient" or not problems, variant
+            assert lp.diagnostics[:len(problems)] == problems, variant
+            text = emit_assembly(lp)
             raw, _ = assemble_image(parse_assembly(text))
             assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), (
                 mode, variant)
@@ -669,18 +668,23 @@ def test_padding_bytes_emitted_explicitly():
     assert "    .byte 0x2a" in text
 
 
-def test_lenient_lift_defines_a_recorded_block_label_used_in_padding():
+def test_a_lenient_lift_drops_a_block_record_in_padding():
+    """The record is no instruction start, so it goes; the jump into the
+    padding then targets no block, which is reported with no record."""
     src = (".section .text base=0x1000\n.func main\n    jmp inpad\n    ret\n"
            "inpad:\n    .byte 0xc3\n.endfunc\n")
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
     meta = meta._replace(text=meta.text + (TextRecord(0x1006, BASIC_BLOCK),))
     lp = lift(img, meta, mode="lenient")
+    assert [(d.kind, d.message, d.addr) for d in lp.diagnostics] == [
+        ("range", "text record at 0x1006 (basic_block) is not a decoded instruction start",
+         0x1006),
+        ("cfg", "branch target 0x1006 is not a block start in any function", 0x1000)]
     assert lp.padding == ((0x1006, b"\xc3"),)
     text = emit_assembly(lp)
-    assert text.endswith("    jmp .Lb2\n    ret\n.endfunc\n.Lb2:\n    .byte 0xc3\n")
-    elf2, _ = assemble(parse_assembly(text))
-    assert elfio.load_image(elfio.read_elf(elf2)) == elfio.load_image(img)
+    assert text.endswith("    jmp .Lb1 + 1\n.Lb1:\n    ret\n.endfunc\n    .byte 0xc3\n")
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
 def _reassembles_to_the_same_alloc_bytes(text, img):
@@ -724,7 +728,7 @@ def test_a_reference_inside_a_pointer_cell_renders_as_the_cell_label_plus_offset
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
-def test_a_used_label_of_a_data_record_past_its_section_end_is_defined():
+def test_a_lenient_lift_drops_a_data_record_past_its_section_end():
     elf, meta = assemble(parse_assembly(corpus_programs()["12_data_pointers"]))
     img = elfio.read_elf(elf)
     data = tuple(DataRecord(0x40711C, 16) if rec == DataRecord(0x407118, 16) else rec
@@ -734,18 +738,22 @@ def test_a_used_label_of_a_data_record_past_its_section_end_is_defined():
         "data record at 0x40711c extends past the end of .data"]
     text = emit_assembly(lp)
     assert _reassembles_to_the_same_alloc_bytes(text, img)
-    assert "    .quad D_40711c + 4\n" in text and "\nD_40711c:\n" in text
+    assert "    .quad D_407118\n    .quad D_407120\n" in text and "D_40711c" not in text
 
 
-def test_a_used_function_label_outside_decoded_code_is_defined():
+def test_a_lenient_lift_without_regions_drops_every_text_record():
+    """Nothing is decoded, so no text record sits on an instruction start: a
+    lenient lift reports and drops each, and the jump table's targets become
+    block labels in the raw code bytes."""
     elf, meta = assemble(parse_assembly(corpus_programs()["07_dispatch8"]))
     img = elfio.read_elf(elf)
-    text_records = sorted(meta.text + (TextRecord(0x402034, FUNCTION_START),),
-                          key=lambda rec: rec.addr)
-    meta = meta._replace(instruction_regions=(), text=tuple(text_records))
+    meta = meta._replace(instruction_regions=())
+    kept, _, _, diags = lift_unsymbolized(img, meta, "lenient")
+    assert [d.record for d in diags if isinstance(d.record, TextRecord)] == list(meta.text)
+    assert kept.text == ()
     text = emit_assembly(lift(img, meta, mode="lenient"))
-    assert "    .quad F_402034 - D_402200\n" in text
-    assert "\nF_402034:\n" in text and ".func" not in text
+    assert "    .quad .Lb5 - D_402200\n" in text and "\n.Lb5:\n" in text
+    assert ".func" not in text
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 

@@ -1,17 +1,20 @@
 """Cross-checking metadata against the sections and bytes of a binary."""
 
 import json
+import re
 
 import pytest
 
 from ellf import cli, elfio
 from ellf.asm import assemble_image, parse_assembly
-from ellf.corpus import corpus_programs
-from ellf.errors import LiftError, RegionOverlap
-from ellf.lifter import emit_assembly, lift
+from ellf.corpus import corpus_programs, hazard_program
+from ellf.errors import LiftError, PointerStraddle
+from ellf.lifter import emit_assembly, lift, lift_unsymbolized
 from ellf.meta import (
+    BASIC_BLOCK,
     FUNCTION_END,
     FUNCTION_START,
+    DataDiff,
     DataPointer,
     DataRecord,
     EllfMetadata,
@@ -20,6 +23,7 @@ from ellf.meta import (
     StackRecord,
     TextRecord,
     _pointer_sort_key,
+    _text_sort_key,
     metadata_to_json,
     validate_metadata,
 )
@@ -30,12 +34,15 @@ from conftest import SPARSE_DEMO_META
 def test_demo_metadata_is_clean(table_demo):
     _, meta, img = table_demo
     assert validate_metadata(meta, img) == []
-    assert validate_metadata(SPARSE_DEMO_META, img) == []
+    # The sparse oracle records no block at 0x4023, where ``jmp .Lb3`` lands.
+    assert [(d.kind, d.message, d.addr, d.record)
+            for d in validate_metadata(SPARSE_DEMO_META, img)] == [
+        ("cfg", "branch target 0x4023 is not a block start in any function", 0x4017, None)]
 
 
 def test_data_record_past_section_end(table_demo):
-    _, _, img = table_demo
-    meta = SPARSE_DEMO_META._replace(data=(DataRecord(0x4024, 8), DataRecord(0x402C, 9)))
+    _, meta, img = table_demo
+    meta = meta._replace(data=(DataRecord(0x4024, 8), DataRecord(0x402C, 9)))
     diags = validate_metadata(meta, img)
     assert len(diags) == 1
     assert diags[0].kind == "range"
@@ -43,9 +50,9 @@ def test_data_record_past_section_end(table_demo):
 
 
 def test_operand_pointer_off_instruction_start(table_demo):
-    _, _, img = table_demo
+    _, meta, img = table_demo
     shifted = OperandPointer(0x4005, 1)
-    meta = SPARSE_DEMO_META._replace(pointers=(shifted,) + SPARSE_DEMO_META.pointers[1:])
+    meta = meta._replace(pointers=(shifted,) + meta.pointers[1:])
     diags = validate_metadata(meta, img)
     assert len(diags) == 1
     assert diags[0].kind == "alignment"
@@ -69,8 +76,8 @@ def test_text_record_outside_executable_section(table_demo):
 
 
 def test_stack_entry_must_be_function_start(table_demo):
-    _, _, img = table_demo
-    meta = SPARSE_DEMO_META._replace(stack=(StackRecord(0x4014, (8,)),))
+    _, meta, img = table_demo
+    meta = meta._replace(stack=(StackRecord(0x4014, (8,)),))
     diags = validate_metadata(meta, img)
     assert [d.kind for d in diags] == ["function-start"]
 
@@ -125,6 +132,22 @@ def test_operand_pointer_on_an_8_bit_immediate(tmp_path, capsys):
 # ``mov rax, helper`` at 0x408000 is 10 bytes long and has two operands.
 BAD_POINTER = OperandPointer(0x408000, 5)
 BAD_REGION = InstructionRegion(0x408001, 1)
+DANGLING = TextRecord(0x408001, BASIC_BLOCK)
+STRADDLING = DataDiff(0x2004, 0x2000)  # its cell holds 0, so its minuend is 0x2000
+
+FUNCTION_POINTER = corpus_programs()["13_function_pointer"]
+TWO_CELLS = """\
+.section .text base=0x1000
+.func f
+    ret
+.endfunc
+.section .data base=0x2000
+a:
+    .quad a
+b:
+    .quad 0
+"""
+JUMP = ".section .text base=0x1000\n.func f\n    jmp done\ndone:\n    ret\n.endfunc\n"
 
 
 def _operand_index_out_of_range(meta):
@@ -135,40 +158,101 @@ def _overlapping_regions(meta):
     return meta._replace(instruction_regions=meta.instruction_regions + (BAD_REGION,))
 
 
+def _assembled(source, mutate=lambda meta: meta):
+    """A case's build: ``source`` assembled, with its metadata mutated."""
+    def build():
+        elf, meta = assemble_image(parse_assembly(source))
+        return elf, mutate(meta)
+    return build
+
+
+def _zero_fill_data_named_data():
+    elf = elfio.build_elf([
+        elfio.NewSection(".text", 0x1000, b"\xc3",
+                         sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR),
+        elfio.NewSection(".data", 0x2000, b"", elfio.SHT_NOBITS,
+                         elfio.SHF_ALLOC | elfio.SHF_WRITE, size=16)])
+    return elf, EllfMetadata(instruction_regions=(InstructionRegion(0x1000, 1),),
+                             text=(TextRecord(0x1000, FUNCTION_START),
+                                   TextRecord(0x1000, FUNCTION_END)))
+
+
+# fault -> (build of the ELF and its metadata, then the one diagnostic's
+# kind, message, address and record)
 REFUSED = {
     "operand_index_out_of_range": (
-        _operand_index_out_of_range, BAD_POINTER, "pointer",
-        "operand index 5 out of range for the instruction at 0x408000"),
+        _assembled(FUNCTION_POINTER, _operand_index_out_of_range), "pointer",
+        "operand index 5 out of range for the instruction at 0x408000", 0x408000,
+        BAD_POINTER),
     "overlapping_regions": (
-        _overlapping_regions, BAD_REGION, "overlap",
-        "region at 0x408001 begins inside the decoded extent of the region at 0x408000"),
+        _assembled(FUNCTION_POINTER, _overlapping_regions), "overlap",
+        "region at 0x408001 begins inside the decoded extent of the region at 0x408000",
+        0x408001, BAD_REGION),
+    "dangling_text_record": (
+        _assembled(FUNCTION_POINTER, lambda meta: meta._replace(
+            text=tuple(sorted(meta.text + (DANGLING,), key=_text_sort_key)))), "range",
+        "text record at 0x408001 (basic_block) is not a decoded instruction start",
+        0x408001, DANGLING),
+    "text_record_without_regions": (
+        _assembled(FUNCTION_POINTER, lambda meta: EllfMetadata(text=meta.text[:1])),
+        "range", "text record at 0x408000 (function_start) is not a decoded instruction start",
+        0x408000, TextRecord(0x408000, FUNCTION_START)),
+    "overlapping_cells": (
+        _assembled(TWO_CELLS, lambda meta: meta._replace(pointers=meta.pointers
+                                                         + (STRADDLING,))), "straddle",
+        "pointer payload at 0x2004 overlaps the pointer payload ending at 0x2008", 0x2004,
+        STRADDLING),
+    "data_record_inside_a_cell": (
+        _assembled(hazard_program()), "straddle",
+        "pointer payload at 0x402010 crosses the data object boundary at 0x402014",
+        0x402010, DataPointer(0x402010)),
+    "branch_to_a_non_block": (
+        _assembled(JUMP, lambda meta: meta._replace(
+            text=tuple(rec for rec in meta.text if rec.kind != BASIC_BLOCK))), "cfg",
+        "branch target 0x1005 is not a block start in any function", 0x1000, None),
+    "misnamed_section": (
+        _zero_fill_data_named_data, "section",
+        "section .data is zero-fill data but the assembly dialect reads its name as data",
+        0x2000, None),
 }
 
 
+def _dropped(meta, kept):
+    """The records of ``meta`` that ``kept`` lacks, table by table."""
+    return [rec for table, left in zip(meta[1:], kept[1:]) for rec in table if rec not in left]
+
+
 def _function_pointer_program():
-    elf, meta = assemble_image(parse_assembly(corpus_programs()["13_function_pointer"]))
+    elf, meta = assemble_image(parse_assembly(FUNCTION_POINTER))
     return elf, elfio.read_elf(elf), meta
 
 
 @pytest.mark.parametrize("fault", sorted(REFUSED))
 def test_metadata_that_every_lift_refuses_fails_validation(fault):
-    mutate, record, kind, message = REFUSED[fault]
-    _, img, meta = _function_pointer_program()
-    meta = mutate(meta)
-    assert [(d.kind, d.message, d.record) for d in validate_metadata(meta, img)] == [
-        (kind, message, record)]
-    with pytest.raises(LiftError, match=f"metadata fails validation: .*{message}") as info:
+    """A strict lift raises on the one fault validation reports, and a
+    lenient lift drops the record it names, if any, and nothing else."""
+    build, kind, message, addr, record = REFUSED[fault]
+    elf, meta = build()
+    img = elfio.read_elf(elf)
+    problems = validate_metadata(meta, img)
+    assert [(d.kind, d.message, d.addr, d.record) for d in problems] == [
+        (kind, message, addr, record)]
+    with pytest.raises(LiftError,
+                       match=f"metadata fails validation: .*{re.escape(message)}") as info:
         lift(img, meta, mode="strict")
-    assert type(info.value) is LiftError
+    assert type(info.value) is (PointerStraddle if kind == "straddle" else LiftError)
+    kept, _, _, diagnostics = lift_unsymbolized(img, meta, "lenient")
+    assert diagnostics == problems
+    assert _dropped(meta, kept) == ([] if record is None else [record])
 
 
 @pytest.mark.parametrize("fault", sorted(REFUSED))
 def test_inject_refuses_metadata_that_every_lift_refuses(tmp_path, capsys, fault):
-    mutate, _, _, message = REFUSED[fault]
-    elf, _, meta = _function_pointer_program()
+    build, _, message, _, _ = REFUSED[fault]
+    elf, meta = build()
     elf_path, meta_path = tmp_path / "in.elf", tmp_path / "meta.json"
     elf_path.write_bytes(elf)
-    meta_path.write_text(json.dumps(metadata_to_json(mutate(meta))))
+    meta_path.write_text(json.dumps(metadata_to_json(meta)))
     code = cli.main(["inject", str(elf_path), "--meta", str(meta_path),
                      "-o", str(tmp_path / "out.elf")])
     assert code == cli.EXIT_DOMAIN
@@ -184,10 +268,14 @@ def test_a_lenient_lift_warns_once_and_skips_an_out_of_range_operand_index():
     assert "    movabs rax, 4227085\n" in emit_assembly(lifted)
 
 
-def test_overlapping_regions_still_stop_a_lenient_lift():
-    _, img, meta = _function_pointer_program()
-    with pytest.raises(RegionOverlap):
-        lift(img, _overlapping_regions(meta), mode="lenient")
+def test_a_lenient_lift_drops_an_overlapping_region():
+    elf, img, meta = _function_pointer_program()
+    lifted = lift(img, _overlapping_regions(meta), mode="lenient")
+    assert [d.record for d in lifted.diagnostics] == [BAD_REGION]
+    text = emit_assembly(lifted)
+    assert text == emit_assembly(lift(img, meta))
+    raw, _ = assemble_image(parse_assembly(text))
+    assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img)
 
 
 def test_a_region_that_runs_into_bytes_outside_the_subset_does_not_decode():
@@ -222,7 +310,7 @@ def test_a_region_that_runs_out_of_its_executable_section_fails_validation():
     with pytest.raises(LiftError, match=message):
         lift(img, meta)
     lenient = lift(img, meta, mode="lenient")
-    assert sorted(lenient.instructions) == [0x1000, 0x1007, 0x1008, 0x1009]
+    assert lenient.instructions == {}  # the region is dropped
     assert [d.message for d in lenient.diagnostics] == [message]
 
 
@@ -238,10 +326,10 @@ def test_an_instruction_that_straddles_the_end_of_code_fails_validation():
 # --- records whose value the binary cannot give or contradicts ---
 
 def test_each_record_gets_the_value_the_binary_holds_where_it_points(table_demo):
-    _, _, img = table_demo
+    _, meta, img = table_demo
     values = {}
-    assert validate_metadata(SPARSE_DEMO_META, img, None, values) == []
-    lea, first, second = SPARSE_DEMO_META.pointers
+    assert validate_metadata(meta, img, None, values) == []
+    lea, first, second = meta.pointers
     # lea rcx, [D_4024]; the cells hold .Lb1 - D_4024 and .Lb2 - D_4024
     assert values == {lea: 0x4024, first: 0x4014, second: 0x401C}
 
