@@ -90,6 +90,7 @@ from .isa import (
     SymbolRef,
     JCC_MNEMONICS,
     SUBSET_MNEMONICS,
+    U64,
     _REG_INFO,
     _REGISTERS,
     encode_one,
@@ -105,8 +106,6 @@ from .meta import (
     encode_metadata,
     metadata_from_layout,
 )
-
-U64 = (1 << 64) - 1
 
 _BRANCH_MNEMONICS = frozenset(("jmp", "call") + JCC_MNEMONICS)
 _IDENT = r"[A-Za-z_.$][A-Za-z0-9_.$]*"

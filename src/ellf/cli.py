@@ -11,8 +11,9 @@ import json
 import sys
 
 from . import elfio
-from .asm import U64, assemble, parse_assembly, roundtrip_check
+from .asm import assemble, parse_assembly, roundtrip_check
 from .errors import AsmSyntaxError, EllfError
+from .isa import U64
 from .lifter import emit_assembly, lift
 from .meta import (
     decode_metadata,

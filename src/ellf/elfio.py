@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from collections.abc import Mapping
 from functools import cached_property
 from typing import NamedTuple
 
@@ -80,7 +79,8 @@ class ElfImage:
 
     An image is immutable and equal to another with the same three fields.
     It is a plain class rather than a value type so that it can keep its
-    section index, built on first use.
+    section index, built on first use, which refuses with OverlapError an
+    image whose alloc sections overlap.
     """
 
     def __init__(self, entry_point: int, sections: tuple[Section, ...], raw_file: bytes = b""):
@@ -107,39 +107,31 @@ class ElfImage:
 
     @cached_property
     def _alloc_index(self):
-        """(starts, sections, overlap) over the non-empty alloc sections.
-
-        ``sections`` is sorted by vaddr and ``starts`` holds their vaddrs;
-        ``overlap`` is the OverlapError for the first overlapping pair in
-        file order, or None.
-        """
+        """(starts, sections) over the non-empty alloc sections: ``sections``
+        sorted by vaddr, ``starts`` their vaddrs. Raises OverlapError, for
+        the first overlapping pair in file order, if any two overlap."""
         alloc = [sec for sec in self.sections if sec.alloc and sec.size]
         ordered = sorted(alloc, key=lambda sec: sec.vaddr)
-        overlap = None
         if any(a.vaddr + a.size > b.vaddr for a, b in zip(ordered, ordered[1:])):
-            overlap = _first_overlap(alloc)
-        return [sec.vaddr for sec in ordered], ordered, overlap
+            raise _first_overlap(alloc)
+        return [sec.vaddr for sec in ordered], ordered
 
     def section_at(self, addr: int) -> Section | None:
-        """The first alloc section in file order that contains ``addr``."""
-        starts, ordered, overlap = self._alloc_index
-        if overlap is not None:  # several may contain addr: keep file order
-            return next((sec for sec in self.sections if sec.alloc
-                         and sec.vaddr <= addr < sec.vaddr + sec.size), None)
+        """The alloc section that contains ``addr``, or None."""
+        starts, ordered = self._alloc_index
         i = bisect_right(starts, addr) - 1
         if i >= 0 and addr < ordered[i].vaddr + ordered[i].size:
             return ordered[i]
         return None
 
 
-def _first_overlap(alloc: list[Section]) -> OverlapError | None:
+def _first_overlap(alloc: list[Section]) -> OverlapError:
     """The error for the first overlapping pair in file order."""
     for j, sec in enumerate(alloc):
         for prev in alloc[:j]:
             if sec.vaddr < prev.vaddr + prev.size and prev.vaddr < sec.vaddr + sec.size:
                 return OverlapError(f"sections {prev.name} and {sec.name} overlap "
                                     f"at 0x{max(prev.vaddr, sec.vaddr):x}")
-    return None
 
 
 def read_elf(data) -> ElfImage:
@@ -195,20 +187,17 @@ def _cstr(table: bytes, offset: int) -> str:
     return table[offset:end].decode("latin-1")
 
 
-class ImageView(Mapping):
+class ImageView:
     """Read-only address -> byte view of an image's alloc sections.
 
     Section bodies are memoryviews into the file, and nobits sections read
     as zeros without storing any, so building a view costs one entry per
-    section. ``image[addr]`` bisects the sections and raises KeyError for an
-    unmapped address, like the dict it replaces; two views are equal when
-    they map the same addresses to the same bytes.
+    section. ``read`` and ``read_run`` bisect the sections; two views are
+    equal when they map the same addresses to the same bytes.
     """
 
     def __init__(self, img: ElfImage):
-        starts, ordered, overlap = img._alloc_index
-        if overlap is not None:
-            raise overlap
+        starts, ordered = img._alloc_index
         self._starts = starts
         self._ends = []
         self._bodies = []  # memoryview, or None for zeros
@@ -219,29 +208,16 @@ class ImageView(Mapping):
             self._ends.append(sec.vaddr + (sec.size if body is None else len(body)))
             self._bodies.append(body)
 
-    def _index(self, addr: int) -> int:
+    def _index(self, addr: int) -> int | None:
+        """The index of the section that maps ``addr``, or None."""
         i = bisect_right(self._starts, addr) - 1
-        if i < 0 or addr >= self._ends[i]:
-            raise KeyError(addr)
-        return i
-
-    def __getitem__(self, addr: int) -> int:
-        i = self._index(addr)
-        body = self._bodies[i]
-        return 0 if body is None else body[addr - self._starts[i]]
-
-    def __len__(self) -> int:
-        return sum(end - start for start, end in zip(self._starts, self._ends))
-
-    def __iter__(self):
-        for start, end in zip(self._starts, self._ends):
-            yield from range(start, end)
+        return None if i < 0 or addr >= self._ends[i] else i
 
     def read_run(self, start: int, size: int) -> memoryview:
         """The mapped bytes from ``start`` on, at most ``size`` of them.
 
         The run stops at the first unmapped address; abutting sections join,
-        and zero-fill reads as zeros, as through ``image[addr]``.
+        and zero-fill reads as zeros.
         """
         starts, ends, bodies = self._starts, self._ends, self._bodies
         end = start + size
@@ -266,17 +242,17 @@ class ImageView(Mapping):
 
     def __eq__(self, other):
         if not isinstance(other, ImageView):
-            return super().__eq__(other)
+            return NotImplemented
         # Each piece between the section boundaries of both views lies in one
         # section or gap on each side; zero-fill on both sides is never read.
         cuts = sorted({*self._starts, *self._ends, *other._starts, *other._ends})
         for start, end in zip(cuts, cuts[1:]):
-            mapped = start in self
-            if mapped != (start in other):
+            i, j = self._index(start), other._index(start)
+            if (i is None) != (j is None):
                 return False
-            zero_fill = mapped and self._bodies[self._index(start)] is None \
-                and other._bodies[other._index(start)] is None
-            if mapped and not zero_fill and self.read(start, end) != other.read(start, end):
+            if i is None or self._bodies[i] is None and other._bodies[j] is None:
+                continue
+            if self.read(start, end) != other.read(start, end):
                 return False
         return True
 

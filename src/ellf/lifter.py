@@ -6,11 +6,12 @@ accesses through named slot constants, partitions data sections into
 variables, and renders deterministic text that the bundled assembler accepts
 back. Whether metadata lifts is decided once, by ``validate_metadata``, in
 step I; the passes after it run over metadata that validation kept and
-raise nothing. Function and block structure stays in the ``LabelMap``; only
-``emit_assembly`` decides where its label lines go. The text, stack and data
-passes write to disjoint state, so any order of them gives the same text,
-CFGs, variables and diagnostics. The order decides only the order of the
-diagnostics.
+raise nothing: every text record they see is on a decoded instruction, and
+every pointer value in a section. Function and block structure stays in the
+``LabelMap``; only ``emit_assembly`` decides where its label lines go. The
+text, stack and data passes write to disjoint state, so any order of them
+gives the same text, CFGs, variables and diagnostics. The order decides
+only the order of the diagnostics.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .isa import (
 from .meta import (
     BASIC_BLOCK,
     DataDiff,
-    DataPointer,
     EllfMetadata,
     FUNCTION_END,
     FUNCTION_START,
@@ -111,22 +111,20 @@ class LabelMap:
 
     ``lookup`` answers from a sorted index per namespace that it builds on
     first use, so the name tables must not change after ``generate_labels``
-    returns; ``used`` is outside the index and may grow. A table not given
-    starts empty.
+    returns; ``used`` is outside the index and may grow. Every table starts
+    empty.
     """
 
-    def __init__(self, *, functions=None, blocks=None, bb_backed=None, function_ends=None,
-                 data_labels=None, text_floors=None, data_floors=None, slots=None,
-                 used=None):
-        self.functions: dict[int, str] = functions or {}
-        self.blocks: dict[int, str] = blocks or {}
-        self.bb_backed: set[int] = bb_backed or set()
-        self.function_ends: set[int] = function_ends or set()
-        self.data_labels: dict[int, str] = data_labels or {}
-        self.text_floors: dict[int, str] = text_floors or {}
-        self.data_floors: dict[int, str] = data_floors or {}
-        self.slots: dict[int, tuple[tuple[int, str], ...]] = slots or {}
-        self.used: set[str] = used or set()
+    def __init__(self):
+        self.functions: dict[int, str] = {}
+        self.blocks: dict[int, str] = {}
+        self.bb_backed: set[int] = set()
+        self.function_ends: set[int] = set()
+        self.data_labels: dict[int, str] = {}
+        self.text_floors: dict[int, str] = {}
+        self.data_floors: dict[int, str] = {}
+        self.slots: dict[int, tuple[tuple[int, str], ...]] = {}
+        self.used: set[str] = set()
         self._index: dict[str, tuple[list[int], list[str]]] = {}
 
     def lookup(self, addr: int, namespace: str) -> tuple[str, int] | None:
@@ -183,10 +181,8 @@ def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelM
 
     data_candidates = set()
 
-    def classify(addr):
-        sec = image.section_at(addr)
-        if sec is not None:
-            (block_candidates if sec.exec else data_candidates).add(addr)
+    def classify(addr):  # validation put every value in a section
+        (block_candidates if image.section_at(addr).exec else data_candidates).add(addr)
 
     for rec in meta.pointers:
         classify(values[rec])
@@ -286,7 +282,6 @@ class _LiftState:
         self.instr_addrs: list[int] = sorted(decoded)
         self.operands: dict[int, list] = {}
         self.diagnostics: list[Diagnostic] = diagnostics
-        self.earmarks: dict[int, DataPointer | DataDiff] = {}  # by cell
         self.variables: list[Variable] = []
 
     def operands_of(self, addr):
@@ -316,13 +311,12 @@ class _LiftState:
 
 
 def _symbol_for(state, addr):
+    """The label for ``addr``: None if it lies in no section, which
+    validation reported and the renderer refuses."""
     sec = state.image.section_at(addr)
     if sec is None:
         return None
-    found = state.labels.lookup(addr, "text" if sec.exec else "data")
-    if found is None:
-        return None
-    name, offset = found
+    name, offset = state.labels.lookup(addr, "text" if sec.exec else "data")
     state.labels.used.add(name)
     return SymbolRef(name, offset)
 
@@ -335,14 +329,13 @@ def _labelled(mem, sym):
 # --- step II: coarse symbolization ---
 
 def coarse_symbolize(state: _LiftState) -> None:
-    """Replace recorded pointer operands with labels, earmark data pointers.
+    """Replace recorded pointer operands and RIP-relative operands with labels.
 
     Validation placed each operand pointer on an immediate or a RIP-relative
     displacement of a decoded instruction, and its value in a section.
     """
     for rec in state.meta.pointers:
         if not isinstance(rec, OperandPointer):
-            state.earmarks[rec.addr] = rec
             continue
         op = state.decoded[rec.instr_addr].operands[rec.operand_index]
         sym = _symbol_for(state, state.values[rec])
@@ -355,13 +348,9 @@ def coarse_symbolize(state: _LiftState) -> None:
     for addr in state.instr_addrs:
         for i, op in enumerate(state.operands_of(addr)):
             if isinstance(op, MemRef) and op.rip_relative and op.label is None:
-                target = rip_target(state.decoded[addr], op)
-                sym = _symbol_for(state, target)
-                if sym is None:
-                    state.warn("range", f"RIP-relative target 0x{target:x} resolves "
-                                        f"to no label", addr)
-                    continue
-                state.set_operand(addr, i, _labelled(op, sym))
+                sym = _symbol_for(state, rip_target(state.decoded[addr], op))
+                if sym is not None:
+                    state.set_operand(addr, i, _labelled(op, sym))
 
 
 # --- function extents (shared by the fine-grained steps) ---
@@ -369,12 +358,7 @@ def coarse_symbolize(state: _LiftState) -> None:
 def _function_ranges(state) -> list[tuple[int, int]]:
     """(entry, end_exclusive) per function, bounded by the next function."""
     starts = sorted(state.labels.functions)
-    ranges = []
-    limit = 1 << 64
-    for i, entry in enumerate(starts):
-        end = starts[i + 1] if i + 1 < len(starts) else limit
-        ranges.append((entry, end))
-    return ranges
+    return list(zip(starts, starts[1:] + [1 << 64]))
 
 
 def _function_instrs(state, entry, end):
@@ -389,11 +373,8 @@ def text_symbolize(state: _LiftState) -> None:
         for i, op in enumerate(state.decoded[addr].operands):
             if isinstance(op, PcRel):
                 sym = _symbol_for(state, op.target)
-                if sym is None:
-                    state.warn("range", f"branch target 0x{op.target:x} resolves to "
-                                        f"no label", addr)
-                    continue
-                state.set_operand(addr, i, sym)
+                if sym is not None:
+                    state.set_operand(addr, i, sym)
 
 
 # --- step IV: stack symbolization ---
@@ -449,18 +430,15 @@ _WRITES_FIRST = frozenset(("mov", "pop", "lea", "movsxd", "add", "sub", "inc", "
 _ANCHOR_OF = {"rsp": "rsp", "rbp": "rbp", "esp": "rsp", "ebp": "rbp"}
 
 
-def _apply_sp_effect(ins, sp_delta, rbp_delta, ops=None):
+def _apply_sp_effect(ins, sp_delta, rbp_delta, ops):
     """The (rsp, rbp) anchors after ``ins``: offsets from the stack pointer
-    at function entry, None when untracked. ``ops`` are the operands to read,
-    ``ins.operands`` if not given.
+    at function entry, None when untracked. ``ops`` are the operands to read.
 
     push, pop, leave, mov rbp, rsp, mov rsp, rbp and add/sub rsp, imm move
     the anchors. Any other write whose first operand is rsp or rbp drops
     that anchor, as does any write to esp or ebp.
     """
     m = ins.mnemonic
-    if ops is None:
-        ops = ins.operands
     if m == "leave":  # mov rsp, rbp; pop rbp
         return (None if rbp_delta is None else rbp_delta + 8), None
     if m in ("push", "pop") and sp_delta is not None:
@@ -488,7 +466,9 @@ def _apply_sp_effect(ins, sp_delta, rbp_delta, ops=None):
 
 def data_symbolize(state: _LiftState) -> None:
     variables: list[Variable] = []
-    marks = sorted(state.earmarks)
+    cells = sorted((rec for rec in state.meta.pointers if not isinstance(rec, OperandPointer)),
+                   key=lambda rec: rec.addr)
+    marks = [rec.addr for rec in cells]
     for sec in state.image.sections:
         if not sec.alloc or sec.exec or sec.size == 0:
             continue
@@ -502,32 +482,33 @@ def data_symbolize(state: _LiftState) -> None:
             for i, rec in enumerate(records):
                 end = records[i + 1].addr if i + 1 < len(records) else sec_end
                 spans.append((rec.addr, end, state.labels.data_labels[rec.addr]))
-        elif sec.size:
+        else:
             spans.append((sec.vaddr, sec_end, None))
 
         nobits = sec.kind == "nobits"
         for start, end, label in spans:
-            inside = marks[bisect_left(marks, start):bisect_left(marks, end)]
+            inside = cells[bisect_left(marks, start):bisect_left(marks, end)]
             payload = _build_payload(state, start, end, nobits, inside)
             variables.append(Variable(address=start, size=end - start,
                                       label=label, payload=payload))
     state.variables = variables
 
 
-def _build_payload(state, start, end, nobits, marks):
-    """The variable's payload; ``marks`` are the sorted earmarks inside it.
-    Validation placed each pointer cell in progbits data, apart from every
-    other cell and from every data record start."""
+def _build_payload(state, start, end, nobits, cells):
+    """The variable's payload; ``cells`` are the pointer records of the
+    cells inside it, in address order. Validation placed each pointer cell
+    in progbits data, apart from every other cell and from every data
+    record start."""
     if nobits:
         return (Zeroes(end - start),)
 
     parts = []
     pos = start
-    for addr in marks:
-        if addr > pos:
-            parts.append(state.byte_map.read(pos, addr))
-        parts.append(_pointer_part(state, state.earmarks[addr]))
-        pos = addr + POINTER_WIDTH
+    for rec in cells:
+        if rec.addr > pos:
+            parts.append(state.byte_map.read(pos, rec.addr))
+        parts.append(_pointer_part(state, rec))
+        pos = rec.addr + POINTER_WIDTH
     if pos < end:
         parts.append(state.byte_map.read(pos, end))
     return tuple(parts)
@@ -560,9 +541,7 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
     block_addrs = sorted(state.labels.bb_backed)
     cfgs = []
     for entry, limit in _function_ranges(state):
-        addrs = _function_instrs(state, entry, limit)
-        if not addrs:
-            continue
+        addrs = _function_instrs(state, entry, limit)  # the entry is decoded
         starts = [entry] + block_addrs[bisect_right(block_addrs, entry):
                                        bisect_left(block_addrs, limit)]
         reachable_minuends: set[int] = set()
@@ -572,10 +551,7 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
         blocks = []
         for bi, bstart in enumerate(starts):
             bend_limit = starts[bi + 1] if bi + 1 < len(starts) else limit
-            stop = bisect_left(addrs, bend_limit)
-            if stop == bisect_left(addrs, bstart):
-                continue  # no instruction in this block
-            last = addrs[stop - 1]
+            last = addrs[bisect_left(addrs, bend_limit) - 1]  # bstart is decoded
             successors = _successors(state, state.decoded[last], starts,
                                      reachable_minuends)
             blocks.append(CfgBlock(start=bstart, end=last,
@@ -604,10 +580,12 @@ def _successors(state, ins, starts, reachable_minuends):
     i = bisect_right(starts, ins.address)
     next_start = starts[i] if i < len(starts) else None
 
+    # A direct target outside ``starts`` is a tail jump into another
+    # function, which leaves this one; validation reported any other.
     if klass.kind == JUMP:
-        return _jump_targets(state, klass.target, starts)
+        return [klass.target] if klass.target in starts else []
     if klass.kind == CONDITIONAL_JUMP:
-        succ = _jump_targets(state, klass.target, starts)
+        succ = [klass.target] if klass.target in starts else []
         if next_start is not None:
             succ = sorted(set(succ) | {next_start})
         return succ
@@ -624,13 +602,6 @@ def _successors(state, ins, starts, reachable_minuends):
     if next_start is not None:
         return [next_start]
     return []
-
-
-def _jump_targets(state, target, starts):
-    """``[target]`` if it starts a block of this function, else nothing: a
-    tail jump into another function leaves this one, and validation reported
-    any other target."""
-    return [target] if target in starts else []
 
 
 # --- lifted program and emission ---
@@ -772,22 +743,20 @@ def emit_assembly(lp: LiftedProgram) -> str:
     inside an instruction or a pointer cell gets no lines. The map holds:
 
     - a used section floor at the section base;
-    - ``.func NAME`` and its ``.slot`` lines at a decoded function entry;
-    - a used function's ``NAME:`` line anywhere else;
-    - a block label at a decoded ``BASIC_BLOCK`` record, or wherever used;
+    - ``.func NAME`` and its ``.slot`` lines at a function entry;
+    - a block label at a ``BASIC_BLOCK`` record, or wherever used;
     - a data label where a variable starts with it, or wherever used.
 
     At a shared address the order is floor, function, then block or data
-    label. ``.endfunc`` follows the instruction at a decoded
-    ``FUNCTION_END`` record. Decoded means emitted as an instruction in code.
-    Every ``.func`` is closed exactly once: ``.endfunc`` prints only while a
-    function is open, a ``.func`` line first closes the function still open,
-    and a function still open at the end of its section is closed there.
+    label. ``.endfunc`` follows the instruction at a ``FUNCTION_END``
+    record. Validation put every text record on an instruction, so each of
+    these lines lands before one. Every ``.func`` is closed exactly once:
+    ``.endfunc`` prints only while a function is open, a ``.func`` line
+    first closes the function still open, and a function still open at the
+    end of its section is closed there.
     """
     sections = [(sec, _items(lp, sec)) for sec in lp.sections]
-    code = {addr for sec, items in sections if sec.exec
-            for addr, item in items if isinstance(item, Instruction)}
-    marks = _label_lines(lp, code)
+    marks = _label_lines(lp)
     cuts = sorted(marks)
     lines: list[str] = []
     in_func = False
@@ -859,22 +828,19 @@ def _items(lp, sec):
     return items
 
 
-def _label_lines(lp, code) -> dict[int, list[str]]:
-    """Address -> its label lines in order; ``code``: the emitted instructions."""
+def _label_lines(lp) -> dict[int, list[str]]:
+    """Address -> its label lines in order."""
     lm = lp.labels
     marks: dict[int, list[str]] = {}
     for addr, name in {**lm.text_floors, **lm.data_floors}.items():
         if name in lm.used:
             marks.setdefault(addr, []).append(f"{name}:")
     for addr, name in lm.functions.items():
-        if addr in code:
-            marks.setdefault(addr, []).extend(
-                [f".func {name}"] + [f".slot {name}, {slot}, {off}"
-                                     for off, slot in lm.slots.get(addr, ())])
-        elif name in lm.used:
-            marks.setdefault(addr, []).append(f"{name}:")
+        marks.setdefault(addr, []).extend(
+            [f".func {name}"] + [f".slot {name}, {slot}, {off}"
+                                 for off, slot in lm.slots.get(addr, ())])
     for addr, name in lm.blocks.items():
-        if name in lm.used or (addr in lm.bb_backed and addr in code):
+        if name in lm.used or addr in lm.bb_backed:
             marks.setdefault(addr, []).append(f"{name}:")
     var_labels = {var.label for var in lp.variables}
     for addr, name in lm.data_labels.items():

@@ -63,12 +63,11 @@ from .errors import (
     quoted,
     value_type,
 )
-from .isa import (CONDITIONAL_JUMP, JUMP, Immediate, MemRef, PcRel, decode_region,
+from .isa import (CONDITIONAL_JUMP, JUMP, U64, Immediate, MemRef, PcRel, decode_region,
                   instruction_class, label_imm_width, rip_target)
 
 MAGIC = b"ELLF"
 VERSION = 2
-U64 = (1 << 64) - 1
 POINTER_WIDTH = 8  # bytes in a pointer or diff cell
 
 # text record kinds (wire values)
@@ -670,8 +669,10 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                       values: dict | None = None) -> list[Diagnostic]:
     """Cross-check metadata against the sections and bytes of an ElfImage.
 
-    Returns an empty list iff every check below passes, and otherwise a
-    diagnostic per problem, in the order of the checks:
+    Raises OverlapError, whatever the metadata holds, if two alloc sections
+    of the image overlap. Otherwise returns an empty list iff every check
+    below passes, and else a diagnostic per problem, in the order of the
+    checks:
 
     - each instruction region starts in an executable section, decodes, and
       does not leave executable sections; none begins inside the decoded
@@ -686,8 +687,10 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
     - each stack record's entry is a function start, when there are text
       records;
     - each data record lies inside one data section;
-    - each decoded direct ``jmp`` or ``jcc`` at or after the first function
-      start targets a function start or a basic block (kind ``cfg``);
+    - each decoded direct ``call``, ``jmp`` or ``jcc`` targets some section,
+      and so does each RIP-relative operand that no pointer record names;
+    - each other decoded direct ``jmp`` or ``jcc`` at or after the first
+      function start targets a function start or a block (kind ``cfg``);
     - each alloc section is code or data, and zero-fill or not, as the
       assembly dialect reads its name (kind ``section``). A write flag alone
       may differ, as ``.eh_frame``'s may: the reassembled bytes are the same.
@@ -703,19 +706,23 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
     - a diff, on such a cell: its minuend, the cell plus the subtrahend.
 
     Each diagnostic carries the record it is about as ``record``, but for
-    the ``cfg`` and ``section`` ones, which carry none; a record without a
-    value gets one. ``decoded`` is filled with the instructions decoded, by
-    address, and ``values`` with the value of each record that has one. The
-    image is loaded at most once.
+    the branch, RIP-relative, ``cfg`` and ``section`` ones, which carry
+    none; a record without a value gets one. ``decoded`` is filled with the
+    instructions decoded, by address, and ``values`` with the value of each
+    record that has one. The image is loaded once.
     """
+    byte_map = load_image(image)  # raises OverlapError, as the lift's own load would
     diags: list[Diagnostic] = []
 
-    def check_in_any(addr, what, rec):
-        if image.section_at(addr) is None:
-            diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside any "
-                                             f"section", addr, record=rec))
+    def check_in_any(addr, what, rec=None, at=None):
+        """Report ``addr`` if it lies in no section, at ``at`` if given;
+        True if it was reported."""
+        if image.section_at(addr) is not None:
+            return False
+        diags.append(Diagnostic("range", f"{what} 0x{addr:x} is not inside any section",
+                                addr if at is None else at, record=rec))
+        return True
 
-    byte_map = None
     if decoded is None:
         decoded = {}  # instruction start -> instruction
     extent = None  # (start, end) of the region decoded last
@@ -731,8 +738,6 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                                                f"inside the decoded extent of the "
                                                f"region at 0x{extent[0]:x}",
                                     region.start, record=region))
-        if byte_map is None:
-            byte_map = load_image(image)
         addr = region.start
         try:
             for ins in decode_region(byte_map, addr, region.count):
@@ -805,16 +810,23 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                                              f"past the end of {sec.name}", drec.addr,
                                     record=drec))
 
-    if starts:
-        first = min(starts)
-        blocks = starts.union(t.addr for t in meta.text if t.kind == BASIC_BLOCK)
-        for addr, ins in decoded.items():
-            ops = ins.operands  # only a direct branch has a PcRel operand
-            if addr >= first and ops and isinstance(ops[0], PcRel):
-                klass = instruction_class(ins)
-                if klass.kind in (JUMP, CONDITIONAL_JUMP) and klass.target not in blocks:
-                    diags.append(Diagnostic("cfg", f"branch target 0x{klass.target:x} is "
-                                                   f"not a block start in any function", addr))
+    first = min(starts, default=None)
+    blocks = starts.union(t.addr for t in meta.text if t.kind == BASIC_BLOCK)
+    recorded = {(rec.instr_addr, rec.operand_index) for rec in meta.pointers
+                if isinstance(rec, OperandPointer)}
+    for addr, ins in decoded.items():
+        ops = ins.operands
+        if ops and isinstance(ops[0], PcRel):  # a direct branch, its only operand
+            klass = instruction_class(ins)
+            if check_in_any(klass.target, "branch target", at=addr):
+                continue
+            if (first is not None and addr >= first
+                    and klass.kind in (JUMP, CONDITIONAL_JUMP) and klass.target not in blocks):
+                diags.append(Diagnostic("cfg", f"branch target 0x{klass.target:x} is "
+                                               f"not a block start in any function", addr))
+        for i, op in enumerate(ops):  # a recorded one has its value checked above
+            if isinstance(op, MemRef) and op.rip_relative and (addr, i) not in recorded:
+                check_in_any(rip_target(ins, op), "RIP-relative target", at=addr)
 
     for sec in image.sections:
         actual, named = (sec.exec, sec.kind == "nobits"), section_kind(sec.name)

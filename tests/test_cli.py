@@ -9,7 +9,9 @@ import pytest
 from ellf import cli, elfio
 from ellf.asm import assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs
-from ellf.meta import decode_metadata, metadata_to_json
+from ellf.meta import EllfMetadata, decode_metadata, metadata_to_json
+
+from test_validate import overlapping_sections_elf
 
 
 def run(capsys, *argv):
@@ -67,7 +69,7 @@ def test_base_options_place_sections_that_declare_no_base(tmp_path, capsys):
                      "-o", tmp_path / "prog.elf")
     assert code == cli.EXIT_OK
     image = elfio.load_image(elfio.read_elf((tmp_path / "prog.elf").read_bytes()))
-    assert (image[0x5000], image[0x7000]) == (0xC3, 1)
+    assert (image.read(0x5000, 0x5001), image.read(0x7000, 0x7001)) == (b"\xc3", b"\x01")
 
 
 def test_missing_input_is_an_io_failure(tmp_path, capsys):
@@ -205,6 +207,16 @@ def test_inject_refuses_a_misspelled_table(tmp_path, capsys):
                        tmp_path / "meta.json", "-o", tmp_path / "out.elf")
     assert code == cli.EXIT_DOMAIN == 1
     assert err == "error: InvariantViolation: metadata JSON has unknown field 'pointer'\n"
+    assert not (tmp_path / "out.elf").exists()
+
+
+def test_inject_refuses_an_image_whose_sections_overlap(tmp_path, capsys):
+    (tmp_path / "plain.elf").write_bytes(overlapping_sections_elf())
+    (tmp_path / "meta.json").write_text(json.dumps(metadata_to_json(EllfMetadata())))
+    code, _, err = run(capsys, "inject", tmp_path / "plain.elf", "--meta",
+                       tmp_path / "meta.json", "-o", tmp_path / "out.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err == "error: OverlapError: sections .text and .data overlap at 0x1008\n"
     assert not (tmp_path / "out.elf").exists()
 
 

@@ -20,6 +20,8 @@ from ellf.errors import (
     UnsupportedEndianness,
 )
 
+from test_image_view import reference_image, view_entries
+
 
 def test_read_back_assembler_output(table_demo):
     elf, _, img = table_demo
@@ -56,9 +58,10 @@ def test_unsupported_class_and_endianness():
 def test_load_image_demo_bytes(table_demo):
     _, _, img = table_demo
     image = elfio.load_image(img)
-    assert image[0x4000] == 0x55
+    ref = reference_image(img)
+    assert image.read(0x4000, 0x4001) == b"\x55" == bytes([ref[0x4000]])
     total = sum(sec.size for sec in img.sections if sec.alloc)
-    assert len(image) == total
+    assert view_entries(image, min(ref), max(ref) + 1) == ref and len(ref) == total
 
 
 def test_load_image_nobits_zero_fill():
@@ -68,14 +71,16 @@ def test_load_image_nobits_zero_fill():
         elfio.NewSection(".bss", 0x2000, b"", sh_type=elfio.SHT_NOBITS,
                          sh_flags=elfio.SHF_ALLOC | elfio.SHF_WRITE, size=64),
     ])
-    image = elfio.load_image(elfio.read_elf(elf))
-    assert all(image[0x2000 + i] == 0 for i in range(64))
-    assert len(image) == 65
+    img = elfio.read_elf(elf)
+    image = elfio.load_image(img)
+    assert image.read(0x2000, 0x2040) == bytes(64)
+    ref = reference_image(img)
+    assert view_entries(image, 0x1000, 0x2040) == ref and len(ref) == 65
 
 
 def test_load_image_empty():
     img = elfio.ElfImage(entry_point=0, sections=())
-    assert elfio.load_image(img) == {}
+    assert view_entries(elfio.load_image(img), 0, 1) == reference_image(img) == {}
 
 
 def test_load_image_overlap():

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used, and
-no module imports ``dataclasses``."""
+"""Source hygiene: every name a module of the package imports is used, every
+private module-level name is read, and no module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -40,6 +40,44 @@ def test_every_imported_name_is_used(path):
 def test_an_import_left_behind_is_found():
     source = "from .isa import MemRef, SymbolRef\n\ndef f(op):\n    return MemRef()\n"
     assert unused_imports(source) == ["line 1: SymbolRef"]
+
+
+def private_names(source: str) -> set[str]:
+    """The ``_name``s that the top-level statements of ``source`` define."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level name of ``sources``
+    that no module of ``sources`` reads."""
+    read = set().union(*map(read_names, sources.values()))
+    return sorted(f"{module}.{name}" for module, source in sources.items()
+                  for name in private_names(source) - read)
+
+
+def test_every_private_module_level_name_is_read_by_the_package():
+    sources = {path.stem: path.read_text() for path in Path(ellf.__file__).parent.rglob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_a_helper_left_behind_is_found():
+    sources = {"isa": "_USED = 1\n_LEFT, _OTHER = 2, 3\ndef _helper():\n    return _USED\n"
+                      "class _Kept:\n    pass\n",
+               "asm": "from .isa import _OTHER, _Kept\n\nx = _OTHER, _Kept\n"}
+    assert unread_private_names(sources) == ["isa._LEFT", "isa._helper"]
 
 
 def imported_modules(source: str) -> set[str]:

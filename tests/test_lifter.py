@@ -210,8 +210,12 @@ def _names(prefix):
        queries=st.lists(st.integers(0, 56), max_size=16))
 def test_lookup_matches_linear_scan(functions, blocks, text_floors, data_labels,
                                     data_floors, queries):
-    lm = LabelMap(functions=functions, blocks=blocks, text_floors=text_floors,
-                  data_labels=data_labels, data_floors=data_floors)
+    lm = LabelMap()
+    lm.functions.update(functions)
+    lm.blocks.update(blocks)
+    lm.text_floors.update(text_floors)
+    lm.data_labels.update(data_labels)
+    lm.data_floors.update(data_floors)
     for addr in [-1, *queries]:  # -1 lies below every entry
         for namespace in ("text", "data"):
             assert lm.lookup(addr, namespace) == _linear_lookup(lm, addr, namespace)
@@ -384,6 +388,9 @@ def test_a_lift_that_returns_reassembles_to_the_same_bytes(name):
                 continue
             assert mode == "lenient" or not problems, variant
             assert lp.diagnostics[:len(problems)] == problems, variant
+            # The renderer places .func and block lines only at instructions.
+            assert set(lp.labels.functions) | lp.labels.bb_backed <= set(lp.instructions), (
+                mode, variant)
             text = emit_assembly(lp)
             raw, _ = assemble_image(parse_assembly(text))
             assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), (
@@ -479,7 +486,8 @@ SP_EFFECTS = [
 
 @pytest.mark.parametrize("text, before, after", SP_EFFECTS)
 def test_each_instruction_moves_or_drops_the_frame_anchors(text, before, after):
-    assert lifter._apply_sp_effect(_one_instruction(text), *before) == after
+    ins = _one_instruction(text)
+    assert lifter._apply_sp_effect(ins, *before, ins.operands) == after
 
 
 def _stack_lift(body):

@@ -8,7 +8,7 @@ import pytest
 from ellf import cli, elfio
 from ellf.asm import assemble_image, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
-from ellf.errors import LiftError, PointerStraddle
+from ellf.errors import LiftError, OverlapError, PointerStraddle
 from ellf.lifter import emit_assembly, lift, lift_unsymbolized
 from ellf.meta import (
     BASIC_BLOCK,
@@ -390,3 +390,53 @@ def test_an_operand_pointer_on_a_plain_immediate_keeps_the_immediate():
     text = emit_assembly(lenient)
     assert "    mov rax, 1\n" in text
     assert text == emit_assembly(lift(img, meta, mode="strict"))
+
+
+# --- targets in no section, and images whose sections overlap ---
+
+FAR_CALL = (".section .text base=0x1000\n.func main\n    call far\n    ret\n.endfunc\n"
+            ".set far, main + 0x100000\n")
+
+
+def test_a_branch_target_in_no_section_fails_validation():
+    elf, meta = assemble_image(parse_assembly(FAR_CALL))
+    img = elfio.read_elf(elf)
+    message = "branch target 0x101000 is not inside any section"
+    assert [(d.kind, d.message, d.addr, d.record) for d in validate_metadata(meta, img)] == [
+        ("range", message, 0x1000, None)]
+    with pytest.raises(LiftError, match="metadata fails validation: .*" + message):
+        lift(img, meta, mode="strict")
+
+
+def test_an_unrecorded_rip_relative_target_in_no_section_fails_validation():
+    elf, meta = assemble_image(parse_assembly(FAR_CALL.replace("call far", "lea rax, [far]")))
+    img = elfio.read_elf(elf)
+    (pointer,) = meta.pointers
+    # A recorded operand is reported once, for its record.
+    assert [(d.kind, d.message, d.record) for d in validate_metadata(meta, img)] == [
+        ("range", "pointer target 0x101000 is not inside any section", pointer)]
+    unrecorded = meta._replace(pointers=())
+    message = "RIP-relative target 0x101000 is not inside any section"
+    assert [(d.kind, d.message, d.addr, d.record)
+            for d in validate_metadata(unrecorded, img)] == [("range", message, 0x1000, None)]
+    with pytest.raises(LiftError, match="metadata fails validation: .*" + message):
+        lift(img, unrecorded, mode="strict")
+
+
+def overlapping_sections_elf():
+    """.text at 0x1000-0x1010 and .data from 0x1008."""
+    return elfio.build_elf([
+        elfio.NewSection(".text", 0x1000, b"\x90" * 16,
+                         sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR),
+        elfio.NewSection(".data", 0x1008, bytes(8),
+                         sh_flags=elfio.SHF_ALLOC | elfio.SHF_WRITE)])
+
+
+@pytest.mark.parametrize("meta", [EllfMetadata(), EllfMetadata(data=(DataRecord(0x1008, 8),))],
+                         ids=["no_records", "one_data_record"])
+def test_an_image_whose_sections_overlap_fails_validation(meta):
+    img = elfio.read_elf(overlapping_sections_elf())
+    with pytest.raises(OverlapError, match="sections .text and .data overlap at 0x1008"):
+        validate_metadata(meta, img)
+    with pytest.raises(OverlapError):
+        img.section_at(0x1000)
