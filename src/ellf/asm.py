@@ -25,12 +25,16 @@ with a ``0x``/``0o``/``0b`` base prefix, optionally signed, with underscores
 allowed between digits (``0x_ff``, ``1_0``). Consecutive plain ``.byte`` lines
 (nothing but spaces, tabs, ``.byte`` and values: no label, comment or other
 character) form one data item; the bytes, and any error and its line, are
-those of the lines parsed one by one. A memory operand's terms are
-separated by ``+`` and ``-`` and none may be empty: a sign may lead the
-operand, but two signs in a row or a trailing sign is an error. Symbolic
-operands and ``.quad`` cells (``LABEL + N``, ``[LABEL + N]``, ``A - B``)
-parse to ``SymbolRef``, a labelled ``MemRef`` and ``SymbolDiff``, the same
-values ``lifter.emit_assembly`` renders.
+those of the lines parsed one by one. A run spelled as the lifter writes it
+(``.byte 0xab, 0xcd``: one space after ``.byte``, each value ``0x`` and two
+lower-case hex digits, ``", "`` between values) decodes in one pass; any
+other spelling is read value by value, with the same bytes, errors and
+lines. A memory operand's terms are separated by ``+`` and ``-`` and none
+may be empty: a sign may lead the operand, but two signs in a row or a
+trailing sign is an error. Symbolic operands and ``.quad`` cells
+(``LABEL + N``, ``[LABEL + N]``, ``A - B``) parse to ``SymbolRef``, a
+labelled ``MemRef`` and ``SymbolDiff``, the same values
+``lifter.emit_assembly`` renders.
 
 Assembling walks the items once, laying each out at the next address of its
 section and encoding it through the canonical instruction encoder. An item
@@ -65,6 +69,7 @@ alone, so one in code would fail it.
 from __future__ import annotations
 
 import re
+from binascii import unhexlify
 from itertools import islice, repeat
 from typing import NamedTuple
 
@@ -193,6 +198,9 @@ def parse_assembly(text: str) -> AsmProgram:
     sections: list[AsmSection] = []
     defined: set[str] = set()
     open_func = None  # line of the .func not yet closed
+    # Instruction text -> (mnemonic, operands), once it parsed; operands are
+    # values, so the items of a repeated text share them.
+    instrs: dict[str, tuple[str, tuple]] = {}
 
     def current_section(line):
         if not sections:
@@ -285,15 +293,18 @@ def parse_assembly(text: str) -> AsmProgram:
                 raise UnknownDirective(f"unknown directive {word!r}", lineno)
             continue
 
-        mnemonic, _, operand_text = line.partition(" ")
-        mnemonic = mnemonic.lower()
-        if mnemonic not in SUBSET_MNEMONICS and mnemonic != "movabs":
-            raise AsmSyntaxError(f"unknown mnemonic {mnemonic!r}", lineno)
-        operands = tuple(_parse_operand(tok, lineno)
-                         for tok in _split_args(operand_text))
-        if mnemonic == "movabs":
-            mnemonic, operands = _movabs(operands, lineno)
-        current_section(lineno).items.append(Instr(mnemonic, operands, lineno))
+        parsed = instrs.get(line)
+        if parsed is None:
+            mnemonic, _, operand_text = line.partition(" ")
+            mnemonic = mnemonic.lower()
+            if mnemonic not in SUBSET_MNEMONICS and mnemonic != "movabs":
+                raise AsmSyntaxError(f"unknown mnemonic {mnemonic!r}", lineno)
+            operands = tuple(_parse_operand(tok, lineno)
+                             for tok in _split_args(operand_text))
+            if mnemonic == "movabs":
+                mnemonic, operands = _movabs(operands, lineno)
+            parsed = instrs[line] = mnemonic, operands
+        current_section(lineno).items.append(Instr(*parsed, lineno))
 
     if open_func is not None:
         raise AsmSyntaxError(".func without closing .endfunc", open_func)
@@ -380,12 +391,24 @@ _CELLS = {"byte": (0, 0xFF, 1), "long": (-(1 << 31), (1 << 32) - 1, 4)}
 def _byte_run(run, line):
     """The one Data item of a run of plain ``.byte`` lines, or None if a value
     is bad; the line path then names the first fault."""
-    # A value holds no '.', so the ".byte" words and the commas separate them.
+    # A run spelled as the lifter writes it ("    .byte 0xab, 0xcd"): with each
+    # ".byte 0x" and ", 0x" a \0, it is blanks and units of a \0 and two hex
+    # digits. A run holds no \0 or \1 of its own, so each value between the
+    # commas and ".byte" words is then " 0xHH" plus blanks.
+    body = run.encode().replace(b".byte 0x", b"\0").replace(b", 0x", b"\0")
+    if not body.translate(_HEX_DIGITS).replace(b"\0\1\1", b"").strip():
+        return Data("byte", unhexlify(body.translate(None, b"\0 \t\n")), line, run)
+    # Any other spelling: a value holds no '.', so the ".byte" words and the
+    # commas separate them.
     try:
         payload = bytes(map(int, run.replace(".byte", ",").split(",")[1:], repeat(0)))
     except ValueError:
         return None
     return Data("byte", payload, line, run)
+
+
+# Each lower-case hex digit to \1, for _byte_run's check of a run's spelling.
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", b"\1" * 16)
 
 
 def _parse_string(text, line):

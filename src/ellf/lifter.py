@@ -236,9 +236,11 @@ def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
     PointerStraddle if one is a straddle, else LiftError. A lenient lift
     drops every record a diagnostic names and validates what is left again,
     until a round names no record still present; it keeps each new
-    diagnostic once. Returns the kept metadata, the instructions validation
-    decoded by address, the value of each pointer record, and the
-    diagnostics.
+    diagnostic once. If that last round reports a ``range`` problem, a
+    target outside every section that no record names, nothing can be
+    dropped for it and the lenient lift raises LiftError too. Returns the
+    kept metadata, the instructions validation decoded by address, the
+    value of each pointer record, and the diagnostics.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
@@ -254,6 +256,9 @@ def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
         seen.update(problems)
         flagged = {p.record for p in problems if p.record is not None}
         if not flagged:
+            stuck = [p for p in problems if p.kind == "range"]
+            if stuck:
+                raise LiftError("metadata fails validation: " + "; ".join(map(str, stuck)))
             return meta, decoded, values, diagnostics
         meta = meta._replace(**{table: tuple(rec for rec in getattr(meta, table)
                                              if rec not in flagged) for table in _TABLES})
@@ -622,7 +627,8 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
 
     Step I, ``lift_unsymbolized``, validates the metadata: in ``"strict"``
     mode any problem raises, and in ``"lenient"`` mode each record a
-    problem names is dropped and the problem becomes a diagnostic. The
+    problem names is dropped and the problem becomes a diagnostic; a
+    ``range`` problem that names no record still raises. The
     passes after it run over the metadata kept, read each instruction as
     validation decoded it, once, and each pointer record's value as
     validation derived it.

@@ -11,6 +11,7 @@ from ellf.asm import assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs
 from ellf.meta import EllfMetadata, decode_metadata, metadata_to_json
 
+from test_lifter import FAR_REFERENCES, FAR_TARGET
 from test_validate import overlapping_sections_elf
 
 
@@ -218,6 +219,19 @@ def test_inject_refuses_an_image_whose_sections_overlap(tmp_path, capsys):
     assert code == cli.EXIT_DOMAIN
     assert err == "error: OverlapError: sections .text and .data overlap at 0x1008\n"
     assert not (tmp_path / "out.elf").exists()
+
+
+@pytest.mark.parametrize("instruction, problem", FAR_REFERENCES, ids=["call", "lea"])
+def test_lift_refuses_a_target_outside_every_section_that_no_record_names(
+        tmp_path, capsys, instruction, problem):
+    (tmp_path / "far.s").write_text(FAR_TARGET.format(instruction))
+    code, _, _ = run(capsys, "asm", tmp_path / "far.s", "-o", tmp_path / "far.elf")
+    assert code == cli.EXIT_OK
+    code, _, err = run(capsys, "lift", tmp_path / "far.elf", "-o", tmp_path / "lifted.s")
+    assert code == cli.EXIT_DOMAIN == 1
+    assert err == (f"error: LiftError: metadata fails validation: [error] range at "
+                   f"0x1000: {problem}\n")
+    assert not (tmp_path / "lifted.s").exists()
 
 
 def test_metadata_json_that_is_not_utf8_fails_cleanly(tmp_path, capsys, assembled):

@@ -765,6 +765,27 @@ def test_a_lenient_lift_without_regions_drops_every_text_record():
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
+# A reference to a label outside every section, and what validation reports of it.
+FAR_TARGET = (".section .text base=0x1000\n.func main\n    {}\n    ret\n.endfunc\n"
+              ".set far, main + 0x100000\n")
+FAR_REFERENCES = [
+    ("call far", "branch target 0x101000 is not inside any section"),
+    ("lea rax, [far]", "RIP-relative target 0x101000 is not inside any section"),
+]
+
+
+@pytest.mark.parametrize("instruction, problem", FAR_REFERENCES, ids=["call", "lea"])
+def test_a_lenient_lift_refuses_a_target_outside_every_section_that_no_record_names(
+        instruction, problem):
+    """Nothing can be dropped for an unrecorded target, and no text could name
+    it. The lea's pointer record is dropped first; the next round reports it."""
+    elf, meta = assemble(parse_assembly(FAR_TARGET.format(instruction)))
+    with pytest.raises(LiftError) as info:
+        lift(elfio.read_elf(elf), meta, mode="lenient")
+    assert type(info.value) is LiftError
+    assert str(info.value) == f"metadata fails validation: [error] range at 0x1000: {problem}"
+
+
 # Tables whose loss makes a lift render symbols at an offset from their label.
 SPARSER = ((), ("text", "data"), ("text", "data", "pointers"))
 
