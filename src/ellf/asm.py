@@ -25,9 +25,10 @@ with a ``0x``/``0o``/``0b`` base prefix, optionally signed, with underscores
 allowed between digits (``0x_ff``, ``1_0``). Consecutive plain ``.byte`` lines
 (nothing but spaces, tabs, ``.byte`` and values: no label, comment or other
 character) form one data item; the bytes, and any error and its line, are
-those of the lines parsed one by one. A run spelled as the lifter writes it
-(``.byte 0xab, 0xcd``: one space after ``.byte``, each value ``0x`` and two
-lower-case hex digits, ``", "`` between values) decodes in one pass; any
+those of the lines parsed one by one. A run spelled as the lifter's
+``_byte_text`` writes it (lines of ``.byte 0xab, 0xcd``: one space after
+``.byte``, each value ``0x`` and two lower-case hex digits, ``", "`` between
+values) decodes in one pass, however its values are split into lines; any
 other spelling is read value by value, with the same bytes, errors and
 lines. A memory operand's terms are separated by ``+`` and ``-`` and none
 may be empty: a sign may lead the operand, but two signs in a row or a
@@ -391,10 +392,11 @@ _CELLS = {"byte": (0, 0xFF, 1), "long": (-(1 << 31), (1 << 32) - 1, 4)}
 def _byte_run(run, line):
     """The one Data item of a run of plain ``.byte`` lines, or None if a value
     is bad; the line path then names the first fault."""
-    # A run spelled as the lifter writes it ("    .byte 0xab, 0xcd"): with each
-    # ".byte 0x" and ", 0x" a \0, it is blanks and units of a \0 and two hex
-    # digits. A run holds no \0 or \1 of its own, so each value between the
-    # commas and ".byte" words is then " 0xHH" plus blanks.
+    # A run spelled as lifter._byte_text writes it ("    .byte 0xab, 0xcd",
+    # with any number of values a line): with each ".byte 0x" and ", 0x" a
+    # \0, it is blanks and units of a \0 and two hex digits. A run holds no
+    # \0 or \1 of its own, so each value between the commas and ".byte"
+    # words is then " 0xHH" plus blanks.
     body = run.encode().replace(b".byte 0x", b"\0").replace(b", 0x", b"\0")
     if not body.translate(_HEX_DIGITS).replace(b"\0\1\1", b"").strip():
         return Data("byte", unhexlify(body.translate(None, b"\0 \t\n")), line, run)

@@ -236,11 +236,13 @@ def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
     PointerStraddle if one is a straddle, else LiftError. A lenient lift
     drops every record a diagnostic names and validates what is left again,
     until a round names no record still present; it keeps each new
-    diagnostic once. If that last round reports a ``range`` problem, a
-    target outside every section that no record names, nothing can be
-    dropped for it and the lenient lift raises LiftError too. Returns the
-    kept metadata, the instructions validation decoded by address, the
-    value of each pointer record, and the diagnostics.
+    diagnostic once. If that last round reports a ``range`` problem (a
+    target outside every section that no record names) or a ``section``
+    problem (an alloc section whose name the dialect reads as another
+    kind), nothing can be dropped for it and the lenient lift raises
+    LiftError too. Returns the kept metadata, the instructions validation
+    decoded by address, the value of each pointer record, and the
+    diagnostics.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
@@ -256,7 +258,7 @@ def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
         seen.update(problems)
         flagged = {p.record for p in problems if p.record is not None}
         if not flagged:
-            stuck = [p for p in problems if p.kind == "range"]
+            stuck = [p for p in problems if p.kind in ("range", "section")]
             if stuck:
                 raise LiftError("metadata fails validation: " + "; ".join(map(str, stuck)))
             return meta, decoded, values, diagnostics
@@ -470,52 +472,58 @@ def _apply_sp_effect(ins, sp_delta, rbp_delta, ops):
 # --- step V: data symbolization ---
 
 def data_symbolize(state: _LiftState) -> None:
+    """Partition each data section into variables, one at each data record
+    and one before the first if the section does not start with one.
+
+    Validation put each data record inside one data section, and each
+    pointer cell inside progbits data, so a section's records are a slice
+    of the address-sorted table and its cells follow one cursor. The raw
+    parts of a progbits section are slices of one view of its body.
+    """
     variables: list[Variable] = []
     cells = sorted((rec for rec in state.meta.pointers if not isinstance(rec, OperandPointer)),
                    key=lambda rec: rec.addr)
     marks = [rec.addr for rec in cells]
+    data_starts = [rec.addr for rec in state.meta.data]
+    data_labels = state.labels.data_labels
     for sec in state.image.sections:
         if not sec.alloc or sec.exec or sec.size == 0:
             continue
-        records = [r for r in state.meta.data
-                   if sec.vaddr <= r.addr and r.addr + r.size <= sec.vaddr + sec.size]
         sec_end = sec.vaddr + sec.size
-        spans: list[tuple[int, int, str | None]] = []
-        if records:
-            if records[0].addr > sec.vaddr:
-                spans.append((sec.vaddr, records[0].addr, None))
-            for i, rec in enumerate(records):
-                end = records[i + 1].addr if i + 1 < len(records) else sec_end
-                spans.append((rec.addr, end, state.labels.data_labels[rec.addr]))
-        else:
-            spans.append((sec.vaddr, sec_end, None))
-
+        starts = data_starts[bisect_left(data_starts, sec.vaddr):
+                             bisect_left(data_starts, sec_end)]
+        labels = [data_labels[addr] for addr in starts]
+        if not starts or starts[0] > sec.vaddr:
+            starts.insert(0, sec.vaddr)
+            labels.insert(0, None)
         nobits = sec.kind == "nobits"
-        for start, end, label in spans:
-            inside = cells[bisect_left(marks, start):bisect_left(marks, end)]
-            payload = _build_payload(state, start, end, nobits, inside)
-            variables.append(Variable(address=start, size=end - start,
-                                      label=label, payload=payload))
+        body = None if nobits else state.byte_map.read_run(sec.vaddr, sec.size)
+        k = bisect_left(marks, sec.vaddr)  # the first cell not yet placed
+        for start, end, label in zip(starts, starts[1:] + [sec_end], labels):
+            first = k
+            while k < len(marks) and marks[k] < end:
+                k += 1
+            payload = ((Zeroes(end - start),) if nobits else
+                       _build_payload(state, body, sec.vaddr, start, end, cells[first:k]))
+            variables.append(Variable(start, end - start, label, payload))
     state.variables = variables
 
 
-def _build_payload(state, start, end, nobits, cells):
-    """The variable's payload; ``cells`` are the pointer records of the
-    cells inside it, in address order. Validation placed each pointer cell
-    in progbits data, apart from every other cell and from every data
-    record start."""
-    if nobits:
-        return (Zeroes(end - start),)
-
+def _build_payload(state, body, base, start, end, cells):
+    """The payload of the progbits variable at [start, end); ``body`` holds
+    the bytes of its section, which starts at ``base``, and ``cells`` are
+    the pointer records of the cells inside it, in address order.
+    Validation placed each pointer cell apart from every other cell and
+    from every data record start."""
     parts = []
     pos = start
     for rec in cells:
         if rec.addr > pos:
-            parts.append(state.byte_map.read(pos, rec.addr))
+            parts.append(bytes(body[pos - base:rec.addr - base]))
         parts.append(_pointer_part(state, rec))
         pos = rec.addr + POINTER_WIDTH
     if pos < end:
-        parts.append(state.byte_map.read(pos, end))
+        parts.append(bytes(body[pos - base:end - base]))
     return tuple(parts)
 
 
@@ -628,7 +636,7 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
     Step I, ``lift_unsymbolized``, validates the metadata: in ``"strict"``
     mode any problem raises, and in ``"lenient"`` mode each record a
     problem names is dropped and the problem becomes a diagnostic; a
-    ``range`` problem that names no record still raises. The
+    ``range`` or ``section`` problem that names no record still raises. The
     passes after it run over the metadata kept, read each instruction as
     validation decoded it, once, and each pointer record's value as
     validation derived it.
@@ -730,11 +738,16 @@ def _mnemonic(ins: Instruction) -> str:
     return ins.mnemonic
 
 
-def _byte_lines(data: bytes):
-    """``.byte`` lines for ``data``: 8 values a line (fewer on the last), each
-    ``0xHH`` in lower-case hex, separated by ``", "``; no line for no bytes."""
-    for i in range(0, len(data), 8):
-        yield "    .byte 0x" + data[i:i + 8].hex(" ").replace(" ", ", 0x")
+def _byte_text(data) -> str:
+    """The ``.byte`` lines for ``data``, joined by newlines: 8 values a line
+    (fewer on the last), each ``0xHH`` in lower-case hex, separated by
+    ``", "``; empty for no bytes. ``hex`` writes the values 3 characters
+    apart, so every 24th character is a line break."""
+    if not data:
+        return ""
+    text = bytearray(data.hex(" "), "ascii")
+    text[23::24] = b"\n" * (len(text) // 24)
+    return "    .byte 0x" + text.decode().replace(" ", ", 0x").replace("\n", "\n    .byte 0x")
 
 
 def emit_assembly(lp: LiftedProgram) -> str:
@@ -745,8 +758,11 @@ def emit_assembly(lp: LiftedProgram) -> str:
     padding runs in code, variable parts in data. ``_label_lines`` maps
     addresses to label lines; an address's lines print once, before the first
     item there (right after ``.section`` for the section base), and raw bytes
-    and ``.zero`` runs are cut at every mapped address inside them. An address
-    inside an instruction or a pointer cell gets no lines. The map holds:
+    and ``.zero`` runs are cut at every mapped address inside them. Each piece
+    of raw bytes renders in one ``_byte_text`` call, as ``.byte`` lines of 8
+    values; a run that no address cuts renders whole, with no copy. An
+    address inside an instruction or a pointer cell gets no lines. The map
+    holds:
 
     - a used section floor at the section base;
     - ``.func NAME`` and its ``.slot`` lines at a function entry;
@@ -779,49 +795,44 @@ def emit_assembly(lp: LiftedProgram) -> str:
     for sec, items in sections:
         lines.append(f".section {sec.name} base=0x{sec.vaddr:x}")
         put(marks.pop(sec.vaddr, ()))
-        for addr, item in items:
+        for addr, size, item in items:
             put(marks.pop(addr, ()))
             if isinstance(item, Instruction):
                 lines.append("    " + render_instruction(item))
                 if in_func and addr in lp.labels.function_ends:
                     lines.append(".endfunc")
                     in_func = False
-            elif isinstance(item, (bytes, Zeroes)):
-                end = addr + _part_size(item)
-                pos = addr
-                for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, end)]:
-                    lines.extend(_fill_lines(item, pos - addr, cut - addr))
-                    put(marks.pop(cut, ()))
-                    pos = cut
-                lines.extend(_fill_lines(item, pos - addr, end - addr))
-            else:
+            elif isinstance(item, (SymbolRef, SymbolDiff)):
                 lines.append(_part_line(item))
+            else:  # raw bytes or a .zero run, cut at each mapped address inside
+                pos = 0
+                for cut in cuts[bisect_right(cuts, addr):bisect_left(cuts, addr + size)]:
+                    lines.append(_raw_text(item, pos, cut - addr))
+                    put(marks.pop(cut, ()))
+                    pos = cut - addr
+                lines.append(_raw_text(item, pos, size))
         if in_func:
             lines.append(".endfunc")
             in_func = False
     return "\n".join(lines) + "\n"
 
 
-def _fill_lines(item, lo, hi):
-    """The lines for offsets ``lo`` to ``hi`` of raw bytes or a ``.zero`` run."""
+def _raw_text(item, lo, hi):
+    """The lines for offsets ``lo`` to ``hi`` of raw bytes or a ``.zero``
+    run; a whole run of bytes renders as it is, with no copy."""
     if isinstance(item, Zeroes):
-        return [f"    .zero {hi - lo}"]
-    return _byte_lines(item[lo:hi])
-
-
-def _part_size(part) -> int:
-    if isinstance(part, Zeroes):
-        return part.size
-    return len(part) if isinstance(part, bytes) else POINTER_WIDTH
+        return f"    .zero {hi - lo}"
+    return _byte_text(item if hi - lo == len(item) else memoryview(item)[lo:hi])
 
 
 def _items(lp, sec):
-    """(address, item) in address order: instructions and padding runs in
-    code, variable parts in data; raw bytes are ``bytes``."""
+    """(address, size, item) in address order: instructions and padding runs
+    in code, variable parts in data; raw bytes are ``bytes``."""
     lo, hi = sec.vaddr, sec.vaddr + sec.size
     if sec.exec:
-        items = [(addr, ins) for addr, ins in lp.instructions.items() if lo <= addr < hi]
-        items += [(addr, blob) for addr, blob in lp.padding if lo <= addr < hi]
+        items = [(addr, ins.length, ins) for addr, ins in lp.instructions.items()
+                 if lo <= addr < hi]
+        items += [(addr, len(blob), blob) for addr, blob in lp.padding if lo <= addr < hi]
         items.sort(key=lambda item: item[0])
         return items
     items = []
@@ -829,8 +840,10 @@ def _items(lp, sec):
         if lo <= var.address < hi:
             addr = var.address
             for part in var.payload:
-                items.append((addr, part))
-                addr += _part_size(part)
+                size = (part.size if isinstance(part, Zeroes) else
+                        len(part) if isinstance(part, bytes) else POINTER_WIDTH)
+                items.append((addr, size, part))
+                addr += size
     return items
 
 

@@ -9,9 +9,9 @@ import pytest
 from ellf import cli, elfio
 from ellf.asm import assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs
-from ellf.meta import EllfMetadata, decode_metadata, metadata_to_json
+from ellf.meta import EllfMetadata, decode_metadata, encode_metadata, metadata_to_json
 
-from test_lifter import FAR_REFERENCES, FAR_TARGET
+from test_lifter import FAR_REFERENCES, FAR_TARGET, _one_section_elf
 from test_validate import overlapping_sections_elf
 
 
@@ -231,6 +231,20 @@ def test_lift_refuses_a_target_outside_every_section_that_no_record_names(
     assert code == cli.EXIT_DOMAIN == 1
     assert err == (f"error: LiftError: metadata fails validation: [error] range at "
                    f"0x1000: {problem}\n")
+    assert not (tmp_path / "lifted.s").exists()
+
+
+def test_lift_refuses_a_code_section_whose_name_reads_as_data(tmp_path, capsys):
+    """Without ``--strict`` too: the emitted text would hold instructions in
+    a section that the assembler reads as data."""
+    img, meta = _one_section_elf(".data", elfio.SHF_ALLOC | elfio.SHF_EXECINSTR)
+    (tmp_path / "code.elf").write_bytes(
+        elfio.inject_section(img, ".ellf", encode_metadata(meta)))
+    code, _, err = run(capsys, "lift", tmp_path / "code.elf", "-o", tmp_path / "lifted.s")
+    assert code == cli.EXIT_DOMAIN == 1
+    assert err == ("error: LiftError: metadata fails validation: [error] section at "
+                   "0x1000: section .data is code but the assembly dialect reads its "
+                   "name as data\n")
     assert not (tmp_path / "lifted.s").exists()
 
 

@@ -161,6 +161,21 @@ def test_lenient_lift_emits_the_strict_text(name):
             == emit_assembly(lift(img, meta, mode="strict")))
 
 
+def test_the_byte_heavy_program_without_its_data_table_lifts_to_frozen_text():
+    """One variable then holds every cell of ``.data``, and the data labels
+    minted for the cells' targets cut its raw runs."""
+    elf, meta = assemble(parse_assembly(PROGRAMS["byte_heavy"]))
+    img = elfio.read_elf(elf)
+    lp = lift(img, meta._replace(data=()), mode="strict")
+    assert [(var.address, var.label) for var in lp.variables] == [(0x3000, None)]
+    assert len(lp.labels.data_labels) == 44
+    text = emit_assembly(lp)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "50b944ae78b50268e0e4f1f07d4b5a91dcbb58c22a5c40104e3d5649e5feb0ee")
+    elf2, _ = assemble(parse_assembly(text))
+    assert elfio.load_image(elfio.read_elf(elf2)) == elfio.load_image(img)
+
+
 # --- lifting damaged metadata ---
 
 # One digest per program over the strict and lenient lift of each variant of

@@ -229,8 +229,9 @@ def _function_pointer_program():
 
 @pytest.mark.parametrize("fault", sorted(REFUSED))
 def test_metadata_that_every_lift_refuses_fails_validation(fault):
-    """A strict lift raises on the one fault validation reports, and a
-    lenient lift drops the record it names, if any, and nothing else."""
+    """A strict lift raises on the one fault validation reports. A lenient
+    lift drops the record it names, if any, and nothing else; a ``section``
+    fault names none and leaves nothing to drop, so it raises there too."""
     build, kind, message, addr, record = REFUSED[fault]
     elf, meta = build()
     img = elfio.read_elf(elf)
@@ -241,6 +242,11 @@ def test_metadata_that_every_lift_refuses_fails_validation(fault):
                        match=f"metadata fails validation: .*{re.escape(message)}") as info:
         lift(img, meta, mode="strict")
     assert type(info.value) is (PointerStraddle if kind == "straddle" else LiftError)
+    if kind == "section":
+        with pytest.raises(LiftError) as lenient:
+            lift_unsymbolized(img, meta, "lenient")
+        assert str(lenient.value) == str(info.value)
+        return
     kept, _, _, diagnostics = lift_unsymbolized(img, meta, "lenient")
     assert diagnostics == problems
     assert _dropped(meta, kept) == ([] if record is None else [record])
