@@ -64,7 +64,10 @@ hold: an operand's instruction and index, or a cell's address, and for a
 sections and a function starts with one, so every text record sits at an
 instruction start. A ``.quad`` that names a label goes only in a
 non-executable section: validation reads pointer cells in progbits data
-alone, so one in code would fail it.
+alone, so one in code would fail it. A direct ``jmp`` or ``jcc`` at or
+after the first function entry must land on a function entry or on a label
+on an instruction, the block starts the metadata records, as validation
+requires.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ from .meta import (
     metadata_from_layout,
 )
 
-_BRANCH_MNEMONICS = frozenset(("jmp", "call") + JCC_MNEMONICS)
+_JUMP_MNEMONICS = frozenset(("jmp",) + JCC_MNEMONICS)
+_BRANCH_MNEMONICS = _JUMP_MNEMONICS | {"call"}
 _IDENT = r"[A-Za-z_.$][A-Za-z0-9_.$]*"
 _LABEL_RE = re.compile(rf"^({_IDENT})\s*:\s*(.*)$")
 _SECTION_RE = re.compile(rf"^\.section\s+({_IDENT})(?:\s+base\s*=\s*(\S+))?$")
@@ -714,9 +718,13 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
 
     # Fixups: re-encode each label-dependent item in place, at its laid-out length.
     pointers: list = []
+    jumps = []  # (address, target, line) of each direct jump
     for item, addr, length, func_slots, blob, offset in fixups:
         if isinstance(item, Instr):
             encoded, records = _encode_instr(item, addr, func_slots, labels, length)
+            if item.mnemonic in _JUMP_MNEMONICS and isinstance(item.operands[0], SymbolRef):
+                op = item.operands[0]
+                jumps.append((addr, _value(labels, op.label, op.offset, item.line), item.line))
         else:
             encoded, records = _encode_data(item, addr, labels)
         if len(encoded) != length:
@@ -746,6 +754,14 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     meta = metadata_from_layout(
         runs, [(fn.entry, fn.last_instr) for fn in functions], blocks, pointers,
         variables, [(labels[name], table.values()) for name, table in slots.items()])
+
+    entries = {fn.entry for fn in functions}
+    starts = entries.union(blocks)
+    first = min(entries, default=None)
+    for addr, target, line in jumps:
+        if first is not None and addr >= first and target not in starts:
+            raise AsmSyntaxError(f"jump target 0x{target:x} is not a function entry or a "
+                                 f"label on an instruction", line)
 
     new_sections = []
     for section, (execable, nobits), blob, size, _ in laid_out:

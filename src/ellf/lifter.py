@@ -4,14 +4,16 @@ The pipeline decodes exactly the instruction regions, replaces pointer
 operands and pointer-holding data cells with labels, rewrites stack-frame
 accesses through named slot constants, partitions data sections into
 variables, and renders deterministic text that the bundled assembler accepts
-back. Whether metadata lifts is decided once, by ``validate_metadata``, in
-step I; the passes after it run over metadata that validation kept and
-raise nothing: every text record they see is on a decoded instruction, and
-every pointer value in a section. Function and block structure stays in the
-``LabelMap``; only ``emit_assembly`` decides where its label lines go. The
-text, stack and data passes write to disjoint state, so any order of them
-gives the same text, CFGs, variables and diagnostics. The order decides
-only the order of the diagnostics.
+back. Whether metadata lifts is decided in step I, by ``validate_metadata``
+alone or, in a lenient lift, by ``repair_metadata``; the passes after it
+run only over metadata that validates clean and raise nothing: every text
+record they see is on a decoded instruction, every jump from the first
+function on targets a block, and every pointer value and branch target is
+in a section. Function and block structure stays in the ``LabelMap``; only
+``emit_assembly`` decides where its label lines go. The text, stack and
+data passes write to disjoint state, so any order of them gives the same
+text, CFGs, variables and diagnostics. The order decides only the order of
+the diagnostics.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .meta import (
     FUNCTION_START,
     OperandPointer,
     POINTER_WIDTH,
+    repair_metadata,
     validate_metadata,
 )
 
@@ -225,45 +228,27 @@ def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelM
 
 # --- step I: validation, which decodes by the instruction oracle ---
 
-_TABLES = EllfMetadata._fields[1:]  # the five record tables, after the version
-
-
 def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
                       ) -> tuple[EllfMetadata, dict[int, Instruction], dict, list[Diagnostic]]:
     """Validate ``meta`` against ``image``: the one step a lift's mode changes.
 
     A strict lift raises on any problem ``validate_metadata`` reports:
     PointerStraddle if one is a straddle, else LiftError. A lenient lift
-    drops every record a diagnostic names and validates what is left again,
-    until a round names no record still present; it keeps each new
-    diagnostic once. If that last round reports a ``range`` problem (a
-    target outside every section that no record names) or a ``section``
-    problem (an alloc section whose name the dialect reads as another
-    kind), nothing can be dropped for it and the lenient lift raises
-    LiftError too. Returns the kept metadata, the instructions validation
-    decoded by address, the value of each pointer record, and the
-    diagnostics.
+    runs on what ``repair_metadata`` returns. Returns the metadata, which
+    validates clean, the instructions validation decoded by address, the
+    value of each pointer record, and the diagnostics.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
-    diagnostics: list[Diagnostic] = []
-    seen: set[Diagnostic] = set()
-    while True:
-        decoded, values = {}, {}
-        problems = validate_metadata(meta, image, decoded, values)
-        if problems and mode == STRICT:
-            error = PointerStraddle if any(p.kind == "straddle" for p in problems) else LiftError
-            raise error("metadata fails validation: " + "; ".join(map(str, problems)))
-        diagnostics += [p for p in problems if p not in seen]
-        seen.update(problems)
-        flagged = {p.record for p in problems if p.record is not None}
-        if not flagged:
-            stuck = [p for p in problems if p.kind in ("range", "section")]
-            if stuck:
-                raise LiftError("metadata fails validation: " + "; ".join(map(str, stuck)))
-            return meta, decoded, values, diagnostics
-        meta = meta._replace(**{table: tuple(rec for rec in getattr(meta, table)
-                                             if rec not in flagged) for table in _TABLES})
+    decoded, values = {}, {}
+    if mode == LENIENT:
+        meta, diagnostics = repair_metadata(meta, image, decoded, values)
+        return meta, decoded, values, diagnostics
+    problems = validate_metadata(meta, image, decoded, values)
+    if problems:
+        error = PointerStraddle if any(p.kind == "straddle" for p in problems) else LiftError
+        raise error("metadata fails validation: " + "; ".join(map(str, problems)))
+    return meta, decoded, values, []
 
 
 # --- shared lifting state ---
@@ -318,11 +303,8 @@ class _LiftState:
 
 
 def _symbol_for(state, addr):
-    """The label for ``addr``: None if it lies in no section, which
-    validation reported and the renderer refuses."""
+    """The label for ``addr``, which validation put in a section."""
     sec = state.image.section_at(addr)
-    if sec is None:
-        return None
     name, offset = state.labels.lookup(addr, "text" if sec.exec else "data")
     state.labels.used.add(name)
     return SymbolRef(name, offset)
@@ -356,8 +338,7 @@ def coarse_symbolize(state: _LiftState) -> None:
         for i, op in enumerate(state.operands_of(addr)):
             if isinstance(op, MemRef) and op.rip_relative and op.label is None:
                 sym = _symbol_for(state, rip_target(state.decoded[addr], op))
-                if sym is not None:
-                    state.set_operand(addr, i, _labelled(op, sym))
+                state.set_operand(addr, i, _labelled(op, sym))
 
 
 # --- function extents (shared by the fine-grained steps) ---
@@ -379,9 +360,7 @@ def text_symbolize(state: _LiftState) -> None:
     for addr in state.instr_addrs:
         for i, op in enumerate(state.decoded[addr].operands):
             if isinstance(op, PcRel):
-                sym = _symbol_for(state, op.target)
-                if sym is not None:
-                    state.set_operand(addr, i, sym)
+                state.set_operand(addr, i, _symbol_for(state, op.target))
 
 
 # --- step IV: stack symbolization ---
@@ -593,8 +572,8 @@ def _successors(state, ins, starts, reachable_minuends):
     i = bisect_right(starts, ins.address)
     next_start = starts[i] if i < len(starts) else None
 
-    # A direct target outside ``starts`` is a tail jump into another
-    # function, which leaves this one; validation reported any other.
+    # A direct target outside ``starts`` leaves the function: validation
+    # made every jump target a function start or a recorded block.
     if klass.kind == JUMP:
         return [klass.target] if klass.target in starts else []
     if klass.kind == CONDITIONAL_JUMP:
@@ -633,11 +612,8 @@ class LiftedProgram(NamedTuple):
 def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgram:
     """Run the full pipeline.
 
-    Step I, ``lift_unsymbolized``, validates the metadata: in ``"strict"``
-    mode any problem raises, and in ``"lenient"`` mode each record a
-    problem names is dropped and the problem becomes a diagnostic; a
-    ``range`` or ``section`` problem that names no record still raises. The
-    passes after it run over the metadata kept, read each instruction as
+    Step I, ``lift_unsymbolized``, validates the metadata. The passes after
+    it run over the metadata it returns, read each instruction as
     validation decoded it, once, and each pointer record's value as
     validation derived it.
     """

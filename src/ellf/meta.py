@@ -56,6 +56,7 @@ from .errors import (
     Diagnostic,
     InvariantViolation,
     IsaError,
+    LiftError,
     NonCanonical,
     TruncatedTable,
     UnsupportedVersion,
@@ -836,6 +837,51 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                                                f"{_kind_name(*named)}", sec.vaddr))
 
     return diags
+
+
+def repair_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
+                    values: dict | None = None) -> tuple[EllfMetadata, list[Diagnostic]]:
+    """``meta`` repaired until ``validate_metadata`` reports nothing, and the
+    problems reported on the way, each once, from the first round on.
+
+    A round validates. If a problem names a record, every record a problem
+    names is dropped. Otherwise a ``BASIC_BLOCK`` record is added at the
+    target of each ``cfg`` problem's jump, if that target is a decoded
+    instruction start. Any other problem that names no record (``range``,
+    ``section``, or a ``cfg`` target where nothing was decoded) raises
+    LiftError with validation's message. ``decoded`` and ``values`` are
+    filled as ``validate_metadata`` fills them, from the last round.
+    """
+    if decoded is None:
+        decoded = {}
+    if values is None:
+        values = {}
+    diagnostics: list[Diagnostic] = []
+    seen: set[Diagnostic] = set()
+    while True:
+        decoded.clear()
+        values.clear()
+        problems = validate_metadata(meta, image, decoded, values)
+        diagnostics += [p for p in problems if p not in seen]
+        seen.update(problems)
+        flagged = {p.record for p in problems if p.record is not None}
+        if flagged:
+            meta = meta._replace(**{table.field: tuple(
+                rec for rec in getattr(meta, table.field) if rec not in flagged)
+                for table in _TABLES})
+            continue
+        blocks, stuck = set(), []
+        for p in problems:  # a cfg problem is addressed at its decoded jump
+            target = instruction_class(decoded[p.addr]).target if p.kind == "cfg" else None
+            if target in decoded:
+                blocks.add(TextRecord(target, BASIC_BLOCK))
+            else:
+                stuck.append(p)
+        if stuck:
+            raise LiftError("metadata fails validation: " + "; ".join(map(str, stuck)))
+        if not blocks:
+            return meta, diagnostics
+        meta = meta._replace(text=tuple(sorted(blocks.union(meta.text), key=_text_sort_key)))
 
 
 def _kind_name(execable, nobits):

@@ -434,6 +434,12 @@ FAR = ".section .text2 base=0x100001000\n.func g\n    ret\n.endfunc\n"
                  id="rip-out-of-range"),
     pytest.param(FUNC.format("jmp nowhere"),
                  "UndefinedLabel: line 3: label 'nowhere' is not defined", id="undefined-label"),
+    pytest.param(FUNC.format("jmp inpad\ninpad:\n    .byte 0xc3"),
+                 f"{SYNTAX}line 3: jump target 0x1005 is not a function entry or a label on "
+                 f"an instruction", id="jump-into-bytes"),
+    pytest.param(FUNC.format("je done") + "done:\n",
+                 f"{SYNTAX}line 3: jump target 0x1007 is not a function entry or a label on "
+                 f"an instruction", id="jump-to-the-end-of-text"),
 ])
 def test_each_assembler_error_fails_cleanly(tmp_path, capsys, source, error):
     path = tmp_path / "prog.s"

@@ -183,11 +183,11 @@ def test_the_byte_heavy_program_without_its_data_table_lifts_to_frozen_text():
 LIFT_FROZEN = {
     "01_single_ret": "96cf0884ae4857bc1a6833c6f2d9559b950e305795352b2cc363730e70fc0595",
     "02_straight_line": "ca2e3900372f15b728cf0ea658c8c2aeb70e4fffb336a0328d680114e70344d3",
-    "03_conditional": "3356c436d1f0ef9a83e2f65ad61961aa9119c418147e799d05a3416c8d63aa88",
-    "04_loop": "581b43791d0da0b73937acef80763034e8496b95351a48bb5ba6b89138b1018d",
+    "03_conditional": "2d7e84e92eb52a0471a88a1c974d69f06ef8ea0b7150970379a46bb589dffb95",
+    "04_loop": "3f26e576acbdebf1d16199d5ab095086e2eea77ae371c4f36b738ea1088ddc28",
     "05_two_functions": "52c2f2f8925929d81c164d3cbe73bf11bda3eec9be618e8c1e7e38f9398af493",
-    "06_dispatch3": "22ba0a0cdf667c2f19c9753921e97d04ae3f8f845c88505f4caff9ec03f7aeba",
-    "07_dispatch8": "c2360b647adb9295512fbf263991570acb75854664bba7507a67a327924c2621",
+    "06_dispatch3": "fdc6d7b39d8b8f97cabba0c6e5ce33cb284553c31609fa0d1ba6fe6a06a65468",
+    "07_dispatch8": "0d0af97d7b13b56fdd6799febd7e30cb5fd6cb9bcc4438c43fa2a2b704401f0a",
     "08_strings": "c6695887244445b31235a797466004a11dc51e5088955d498ae43f371c82cc7e",
     "09_bss_buffer": "35df9230fe5c4c16977c2618de244ca2d7bb05bda8d532d287627f3fd89ed882",
     "10_frame_slots": "5e4dd69581169bcd7319f002bde9cc4f0f338c2ea8f8ceb9887b9a53725f72a7",
@@ -195,15 +195,15 @@ LIFT_FROZEN = {
     "12_data_pointers": "e0143a2b5aa032a0c70aff8cc23284fead6a9504560c75c2a0a6702da916de82",
     "13_function_pointer": "d10333252e6406b9dcb3c6439d0c5e64f125c85108228210a153086c0ddea740",
     "14_inline_bytes": "2a1853c1bd2d3542877075bd4eb78837f005c08d13949515ea0b61a449749ecd",
-    "15_loops_nested": "22dd8d6de3c6791d1da8e5a5600f99fc52ff3450c723c5ee05ff55859bfb1751",
-    "16_arith_mix": "78c1fc784dfd59a44423035ba08faea936522df385d48baa4cf5f8c88564d17a",
+    "15_loops_nested": "b0094ed11266a891660b5acb87cd1e099ea37180c8dbcde5f69276c09fc4b204",
+    "16_arith_mix": "c4d6b01f874623a500b89a798dd658ba08856f3a1fe830fefbdd6b048d9c1d01",
     "17_memory_forms": "7a13c8f2abb7c39559d9802f85b25500915795e4b1ce62782d3fdb9ebefa9e7a",
     "18_rsp_frame": "86359c43a241d6ff4d75cdac021f7c757eb880932b97de01067ac8467e55efd1",
     "19_syscall_exit": "3aec086358556ed232d23f221944692c6007915bb1365d20e4882623ec383076",
     "20_suffix_string": "0cb952f29a8f9e3a9b521b45b0763ac0c6e6c4a1a3754dce554ac8f31158a2ca",
     "21_mixed_sections": "c120c11eafcc4b15affaf0c9f4eac06f6ddb6eacca7876329d232fe5db962e48",
-    "22_cond_chain": "9c6bcf4e36afc145e371d1a0c07a45d6e1741865ea39df5ec61a99c29afa026d",
-    "TABLE_DEMO": "5e063969dfb5688bfc96cf424ce70d00232dd301d9936ea7842f58790e3243c6",
+    "22_cond_chain": "2e9e03f99bb795c5ee2f7d51f2fb3e4414e497be5b7d654e7c4b746c64fa696e",
+    "TABLE_DEMO": "c1b2936efff14588a9da3334cf2f25ed8ef77c38488d262855b4a43776324c75",
     "hazard_pointer_straddle": "1ab93c8ffba448d14f723eddff7f80cd3d31ed878a2af51825b60a92cf631831",
 }
 

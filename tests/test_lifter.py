@@ -36,6 +36,7 @@ from ellf.meta import (
     InstructionRegion,
     OperandPointer,
     TextRecord,
+    repair_metadata,
     validate_metadata,
 )
 
@@ -372,29 +373,58 @@ def test_text_stack_and_data_passes_give_the_same_lift_in_any_order(monkeypatch,
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_a_lift_that_returns_reassembles_to_the_same_bytes(name):
     """Over the partial and damaged metadata of ``metadata_variants``,
-    validation is the one judge: a strict lift raises if and only if
-    ``validate_metadata`` reports a problem, and a lenient lift never raises,
-    drops each record validation flags and reports validation's diagnostics
-    first. Either text, when there is one, keeps the bytes."""
+    validation is the one judge. A strict lift raises if and only if
+    ``validate_metadata`` reports a problem. ``repair_metadata`` either
+    raises LiftError, or returns metadata that validates clean, with
+    diagnostics that start with validation's first round; step I of a
+    lenient lift returns the same. The strict lift of what it returns
+    reassembles to the same bytes."""
     elf, meta = assemble(parse_assembly(PROGRAMS[name]))
     img = elfio.read_elf(elf)
     for variant in metadata_variants(img, meta, seed=f"{name}-0"):
-        problems = tuple(validate_metadata(variant, img))
-        for mode in ("strict", "lenient"):
-            try:
-                lp = lift(img, variant, mode=mode)
-            except LiftError:
-                assert mode == "strict" and problems, variant
-                continue
-            assert mode == "lenient" or not problems, variant
-            assert lp.diagnostics[:len(problems)] == problems, variant
-            # The renderer places .func and block lines only at instructions.
-            assert set(lp.labels.functions) | lp.labels.bb_backed <= set(lp.instructions), (
-                mode, variant)
-            text = emit_assembly(lp)
-            raw, _ = assemble_image(parse_assembly(text))
-            assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), (
-                mode, variant)
+        problems = validate_metadata(variant, img)
+        if problems:
+            with pytest.raises(LiftError):
+                lift_unsymbolized(img, variant, "strict")
+        else:
+            assert lift_unsymbolized(img, variant, "strict")[0] == variant
+        try:
+            repaired, diagnostics = repair_metadata(variant, img)
+        except LiftError:
+            with pytest.raises(LiftError):
+                lift_unsymbolized(img, variant, "lenient")
+            continue
+        assert validate_metadata(repaired, img) == [], variant
+        assert diagnostics[:len(problems)] == problems, variant
+        kept, _, _, lenient = lift_unsymbolized(img, variant, "lenient")
+        assert (kept, lenient) == (repaired, diagnostics), variant
+        lp = lift(img, repaired, mode="strict")
+        # The renderer places .func and block lines only at instructions.
+        assert set(lp.labels.functions) | lp.labels.bb_backed <= set(lp.instructions), variant
+        text = emit_assembly(lp)
+        raw, _ = assemble_image(parse_assembly(text))
+        assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), variant
+
+
+def test_a_lenient_lift_adds_the_block_a_jump_targets():
+    """Without its block records, the ``jne`` of ``03_conditional`` targets
+    no block. Its target is a decoded instruction, so repair records a block
+    there: the jump names that block's label exactly, and the CFG has it."""
+    elf, meta = assemble(parse_assembly(corpus_programs()["03_conditional"]))
+    img = elfio.read_elf(elf)
+    variant = meta._replace(text=tuple(rec for rec in meta.text if rec.kind != BASIC_BLOCK))
+    problem = "branch target 0x401012 is not a block start in any function"
+    with pytest.raises(LiftError, match=problem):
+        lift(img, variant, mode="strict")
+    repaired, diagnostics = repair_metadata(variant, img)
+    assert [(d.kind, d.message, d.addr, d.record) for d in diagnostics] == [
+        ("cfg", problem, 0x401004, None)]
+    assert set(repaired.text) - set(variant.text) == {TextRecord(0x401012, BASIC_BLOCK)}
+    lp = lift(img, variant, mode="lenient")
+    text = emit_assembly(lp)
+    assert "    jne .Lb1\n" in text and "\n.Lb1:\n    xor rax, rax\n" in text
+    assert [block.start for cfg in lp.cfgs for block in cfg.blocks] == [0x401000, 0x401012]
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
 # --- stack symbolization ---
@@ -677,22 +707,21 @@ def test_padding_bytes_emitted_explicitly():
 
 
 def test_a_lenient_lift_drops_a_block_record_in_padding():
-    """The record is no instruction start, so it goes; the jump into the
-    padding then targets no block, which is reported with no record."""
+    """The region stops short of the last ``ret``, so its block and function
+    end records are no instruction starts and go; the jump into the padding
+    then targets no block, and no block can be added where nothing was
+    decoded."""
     src = (".section .text base=0x1000\n.func main\n    jmp inpad\n    ret\n"
-           "inpad:\n    .byte 0xc3\n.endfunc\n")
+           "inpad:\n    ret\n.endfunc\n")
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
-    meta = meta._replace(text=meta.text + (TextRecord(0x1006, BASIC_BLOCK),))
-    lp = lift(img, meta, mode="lenient")
-    assert [(d.kind, d.message, d.addr) for d in lp.diagnostics] == [
-        ("range", "text record at 0x1006 (basic_block) is not a decoded instruction start",
-         0x1006),
-        ("cfg", "branch target 0x1006 is not a block start in any function", 0x1000)]
-    assert lp.padding == ((0x1006, b"\xc3"),)
-    text = emit_assembly(lp)
-    assert text.endswith("    jmp .Lb1 + 1\n.Lb1:\n    ret\n.endfunc\n    .byte 0xc3\n")
-    assert _reassembles_to_the_same_alloc_bytes(text, img)
+    assert TextRecord(0x1006, BASIC_BLOCK) in meta.text
+    meta = meta._replace(instruction_regions=(InstructionRegion(0x1000, 2),))
+    with pytest.raises(LiftError) as info:
+        lift(img, meta, mode="lenient")
+    assert type(info.value) is LiftError
+    assert str(info.value) == ("metadata fails validation: [error] cfg at 0x1000: "
+                               "branch target 0x1006 is not a block start in any function")
 
 
 def _reassembles_to_the_same_alloc_bytes(text, img):
