@@ -38,9 +38,11 @@ labelled ``MemRef`` and ``SymbolDiff``, the same values
 ``lifter.emit_assembly`` renders.
 
 Assembling walks the items once, laying each out at the next address of its
-section and encoding it through the canonical instruction encoder. An item
-that names a label is encoded at layout with a placeholder in a field whose
-width does not depend on the label's value:
+section. An instruction is laid out as its layout form: the mnemonic and the
+operands layout encodes, with each bracketed slot constant resolved against
+the enclosing function's slot table, so the same line text may encode
+differently in two functions. An item that names a label is laid out with a
+placeholder in a field whose width does not depend on the label's value:
 
     jmp/call/jcc LABEL             rel32
     mov r64, LABEL                 imm64 (movabs)
@@ -48,8 +50,12 @@ width does not depend on the label's value:
     [LABEL]                        RIP-relative disp32
     .quad LABEL, .quad A - B       one 8-byte cell each
 
-Once every label is placed, only those items are encoded again, in place. A
-final encoding whose length differs from the laid-out one is an
+A branch placeholder is encoded at address 0, where its bytes are those it
+has at any address. No other form the dialect spells depends on the address,
+so each distinct layout form goes through the canonical instruction encoder
+once per call and its bytes serve every item of that form. Once every label
+is placed, only the items that name one are encoded again, in place, once
+each. A final encoding whose length differs from the laid-out one is an
 AsmSyntaxError naming the line, so layout and bytes cannot disagree.
 
 The result is an ELF image (with the encoded metadata injected as `.ellf`)
@@ -611,12 +617,16 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                 table[item.name] = item.offset
                 slot_lines.setdefault(item.function, item.line)
 
-    # The walk: lay out and encode each item once. Label operands and label
-    # cells hold placeholders of their final width until the fixups below.
+    # The walk: lay out each item once, and encode each distinct layout form
+    # once. Label operands and label cells hold placeholders of their final
+    # width until the fixups below.
     laid_out = []  # (section, kind, bytes, size, names of the labels it defines)
     functions: list[_FunctionInfo] = []
     set_labels: list[SetLabel] = []
-    fixups = []  # (item, addr, length, enclosing slot table, section bytes, offset)
+    forms: dict[tuple, bytes] = {}  # (mnemonic, layout operands) -> their bytes
+    # (item, addr, length, layout operands and label indices of an Instr,
+    # section bytes, offset)
+    fixups = []
     runs: list[list[int]] = []  # [start, count] of consecutive instructions
     instr_starts: set[int] = set()
     for section in sections:
@@ -672,9 +682,13 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
                         f"instructions not allowed in the "
                         f"{'zero-fill' if nobits else 'non-executable'} section "
                         f"{section.name}", item.line)
-                encoded, _ = _encode_instr(item, addr, func_slots)
-                if _uses_labels(item.operands):
-                    fixups.append((item, addr, len(encoded), func_slots, blob,
+                ops, refs = _layout_form(item, func_slots)
+                form = item.mnemonic, ops
+                encoded = forms.get(form)
+                if encoded is None:
+                    encoded = forms[form] = _encode_instr(item.mnemonic, ops, 0, item.line)
+                if refs:
+                    fixups.append((item, addr, len(encoded), (ops, refs), blob,
                                    addr - section.base))
                 if run is None:
                     run = [addr, 0]
@@ -719,9 +733,10 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
     # Fixups: re-encode each label-dependent item in place, at its laid-out length.
     pointers: list = []
     jumps = []  # (address, target, line) of each direct jump
-    for item, addr, length, func_slots, blob, offset in fixups:
-        if isinstance(item, Instr):
-            encoded, records = _encode_instr(item, addr, func_slots, labels, length)
+    for item, addr, length, layout, blob, offset in fixups:
+        if layout is not None:
+            ops, records = _label_operands(item, *layout, addr, length, labels)
+            encoded = _encode_instr(item.mnemonic, ops, addr, item.line)
             if item.mnemonic in _JUMP_MNEMONICS and isinstance(item.operands[0], SymbolRef):
                 op = item.operands[0]
                 jumps.append((addr, _value(labels, op.label, op.offset, item.line), item.line))
@@ -786,9 +801,39 @@ def _run_line(item: Data, offset: int) -> int:
             return item.line + i
 
 
-def _uses_labels(parts) -> bool:
-    """Whether an operand or cell names a label; a parsed ``MemRef`` always does."""
-    return any(isinstance(p, (SymbolRef, MemRef, SymbolDiff)) for p in parts)
+def _uses_labels(cells) -> bool:
+    """Whether a ``.quad`` item's cells name a label."""
+    return any(isinstance(c, (SymbolRef, SymbolDiff)) for c in cells)
+
+
+def _layout_form(item: Instr, func_slots) -> tuple[tuple, tuple[int, ...]]:
+    """The operands layout encodes for ``item``, and the indices of those that
+    name a label, from one walk over its operands.
+
+    ``func_slots`` is the enclosing function's slot table, empty outside one.
+    A label operand becomes a placeholder that does not depend on the label or
+    the address: rel32 ``PcRel(0)`` for a branch, which is meant to be encoded
+    at address 0, a zero RIP-relative disp32, or a zero immediate.
+    """
+    ops = []
+    refs = []
+    for i, op in enumerate(item.operands):
+        if isinstance(op, (Register, Immediate)):
+            ops.append(op)
+        elif isinstance(op, _MemAst):
+            ops.append(_resolve_mem(op, func_slots, item.line))
+        elif isinstance(op, MemRef):  # a parsed MemRef is [LABEL + N]
+            ops.append(_RIP_PLACEHOLDER)
+            refs.append(i)
+        else:  # a SymbolRef
+            ops.append(_BRANCH_PLACEHOLDER if item.mnemonic in _BRANCH_MNEMONICS
+                       else Immediate(0, width=label_imm_width(item)))
+            refs.append(i)
+    return tuple(ops), tuple(refs)
+
+
+_RIP_PLACEHOLDER = MemRef(rip_relative=True)
+_BRANCH_PLACEHOLDER = PcRel(0)
 
 
 def _resolve_mem(ast: _MemAst, func_slots, line):
@@ -805,48 +850,52 @@ def _resolve_mem(ast: _MemAst, func_slots, line):
     return MemRef(base=ast.base, index=ast.index, scale=ast.scale, disp=disp)
 
 
-def _encode_instr(item: Instr, addr, func_slots, labels=None, length=0):
-    """Bytes and operand-pointer records of ``item`` at ``addr``.
+def _label_operands(item: Instr, ops, refs, addr, length, labels):
+    """``item``'s layout operands ``ops`` with each label operand at ``refs``
+    given its value, and the operand-pointer records of those that hold it.
 
-    Without ``labels`` (layout), every label operand is a placeholder in a
-    field of its final width, so the bytes already have their final length.
-    With them, ``length`` is that laid-out length, from whose end a
-    RIP-relative displacement counts.
+    ``length`` is the laid-out length, from whose end a RIP-relative
+    displacement counts.
     """
+    ops = list(ops)
     records = []
-    ops = []
-    for i, op in enumerate(item.operands):
-        if isinstance(op, MemRef):  # a parsed MemRef is [LABEL + N]
+    for i in refs:
+        op = item.operands[i]
+        if isinstance(op, MemRef):
             target = _value(labels, op.label, op.label_offset, item.line)
-            rel = 0 if labels is None else target - (addr + length)
+            rel = target - (addr + length)
             if not -(1 << 31) <= rel < (1 << 31):
                 raise RangeOverflow(
                     f"RIP-relative target 0x{target:x} out of range", item.line)
-            ops.append(MemRef(rip_relative=True, disp=rel))
+            ops[i] = MemRef(rip_relative=True, disp=rel)
             records.append(OperandPointer(addr, i))
-        elif isinstance(op, SymbolRef):
-            target = _value(labels, op.label, op.offset, item.line)
-            if item.mnemonic in _BRANCH_MNEMONICS:
-                ops.append(PcRel(addr if labels is None else target))
-            else:
-                ops.append(Immediate(target, width=label_imm_width(item)))
-                records.append(OperandPointer(addr, i))
-        elif isinstance(op, _MemAst):
-            ops.append(_resolve_mem(op, func_slots, item.line))
         else:
-            ops.append(op)
+            target = _value(labels, op.label, op.offset, item.line)
+            if isinstance(ops[i], PcRel):
+                ops[i] = PcRel(target)
+            else:
+                ops[i] = Immediate(target, width=ops[i].width)
+                records.append(OperandPointer(addr, i))
+    return ops, records
+
+
+def _encode_instr(mnemonic, ops, addr, line):
+    """The bytes of one instruction form at ``addr``; an encoder error names
+    ``line``.
+
+    An assemble calls this once per distinct layout form, and once more per
+    item that names a label, at its fixup.
+    """
     try:
-        return encode_one(item.mnemonic, ops, addr), records
+        return encode_one(mnemonic, ops, addr)
     except RangeOverflow as exc:
-        raise RangeOverflow(str(exc), item.line) from exc
+        raise RangeOverflow(str(exc), line) from exc
     except EllfError as exc:
-        raise AsmSyntaxError(str(exc), item.line) from exc
+        raise AsmSyntaxError(str(exc), line) from exc
 
 
 def _value(labels, name, offset, line):
-    """The value of ``name + offset`` in 64 bits; 0 at layout, without ``labels``."""
-    if labels is None:
-        return 0
+    """The value of ``name + offset`` in 64 bits."""
     if name not in labels:
         raise UndefinedLabel(f"label {name!r} is not defined", line)
     return (labels[name] + offset) & U64

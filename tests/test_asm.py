@@ -1,5 +1,6 @@
 """Assembler contracts and the round-trip oracle over the bundled corpus."""
 
+import random
 import time
 import tracemalloc
 
@@ -8,7 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ellf import asm, elfio
 from ellf.asm import (
+    FuncBegin,
+    FuncEnd,
     Instr,
+    SlotDef,
     assemble,
     assemble_image,
     parse_assembly,
@@ -25,8 +29,19 @@ from ellf.errors import (
     RangeOverflow,
     UndefinedLabel,
 )
-from ellf.isa import Immediate, MemRef, PcRel, Register, SymbolRef, _REG_INFO
-from ellf.lifter import emit_assembly, lift
+from ellf.isa import (
+    JCC_MNEMONICS,
+    Immediate,
+    MemRef,
+    PcRel,
+    Register,
+    SymbolRef,
+    _REG_INFO,
+    encode_one,
+    label_imm_width,
+)
+from ellf.lifter import emit_assembly, lift, render_operand
+from helpers_gen import random_form
 from ellf.meta import DataPointer, OperandPointer, decode_metadata, validate_metadata
 
 
@@ -162,19 +177,170 @@ def test_branch_out_of_rel32_range_names_the_line():
     assert info.value.line == 3
 
 
-@pytest.mark.parametrize("name", sorted(corpus_programs()))
-def test_each_instruction_is_encoded_once_plus_once_per_label_reference(
-        monkeypatch, name):
-    prog = parse_assembly(corpus_programs()[name])
-    instrs = [item for sec in prog.sections for item in sec.items
-              if isinstance(item, Instr)]
-    labeled = [ins for ins in instrs
-               if any(isinstance(op, (SymbolRef, MemRef)) for op in ins.operands)]
+def layout_forms(prog):
+    """The distinct (mnemonic, operands) that laying out ``prog`` encodes: slot
+    constants resolved against the enclosing function's slot table, and each
+    label operand a placeholder that names neither the label nor an address."""
+    slots = {}
+    for sec in prog.sections:
+        for item in sec.items:
+            if isinstance(item, SlotDef):
+                slots.setdefault(item.function, {})[item.name] = item.offset
+
+    def operand(ins, op, table):
+        if isinstance(op, MemRef):  # [LABEL + N]
+            return MemRef(rip_relative=True)
+        if isinstance(op, SymbolRef):
+            if ins.mnemonic in ("jmp", "call") or ins.mnemonic in JCC_MNEMONICS:
+                return PcRel(0)
+            return Immediate(0, label_imm_width(ins))
+        if isinstance(op, asm._MemAst):
+            disp = sum(sign * (term if isinstance(term, int) else table[term])
+                       for sign, term in op.const_terms)
+            return MemRef(base=op.base, index=op.index, scale=op.scale, disp=disp)
+        return op
+
+    forms = set()
+    for sec in prog.sections:
+        table = {}
+        for item in sec.items:
+            if isinstance(item, FuncBegin):
+                table = slots.get(item.name, {})
+            elif isinstance(item, FuncEnd):
+                table = {}
+            elif isinstance(item, Instr):
+                forms.add((item.mnemonic,
+                           tuple(operand(item, op, table) for op in item.operands)))
+    return forms
+
+
+def encode_calls(monkeypatch, prog):
     calls = []
     real = asm.encode_one
     monkeypatch.setattr(asm, "encode_one", lambda *args: calls.append(args) or real(*args))
     assemble_image(prog)
-    assert len(calls) == len(instrs) + len(labeled)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(corpus_programs()))
+def test_each_instruction_is_encoded_once_plus_once_per_label_reference(
+        monkeypatch, name):
+    """An instruction is encoded once through its layout form, whose bytes
+    every instruction of the same form shares, and each one that names a label
+    is encoded once more at its fixup."""
+    prog = parse_assembly(corpus_programs()[name])
+    labeled = [item for sec in prog.sections for item in sec.items
+               if isinstance(item, Instr)
+               and any(isinstance(op, (SymbolRef, MemRef)) for op in item.operands)]
+    calls = encode_calls(monkeypatch, prog)
+    assert len(calls) == len(layout_forms(prog)) + len(labeled)
+
+
+def test_a_repeated_form_is_encoded_once_and_a_label_reference_once_more(monkeypatch):
+    src = (".section .text base=0x1000\n.func f\n    push rbp\n    call f\n"
+           "    push rbp\n    call f\n    push rbp\n.endfunc\n")
+    calls = encode_calls(monkeypatch, parse_assembly(src))
+    assert len(calls) == 1 + 1 + 2  # push rbp, call's placeholder, each call's fixup
+
+
+def text_bytes(raw, start, end):
+    return elfio.load_image(elfio.read_elf(raw)).read(start, end)
+
+
+def test_a_form_encodes_by_its_function_slot_table_not_its_line_text():
+    line = "    mov rax, [rbp - s8]"
+    src = "\n".join([".section .text base=0x1000", ".slot f, s8, 8", ".slot g, s8, 16",
+                     ".func f", "    push rbp", line, "    push rbp", line, ".endfunc",
+                     ".func g", line, "    push rbp", line, ".endfunc"])
+    raw, _ = assemble_image(parse_assembly(src))
+    push = encode_one("push", (Register("rbp"),))
+    in_f, in_g = (encode_one("mov", (Register("rax"), MemRef(base="rbp", disp=disp)))
+                  for disp in (-8, -16))
+    expected = push + in_f + push + in_f + in_g + push + in_g
+    assert in_f != in_g
+    assert text_bytes(raw, 0x1000, 0x1000 + len(expected)) == expected
+
+
+def test_a_repeated_erroneous_form_names_its_first_line():
+    src = (".section .text base=0x1000\n.func f\n    ret\n    push eax\n"
+           "    ret\n    push eax\n.endfunc\n")
+    with pytest.raises(AsmSyntaxError, match="push takes a 64-bit register") as info:
+        assemble_image(parse_assembly(src))
+    assert info.value.line == 4
+
+
+@pytest.mark.parametrize("near, far", [("jmp g", "jmp h"),
+                                       ("mov rax, [g]", "mov rax, [h]")],
+                         ids=["rel32", "rip"])
+def test_a_shared_form_that_overflows_only_at_fixup_names_its_own_line(near, far):
+    src = (f".section .text base=0x1000\n.func f\n    {near}\n    {far}\n.endfunc\n"
+           ".func g\n    ret\n.endfunc\n"
+           ".section .text2 base=0x100001000\n.func h\n    ret\n.endfunc\n")
+    with pytest.raises(RangeOverflow, match="out of") as info:
+        assemble_image(parse_assembly(src))
+    assert info.value.line == 4
+
+
+def dialect_line(mnemonic, operands, rng):
+    """A random form as a dialect line, and its operands as the assembler
+    should resolve them in a function whose slot ``s`` is at ``off``: a
+    callable of (off, labels, addr, length). A branch targets ``f`` or ``g``,
+    a RIP-relative operand names ``d``, and a memory operand with a register
+    subtracts ``s`` when its displacement leaves room for it."""
+    texts, resolvers = [], []
+    for op in operands:
+        if isinstance(op, PcRel):
+            name = rng.choice("fg")
+            texts.append(name)
+            resolvers.append(lambda off, labels, addr, length, name=name:
+                             PcRel(labels[name]))
+        elif isinstance(op, MemRef) and op.rip_relative:
+            texts.append("[d]")
+            resolvers.append(lambda off, labels, addr, length:
+                             MemRef(rip_relative=True, disp=labels["d"] - addr - length))
+        elif isinstance(op, MemRef) and (op.base or op.index) and op.disp >= -(1 << 31) + 24:
+            texts.append(render_operand(op)[:-1] + " - s]")
+            resolvers.append(lambda off, labels, addr, length, op=op:
+                             op._replace(disp=op.disp - off))
+        else:
+            texts.append(render_operand(op))
+            resolvers.append(lambda off, labels, addr, length, op=op: op)
+    if mnemonic == "mov" and isinstance(operands[-1], Immediate) and operands[-1].width == 64:
+        mnemonic = "movabs"
+    text = f"    {mnemonic} {', '.join(texts)}".rstrip()
+    return text, lambda *args: tuple(resolve(*args) for resolve in resolvers)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assembled_bytes_equal_each_resolved_form_encoded_at_its_address(seed):
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(30):
+        mnemonic, operands, _ = random_form(rng)
+        pool.append((mnemonic, *dialect_line(mnemonic, operands, rng)))
+    bodies = {"f": rng.choices(pool, k=60), "g": rng.choices(pool, k=60)}
+    offsets = {"f": 8, "g": 24}
+    lines = [".section .text base=0x401000", ".slot f, s, 8", ".slot g, s, 24"]
+    for name, body in bodies.items():
+        lines += [f".func {name}", *(text for _, text, _ in body), ".endfunc"]
+    lines += [".section .data base=0x601000", "d:", "    .quad 0"]
+    raw, _ = assemble_image(parse_assembly("\n".join(lines)))
+
+    # No length depends on a label's value or the address.
+    zeros = dict.fromkeys("fgd", 0)
+    labels = {"d": 0x601000}
+    addr = 0x401000
+    sites = []  # (function, address, length) of each instruction
+    for name, body in bodies.items():
+        labels[name] = addr
+        for mnemonic, _, resolve in body:
+            length = len(encode_one(mnemonic, resolve(offsets[name], zeros, 0, 0)))
+            sites.append((name, addr, length))
+            addr += length
+    for (name, at, length), (mnemonic, text, resolve) in zip(
+            sites, bodies["f"] + bodies["g"]):
+        expected = encode_one(mnemonic, resolve(offsets[name], labels, at, length), at)
+        assert text_bytes(raw, at, at + length) == expected, (name, text)
 
 
 REPEATS = [".section .text base=0x1000", ".slot f, s8, 8", ".func f", "    push rbp",
