@@ -61,25 +61,31 @@ AsmSyntaxError naming the line, so layout and bytes cannot disagree.
 The result is an ELF image (with the encoded metadata injected as `.ellf`)
 and the ground-truth metadata of the same layout. The walk gathers the runs
 of consecutive instructions, each function's entry and last instruction, the
-labels on instructions, a pointer record for every label-valued operand and
+labels on instructions, a pointer record for every label-valued immediate and
 data cell, a variable from each data label to the next, and the slot tables;
 ``meta.metadata_from_layout`` turns them into records. A pointer record names
 where the label's value sits and never the value, which the encoded bytes
 hold: an operand's instruction and index, or a cell's address, and for a
-``.quad A - B`` cell the value of B. Instructions go only in executable
-sections and a function starts with one, so every text record sits at an
-instruction start. A ``.quad`` that names a label goes only in a
-non-executable section: validation reads pointer cells in progbits data
-alone, so one in code would fail it. A direct ``jmp`` or ``jcc`` at or
-after the first function entry must land on a function entry or on a label
-on an instruction, the block starts the metadata records, as validation
-requires.
+``.quad A - B`` cell the value of B. Records that validation derives from
+the decode are left out: no operand pointer for a ``[LABEL]`` operand, which
+is RIP-relative, and no block record at a label on an instruction that a
+``jmp`` or ``jcc`` targets or that a pointer value or diff minuend names.
+Instructions go only in executable sections and a function starts with one,
+so every text record sits at an instruction start. A ``.quad`` that names a
+label goes only in a non-executable section: validation reads pointer cells
+in progbits data alone, so one in code would fail it. Every value a label
+reference gives (a branch target, an operand's or a cell's value, a diff's
+minuend and subtrahend) must lie inside a laid-out section, and a direct
+``jmp`` or ``jcc`` at or after the first function entry must land on a
+function entry or on a label on an instruction, as validation requires;
+either fault is an AsmSyntaxError naming the line.
 """
 
 from __future__ import annotations
 
 import re
 from binascii import unhexlify
+from bisect import bisect_right
 from itertools import islice, repeat
 from typing import NamedTuple
 
@@ -118,7 +124,7 @@ from .meta import (
     EllfMetadata,
     OperandPointer,
     decode_metadata,
-    encode_metadata,
+    encode_canonical,
     metadata_from_layout,
 )
 
@@ -584,9 +590,9 @@ class _FunctionInfo:
 def assemble(prog: AsmProgram, bases: dict[str, int] | None = None
              ) -> tuple[bytes, EllfMetadata]:
     """Assemble to an ELF with the `.ellf` metadata section injected."""
-    raw, meta = assemble_image(prog, bases)
+    raw, meta = assemble_image(prog, bases)  # whose metadata meets check_invariants
     return elfio.inject_section(elfio.read_elf(raw), ".ellf",
-                                encode_metadata(meta)), meta
+                                encode_canonical(meta)), meta
 
 
 def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
@@ -729,19 +735,34 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
         for start_b, end_b, name_b in spans[i + 1:]:
             if start_a < end_b and start_b < end_a:
                 raise SectionOverlap(f"sections {name_a} and {name_b} overlap")
+    spans = sorted((s.base, s.base + size) for s, _, _, size, _ in laid_out if size)
+    span_starts = [start for start, _ in spans]
+    pointed = set()  # the values at which validation derives a block, if on an instruction
+
+    def value(name, offset, what, line):
+        """The value of ``name + offset`` in 64 bits, which must lie in a
+        laid-out section, as validation requires of ``what``."""
+        if name not in labels:
+            raise UndefinedLabel(f"label {name!r} is not defined", line)
+        target = (labels[name] + offset) & U64
+        i = bisect_right(span_starts, target) - 1
+        if i < 0 or target >= spans[i][1]:
+            raise AsmSyntaxError(f"{what} 0x{target:x} is not inside any section", line)
+        if what in _IMPLYING_BLOCKS:
+            pointed.add(target)
+        return target
 
     # Fixups: re-encode each label-dependent item in place, at its laid-out length.
     pointers: list = []
     jumps = []  # (address, target, line) of each direct jump
     for item, addr, length, layout, blob, offset in fixups:
         if layout is not None:
-            ops, records = _label_operands(item, *layout, addr, length, labels)
+            ops, records = _label_operands(item, *layout, addr, length, value)
             encoded = _encode_instr(item.mnemonic, ops, addr, item.line)
-            if item.mnemonic in _JUMP_MNEMONICS and isinstance(item.operands[0], SymbolRef):
-                op = item.operands[0]
-                jumps.append((addr, _value(labels, op.label, op.offset, item.line), item.line))
+            if item.mnemonic in _JUMP_MNEMONICS and isinstance(ops[0], PcRel):
+                jumps.append((addr, ops[0].target, item.line))
         else:
-            encoded, records = _encode_data(item, addr, labels)
+            encoded, records = _encode_data(item, addr, value)
         if len(encoded) != length:
             raise AsmSyntaxError(f"encodes to {len(encoded)} bytes once its labels "
                                  f"are known, but was laid out in {length}", item.line)
@@ -767,8 +788,9 @@ def assemble_image(prog: AsmProgram, bases: dict[str, int] | None = None
             raise UndefinedLabel(f"slot defined for unknown function {func_name!r}",
                                  slot_lines[func_name])
     meta = metadata_from_layout(
-        runs, [(fn.entry, fn.last_instr) for fn in functions], blocks, pointers,
-        variables, [(labels[name], table.values()) for name, table in slots.items()])
+        runs, [(fn.entry, fn.last_instr) for fn in functions],
+        set(blocks).difference(pointed), pointers, variables,
+        [(labels[name], table.values()) for name, table in slots.items()])
 
     entries = {fn.entry for fn in functions}
     starts = entries.union(blocks)
@@ -850,9 +872,10 @@ def _resolve_mem(ast: _MemAst, func_slots, line):
     return MemRef(base=ast.base, index=ast.index, scale=ast.scale, disp=disp)
 
 
-def _label_operands(item: Instr, ops, refs, addr, length, labels):
+def _label_operands(item: Instr, ops, refs, addr, length, value):
     """``item``'s layout operands ``ops`` with each label operand at ``refs``
-    given its value, and the operand-pointer records of those that hold it.
+    given its ``value``, and the operand-pointer records of the immediates
+    that hold one; validation derives those of RIP-relative operands.
 
     ``length`` is the laid-out length, from whose end a RIP-relative
     displacement counts.
@@ -862,20 +885,19 @@ def _label_operands(item: Instr, ops, refs, addr, length, labels):
     for i in refs:
         op = item.operands[i]
         if isinstance(op, MemRef):
-            target = _value(labels, op.label, op.label_offset, item.line)
+            target = value(op.label, op.label_offset, "pointer target", item.line)
             rel = target - (addr + length)
             if not -(1 << 31) <= rel < (1 << 31):
                 raise RangeOverflow(
                     f"RIP-relative target 0x{target:x} out of range", item.line)
             ops[i] = MemRef(rip_relative=True, disp=rel)
-            records.append(OperandPointer(addr, i))
+        elif isinstance(ops[i], PcRel):
+            ops[i] = PcRel(value(op.label, op.offset, "call target" if item.mnemonic == "call"
+                                 else "jump target", item.line))
         else:
-            target = _value(labels, op.label, op.offset, item.line)
-            if isinstance(ops[i], PcRel):
-                ops[i] = PcRel(target)
-            else:
-                ops[i] = Immediate(target, width=ops[i].width)
-                records.append(OperandPointer(addr, i))
+            ops[i] = Immediate(value(op.label, op.offset, "pointer target", item.line),
+                               width=ops[i].width)
+            records.append(OperandPointer(addr, i))
     return ops, records
 
 
@@ -894,15 +916,15 @@ def _encode_instr(mnemonic, ops, addr, line):
         raise AsmSyntaxError(str(exc), line) from exc
 
 
-def _value(labels, name, offset, line):
-    """The value of ``name + offset`` in 64 bits."""
-    if name not in labels:
-        raise UndefinedLabel(f"label {name!r} is not defined", line)
-    return (labels[name] + offset) & U64
+# The label values at which validation derives a block where they are an
+# instruction start; ``assemble_image``'s ``value`` names each reference.
+_IMPLYING_BLOCKS = frozenset(("jump target", "pointer target", "diff minuend"))
 
 
-def _encode_data(item: Data, addr, labels=None):
-    """Bytes and pointer records of a data item; label cells are zero without ``labels``."""
+def _encode_data(item: Data, addr, value=None):
+    """Bytes and pointer records of a data item; label cells are zero
+    without ``value``, which gives a label's value as ``assemble_image``'s
+    does."""
     if item.directive in ("byte", "long", "asciz"):
         return item.payload, []
     if item.directive == "zero":
@@ -916,19 +938,20 @@ def _encode_data(item: Data, addr, labels=None):
     for i, expr in enumerate(item.payload):
         cell = addr + 8 * i
         if isinstance(expr, int):
-            value = expr & U64
-        elif labels is None:
-            value = 0
+            cell_value = expr & U64
+        elif value is None:
+            cell_value = 0
         elif isinstance(expr, SymbolRef):
-            value = _value(labels, expr.label, expr.offset, item.line)
+            cell_value = value(expr.label, expr.offset, "pointer target", item.line)
             records.append(DataPointer(cell))
         else:
-            minuend = _value(labels, expr.minuend.label, expr.minuend.offset, item.line)
-            subtrahend = _value(labels, expr.subtrahend.label, expr.subtrahend.offset,
-                                item.line)
-            value = (minuend - subtrahend) & U64
+            minuend = value(expr.minuend.label, expr.minuend.offset, "diff minuend",
+                            item.line)
+            subtrahend = value(expr.subtrahend.label, expr.subtrahend.offset,
+                               "diff subtrahend", item.line)
+            cell_value = (minuend - subtrahend) & U64
             records.append(DataDiff(cell, subtrahend))
-        out += value.to_bytes(8, "little")
+        out += cell_value.to_bytes(8, "little")
     return bytes(out), records
 
 

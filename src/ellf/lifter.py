@@ -8,12 +8,15 @@ back. Whether metadata lifts is decided in step I, by ``validate_metadata``
 alone or, in a lenient lift, by ``repair_metadata``; the passes after it
 run only over metadata that validates clean and raise nothing: every text
 record they see is on a decoded instruction, every jump from the first
-function on targets a block, and every pointer value and branch target is
-in a section. Function and block structure stays in the ``LabelMap``; only
-``emit_assembly`` decides where its label lines go. The text, stack and
-data passes write to disjoint state, so any order of them gives the same
-text, CFGs, variables and diagnostics. The order decides only the order of
-the diagnostics.
+function on targets a decoded instruction start, which is a block, and
+every pointer value and branch target is in a section. The passes read the
+records that validation derives from the decode (an operand pointer on each
+RIP-relative operand, a block at each jump target and each pointer value
+that is an instruction start) as they read recorded ones. Function and
+block structure stays in the ``LabelMap``; only ``emit_assembly`` decides
+where its label lines go. The text, stack and data passes write to disjoint
+state, so any order of them gives the same text, CFGs, variables and
+diagnostics. The order decides only the order of the diagnostics.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .isa import (
     SymbolRef,
     instruction_class,
     label_imm_width,
-    rip_target,
 )
 from .meta import (
     BASIC_BLOCK,
@@ -157,21 +159,25 @@ class LabelMap:
             yield from mapping.values()
 
 
-def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelMap:
+def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict,
+                    blocks: set) -> LabelMap:
     """Deterministic, address-derived names for every oracle entry.
 
-    ``values`` holds the value of each pointer record (a diff's minuend), as
-    ``validate_metadata`` derives them.
+    ``values`` holds the value of each pointer record, recorded or implied
+    (a diff's minuend), and ``blocks`` the implied block starts, as
+    ``validate_metadata`` derives them; an implied block is backed as a
+    ``BASIC_BLOCK`` record is.
 
-    Block labels are also minted at in-text addresses that only pointer or
-    diff records name, so jump tables and code pointers always resolve to an
-    exact label; such extra labels are emitted only when referenced. When a
-    table is absent, section-start labels keep every lookup resolvable at
-    section granularity.
+    Block labels are also minted at in-text addresses that a pointer value
+    or a diff subtrahend names and no block starts at, so every code pointer
+    resolves to an exact label; such extra labels are emitted only when
+    referenced. When a table is absent, section-start labels keep every
+    lookup resolvable at section granularity.
     """
     lm = LabelMap()
 
-    block_candidates = set()
+    block_candidates = set(blocks)
+    lm.bb_backed.update(blocks)
     for rec in meta.text:
         if rec.kind == FUNCTION_START:
             lm.functions[rec.addr] = f"F_{rec.addr:x}"
@@ -187,8 +193,8 @@ def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelM
     def classify(addr):  # validation put every value in a section
         (block_candidates if image.section_at(addr).exec else data_candidates).add(addr)
 
-    for rec in meta.pointers:
-        classify(values[rec])
+    for rec, value in values.items():
+        classify(value)
         if isinstance(rec, DataDiff):
             classify(rec.subtrahend)
 
@@ -229,26 +235,28 @@ def generate_labels(meta: EllfMetadata, image: ElfImage, values: dict) -> LabelM
 # --- step I: validation, which decodes by the instruction oracle ---
 
 def lift_unsymbolized(image: ElfImage, meta: EllfMetadata, mode: str
-                      ) -> tuple[EllfMetadata, dict[int, Instruction], dict, list[Diagnostic]]:
+                      ) -> tuple[EllfMetadata, dict[int, Instruction], dict, set,
+                                 list[Diagnostic]]:
     """Validate ``meta`` against ``image``: the one step a lift's mode changes.
 
     A strict lift raises on any problem ``validate_metadata`` reports:
     PointerStraddle if one is a straddle, else LiftError. A lenient lift
     runs on what ``repair_metadata`` returns. Returns the metadata, which
     validates clean, the instructions validation decoded by address, the
-    value of each pointer record, and the diagnostics.
+    value of each pointer record, recorded or implied, the implied block
+    starts, and the diagnostics.
     """
     if mode not in (STRICT, LENIENT):
         raise ValueError(f"mode must be {STRICT!r} or {LENIENT!r}, got {mode!r}")
-    decoded, values = {}, {}
+    decoded, values, blocks = {}, {}, set()
     if mode == LENIENT:
-        meta, diagnostics = repair_metadata(meta, image, decoded, values)
-        return meta, decoded, values, diagnostics
-    problems = validate_metadata(meta, image, decoded, values)
+        meta, diagnostics = repair_metadata(meta, image, decoded, values, blocks)
+        return meta, decoded, values, blocks, diagnostics
+    problems = validate_metadata(meta, image, decoded, values, blocks)
     if problems:
         error = PointerStraddle if any(p.kind == "straddle" for p in problems) else LiftError
         raise error("metadata fails validation: " + "; ".join(map(str, problems)))
-    return meta, decoded, values, []
+    return meta, decoded, values, blocks, []
 
 
 # --- shared lifting state ---
@@ -257,7 +265,8 @@ class _LiftState:
     """What the passes of one lift share.
 
     ``decoded`` holds the instructions as decoded, which no pass writes, and
-    ``values`` the value of each pointer record, as validation derived it.
+    ``values`` the value of each pointer record, recorded or implied, as
+    validation derived it.
     ``set_operand`` writes an operand into ``operands``, which holds the
     operand list of each instruction symbolized so far; ``operands_of``
     reads an instruction's operands as symbolized so far, and
@@ -318,27 +327,18 @@ def _labelled(mem, sym):
 # --- step II: coarse symbolization ---
 
 def coarse_symbolize(state: _LiftState) -> None:
-    """Replace recorded pointer operands and RIP-relative operands with labels.
+    """Replace the operand of each operand pointer, recorded or implied (so
+    every RIP-relative operand), with a label.
 
     Validation placed each operand pointer on an immediate or a RIP-relative
     displacement of a decoded instruction, and its value in a section.
     """
-    for rec in state.meta.pointers:
-        if not isinstance(rec, OperandPointer):
-            continue
-        op = state.decoded[rec.instr_addr].operands[rec.operand_index]
-        sym = _symbol_for(state, state.values[rec])
-        state.set_operand(rec.instr_addr, rec.operand_index,
-                          _labelled(op, sym) if isinstance(op, MemRef) else sym)
-
-    # RIP-relative operands are position-derived pointers even without a
-    # record; resolving them keeps sections movable when metadata is partial.
-    # An operand a record labeled above keeps that label.
-    for addr in state.instr_addrs:
-        for i, op in enumerate(state.operands_of(addr)):
-            if isinstance(op, MemRef) and op.rip_relative and op.label is None:
-                sym = _symbol_for(state, rip_target(state.decoded[addr], op))
-                state.set_operand(addr, i, _labelled(op, sym))
+    for rec, value in state.values.items():
+        if isinstance(rec, OperandPointer):
+            op = state.decoded[rec.instr_addr].operands[rec.operand_index]
+            sym = _symbol_for(state, value)
+            state.set_operand(rec.instr_addr, rec.operand_index,
+                              _labelled(op, sym) if isinstance(op, MemRef) else sym)
 
 
 # --- function extents (shared by the fine-grained steps) ---
@@ -573,7 +573,7 @@ def _successors(state, ins, starts, reachable_minuends):
     next_start = starts[i] if i < len(starts) else None
 
     # A direct target outside ``starts`` leaves the function: validation
-    # made every jump target a function start or a recorded block.
+    # made every jump target a decoded instruction start, so a block.
     if klass.kind == JUMP:
         return [klass.target] if klass.target in starts else []
     if klass.kind == CONDITIONAL_JUMP:
@@ -617,9 +617,9 @@ def lift(image: ElfImage, meta: EllfMetadata, mode: str = STRICT) -> LiftedProgr
     validation decoded it, once, and each pointer record's value as
     validation derived it.
     """
-    meta, decoded, values, diagnostics = lift_unsymbolized(image, meta, mode)
+    meta, decoded, values, blocks, diagnostics = lift_unsymbolized(image, meta, mode)
     byte_map = load_image(image)
-    labels = generate_labels(meta, image, values)
+    labels = generate_labels(meta, image, values, blocks)
     state = _LiftState(image, byte_map, meta, labels, decoded, values, diagnostics)
 
     coarse_symbolize(state)

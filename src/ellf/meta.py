@@ -3,27 +3,37 @@
 The binary layout (little-endian where fixed width):
 
   bytes 0-3   magic "ELLF"
-  byte  4     version, always 2
+  byte  4     version, always 3
   then five tables in order, ids 1..5, each:
       1 byte table id, uvarint record count, then per record a uvarint key
-      delta from the previous record's key (from 0 for the first) and a body
+      field and a body. The key field is the key's delta from the previous
+      record's key (from 0 for the first); in the pointer and text tables it
+      is ``delta << 2 | kind``, a field of up to 66 bits.
 
-  table             key              body
-  instructions (1)  region start     uvarint instruction count
-  pointers     (2)  pointer key      1 byte kind,
-                                     kind 0 = operand: uvarint operand index
-                                     kind 1 = data pointer: nothing more
-                                     kind 2 = data diff: svarint subtrahend - key
-  text         (3)  address          1 byte kind (0 = basic block,
-                                     1 = function start, 2 = function end)
-  stack        (4)  function entry   uvarint offset count, then the offsets as
-                                     uvarint deltas from the previous (from 0)
-  data         (5)  address          uvarint size
+  table             key              kind                  body
+  instructions (1)  region start     -                     uvarint instruction count
+  pointers     (2)  pointer key      0 = operand           uvarint operand index
+                                     1 = data pointer      nothing
+                                     2 = data diff         svarint subtrahend - key
+                                     (3 is reserved)
+  text         (3)  address          0 = basic block,      nothing
+                                     1 = function start,
+                                     2 = function end
+  stack        (4)  function entry   -                     uvarint offset count, then
+                                                           the offsets as uvarint deltas
+                                                           from the previous (from 0)
+  data         (5)  address          -                     uvarint size
 
 A record names a position; the binary holds its value, which
 ``validate_metadata`` reads, so no stored target can disagree with it. A
 diff's cell holds minuend - subtrahend, so the record keeps the subtrahend.
-Version 1, which also stored every target, raises UnsupportedVersion.
+What the decode of the instruction regions decides is not stored: validation
+derives an operand pointer for every RIP-relative operand, and a basic block
+at every direct ``jmp``/``jcc`` target and every in-text pointer value or
+diff minuend that is a decoded instruction start. A record at such a site is
+redundant but accepted. Versions 1 (which stored every target) and 2 (which
+stored the implied records and a kind byte per record) raise
+UnsupportedVersion.
 
 `check_invariants` is the single rule for canonical metadata: sorted
 duplicate-free tables, positive counts and sizes, non-overlapping data, and
@@ -68,7 +78,7 @@ from .isa import (CONDITIONAL_JUMP, JUMP, U64, Immediate, MemRef, PcRel, decode_
                   instruction_class, label_imm_width, rip_target)
 
 MAGIC = b"ELLF"
-VERSION = 2
+VERSION = 3
 POINTER_WIDTH = 8  # bytes in a pointer or diff cell
 
 # text record kinds (wire values)
@@ -238,27 +248,29 @@ def check_invariants(meta: EllfMetadata) -> None:
 # --- binary codec ---
 #
 # Each table is written and read by one loop over its records (_write_table,
-# _read_table); a table contributes only how to find a record's key and how
-# to write and read the rest of the record.
+# _read_table); a table contributes only how to find a record's key and kind
+# and how to write and read the rest of the record. A reader gets the kind
+# the key field holds, 0 in a table without kinds.
+
+_KIND_BITS = 2  # the low bits of a key field that hold the kind, where there is one
+
 
 def _write_region(out, region):
     out += varint.encode_unsigned(region.count)
 
 
-def _read_region(rd, start):
+def _read_region(rd, start, _kind):
     return InstructionRegion(start, rd.uvarint("region instruction count"))
 
 
 def _write_pointer(out, rec):
-    out.append(_POINTER_KIND[type(rec)])
     if isinstance(rec, OperandPointer):
         out += varint.encode_unsigned(rec.operand_index)
     elif isinstance(rec, DataDiff):
         out += varint.encode_signed(rec.subtrahend - rec.key)
 
 
-def _read_pointer(rd, key):
-    kind = rd.u8("pointer kind")
+def _read_pointer(rd, key, kind):
     if kind == 0:
         return OperandPointer(key, rd.uvarint("operand index"))
     if kind == 1:
@@ -269,11 +281,10 @@ def _read_pointer(rd, key):
 
 
 def _write_text(out, trec):
-    out.append(_TEXT_KIND_WIRE[trec.kind])
+    """A text record is its key field alone."""
 
 
-def _read_text(rd, addr):
-    kind = rd.u8("text record kind")
+def _read_text(rd, addr, kind):
     if kind not in _TEXT_KIND_NAME:
         raise NonCanonical(f"unknown text record kind {kind}")
     return TextRecord(addr, _TEXT_KIND_NAME[kind])
@@ -287,7 +298,7 @@ def _write_stack(out, srec):
         last = off
 
 
-def _read_stack(rd, entry):
+def _read_stack(rd, entry, _kind):
     offsets = []
     off = 0
     for _ in range(rd.uvarint("stack offset count")):
@@ -300,7 +311,7 @@ def _write_data(out, drec):
     out += varint.encode_unsigned(drec.size)
 
 
-def _read_data(rd, addr):
+def _read_data(rd, addr, _kind):
     return DataRecord(addr, rd.uvarint("data record size"))
 
 
@@ -472,6 +483,7 @@ class _Table(NamedTuple):
     count_what: str  # field names for codec errors
     key_what: str
     key: Callable
+    kind: Callable | None  # a record's wire kind, in a table whose key field holds one
     write: Callable
     read: Callable
     json: _Field     # the table in the JSON interchange
@@ -479,10 +491,11 @@ class _Table(NamedTuple):
 
 _TABLES = (
     _Table(1, "instructions", "instruction_regions", "region count", "region start",
-           attrgetter("start"), _write_region, _read_region,
+           attrgetter("start"), None, _write_region, _read_region,
            _list(_object(_Record(InstructionRegion, {"start": _ADDR, "count": _COUNT})))),
     _Table(2, "pointers", "pointers", "pointer count", "pointer key",
-           attrgetter("key"), _write_pointer, _read_pointer,
+           attrgetter("key"), lambda rec: _POINTER_KIND[type(rec)],
+           _write_pointer, _read_pointer,
            _list(_one_of(
                "pointer kind",
                _Record(OperandPointer, {"instr_addr": _ADDR, "operand_index": _integer(0)},
@@ -490,15 +503,16 @@ _TABLES = (
                _Record(DataPointer, {"addr": _ADDR}, tag="data"),
                _Record(DataDiff, {"addr": _ADDR, "subtrahend": _ADDR}, tag="diff")))),
     _Table(3, "text", "text", "text record count", "text record address",
-           attrgetter("addr"), _write_text, _read_text,
+           attrgetter("addr"), lambda trec: _TEXT_KIND_WIRE[trec.kind],
+           _write_text, _read_text,
            _list(_object(_Record(TextRecord, {
                "addr": _ADDR, "kind": _enum("text record kind", tuple(_TEXT_KIND_WIRE))})))),
     _Table(4, "stack", "stack", "stack record count", "stack function entry",
-           attrgetter("function_entry"), _write_stack, _read_stack,
+           attrgetter("function_entry"), None, _write_stack, _read_stack,
            _list(_object(_Record(StackRecord, {"function_entry": _ADDR,
                                                "offsets": _list(_COUNT)})))),
     _Table(5, "data", "data", "data record count", "data record address",
-           attrgetter("addr"), _write_data, _read_data,
+           attrgetter("addr"), None, _write_data, _read_data,
            _list(_object(_Record(DataRecord, {"addr": _ADDR, "size": _COUNT})))),
 )
 
@@ -507,15 +521,25 @@ def _write_table(out, table, records):
     out.append(table.table_id)
     out += varint.encode_unsigned(len(records))
     prev = 0
+    key_of, kind_of, write = table.key, table.kind, table.write
     for rec in records:
-        key = table.key(rec)
-        out += varint.encode_unsigned(key - prev)
-        table.write(out, rec)
+        key = key_of(rec)
+        delta = key - prev
+        out += varint.encode_unsigned(
+            delta if kind_of is None else delta << _KIND_BITS | kind_of(rec))
+        write(out, rec)
         prev = key
 
 
 def encode_metadata(meta: EllfMetadata) -> bytes:
+    """The `.ellf` bytes of ``meta``, which ``check_invariants`` must accept."""
     check_invariants(meta)
+    return encode_canonical(meta)
+
+
+def encode_canonical(meta: EllfMetadata) -> bytes:
+    """The `.ellf` bytes of ``meta``, already held to ``check_invariants``
+    (as ``metadata_from_layout``'s result is); ``encode_metadata`` checks."""
     out = bytearray(MAGIC)
     out.append(VERSION)
     for table in _TABLES:
@@ -535,19 +559,19 @@ class _Reader:
         self.pos += 1
         return b
 
-    def uvarint(self, what):
+    def uvarint(self, what, max_bits=64):
         data, pos = self.data, self.pos
         if pos < len(data) and data[pos] < 0x80:  # one byte: always minimal
             self.pos = pos + 1
             return data[pos]
-        return self._varint(varint.decode_unsigned, what)
+        return self._varint(varint.decode_unsigned, what, max_bits)
 
     def svarint(self, what):
         return self._varint(varint.decode_signed, what)
 
-    def _varint(self, decode, what):
+    def _varint(self, decode, what, *bits):
         try:
-            value, self.pos = decode(self.data, self.pos)
+            value, self.pos = decode(self.data, self.pos, *bits)
         except (TruncatedTable, NonCanonical, VarintOverflow) as exc:
             raise type(exc)(f"{what}: {exc}") from None
         return value
@@ -557,11 +581,14 @@ def _read_table(rd, table):
     got = rd.u8(f"table {table.table_id} id")
     if got != table.table_id:
         raise NonCanonical(f"expected table id {table.table_id}, found {got}")
+    bits = 0 if table.kind is None else _KIND_BITS
+    mask, read = (1 << bits) - 1, table.read
     records = []
     key = 0
     for _ in range(rd.uvarint(table.count_what)):
-        key += rd.uvarint(table.key_what)
-        records.append(table.read(rd, key))
+        field = rd.uvarint(table.key_what, 64 + bits)
+        key += field >> bits
+        records.append(read(rd, key, field & mask))
     return tuple(records)
 
 
@@ -667,7 +694,8 @@ def metadata_from_layout(regions, functions, blocks, pointers, variables, locals
 # --- validation against an ELF image ---
 
 def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
-                      values: dict | None = None) -> list[Diagnostic]:
+                      values: dict | None = None, blocks: set | None = None
+                      ) -> list[Diagnostic]:
     """Cross-check metadata against the sections and bytes of an ElfImage.
 
     Raises OverlapError, whatever the metadata holds, if two alloc sections
@@ -691,7 +719,7 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
     - each decoded direct ``call``, ``jmp`` or ``jcc`` targets some section,
       and so does each RIP-relative operand that no pointer record names;
     - each other decoded direct ``jmp`` or ``jcc`` at or after the first
-      function start targets a function start or a block (kind ``cfg``);
+      function start targets a decoded instruction start (kind ``cfg``);
     - each alloc section is code or data, and zero-fill or not, as the
       assembly dialect reads its name (kind ``section``). A write flag alone
       may differ, as ``.eh_frame``'s may: the reassembled bytes are the same.
@@ -706,13 +734,25 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
       section;
     - a diff, on such a cell: its minuend, the cell plus the subtrahend.
 
+    The decode implies records that the metadata need not hold: an operand
+    pointer on every RIP-relative operand, and a basic block at every direct
+    ``jmp`` or ``jcc`` target and every pointer value or diff minuend that
+    is a decoded instruction start. A record at such a site is accepted.
+
     Each diagnostic carries the record it is about as ``record``, but for
     the branch, RIP-relative, ``cfg`` and ``section`` ones, which carry
     none; a record without a value gets one. ``decoded`` is filled with the
-    instructions decoded, by address, and ``values`` with the value of each
-    record that has one. The image is loaded once.
+    instructions decoded, by address, ``values`` with the value of each
+    pointer record that has one, recorded or implied, and ``blocks`` with
+    the implied block starts. The image is loaded once.
     """
-    byte_map = load_image(image)  # raises OverlapError, as the lift's own load would
+    return _validate(meta, image, load_image(image), {}, decoded, values, blocks)
+
+
+def _validate(meta, image, byte_map, regions, decoded, values, blocks):
+    """``validate_metadata`` over the ImageView ``byte_map`` of ``image``,
+    taking each region's decode from ``regions`` (region -> what
+    ``_decode_region`` returns), where it is put the first time."""
     diags: list[Diagnostic] = []
 
     def check_in_any(addr, what, rec=None, at=None):
@@ -739,18 +779,18 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                                                f"inside the decoded extent of the "
                                                f"region at 0x{extent[0]:x}",
                                     region.start, record=region))
-        addr = region.start
-        try:
-            for ins in decode_region(byte_map, addr, region.count):
-                decoded[addr] = ins
-                addr += ins.length
-        except IsaError as exc:  # undecodable region: report, skip alignment checks
+        found = regions.get(region)
+        if found is None:
+            found = regions[region] = _decode_region(byte_map, region)
+        instructions, end, error = found
+        decoded.update(instructions)
+        if error is not None:  # undecodable region: report, skip alignment checks
             diags.append(Diagnostic("range", f"instruction region at 0x{region.start:x} "
-                                             f"does not decode: {exc}", region.start,
+                                             f"does not decode: {error}", region.start,
                                   record=region))
         else:
-            _check_region_in_code(image, region, sec, addr, decoded, diags)
-        extent = (region.start, addr)
+            _check_region_in_code(image, region, sec, end, decoded, diags)
+        extent = (region.start, end)
 
     if values is None:
         values = {}
@@ -811,23 +851,28 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
                                              f"past the end of {sec.name}", drec.addr,
                                     record=drec))
 
+    if blocks is None:
+        blocks = set()
     first = min(starts, default=None)
-    blocks = starts.union(t.addr for t in meta.text if t.kind == BASIC_BLOCK)
-    recorded = {(rec.instr_addr, rec.operand_index) for rec in meta.pointers
-                if isinstance(rec, OperandPointer)}
     for addr, ins in decoded.items():
         ops = ins.operands
         if ops and isinstance(ops[0], PcRel):  # a direct branch, its only operand
             klass = instruction_class(ins)
             if check_in_any(klass.target, "branch target", at=addr):
                 continue
-            if (first is not None and addr >= first
-                    and klass.kind in (JUMP, CONDITIONAL_JUMP) and klass.target not in blocks):
-                diags.append(Diagnostic("cfg", f"branch target 0x{klass.target:x} is "
-                                               f"not a block start in any function", addr))
+            if klass.kind in (JUMP, CONDITIONAL_JUMP):
+                if klass.target in decoded:
+                    blocks.add(klass.target)
+                elif first is not None and addr >= first:
+                    diags.append(Diagnostic("cfg", f"branch target 0x{klass.target:x} is "
+                                                   f"not a decoded instruction start", addr))
         for i, op in enumerate(ops):  # a recorded one has its value checked above
-            if isinstance(op, MemRef) and op.rip_relative and (addr, i) not in recorded:
-                check_in_any(rip_target(ins, op), "RIP-relative target", at=addr)
+            if isinstance(op, MemRef) and op.rip_relative:
+                rec = OperandPointer(addr, i)
+                if rec not in values:
+                    values[rec] = target = rip_target(ins, op)
+                    check_in_any(target, "RIP-relative target", at=addr)
+    blocks.update(value for value in values.values() if value in decoded)
 
     for sec in image.sections:
         actual, named = (sec.exec, sec.kind == "nobits"), section_kind(sec.name)
@@ -840,48 +885,44 @@ def validate_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
 
 
 def repair_metadata(meta: EllfMetadata, image, decoded: dict | None = None,
-                    values: dict | None = None) -> tuple[EllfMetadata, list[Diagnostic]]:
+                    values: dict | None = None, blocks: set | None = None
+                    ) -> tuple[EllfMetadata, list[Diagnostic]]:
     """``meta`` repaired until ``validate_metadata`` reports nothing, and the
     problems reported on the way, each once, from the first round on.
 
     A round validates. If a problem names a record, every record a problem
-    names is dropped. Otherwise a ``BASIC_BLOCK`` record is added at the
-    target of each ``cfg`` problem's jump, if that target is a decoded
-    instruction start. Any other problem that names no record (``range``,
-    ``section``, or a ``cfg`` target where nothing was decoded) raises
-    LiftError with validation's message. ``decoded`` and ``values`` are
-    filled as ``validate_metadata`` fills them, from the last round.
+    names is dropped. Any problem that names no record (``range``,
+    ``section``, or a ``cfg`` jump whose target is no decoded instruction
+    start) raises LiftError with validation's message. Each region is
+    decoded once, the first round that holds it: a drop changes no decode.
+    ``decoded``, ``values`` and ``blocks`` are filled as ``validate_metadata``
+    fills them, from the last round.
     """
+    byte_map = load_image(image)  # raises OverlapError, as validation would
+    regions: dict = {}
     if decoded is None:
         decoded = {}
     if values is None:
         values = {}
+    if blocks is None:
+        blocks = set()
     diagnostics: list[Diagnostic] = []
     seen: set[Diagnostic] = set()
     while True:
         decoded.clear()
         values.clear()
-        problems = validate_metadata(meta, image, decoded, values)
+        blocks.clear()
+        problems = _validate(meta, image, byte_map, regions, decoded, values, blocks)
         diagnostics += [p for p in problems if p not in seen]
         seen.update(problems)
         flagged = {p.record for p in problems if p.record is not None}
-        if flagged:
-            meta = meta._replace(**{table.field: tuple(
-                rec for rec in getattr(meta, table.field) if rec not in flagged)
-                for table in _TABLES})
-            continue
-        blocks, stuck = set(), []
-        for p in problems:  # a cfg problem is addressed at its decoded jump
-            target = instruction_class(decoded[p.addr]).target if p.kind == "cfg" else None
-            if target in decoded:
-                blocks.add(TextRecord(target, BASIC_BLOCK))
-            else:
-                stuck.append(p)
-        if stuck:
-            raise LiftError("metadata fails validation: " + "; ".join(map(str, stuck)))
-        if not blocks:
+        if not flagged:
+            if problems:
+                raise LiftError("metadata fails validation: " + "; ".join(map(str, problems)))
             return meta, diagnostics
-        meta = meta._replace(text=tuple(sorted(blocks.union(meta.text), key=_text_sort_key)))
+        meta = meta._replace(**{table.field: tuple(
+            rec for rec in getattr(meta, table.field) if rec not in flagged)
+            for table in _TABLES})
 
 
 def _kind_name(execable, nobits):
@@ -928,6 +969,21 @@ def _cell_value(rec, image, diags):
     at = sec.file_offset + rec.addr - sec.vaddr  # read_elf keeps progbits in the file
     cell = int.from_bytes(image.raw_file[at:at + POINTER_WIDTH], "little")
     return cell if isinstance(rec, DataPointer) else (cell + rec.subtrahend) & U64
+
+
+def _decode_region(byte_map, region):
+    """(instructions by address, end, error) of ``region``: the instructions
+    decoded up to its end, or up to the first that does not decode, whose
+    IsaError is then ``error``, and the address after the last decoded."""
+    instructions = {}
+    addr = region.start
+    try:
+        for ins in decode_region(byte_map, addr, region.count):
+            instructions[addr] = ins
+            addr += ins.length
+    except IsaError as exc:
+        return instructions, addr, exc
+    return instructions, addr, None
 
 
 def _check_region_in_code(image, region, sec, end, decoded, diags):

@@ -2,6 +2,7 @@ import pytest
 
 from ellf import elfio
 from ellf.asm import assemble, parse_assembly
+from ellf.isa import MemRef, PcRel, Register, encode_one
 from ellf.meta import (
     DataDiff,
     DataRecord,
@@ -64,3 +65,29 @@ def table_demo():
     """(elf_bytes, metadata, image) for the fixed-address dispatch program."""
     elf, meta = assemble(parse_assembly(TABLE_DEMO))
     return elf, meta, elfio.read_elf(elf)
+
+
+# ``main`` of a one-function .text at 0x1000, then a reference to 0x101000,
+# which lies in no section, then ``ret``. The assembler refuses to write
+# such a reference, so these images are built from the instructions' bytes.
+FAR_TARGET = (".section .text base=0x1000\n.func main\n    {}\n    ret\n.endfunc\n"
+              ".set far, main + 0x100000\n")
+# (source line, the assembler's noun for the target, its encoding, validation's noun)
+FAR_REFERENCES = [
+    ("call far", "call target", ("call", (PcRel(0x101000),)), "branch target"),
+    ("lea rax, [far]", "pointer target",
+     ("lea", (Register("rax"), MemRef(rip_relative=True, disp=0x101000 - 0x1007))),
+     "RIP-relative target"),
+]
+
+
+def far_target_image(mnemonic, operands):
+    """(image, metadata) of ``mnemonic operands`` at 0x1000 and a ``ret``,
+    one function, with no pointer record."""
+    code = encode_one(mnemonic, operands, 0x1000)
+    code += encode_one("ret", (), 0x1000 + len(code))
+    img = elfio.read_elf(elfio.build_elf([elfio.NewSection(
+        ".text", 0x1000, code, sh_flags=elfio.SHF_ALLOC | elfio.SHF_EXECINSTR)]))
+    return img, EllfMetadata(instruction_regions=(InstructionRegion(0x1000, 2),),
+                             text=(TextRecord(0x1000, FUNCTION_START),
+                                   TextRecord(0x1000 + len(code) - 1, FUNCTION_END)))

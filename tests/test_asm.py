@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ellf import asm, elfio
+from ellf import asm, elfio, meta as meta_module
 from ellf.asm import (
     FuncBegin,
     FuncEnd,
@@ -43,6 +43,7 @@ from ellf.isa import (
 from ellf.lifter import emit_assembly, lift, render_operand
 from helpers_gen import random_form
 from ellf.meta import DataPointer, OperandPointer, decode_metadata, validate_metadata
+from test_frozen_outputs import PROGRAMS, mutated_sources
 
 
 def test_bases_do_not_leak_into_the_parsed_program():
@@ -100,8 +101,8 @@ def test_corpus_round_trip(name):
 def test_round_trip_lifts_the_metadata_stored_in_the_elf(monkeypatch):
     src = corpus_programs()["12_data_pointers"]
     assert roundtrip_check(src).ok
-    encode = asm.encode_metadata
-    monkeypatch.setattr(asm, "encode_metadata", lambda meta: encode(meta._replace(data=())))
+    encode = asm.encode_canonical
+    monkeypatch.setattr(asm, "encode_canonical", lambda meta: encode(meta._replace(data=())))
     report = roundtrip_check(src)
     assert not report.ok and not report.metadata_fixpoint
 
@@ -514,6 +515,64 @@ def test_a_label_cell_in_code_is_a_syntax_error_naming_the_line_and_section(cell
     assert str(info.value) == ("line 7: label-valued .quad not allowed in the executable "
                                "section .text")
     assert roundtrip_check(src).error == f"AsmSyntaxError: {info.value}"
+
+
+FUNC_THEN = ".section .text base=0x1000\n.func f\n    {}\n    ret\n.endfunc\n"
+CELLS = ".section .data base=0x2000\nfirst:\n    .quad {}\nlast:\n"
+
+
+@pytest.mark.parametrize("src, line, message", [
+    (FUNC_THEN.format("call done") + "done:\n", 3,
+     "call target 0x1006 is not inside any section"),
+    (FUNC_THEN.format("lea rax, [done]") + "done:\n", 3,
+     "pointer target 0x1008 is not inside any section"),
+    (FUNC_THEN.format("mov rax, done") + "done:\n", 3,
+     "pointer target 0x100b is not inside any section"),
+    (".section .text base=0x1000\n    jmp done\ndone:\n", 2,
+     "jump target 0x1005 is not inside any section"),
+    (FUNC_THEN.format("lea rax, [end_ptr]") + ".section .data base=0x2000\nend_ptr:\n"
+     "    .quad buf + 16\nbuf:\n    .zero 16\n", 8,
+     "pointer target 0x2018 is not inside any section"),
+    (corpus_programs()["20_suffix_string"].replace("full + 6", "full + 66"), 5,
+     "pointer target 0x40f142 is not inside any section"),
+    (CELLS.format("last - first"), 3, "diff minuend 0x2008 is not inside any section"),
+    (CELLS.format("first - last"), 3, "diff subtrahend 0x2008 is not inside any section"),
+], ids=["call", "lea", "movabs", "jump_outside_functions", "one_past_the_end_cell",
+        "one_past_the_end_set", "diff_minuend", "diff_subtrahend"])
+def test_a_label_value_in_no_section_is_a_syntax_error_naming_the_line(src, line, message):
+    # Validation, and so a strict lift and the round trip, would refuse it.
+    with pytest.raises(AsmSyntaxError) as info:
+        assemble_image(parse_assembly(src))
+    assert str(info.value) == f"line {line}: {message}"
+    assert roundtrip_check(src).error == f"AsmSyntaxError: {info.value}"
+
+
+def test_every_source_that_assembles_validates_clean():
+    """Over the bundled programs and the mutated sources whose assembler
+    outcomes are frozen. The one problem the assembler writes is a straddle:
+    a ``.set`` label can place a data object inside a pointer cell, as the
+    hazard fixture does on purpose, and only a strict lift refuses that."""
+    assembled = 0
+    for src in [*PROGRAMS.values(), *mutated_sources()]:
+        try:
+            elf, meta = assemble_image(parse_assembly(src))
+        except EllfError:
+            continue
+        assembled += 1
+        problems = validate_metadata(meta, elfio.read_elf(elf))
+        assert all(p.kind == "straddle" for p in problems) and (not problems or ".set" in src), (
+            src, problems)
+    assert assembled >= 900
+
+
+def test_assemble_holds_its_metadata_to_the_invariants_once(monkeypatch):
+    calls = []
+    check = meta_module.check_invariants
+    monkeypatch.setattr(meta_module, "check_invariants",
+                        lambda meta: calls.append(meta) or check(meta))
+    elf, meta = assemble(parse_assembly(corpus_programs()["12_data_pointers"]))
+    assert calls == [meta]
+    assert decode_metadata(elfio.extract_section(elfio.read_elf(elf), ".ellf")) == meta
 
 
 # --- the lexer against the per-character scanners it replaced ---

@@ -8,10 +8,11 @@ import pytest
 
 from ellf import cli, elfio
 from ellf.asm import assemble, assemble_image, parse_assembly
-from ellf.corpus import corpus_programs
+from ellf.corpus import corpus_programs, hazard_program
 from ellf.meta import EllfMetadata, decode_metadata, encode_metadata, metadata_to_json
 
-from test_lifter import FAR_REFERENCES, FAR_TARGET, _one_section_elf
+from conftest import FAR_REFERENCES, FAR_TARGET, far_target_image
+from test_lifter import _one_section_elf
 from test_validate import overlapping_sections_elf
 
 
@@ -148,7 +149,7 @@ def test_base_outside_the_address_space_is_a_usage_error(tmp_path, capsys, optio
 
 
 def _meta_document():
-    return {"version": 2,
+    return {"version": 3,
             "instruction_regions": [{"start": "0x1000", "count": 2}],
             "pointers": [{"kind": "data", "addr": "0x2000"}],
             "text": [{"addr": "0x1000", "kind": "function_start"}],
@@ -221,16 +222,21 @@ def test_inject_refuses_an_image_whose_sections_overlap(tmp_path, capsys):
     assert not (tmp_path / "out.elf").exists()
 
 
-@pytest.mark.parametrize("instruction, problem", FAR_REFERENCES, ids=["call", "lea"])
+@pytest.mark.parametrize("reference", FAR_REFERENCES, ids=["call", "lea"])
 def test_lift_refuses_a_target_outside_every_section_that_no_record_names(
-        tmp_path, capsys, instruction, problem):
-    (tmp_path / "far.s").write_text(FAR_TARGET.format(instruction))
-    code, _, _ = run(capsys, "asm", tmp_path / "far.s", "-o", tmp_path / "far.elf")
-    assert code == cli.EXIT_OK
+        tmp_path, capsys, reference):
+    line, noun, (mnemonic, operands), problem = reference
+    (tmp_path / "far.s").write_text(FAR_TARGET.format(line))
+    code, _, err = run(capsys, "asm", tmp_path / "far.s", "-o", tmp_path / "far.elf")
+    assert code == cli.EXIT_DOMAIN
+    assert err == f"error: AsmSyntaxError: line 3: {noun} 0x101000 is not inside any section\n"
+    img, meta = far_target_image(mnemonic, operands)
+    (tmp_path / "far.elf").write_bytes(
+        elfio.inject_section(img, ".ellf", encode_metadata(meta)))
     code, _, err = run(capsys, "lift", tmp_path / "far.elf", "-o", tmp_path / "lifted.s")
     assert code == cli.EXIT_DOMAIN == 1
     assert err == (f"error: LiftError: metadata fails validation: [error] range at "
-                   f"0x1000: {problem}\n")
+                   f"0x1000: {problem} 0x101000 is not inside any section\n")
     assert not (tmp_path / "lifted.s").exists()
 
 
@@ -438,8 +444,8 @@ FAR = ".section .text2 base=0x100001000\n.func g\n    ret\n.endfunc\n"
                  f"{SYNTAX}line 3: jump target 0x1005 is not a function entry or a label on "
                  f"an instruction", id="jump-into-bytes"),
     pytest.param(FUNC.format("je done") + "done:\n",
-                 f"{SYNTAX}line 3: jump target 0x1007 is not a function entry or a label on "
-                 f"an instruction", id="jump-to-the-end-of-text"),
+                 f"{SYNTAX}line 3: jump target 0x1007 is not inside any section",
+                 id="jump-to-the-end-of-text"),
 ])
 def test_each_assembler_error_fails_cleanly(tmp_path, capsys, source, error):
     path = tmp_path / "prog.s"
@@ -451,6 +457,18 @@ def test_each_assembler_error_fails_cleanly(tmp_path, capsys, source, error):
 
 
 def test_roundtrip_reports_a_lift_that_fails(tmp_path, capsys):
+    # A data object starts inside the cell at P3, which a strict lift refuses.
+    path = tmp_path / "prog.s"
+    path.write_text(hazard_program())
+    code, out, _ = run(capsys, "roundtrip", path)
+    assert code == cli.EXIT_DOMAIN
+    assert out.splitlines() == [
+        "byte identity:      FAIL", "metadata fixpoint:  FAIL", "text fixpoint:      FAIL",
+        "error: PointerStraddle: metadata fails validation: [error] straddle at 0x402010: "
+        "pointer payload at 0x402010 crosses the data object boundary at 0x402014"]
+
+
+def test_roundtrip_reports_a_source_that_does_not_assemble(tmp_path, capsys):
     # The cell points one past the end of its section, which no section holds.
     path = tmp_path / "prog.s"
     path.write_text(FUNC.format("lea rax, [buf]")
@@ -459,8 +477,7 @@ def test_roundtrip_reports_a_lift_that_fails(tmp_path, capsys):
     assert code == cli.EXIT_DOMAIN
     assert out.splitlines() == [
         "byte identity:      FAIL", "metadata fixpoint:  FAIL", "text fixpoint:      FAIL",
-        "error: LiftError: metadata fails validation: [error] range at 0x2008: "
-        "pointer target 0x2008 is not inside any section"]
+        "error: AsmSyntaxError: line 8: pointer target 0x2008 is not inside any section"]
 
 
 def _ellf_header_offset(elf):

@@ -33,79 +33,79 @@ from conftest import TABLE_DEMO
 
 FROZEN = {
     "01_single_ret": (
-        "0056b3e85dde18f209a74d9813f973af287d92fed5b6c7401f540f147b055112",
+        "34e1a1323b9840915462a5f543da161bec886c1d5f7a0f306e2de2fb6fa2ce93",
         "e66af229b7e87e15cd31207ebbfebaf7567935cd229beaef55c9561527a17bcf"),
     "02_straight_line": (
-        "f64f8cda61c146a0c1538c2847ab55d2b9e6b1a27069b0ac42b87f19bd8b748c",
+        "b3545c3aac8ed33e9b381eea4748d54153a44fc645e9bdbcbcedc5a36d3daf45",
         "f540b3dfb3a37dbfc337fa40866d3dcbbceb888f8dd1646b544834db9f77344d"),
     "03_conditional": (
-        "22a3b801e51265c907de9e500a7e226eb9ca3b70759f1ef332b7128984404386",
+        "79748509c5d6cb3dfbf58b0e5721640e0979f58d333c4474767ddd36f3dcfade",
         "d33ded61f3e857c5e064388371d79bac0d10ac78b4bd7ed08539dd564c15a7e4"),
     "04_loop": (
-        "eddf626ab7131d426c3ff050d02d6568246a76be81d6bf3b14b7f7fa61161c93",
+        "d862a6bc8c07c180e6ab5d38c90d9813ed2742af7ecc6ddc4872f2ef204f0c15",
         "8ed38411cbcf6106e16023743323a3014f24a12de35d421b7bbd86e62d74f17c"),
     "05_two_functions": (
-        "8c09f6bfcca4c10f76144e5f876438822c7a3ebb2c603f48995aba3199542c83",
+        "d86072d34d13f9a92834679ff1550896b1bc13cdf21ab0b86cfbdca0d49208bd",
         "419494233189a8b64f85f93c05e38d4513cf91853cbad676a5f45da3a6b52796"),
     "06_dispatch3": (
-        "07efff571ba919380d1563bc29ac11867cca89e43d8c298a500b3ad7df9587ac",
+        "a8b6b6fbc8681ea2d858749de6c6b5c2d690e45528b21f1300bbff8dfae484b6",
         "7c57915c4977b1d0241d546ece0a94d30002289a15cee6a9df6d10c468a84ecf"),
     "07_dispatch8": (
-        "2fc6497d7c6144caddc6582ed45fd4c7277e53f7623e5cc2260df6b8f0334863",
+        "0e466a55a64d414a06396fc0d90aacd3698b1a7b1b6e4d939b1da10cf5aede12",
         "598bd805a29116ac9c724c6e42a89a8a0b41a3a63d018e95cea62fcb63ed3fb2"),
     "08_strings": (
-        "13fcd8e37a7514ec2dd274ff4b89c7e62ea88d485247c9bf481c0a756fe3939a",
+        "e919566e9d077145f1a0a6cc72842e09fef2b0d07dc4cef1357a86a21a15b4c1",
         "ba6fddabd9cd5c179361b36d887462ceeafa274a29c5fcd8913e669087e7f209"),
     "09_bss_buffer": (
-        "33782f57348614407601114a808120eca70d2f0dad9a5dcdfd5f21d98e6cfb8d",
+        "fcb411cc12c02f3486642eaec018088571f8fd4004d638b97f759481b28b28e9",
         "f8a5899c315de9f724767237406f237a01df8e7f08f641e8a16ea3d199ba7801"),
     "10_frame_slots": (
-        "279c8eae74ab3d4c2e7ae41c3df5a34528bf8fb5eb7464ae42d5beae175c3900",
+        "7ee5b90df35095de8976ce854121493f18e4ee2bf1c5cfe6b93dbefe902a6983",
         "2d8d680baba933696238a00de86c8b090c78bf7bf6a3481d40331051f5f9761c"),
     "11_calls_chain": (
-        "5140727dd2f385fee1f1324f314ab5f3bd01b50da48946db5be88853d406f500",
+        "d296c668e0a56b1329c8f4859f392402af83f079181e14ad7e36505307dfab70",
         "e611329ce0c92345efc56b1d5441e947782342d28a2adbf7a827c64120fa1e06"),
     "12_data_pointers": (
-        "19d2bae1bd9ab4eeaf2dac3bf66d3906831cb1f14d48522a8042044b5871acdc",
+        "f0a6103b0ad90ab689268dab10c62874cf7ef94c4535c16f14f89ad990664d7d",
         "3f0bb3e14ed72baf708c50ac3150f26c4e09db31a3d810fc7bc8b3f72b7eca1e"),
     "13_function_pointer": (
-        "8f51cf891d2a7b7dde194972e8028592763da4fe3c7dda630eb9eea09e54e8ae",
+        "e5777c6bcf7e3200a397ac2624f08138bc849b26a09d604eb3336a1c1b1efb3f",
         "6d9c407c9125e4ec954d4c2c7f2c8d93de1459e923e48bb18a88d66a50a34ab3"),
     "14_inline_bytes": (
-        "8c3469ce8682d39c4187c11d717d30e429f3750c74c672b3810a3c4f2642e859",
+        "b5e1114db869ed47ade560354154d77332afa7dabccfa88b4a8b94d4ea8f1f08",
         "18b8999cd8056a092b2684e3aed66d782e5e30ac3ede50dce6086b532510de5f"),
     "15_loops_nested": (
-        "6ab65d181f26eca14337a6632dd03ac6acf138dbf875d9f28d62c465937efc14",
+        "410fd31c4dfc37dc197f92067aa8d44b80c470db968dae259691a861e77e6052",
         "fbd4c0c596dd42c6264e7161394d6fa3bb76aacf8c9f65a5d901ad511b3cf622"),
     "16_arith_mix": (
-        "289fd297073d78311217a87104757bd95fc6f942e02e2eb5f4d6752dd8f39c2b",
+        "c4a2e262644786298c5bb0054c4b29d79ede374c541d78a206565f805f88232a",
         "06f25f930577ce16b94be7359443c962eb9aa436a34fca09ec866fede412fc4b"),
     "17_memory_forms": (
-        "6fea617e39684bf10cc873e79b5908cd63f3ea3178d76ab4b2ee79f322969692",
+        "b332f0e3cd4a9c7445e0e5383bc382d84c1cece64f274c026151bf6af842f459",
         "8f58961c3c8df919c746a3f68fbe68e2213449f3ba2b2eabd408f27ea0fef5fc"),
     "18_rsp_frame": (
-        "edb6c6613ee5f06058f3a8cecc117fcf126a5ef3c101f7a7d354fcac3ffaf49c",
+        "9d30fe40e9a9d163925cfbf20b7cf7ad1e2431aa7fe30b975f4e56eeb8f7e601",
         "de1686bc98a69fa891e44d7d0dc7a20996fdc2b546890a8d3ece0d1bf2d41199"),
     "19_syscall_exit": (
-        "ed02b50c7778dd283d6034bdc281e55c92b53166b1930dd393baf9935f2e6a06",
+        "49b47bda04afba4a0da076e4a180daa890eb301640b902267cb663ae311381c4",
         "a609aeae35fe0d0a741784c7de791202531796b09721dd479d0734f7a0892d69"),
     "20_suffix_string": (
-        "9f2a3ede59460465035034ff9baf9deee9618ac8fbcaf37da519655197289891",
+        "54aa5494e9c982724e89c0ee9fda64a95baf992e54b9888fe472d8f0a2a9da22",
         "291b85fa880143eb10fde60dc2c2c01a11bb88a93ae15cd999f4b67399459674"),
     "21_mixed_sections": (
-        "fdff0a6dd15f733d083982fdda577edd2b77352ec8a6f0feee9d9153d170595f",
+        "11e7d21d07a045a978eb3b29065ccc30fc5476b22a5ea70cec3955bedaf7a8ef",
         "64f0ab89777132df64a2a7139d64459cda125f2f0d48d94e4168b29c5ed7e052"),
     "22_cond_chain": (
-        "07efce5e47198b7b59bd4c7c8753737e2f4a4a8419ed12811a3aaaed36ffb5a7",
+        "9feaf7cf3c340b37e1bf34fca0f2e7b7efd5908f529f672dd1d8dfbe19fd01aa",
         "65885b5aa049eec30ca987c3ad12ce911ae10f5d3d628b791412589db3315244"),
     "hazard_pointer_straddle": (
-        "ab263a91807775bb86936285cc4993f7c36da25cabdcca4dc9bd4d34db38ca20",
+        "530b78bb483dd9f19824512e687147060a71a496c6a09f172c76427e0aa6d700",
         "2cd622d00096324a9eda727aea622e451c47a55e0c3fa265be3245405c78bf70"),
     "TABLE_DEMO": (
-        "f26641675a55abc040765a82357f907dd759889114d465b6b4c18fe2ad530ac9",
+        "9c204e5aab595cbda9a36b5f42486bc16a2ee4a9876a258baf797c674369d9c0",
         "7094b3bd8cc72c392695fd92c35bd94495aa6d9b018a37136f87ab413b5eadd9"),
     "byte_heavy": (
-        "63b29906daefb75d9e37ce90c0ca972dbcaa4da4f0f2bf8c864b9cec80bd8984",
+        "a5a045f81e90df05ab8fe240ef289df6712f5826017e925374d5a2c7c9ca3e1e",
         "2783fed57e92bf895bb8841be515f426eea889e81c24289b0caeb222513e999a"),
 }
 
@@ -183,27 +183,27 @@ def test_the_byte_heavy_program_without_its_data_table_lifts_to_frozen_text():
 LIFT_FROZEN = {
     "01_single_ret": "96cf0884ae4857bc1a6833c6f2d9559b950e305795352b2cc363730e70fc0595",
     "02_straight_line": "ca2e3900372f15b728cf0ea658c8c2aeb70e4fffb336a0328d680114e70344d3",
-    "03_conditional": "2d7e84e92eb52a0471a88a1c974d69f06ef8ea0b7150970379a46bb589dffb95",
-    "04_loop": "3f26e576acbdebf1d16199d5ab095086e2eea77ae371c4f36b738ea1088ddc28",
+    "03_conditional": "6325cba0191ae845b90be098bce8124015709e9f14b8f95c8c0b24b6cf92958d",
+    "04_loop": "56fe039a5e324c93fb60f51a57da371526f93d806d4b1d8769e34b3bdeec6c84",
     "05_two_functions": "52c2f2f8925929d81c164d3cbe73bf11bda3eec9be618e8c1e7e38f9398af493",
-    "06_dispatch3": "fdc6d7b39d8b8f97cabba0c6e5ce33cb284553c31609fa0d1ba6fe6a06a65468",
-    "07_dispatch8": "0d0af97d7b13b56fdd6799febd7e30cb5fd6cb9bcc4438c43fa2a2b704401f0a",
-    "08_strings": "c6695887244445b31235a797466004a11dc51e5088955d498ae43f371c82cc7e",
-    "09_bss_buffer": "35df9230fe5c4c16977c2618de244ca2d7bb05bda8d532d287627f3fd89ed882",
+    "06_dispatch3": "e98b3f109b0a8205105f46fadd5a55b5818eb22c961ced043b8ae6f3118a8e3d",
+    "07_dispatch8": "5ef3fab015092fcebf24184f57b8481573f90b010d7500fad540c9a85d5500cd",
+    "08_strings": "42d3771c72efcede15d3ff09361a76aeea017bed05aa292610b97df7839c2323",
+    "09_bss_buffer": "67330287df91c88fdd4cfc3dc2a3cd48eb5c1280c20894876f9e8984f0ddc921",
     "10_frame_slots": "5e4dd69581169bcd7319f002bde9cc4f0f338c2ea8f8ceb9887b9a53725f72a7",
     "11_calls_chain": "1703e19cd7b8c32e8f67127223bf6d1c8367fb5b3e5cb7014d450f37c9ee146e",
-    "12_data_pointers": "e0143a2b5aa032a0c70aff8cc23284fead6a9504560c75c2a0a6702da916de82",
-    "13_function_pointer": "d10333252e6406b9dcb3c6439d0c5e64f125c85108228210a153086c0ddea740",
-    "14_inline_bytes": "2a1853c1bd2d3542877075bd4eb78837f005c08d13949515ea0b61a449749ecd",
-    "15_loops_nested": "b0094ed11266a891660b5acb87cd1e099ea37180c8dbcde5f69276c09fc4b204",
-    "16_arith_mix": "c4d6b01f874623a500b89a798dd658ba08856f3a1fe830fefbdd6b048d9c1d01",
-    "17_memory_forms": "7a13c8f2abb7c39559d9802f85b25500915795e4b1ce62782d3fdb9ebefa9e7a",
+    "12_data_pointers": "033ef3e31750d13fd9fd424f468b9c0dcf381531beceaf0f4882ba3110d5be2d",
+    "13_function_pointer": "2318013e3702d1eef98310329ed3e537f602ffebb56ea560ece35f3da2bf5311",
+    "14_inline_bytes": "6858ff78db11f2d97990103054ecdc9975fd83f73d52bd371e5bbb2fcbe6f946",
+    "15_loops_nested": "3018f870c85629a0c27ad7fbb29260df08fa16bb041023177f68a3b1d41bc4f2",
+    "16_arith_mix": "ed25d43616478e5508a04a862b9d75c1c7ceb6df59cbbc4f6ce0819c48382ea5",
+    "17_memory_forms": "58711c4506ca9523af8ebd4349ef83b3a08ca59a0a58a34ba6aae101847b5fcf",
     "18_rsp_frame": "86359c43a241d6ff4d75cdac021f7c757eb880932b97de01067ac8467e55efd1",
     "19_syscall_exit": "3aec086358556ed232d23f221944692c6007915bb1365d20e4882623ec383076",
-    "20_suffix_string": "0cb952f29a8f9e3a9b521b45b0763ac0c6e6c4a1a3754dce554ac8f31158a2ca",
-    "21_mixed_sections": "c120c11eafcc4b15affaf0c9f4eac06f6ddb6eacca7876329d232fe5db962e48",
-    "22_cond_chain": "2e9e03f99bb795c5ee2f7d51f2fb3e4414e497be5b7d654e7c4b746c64fa696e",
-    "TABLE_DEMO": "c1b2936efff14588a9da3334cf2f25ed8ef77c38488d262855b4a43776324c75",
+    "20_suffix_string": "aa3d8d116a7d3ed36e230fc745677533e4ce561cb9e40ffa670cfa51e34754ee",
+    "21_mixed_sections": "33ede47fef2aa3f905afb773cd5d4dc325453ef97495902e112b9ec8dcf26772",
+    "22_cond_chain": "d7884db750d5ae03f2319cce4c4441eac99ebee031db6e41118b3e79187df566",
+    "TABLE_DEMO": "0085c30b64c8ceb6d840c0def1913c7aa72dedabe403ba4225e81a554ec82bfd",
     "hazard_pointer_straddle": "1ab93c8ffba448d14f723eddff7f80cd3d31ed878a2af51825b60a92cf631831",
 }
 
@@ -427,7 +427,7 @@ def test_encoder_outcomes_match_the_frozen_digest():
 
 # --- the assembler on damaged sources ---
 
-ASM_FROZEN = "95125aac24440f06d2fdf43e56fa75f6d06b24ad4512f788b967f81df3b80a42"
+ASM_FROZEN = "63414829b52e5758a0516c1dcf78de98b9d96fe8c3e0824c1f2732a8bc2fe157"
 
 # Characters of the dialect's syntax, so that most mutations reach past the
 # lexer into the operand, data and layout checks.

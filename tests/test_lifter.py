@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from ellf import elfio, isa, lifter
 from ellf.asm import Data, Instr, assemble, assemble_image, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
-from ellf.errors import LiftError, PointerStraddle
+from ellf.errors import AsmSyntaxError, LiftError, PointerStraddle
 from ellf.isa import (MAX_LENGTH, RUN_BYTES, Immediate, MemRef, Register, SymbolDiff,
                       SymbolRef, decode_one)
 from ellf.lifter import (
@@ -40,7 +40,8 @@ from ellf.meta import (
     validate_metadata,
 )
 
-from conftest import SPARSE_DEMO_META, TABLE_DEMO
+from conftest import (FAR_REFERENCES, FAR_TARGET, SPARSE_DEMO_META, TABLE_DEMO,
+                      far_target_image)
 from test_frozen_outputs import PROGRAMS, metadata_variants
 
 
@@ -165,11 +166,12 @@ def test_a_strict_lift_decodes_each_instruction_once(monkeypatch):
 
 def test_label_names_from_sparse_oracle(table_demo):
     _, _, img = table_demo
-    values = {}
-    validate_metadata(SPARSE_DEMO_META, img, None, values)
-    lm = generate_labels(SPARSE_DEMO_META, img, values)
+    values, blocks = {}, set()
+    validate_metadata(SPARSE_DEMO_META, img, None, values, blocks)
+    lm = generate_labels(SPARSE_DEMO_META, img, values, blocks)
     assert lm.functions == {0x4000: "F_4000"}
-    # blocks: the recorded one plus the addresses pointer records name
+    # blocks: the recorded one plus those the jump and the cells imply
+    assert lm.bb_backed == {0x4014, 0x401C, 0x4023}
     assert lm.blocks[0x4014] == ".Lb1"
     assert lm.blocks[0x401C] == ".Lb2"
     assert lm.blocks[0x4023] == ".Lb3"
@@ -178,7 +180,7 @@ def test_label_names_from_sparse_oracle(table_demo):
 
 def test_lookup_returns_floor_entry(table_demo):
     _, _, img = table_demo
-    lm = generate_labels(EllfMetadata(), img, {})
+    lm = generate_labels(EllfMetadata(), img, {}, set())
     assert lm.lookup(0x4010, "text") == ("S_text", 0x10)
     assert lm.lookup(0x402C, "data") == ("S_rodata", 8)
 
@@ -241,12 +243,12 @@ def test_block_numbering_is_deterministic_across_functions():
 """
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
-    values = {}
-    validate_metadata(meta, img, None, values)
-    lm = generate_labels(meta, img, values)
+    values, blocks = {}, set()
+    validate_metadata(meta, img, None, values, blocks)
+    lm = generate_labels(meta, img, values, blocks)
     names = [lm.blocks[a] for a in sorted(lm.blocks)]
     assert names == sorted(set(names)), "block labels must be unique"
-    again = generate_labels(meta, img, values)
+    again = generate_labels(meta, img, values, blocks)
     assert {a: n for a, n in lm.blocks.items()} == again.blocks
 
 
@@ -291,15 +293,17 @@ def test_direct_jump_rewritten_to_minted_label(sparse_lift):
     assert jmp.operands == (SymbolRef(".Lb3", 0),)
 
 
-def test_region_only_metadata_degrades_to_section_labels(table_demo):
+def test_region_only_metadata_lifts_with_the_records_the_decode_implies(table_demo):
     _, _, img = table_demo
     meta = EllfMetadata(instruction_regions=SPARSE_DEMO_META.instruction_regions)
-    lp = lift(img, meta, mode="lenient")
+    lp = lift(img, meta, mode="strict")
     text = emit_assembly(lp)
-    # branches resolve through the synthetic section-start label
-    assert "jmp S_text + 35" in text
-    assert "lea rcx, [S_rodata]" in text
-    assert ".func" not in text
+    # the jump's target is a block, and the RIP-relative operand a pointer
+    assert "    jmp .Lb1\n    mov rax, 42\n.Lb1:\n    ret\n" in text
+    assert "    lea rcx, [D_4024]\n" in text and "\nD_4024:\n" in text
+    # no function, and with no pointer records the table cells are bytes
+    assert ".func" not in text and ".quad" not in text
+    assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
 def test_strict_dangling_text_record(table_demo):
@@ -309,7 +313,7 @@ def test_strict_dangling_text_record(table_demo):
     message = "text record at 0x4002 (basic_block) is not a decoded instruction start"
     with pytest.raises(LiftError, match=re.escape(message)):
         lift(img, meta, mode="strict")
-    kept, _, _, diags = lift_unsymbolized(img, meta, "lenient")
+    kept, _, _, _, diags = lift_unsymbolized(img, meta, "lenient")
     assert [(d.kind, d.message, d.record) for d in diags] == [("range", message, dangling)]
     assert kept == full
 
@@ -396,7 +400,7 @@ def test_a_lift_that_returns_reassembles_to_the_same_bytes(name):
             continue
         assert validate_metadata(repaired, img) == [], variant
         assert diagnostics[:len(problems)] == problems, variant
-        kept, _, _, lenient = lift_unsymbolized(img, variant, "lenient")
+        kept, _, _, _, lenient = lift_unsymbolized(img, variant, "lenient")
         assert (kept, lenient) == (repaired, diagnostics), variant
         lp = lift(img, repaired, mode="strict")
         # The renderer places .func and block lines only at instructions.
@@ -406,21 +410,20 @@ def test_a_lift_that_returns_reassembles_to_the_same_bytes(name):
         assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img), variant
 
 
-def test_a_lenient_lift_adds_the_block_a_jump_targets():
-    """Without its block records, the ``jne`` of ``03_conditional`` targets
-    no block. Its target is a decoded instruction, so repair records a block
-    there: the jump names that block's label exactly, and the CFG has it."""
+def test_the_decode_implies_the_block_a_jump_targets():
+    """Without its block records, the ``jne`` of ``03_conditional`` still
+    targets a decoded instruction, so validation implies a block there: the
+    metadata validates clean, the jump names that block's label exactly, and
+    the CFG has it."""
     elf, meta = assemble(parse_assembly(corpus_programs()["03_conditional"]))
     img = elfio.read_elf(elf)
+    assert TextRecord(0x401012, BASIC_BLOCK) not in meta.text  # implied, so not written
     variant = meta._replace(text=tuple(rec for rec in meta.text if rec.kind != BASIC_BLOCK))
-    problem = "branch target 0x401012 is not a block start in any function"
-    with pytest.raises(LiftError, match=problem):
-        lift(img, variant, mode="strict")
-    repaired, diagnostics = repair_metadata(variant, img)
-    assert [(d.kind, d.message, d.addr, d.record) for d in diagnostics] == [
-        ("cfg", problem, 0x401004, None)]
-    assert set(repaired.text) - set(variant.text) == {TextRecord(0x401012, BASIC_BLOCK)}
-    lp = lift(img, variant, mode="lenient")
+    blocks = set()
+    assert validate_metadata(variant, img, None, None, blocks) == []
+    assert blocks == {0x401012}
+    assert repair_metadata(variant, img) == (variant, [])
+    lp = lift(img, variant, mode="strict")
     text = emit_assembly(lp)
     assert "    jne .Lb1\n" in text and "\n.Lb1:\n    xor rax, rax\n" in text
     assert [block.start for cfg in lp.cfgs for block in cfg.blocks] == [0x401000, 0x401012]
@@ -715,13 +718,15 @@ def test_a_lenient_lift_drops_a_block_record_in_padding():
            "inpad:\n    ret\n.endfunc\n")
     elf, meta = assemble(parse_assembly(src))
     img = elfio.read_elf(elf)
-    assert TextRecord(0x1006, BASIC_BLOCK) in meta.text
-    meta = meta._replace(instruction_regions=(InstructionRegion(0x1000, 2),))
+    block = TextRecord(0x1006, BASIC_BLOCK)
+    assert block not in meta.text  # the jump implies it; a record there is accepted
+    meta = meta._replace(instruction_regions=(InstructionRegion(0x1000, 2),),
+                         text=tuple(sorted(meta.text + (block,))))
     with pytest.raises(LiftError) as info:
         lift(img, meta, mode="lenient")
     assert type(info.value) is LiftError
     assert str(info.value) == ("metadata fails validation: [error] cfg at 0x1000: "
-                               "branch target 0x1006 is not a block start in any function")
+                               "branch target 0x1006 is not a decoded instruction start")
 
 
 def _reassembles_to_the_same_alloc_bytes(text, img):
@@ -785,7 +790,7 @@ def test_a_lenient_lift_without_regions_drops_every_text_record():
     elf, meta = assemble(parse_assembly(corpus_programs()["07_dispatch8"]))
     img = elfio.read_elf(elf)
     meta = meta._replace(instruction_regions=())
-    kept, _, _, diags = lift_unsymbolized(img, meta, "lenient")
+    kept, _, _, _, diags = lift_unsymbolized(img, meta, "lenient")
     assert [d.record for d in diags if isinstance(d.record, TextRecord)] == list(meta.text)
     assert kept.text == ()
     text = emit_assembly(lift(img, meta, mode="lenient"))
@@ -794,25 +799,21 @@ def test_a_lenient_lift_without_regions_drops_every_text_record():
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
-# A reference to a label outside every section, and what validation reports of it.
-FAR_TARGET = (".section .text base=0x1000\n.func main\n    {}\n    ret\n.endfunc\n"
-              ".set far, main + 0x100000\n")
-FAR_REFERENCES = [
-    ("call far", "branch target 0x101000 is not inside any section"),
-    ("lea rax, [far]", "RIP-relative target 0x101000 is not inside any section"),
-]
-
-
-@pytest.mark.parametrize("instruction, problem", FAR_REFERENCES, ids=["call", "lea"])
+@pytest.mark.parametrize("reference", FAR_REFERENCES, ids=["call", "lea"])
 def test_a_lenient_lift_refuses_a_target_outside_every_section_that_no_record_names(
-        instruction, problem):
+        reference):
     """Nothing can be dropped for an unrecorded target, and no text could name
-    it. The lea's pointer record is dropped first; the next round reports it."""
-    elf, meta = assemble(parse_assembly(FAR_TARGET.format(instruction)))
+    it. The assembler refuses to write such a target, naming the line."""
+    line, noun, (mnemonic, operands), problem = reference
+    with pytest.raises(AsmSyntaxError) as refused:
+        assemble(parse_assembly(FAR_TARGET.format(line)))
+    assert str(refused.value) == f"line 3: {noun} 0x101000 is not inside any section"
+    img, meta = far_target_image(mnemonic, operands)
     with pytest.raises(LiftError) as info:
-        lift(elfio.read_elf(elf), meta, mode="lenient")
+        lift(img, meta, mode="lenient")
     assert type(info.value) is LiftError
-    assert str(info.value) == f"metadata fails validation: [error] range at 0x1000: {problem}"
+    assert str(info.value) == (f"metadata fails validation: [error] range at 0x1000: "
+                               f"{problem} 0x101000 is not inside any section")
 
 
 # Tables whose loss makes a lift render symbols at an offset from their label.

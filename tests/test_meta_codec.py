@@ -61,7 +61,7 @@ def ref_sv(v):
 
 
 def ref_encode(meta):
-    out = b"ELLF" + b"\x02"
+    out = b"ELLF" + b"\x03"
     out += b"\x01" + ref_uv(len(meta.instruction_regions))
     prev = 0
     for i, r in enumerate(meta.instruction_regions):
@@ -70,20 +70,19 @@ def ref_encode(meta):
     out += b"\x02" + ref_uv(len(meta.pointers))
     prev = 0
     for i, p in enumerate(meta.pointers):
-        out += ref_uv(p.key if i == 0 else p.key - prev)
+        delta = p.key if i == 0 else p.key - prev
         if isinstance(p, OperandPointer):
-            out += b"\x00" + ref_uv(p.operand_index)
+            out += ref_uv(delta * 4 + 0) + ref_uv(p.operand_index)
         elif isinstance(p, DataPointer):
-            out += b"\x01"
+            out += ref_uv(delta * 4 + 1)
         else:
-            out += b"\x02" + ref_sv(p.subtrahend - p.key)
+            out += ref_uv(delta * 4 + 2) + ref_sv(p.subtrahend - p.key)
         prev = p.key
     out += b"\x03" + ref_uv(len(meta.text))
     prev = 0
     kind_code = {BASIC_BLOCK: 0, FUNCTION_START: 1, FUNCTION_END: 2}
     for i, t in enumerate(meta.text):
-        out += ref_uv(t.addr if i == 0 else t.addr - prev)
-        out += bytes([kind_code[t.kind]])
+        out += ref_uv((t.addr if i == 0 else t.addr - prev) * 4 + kind_code[t.kind])
         prev = t.addr
     out += b"\x04" + ref_uv(len(meta.stack))
     prev = 0
@@ -127,7 +126,7 @@ def ref_decode(data):
         raise BadMagic("input does not start with the ELLF magic")
     rd.pos = 4
     version = rd.u8("version")
-    if version != 2:
+    if version != 3:
         raise UnsupportedVersion(f"version {version} is not supported")
 
     regions = []
@@ -151,9 +150,9 @@ def ref_decode(data):
     key = 0
     prev_sort = None
     for i in range(rd.uvarint("pointer count")):
-        delta = rd.uvarint("pointer key")
-        key = delta if i == 0 else _ref_rebase(key, delta, "pointer key")
-        kind = rd.u8("pointer kind")
+        field = rd.uvarint("pointer key", 66)
+        delta, kind = field >> 2, field & 3
+        key = _ref_rebase(key, delta, "pointer key")
         if kind == 0:
             rec = OperandPointer(key, rd.uvarint("operand index"))
         elif kind == 1:
@@ -175,9 +174,9 @@ def ref_decode(data):
     prev_sort = None
     kind_names = {0: BASIC_BLOCK, 1: FUNCTION_START, 2: FUNCTION_END}
     for i in range(rd.uvarint("text record count")):
-        delta = rd.uvarint("text record address")
-        addr = delta if i == 0 else _ref_rebase(addr, delta, "text record address")
-        kind = rd.u8("text record kind")
+        field = rd.uvarint("text record address", 66)
+        delta, kind = field >> 2, field & 3
+        addr = _ref_rebase(addr, delta, "text record address")
         if kind not in kind_names:
             raise NonCanonical(f"unknown text record kind {kind}")
         rec = TextRecord(addr, kind_names[kind])
@@ -236,7 +235,7 @@ def ref_decode(data):
 def test_empty_metadata_exact_bytes():
     # magic + version + five (id, zero-count) table headers: 15 bytes total.
     encoded = encode_metadata(EllfMetadata())
-    assert encoded == bytes.fromhex("454c4c46 02 0100 0200 0300 0400 0500".replace(" ", ""))
+    assert encoded == bytes.fromhex("454c4c46 03 0100 0200 0300 0400 0500".replace(" ", ""))
     assert len(encoded) == 15
     assert decode_metadata(encoded) == EllfMetadata()
 
@@ -244,15 +243,16 @@ def test_empty_metadata_exact_bytes():
 def test_sparse_demo_frozen_vector():
     # Hand-computed against the wire format before the main implementation,
     # and cross-checked by the reference encoder above.
+    # A key field of the pointer and text tables is delta << 2 | kind.
     expected = bytes.fromhex(
         "454c4c46"      # magic
-        "02"            # version
+        "03"            # version
         "0101" "808001" "0a"                        # one region: 0x4000 x10
         "0203"                                      # three pointer records
-        "848001" "00" "01"                          # operand ptr @0x4004, operand 1
-        "20" "02" "00"                              # diff @0x4024: subtrahend +0
-        "08" "02" "0f"                              # diff @0x402c: subtrahend -8
-        "0303" "808001" "01" "14" "00" "0f" "02"    # text: start, block, end
+        "908004" "01"                               # operand ptr @0x4004, operand 1
+        "8201" "00"                                 # diff @0x4024: subtrahend +0
+        "22" "0f"                                   # diff @0x402c: subtrahend -8
+        "0303" "818004" "50" "3e"                   # text: start, block, end
         "0400"                                      # no stack records
         "0502" "a48001" "08" "08" "08"              # data: 0x4024/8, 0x402c/8
     )
@@ -285,19 +285,69 @@ VERSION_1_DEMO = bytes.fromhex(
     "0303" "808001" "01" "14" "00" "0f" "02" "0400" "0502" "a48001" "08" "08" "08")
 
 
+# The sparse demo as version 2 wrote it, with a kind byte after each pointer
+# and text key delta.
+VERSION_2_DEMO = bytes.fromhex(
+    "454c4c46" "02" "0101" "808001" "0a" "0203" "848001" "00" "01" "20" "02" "00"
+    "08" "02" "0f" "0303" "808001" "01" "14" "00" "0f" "02" "0400" "0502" "a48001"
+    "08" "08" "08")
+
+
 def test_unsupported_version():
-    for version in (1, 3):
+    for version in (1, 2, 4):
         with pytest.raises(UnsupportedVersion, match=f"version {version} is not supported"):
             decode_metadata(b"ELLF" + bytes([version])
                             + b"\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00")
-    with pytest.raises(UnsupportedVersion):
-        decode_metadata(VERSION_1_DEMO)
+    for payload in (VERSION_1_DEMO, VERSION_2_DEMO):
+        with pytest.raises(UnsupportedVersion):
+            decode_metadata(payload)
+
+
+def _records(table_id, *records):
+    """A version-3 payload whose table ``table_id`` holds the encoded ``records``."""
+    tables = b"".join(bytes([i]) + (ref_uv(len(records)) + b"".join(records)
+                                    if i == table_id else b"\x00") for i in range(1, 6))
+    return b"ELLF\x03" + tables
+
+
+@pytest.mark.parametrize("table_id", [2, 3], ids=["pointer", "text"])
+def test_kind_3_is_not_canonical(table_id):
+    # Kind 3 of the pointer table is kept for a later record type.
+    noun = "pointer" if table_id == 2 else "text"
+    with pytest.raises(NonCanonical, match=f"unknown {noun} record kind 3"):
+        decode_metadata(_records(table_id, b"\x43"))  # key 0x10, kind 3
+
+
+@pytest.mark.parametrize("meta", [
+    EllfMetadata(pointers=(DataPointer(U64),)),
+    EllfMetadata(pointers=(OperandPointer(U64 - 1, 0), DataDiff(U64, 0))),
+    EllfMetadata(text=(TextRecord(U64, FUNCTION_END),)),
+    EllfMetadata(text=(TextRecord(0, BASIC_BLOCK), TextRecord(U64, FUNCTION_START))),
+], ids=["pointer", "two_pointers", "text", "text_delta"])
+def test_keys_at_the_top_of_the_address_space_fill_the_66_bit_key_field(meta):
+    encoded = encode_metadata(meta)
+    assert decode_metadata(encoded) == meta
+    assert ref_encode(meta) == encoded
+
+
+def test_a_key_past_the_address_space_or_a_key_field_past_66_bits_is_refused():
+    top = ref_uv(U64 << 2 | 1)  # the largest delta, kind 1: a data pointer or function start
+    with pytest.raises(NonCanonical, match="pointer key 0x10000000000000000 outside"):
+        decode_metadata(_records(2, top, ref_uv(1 << 2 | 1)))
+    with pytest.raises(NonCanonical, match="text record address 0x10000000000000000 outside"):
+        decode_metadata(_records(3, top, ref_uv(1 << 2 | 1)))
+    for table_id in (2, 3):
+        with pytest.raises(VarintOverflow, match="exceeds 66 bits"):
+            decode_metadata(_records(table_id, ref_uv(1 << 66)))
+    # A table without kinds keeps a 64-bit key field.
+    with pytest.raises(VarintOverflow, match="data record address: .* exceeds 64 bits"):
+        decode_metadata(_records(5, ref_uv(1 << 64) + b"\x01"))
 
 
 def test_duplicate_text_records_rejected():
     # Same (address, kind) twice: the second delta is zero with an equal kind.
-    raw = (b"ELLF\x02" + b"\x01\x00" + b"\x02\x00"
-           + b"\x03\x02" + b"\x10\x00" + b"\x00\x00"
+    raw = (b"ELLF\x03" + b"\x01\x00" + b"\x02\x00"
+           + b"\x03\x02" + b"\x40" + b"\x00"
            + b"\x04\x00" + b"\x05\x00")
     with pytest.raises(NonCanonical):
         decode_metadata(raw)
@@ -314,7 +364,7 @@ def test_overlapping_data_rejected_both_ways():
     meta = EllfMetadata(data=(DataRecord(0x10, 8), DataRecord(0x14, 8)))
     with pytest.raises(InvariantViolation):
         encode_metadata(meta)
-    raw = (b"ELLF\x02" + b"\x01\x00" + b"\x02\x00" + b"\x03\x00" + b"\x04\x00"
+    raw = (b"ELLF\x03" + b"\x01\x00" + b"\x02\x00" + b"\x03\x00" + b"\x04\x00"
            + b"\x05\x02" + b"\x10\x08" + b"\x04\x08")
     with pytest.raises(NonCanonical):
         decode_metadata(raw)
@@ -402,8 +452,8 @@ def test_truncated_payload_errors_name_the_field():
     assert named == {
         "version", "table 1 id", "region count", "region start",
         "region instruction count", "table 2 id", "pointer count", "pointer key",
-        "pointer kind", "operand index", "diff subtrahend", "table 3 id", "text record count", "text record address",
-        "text record kind", "table 4 id", "stack record count",
+        "operand index", "diff subtrahend", "table 3 id", "text record count",
+        "text record address", "table 4 id", "stack record count",
         "stack function entry", "stack offset count", "stack offset", "table 5 id",
         "data record count", "data record address", "data record size"}
 
@@ -485,7 +535,7 @@ def _differential_payloads(rng, count):
     valid += [encode_metadata(random_metadata(random.Random(seed))) for seed in range(40)]
     for i in range(count):
         if i % 4 == 0:
-            yield b"ELLF\x02" + rng.randbytes(rng.randint(0, 48))
+            yield b"ELLF\x03" + rng.randbytes(rng.randint(0, 48))
             continue
         blob = bytearray(rng.choice(valid))
         for _ in range(rng.randint(1, 3)):

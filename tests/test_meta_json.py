@@ -31,7 +31,7 @@ from helpers_gen import random_metadata
 def test_json_roundtrip_demo():
     obj = metadata_to_json(SPARSE_DEMO_META)
     assert obj["instruction_regions"] == [{"start": "0x4000", "count": 10}]
-    assert obj["version"] == 2
+    assert obj["version"] == 3
     assert obj["pointers"] == [
         {"kind": "operand", "instr_addr": "0x4004", "operand_index": 1},
         {"kind": "diff", "addr": "0x4024", "subtrahend": "0x4024"},
@@ -94,8 +94,8 @@ def test_json_counts_the_schema_rejects_do_not_load(count):
 # `ellf extract --json` prints json.dumps(metadata_to_json(meta), indent=2), so
 # its text (key order included) and the schema are frozen here: over the
 # metadata of every bundled program and of random_metadata seeds 0-199.
-EXTRACT_JSON_DIGEST = "3bcd1609ecaddcb4a8e8b2c8f324f6c13c9516d5f8004a1f817be9993bc3dfe6"
-METADATA_SCHEMA_DIGEST = "c334663e8721950425136a9f8f0e1be8385847b0123a1d8f0fb0088bd12a678e"
+EXTRACT_JSON_DIGEST = "8ae894e5ae43a935e607b1c388997def609fdc72afed0aff906da2a37a25b9e0"
+METADATA_SCHEMA_DIGEST = "573a9c88099f4d6cd4966fcb66a0aa48976bab67ba5e0ca6086fa734567fc809"
 
 
 def test_extract_json_matches_the_frozen_digest():

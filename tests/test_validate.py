@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from ellf import cli, elfio
+from ellf import cli, elfio, isa
 from ellf.asm import assemble_image, parse_assembly
 from ellf.corpus import corpus_programs, hazard_program
 from ellf.errors import LiftError, OverlapError, PointerStraddle
@@ -25,19 +25,25 @@ from ellf.meta import (
     _pointer_sort_key,
     _text_sort_key,
     metadata_to_json,
+    repair_metadata,
     validate_metadata,
 )
 
-from conftest import SPARSE_DEMO_META
+from conftest import FAR_REFERENCES, SPARSE_DEMO_META, far_target_image
 
 
 def test_demo_metadata_is_clean(table_demo):
     _, meta, img = table_demo
-    assert validate_metadata(meta, img) == []
-    # The sparse oracle records no block at 0x4023, where ``jmp .Lb3`` lands.
-    assert [(d.kind, d.message, d.addr, d.record)
-            for d in validate_metadata(SPARSE_DEMO_META, img)] == [
-        ("cfg", "branch target 0x4023 is not a block start in any function", 0x4017, None)]
+    blocks = set()
+    assert validate_metadata(meta, img, None, None, blocks) == []
+    # ``jmp .Lb3`` lands on 0x4023; the two cells hold .Lb1 and .Lb2 - D_4024.
+    assert blocks == {0x4014, 0x401C, 0x4023}
+    assert not any(rec.kind == BASIC_BLOCK for rec in meta.text)
+    # The sparse oracle records the block at 0x4014 as well: a record at an
+    # implied site is accepted.
+    blocks = set()
+    assert validate_metadata(SPARSE_DEMO_META, img, None, None, blocks) == []
+    assert blocks == {0x4014, 0x401C, 0x4023}
 
 
 def test_data_record_past_section_end(table_demo):
@@ -150,6 +156,12 @@ b:
 JUMP = ".section .text base=0x1000\n.func f\n    jmp done\ndone:\n    ret\n.endfunc\n"
 
 
+def _jump_into_nothing_decoded(meta):
+    """``JUMP``'s metadata with only its jmp decoded, so that ``done`` is none."""
+    return meta._replace(instruction_regions=(InstructionRegion(0x1000, 1),),
+                         text=(TextRecord(0x1000, FUNCTION_START),))
+
+
 def _operand_index_out_of_range(meta):
     return meta._replace(pointers=(BAD_POINTER,) + meta.pointers[1:])
 
@@ -207,9 +219,8 @@ REFUSED = {
         "pointer payload at 0x402010 crosses the data object boundary at 0x402014",
         0x402010, DataPointer(0x402010)),
     "branch_to_a_non_block": (
-        _assembled(JUMP, lambda meta: meta._replace(
-            text=tuple(rec for rec in meta.text if rec.kind != BASIC_BLOCK))), "cfg",
-        "branch target 0x1005 is not a block start in any function", 0x1000, None),
+        _assembled(JUMP, _jump_into_nothing_decoded), "cfg",
+        "branch target 0x1005 is not a decoded instruction start", 0x1000, None),
     "misnamed_section": (
         _zero_fill_data_named_data, "section",
         "section .data is zero-fill data but the assembly dialect reads its name as data",
@@ -230,8 +241,9 @@ def _function_pointer_program():
 @pytest.mark.parametrize("fault", sorted(REFUSED))
 def test_metadata_that_every_lift_refuses_fails_validation(fault):
     """A strict lift raises on the one fault validation reports. A lenient
-    lift drops the record it names, if any, and nothing else; a ``section``
-    fault names none and leaves nothing to drop, so it raises there too."""
+    lift drops the record it names, if any, and nothing else; a ``cfg`` or
+    ``section`` fault names none and leaves nothing to drop, so it raises
+    there too."""
     build, kind, message, addr, record = REFUSED[fault]
     elf, meta = build()
     img = elfio.read_elf(elf)
@@ -242,12 +254,12 @@ def test_metadata_that_every_lift_refuses_fails_validation(fault):
                        match=f"metadata fails validation: .*{re.escape(message)}") as info:
         lift(img, meta, mode="strict")
     assert type(info.value) is (PointerStraddle if kind == "straddle" else LiftError)
-    if kind == "section":
+    if record is None:
         with pytest.raises(LiftError) as lenient:
             lift_unsymbolized(img, meta, "lenient")
         assert str(lenient.value) == str(info.value)
         return
-    kept, _, _, diagnostics = lift_unsymbolized(img, meta, "lenient")
+    kept, _, _, _, diagnostics = lift_unsymbolized(img, meta, "lenient")
     assert diagnostics == problems
     assert _dropped(meta, kept) == ([] if record is None else [record])
 
@@ -282,6 +294,23 @@ def test_a_lenient_lift_drops_an_overlapping_region():
     assert text == emit_assembly(lift(img, meta))
     raw, _ = assemble_image(parse_assembly(text))
     assert elfio.load_image(elfio.read_elf(raw)) == elfio.load_image(img)
+
+
+def test_repair_decodes_each_region_once(monkeypatch):
+    """The first round decodes every region, the extra one too; the round
+    after the drop reuses the decodes of the regions it keeps."""
+    _, img, meta = _function_pointer_program()
+    damaged = _overlapping_regions(meta)
+    calls = []
+    decode_one = isa.decode_one
+    monkeypatch.setattr(isa, "decode_one", lambda *args: calls.append(args[1]) or decode_one(*args))
+    decoded = {}
+    repaired, diagnostics = repair_metadata(damaged, img, decoded)
+    assert len(calls) == sum(region.count for region in damaged.instruction_regions)
+    assert sorted(calls) == sorted([*decoded, BAD_REGION.start])
+    monkeypatch.setattr(isa, "decode_one", decode_one)
+    assert (repaired, diagnostics) == (meta, validate_metadata(damaged, img))
+    assert [d.record for d in diagnostics] == [BAD_REGION]
 
 
 def test_a_region_that_runs_into_bytes_outside_the_subset_does_not_decode():
@@ -335,9 +364,13 @@ def test_each_record_gets_the_value_the_binary_holds_where_it_points(table_demo)
     _, meta, img = table_demo
     values = {}
     assert validate_metadata(meta, img, None, values) == []
-    lea, first, second = meta.pointers
-    # lea rcx, [D_4024]; the cells hold .Lb1 - D_4024 and .Lb2 - D_4024
-    assert values == {lea: 0x4024, first: 0x4014, second: 0x401C}
+    first, second = meta.pointers
+    # the cells hold .Lb1 - D_4024 and .Lb2 - D_4024; lea rcx, [D_4024] is
+    # RIP-relative, so validation derives its operand pointer
+    lea = OperandPointer(0x4004, 1)
+    assert values == {first: 0x4014, second: 0x401C, lea: 0x4024}
+    assert validate_metadata(SPARSE_DEMO_META, img, None, values) == []
+    assert values == {first: 0x4014, second: 0x401C, lea: 0x4024}  # recorded, the same
 
     _, img, meta = _function_pointer_program()
     values = {}
@@ -400,13 +433,9 @@ def test_an_operand_pointer_on_a_plain_immediate_keeps_the_immediate():
 
 # --- targets in no section, and images whose sections overlap ---
 
-FAR_CALL = (".section .text base=0x1000\n.func main\n    call far\n    ret\n.endfunc\n"
-            ".set far, main + 0x100000\n")
-
-
 def test_a_branch_target_in_no_section_fails_validation():
-    elf, meta = assemble_image(parse_assembly(FAR_CALL))
-    img = elfio.read_elf(elf)
+    _, _, (mnemonic, operands), _ = FAR_REFERENCES[0]
+    img, meta = far_target_image(mnemonic, operands)
     message = "branch target 0x101000 is not inside any section"
     assert [(d.kind, d.message, d.addr, d.record) for d in validate_metadata(meta, img)] == [
         ("range", message, 0x1000, None)]
@@ -415,13 +444,13 @@ def test_a_branch_target_in_no_section_fails_validation():
 
 
 def test_an_unrecorded_rip_relative_target_in_no_section_fails_validation():
-    elf, meta = assemble_image(parse_assembly(FAR_CALL.replace("call far", "lea rax, [far]")))
-    img = elfio.read_elf(elf)
-    (pointer,) = meta.pointers
+    _, _, (mnemonic, operands), _ = FAR_REFERENCES[1]
+    img, unrecorded = far_target_image(mnemonic, operands)
+    pointer = OperandPointer(0x1000, 1)
+    recorded = unrecorded._replace(pointers=(pointer,))
     # A recorded operand is reported once, for its record.
-    assert [(d.kind, d.message, d.record) for d in validate_metadata(meta, img)] == [
+    assert [(d.kind, d.message, d.record) for d in validate_metadata(recorded, img)] == [
         ("range", "pointer target 0x101000 is not inside any section", pointer)]
-    unrecorded = meta._replace(pointers=())
     message = "RIP-relative target 0x101000 is not inside any section"
     assert [(d.kind, d.message, d.addr, d.record)
             for d in validate_metadata(unrecorded, img)] == [("range", message, 0x1000, None)]
