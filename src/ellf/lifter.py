@@ -31,6 +31,7 @@ from .isa import (
     CONDITIONAL_JUMP,
     HALT,
     INDIRECT_JUMP,
+    JCC_MNEMONICS,
     JUMP,
     RETURN,
     Immediate,
@@ -531,11 +532,21 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
             table_minuends.setdefault(found[0], []).extend(minuends)
 
     block_addrs = sorted(state.labels.bb_backed)
+    decoded = state.decoded
     cfgs = []
     for entry, limit in _function_ranges(state):
         addrs = _function_instrs(state, entry, limit)  # the entry is decoded
-        starts = [entry] + block_addrs[bisect_right(block_addrs, entry):
-                                       bisect_left(block_addrs, limit)]
+        # Blocks start at the entry, at each backed block, and at each
+        # decoded instruction after one that ends a block.
+        starts = {entry, *block_addrs[bisect_right(block_addrs, entry):
+                                      bisect_left(block_addrs, limit)]}
+        for addr in addrs:
+            ins = decoded[addr]
+            if ins.mnemonic in _ENDS_BLOCK:
+                after = addr + ins.length
+                if after < limit and after in decoded:
+                    starts.add(after)
+        starts = sorted(starts)
         reachable_minuends: set[int] = set()
         for name in _referenced_labels(state, addrs):
             reachable_minuends.update(table_minuends.get(name, ()))
@@ -550,6 +561,11 @@ def build_cfg(state: _LiftState) -> tuple[Cfg, ...]:
                                    successors=tuple(sorted(successors))))
         cfgs.append(Cfg(function_entry=entry, blocks=tuple(blocks)))
     return tuple(cfgs)
+
+
+# The mnemonics of the instructions that end a block: a direct or indirect
+# jump, a conditional one, a return and a halt.
+_ENDS_BLOCK = frozenset(("jmp", *JCC_MNEMONICS, "ret", "hlt"))
 
 
 def _referenced_labels(state, addrs) -> set[str]:

@@ -183,27 +183,27 @@ def test_the_byte_heavy_program_without_its_data_table_lifts_to_frozen_text():
 LIFT_FROZEN = {
     "01_single_ret": "96cf0884ae4857bc1a6833c6f2d9559b950e305795352b2cc363730e70fc0595",
     "02_straight_line": "ca2e3900372f15b728cf0ea658c8c2aeb70e4fffb336a0328d680114e70344d3",
-    "03_conditional": "6325cba0191ae845b90be098bce8124015709e9f14b8f95c8c0b24b6cf92958d",
+    "03_conditional": "454e136a58af52075ced24c4a95f55d7d7710ea74884586bb54643ad22a9ae89",
     "04_loop": "56fe039a5e324c93fb60f51a57da371526f93d806d4b1d8769e34b3bdeec6c84",
-    "05_two_functions": "52c2f2f8925929d81c164d3cbe73bf11bda3eec9be618e8c1e7e38f9398af493",
-    "06_dispatch3": "e98b3f109b0a8205105f46fadd5a55b5818eb22c961ced043b8ae6f3118a8e3d",
-    "07_dispatch8": "5ef3fab015092fcebf24184f57b8481573f90b010d7500fad540c9a85d5500cd",
+    "05_two_functions": "9c3521b163e37581dc6a086e87430cd279a026c8157e7a801fc4999f3874e5b1",
+    "06_dispatch3": "605981309d7cf4c819ad0dfe25ff34fdd909ffd50e19f9a78b5b426605cb9df0",
+    "07_dispatch8": "c65208521bad991907f4ea8edb96d4d86e1ef73c4734684affac22581828c0b3",
     "08_strings": "42d3771c72efcede15d3ff09361a76aeea017bed05aa292610b97df7839c2323",
     "09_bss_buffer": "67330287df91c88fdd4cfc3dc2a3cd48eb5c1280c20894876f9e8984f0ddc921",
     "10_frame_slots": "5e4dd69581169bcd7319f002bde9cc4f0f338c2ea8f8ceb9887b9a53725f72a7",
-    "11_calls_chain": "1703e19cd7b8c32e8f67127223bf6d1c8367fb5b3e5cb7014d450f37c9ee146e",
+    "11_calls_chain": "9214d826e15e2c59d24e6522289016dd7b6f9441083fd3c5d02427e708d78253",
     "12_data_pointers": "033ef3e31750d13fd9fd424f468b9c0dcf381531beceaf0f4882ba3110d5be2d",
     "13_function_pointer": "2318013e3702d1eef98310329ed3e537f602ffebb56ea560ece35f3da2bf5311",
     "14_inline_bytes": "6858ff78db11f2d97990103054ecdc9975fd83f73d52bd371e5bbb2fcbe6f946",
-    "15_loops_nested": "3018f870c85629a0c27ad7fbb29260df08fa16bb041023177f68a3b1d41bc4f2",
-    "16_arith_mix": "ed25d43616478e5508a04a862b9d75c1c7ceb6df59cbbc4f6ce0819c48382ea5",
+    "15_loops_nested": "5c6ca6cdf088d54757517df68a18d11e672db5ee821d52d8ed395ca471f63369",
+    "16_arith_mix": "708e3e8abc04bca231a3910a797fc3ed74cee6753f0fb8d36d059de7e5ae0b79",
     "17_memory_forms": "58711c4506ca9523af8ebd4349ef83b3a08ca59a0a58a34ba6aae101847b5fcf",
     "18_rsp_frame": "86359c43a241d6ff4d75cdac021f7c757eb880932b97de01067ac8467e55efd1",
     "19_syscall_exit": "3aec086358556ed232d23f221944692c6007915bb1365d20e4882623ec383076",
     "20_suffix_string": "aa3d8d116a7d3ed36e230fc745677533e4ce561cb9e40ffa670cfa51e34754ee",
     "21_mixed_sections": "33ede47fef2aa3f905afb773cd5d4dc325453ef97495902e112b9ec8dcf26772",
-    "22_cond_chain": "d7884db750d5ae03f2319cce4c4441eac99ebee031db6e41118b3e79187df566",
-    "TABLE_DEMO": "0085c30b64c8ceb6d840c0def1913c7aa72dedabe403ba4225e81a554ec82bfd",
+    "22_cond_chain": "7fd38fb93afa6c632207a69c48e394d1b00f8a79a533375f6fe83c7901e1bb70",
+    "TABLE_DEMO": "1752c9b5d4e655d0bbb04543959bccb4a73f17d8a7ea37a681787722e44e2f4c",
     "hazard_pointer_straddle": "1ab93c8ffba448d14f723eddff7f80cd3d31ed878a2af51825b60a92cf631831",
 }
 

@@ -426,7 +426,10 @@ def test_the_decode_implies_the_block_a_jump_targets():
     lp = lift(img, variant, mode="strict")
     text = emit_assembly(lp)
     assert "    jne .Lb1\n" in text and "\n.Lb1:\n    xor rax, rax\n" in text
-    assert [block.start for cfg in lp.cfgs for block in cfg.blocks] == [0x401000, 0x401012]
+    # The jne ends a block, so its fall-through starts one.
+    assert [(block.start, block.end, block.successors) for block in lp.cfgs[0].blocks] == [
+        (0x401000, 0x401004, (0x40100A, 0x401012)), (0x40100A, 0x401011, ()),
+        (0x401012, 0x401015, ())]
     assert _reassembles_to_the_same_alloc_bytes(text, img)
 
 
@@ -659,6 +662,31 @@ def test_conditional_block_has_two_successors():
     lp = lift(elfio.read_elf(elf), meta, mode="strict")
     cfg = lp.cfgs[0]
     assert len(cfg.blocks[0].successors) == 2
+
+
+def test_a_block_ends_after_every_jump_return_and_halt(monkeypatch):
+    """No label marks what follows the je, the jmp rax, the hlt or the ret,
+    yet each of those instructions ends its block. Only the last
+    instruction of a block is classified."""
+    src = (".section .text base=0x1000\n.func f\n    cmp rdi, 1\n    je one\n"
+           "    mov rax, 2\n    jmp rax\n    push rbp\n    hlt\n    pop rbp\n    ret\n"
+           "    nop\none:\n    ret\n.endfunc\n")
+    elf, meta = assemble(parse_assembly(src))
+    classified = []
+    classify = lifter.instruction_class
+    monkeypatch.setattr(lifter, "instruction_class",
+                        lambda ins: classified.append(ins.address) or classify(ins))
+    lp = lift(elfio.read_elf(elf), meta, mode="strict")
+    assert [(block.start, block.end, block.successors) for block in lp.cfgs[0].blocks] == [
+        (0x1000, 0x1004, (0x100A, 0x1018)),  # je one
+        (0x100A, 0x1011, (0x1000, 0x100A, 0x1013, 0x1015, 0x1017, 0x1018)),  # jmp rax
+        (0x1013, 0x1014, ()),  # hlt
+        (0x1015, 0x1016, ()),  # ret
+        (0x1017, 0x1017, (0x1018,)),  # nop, then one:
+        (0x1018, 0x1018, ())]
+    assert [d.message for d in lp.diagnostics] == [
+        "indirect jump at 0x1011 has no reachable jump table; assuming all blocks"]
+    assert sorted(classified) == [0x1004, 0x1011, 0x1014, 0x1016, 0x1017]
 
 
 def test_call_falls_through_and_tail_jump_exits():
