@@ -758,7 +758,8 @@ def emit_assembly(lp: LiftedProgram) -> str:
 
     - a used section floor at the section base;
     - ``.func NAME`` and its ``.slot`` lines at a function entry;
-    - a block label at a ``BASIC_BLOCK`` record, or wherever used;
+    - a block label at a backed block (a ``BASIC_BLOCK`` record or a block
+      validation implies), or wherever used;
     - a data label where a variable starts with it, or wherever used.
 
     At a shared address the order is floor, function, then block or data
